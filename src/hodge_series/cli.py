@@ -3,23 +3,19 @@
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 formula
 precondition failure.  All numeric output is exact; big integers are printed
 as decimal strings in JSON.  Identical invocations print identical bytes.
-The environment variable HODGE_SERIES_THREADS caps the number of worker
-threads used to run independent verification checks (default 1); results are
-buffered and emitted in a fixed order either way.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from math import gcd
 
 from . import formulas, recursion
 from .formulas import NotCoprime, NotGoodCase
-from .ratfun import BivarPoly, RatFun1, RatFun2, UniPoly
+from .ratfun import (BivarPoly, RatFun1, RatFun2, UniPoly,
+                     ZeroDenominatorAfterSubstitution)
 from .rootdata import GroupSpec, degrees_of, good_case, parse_degree, parse_group
 
 
@@ -233,17 +229,26 @@ def _corollary_checks(max_rank, genus_list):
 
 
 def _run_checks(checks):
-    threads = int(os.environ.get("HODGE_SERIES_THREADS", "1") or "1")
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda c: bool(c[1]()), checks))
-    else:
-        results = [bool(fn()) for _, fn in checks]
-    return results
+    return [bool(fn()) for _, fn in checks]
+
+
+def _parse_genus_list(text):
+    try:
+        genus_list = [int(x) for x in text.split(",") if x]
+    except ValueError:
+        raise UsageError("--genus-list must be comma-separated integers, got %r"
+                         % (text,))
+    if any(g < 2 for g in genus_list):
+        raise UsageError("every genus in --genus-list must be at least 2")
+    return genus_list
 
 
 def cmd_verify(args) -> int:
-    genus_list = [int(x) for x in args.genus_list.split(",") if x]
+    genus_list = _parse_genus_list(args.genus_list)
+    if args.max_rank < 1:
+        raise UsageError("--max-rank must be at least 1")
+    if args.order < 0:
+        raise UsageError("--order must be non-negative")
     suites = {}
     if args.suite in ("recursion", "all"):
         suites["recursion"] = _recursion_checks(args.max_rank, genus_list, args.order)
@@ -332,7 +337,8 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print("usage error: %s" % exc, file=sys.stderr)
         return 2
-    except (NotGoodCase, NotCoprime, ValueError) as exc:
+    except (NotGoodCase, NotCoprime, ValueError,
+            ZeroDenominatorAfterSubstitution) as exc:
         print("precondition failed: %s" % exc, file=sys.stderr)
         return 3
 

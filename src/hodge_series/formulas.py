@@ -22,6 +22,12 @@ factors (1 - (uv)^k), so terms are carried in factored form (a numerator
 product plus a multiset of w-exponents, w = uv) and merged over a factored
 common denominator.  No gcd computations are ever needed, and a truncated
 assembly mode expands term by term for the series-level identities.
+
+The classical-type composition sums are the same formula indexed by
+compositions of the rank, with their Levis, dim U, wall pairings and
+exponents written out by hand per type instead of read from the root datum.
+Both routes build every factored term through the single helper
+``_levi_term``, which turns (sign, Levi, dim U, walls) into an ``FTerm``.
 """
 
 from __future__ import annotations
@@ -145,25 +151,39 @@ def assemble_series(terms, order) -> TruncSeries2:
 # ---------------------------------------------------------------------------
 
 
-def _a_parts(m, exps, g):
-    """Numerator factors and denominator multiset of a(L) from exponents."""
+def _a_parts(m, nonab_exps, g):
+    """Numerator factors and denominator multiset of a(L), from dim Z(L) = m
+    and the exponents of L after its m leading ones."""
     numf = []
     den = Counter()
     if m:
         numf += [(1, 0, g * m), (0, 1, g * m)]
         den[1] = m
-    for d in exps[m:]:
+    for d in nonab_exps:
         numf += [(d, d - 1, g), (d - 1, d, g)]
         den[d - 1] += 1
         den[d] += 1
     return tuple(numf), den
 
 
+def _levi_term(coef, m, nonab_exps, dim_u, walls, g):
+    """coef * a(L) * w^{(g-1) dim_u + sum r f} / prod (1 - w^r), where L has
+    dim Z(L) = m and non-abelian exponents nonab_exps, and walls lists the
+    pairs (r, f) = (2 rho^I(alpha^vee), <varpi_alpha(d)>)."""
+    numf, den = _a_parts(m, nonab_exps, g)
+    shift = Fraction((g - 1) * dim_u)
+    for r, f in walls:
+        den[r] += 1
+        shift += r * f
+    if shift.denominator != 1:
+        raise NonIntegralExponent("non-integer (uv)-exponent %s" % shift)
+    return FTerm(coef, int(shift), numf, den)
+
+
 def a_series_term(spec: GroupSpec, g) -> FTerm:
     rs = build_root_system(spec)
-    exps = rs.datum.exponent_list()
-    numf, den = _a_parts(rs.center_dim, exps, g)
-    return FTerm(1, 0, numf, den)
+    m = rs.center_dim
+    return _levi_term(1, m, rs.datum.exponent_list()[m:], 0, (), g)
 
 
 def a_series(spec: GroupSpec, g, allow_large_genus=False) -> RatFun2:
@@ -187,10 +207,9 @@ def hp_classifying(spec: GroupSpec) -> RatFun2:
 
 @dataclass(frozen=True)
 class _Skeleton:
-    I: tuple
     coef: int
     m: int
-    exps: tuple
+    nonab_exps: tuple
     dim_u: int
     rho: tuple  # of (index, 2 rho^I(alpha^vee))
 
@@ -207,10 +226,9 @@ def _skeletons(datum: RootDatum):
         levi = datum.sub_datum(datum.complement(I))
         rho = datum.two_rho_pairings(I)
         out.append(_Skeleton(
-            I=I,
             coef=(-1) ** len(I),
             m=levi.dim_z,
-            exps=levi.exponent_list(),
+            nonab_exps=levi.exponent_list()[levi.dim_z:],
             dim_u=datum.dim_unipotent(I),
             rho=tuple((a, rho[a]) for a in I),
         ))
@@ -221,20 +239,9 @@ def _skeletons(datum: RootDatum):
 
 def closed_terms(datum: RootDatum, fracs, g):
     """Factored terms of the closed formula for the given <varpi_a(d)> data."""
-    terms = []
-    for sk in _skeletons(datum):
-        shift = Fraction((g - 1) * sk.dim_u)
-        den = Counter()
-        for a, r in sk.rho:
-            den[r] += 1
-            shift += r * fracs[a]
-        if shift.denominator != 1:
-            raise NonIntegralExponent(
-                "non-integer (uv)-exponent %s at I=%s" % (shift, sk.I))
-        numf, aden = _a_parts(sk.m, sk.exps, g)
-        den.update(aden)
-        terms.append(FTerm(sk.coef, int(shift), numf, den))
-    return terms
+    return [_levi_term(sk.coef, sk.m, sk.nonab_exps, sk.dim_u,
+                       [(r, fracs[a]) for a, r in sk.rho], g)
+            for sk in _skeletons(datum)]
 
 
 def closed_ratfun(datum: RootDatum, fracs, g) -> RatFun2:
@@ -301,142 +308,66 @@ def _e2(comp):
     return total
 
 
-def _gl_block_parts(s, g, numf, den):
-    """Multiply in the non-abelian part of a GL_s stack series."""
-    for k in range(2, s + 1):
-        numf += [(k, k - 1, g), (k - 1, k, g)]
-        den[k - 1] += 1
-        den[k] += 1
+def _gl_exps(comp):
+    """Non-abelian exponents of GL_{r_1} x ... x GL_{r_l}: 2, ..., r_i each."""
+    return tuple(k for s in comp for k in range(2, s + 1))
 
 
-def _so_odd_stack_parts(m, g, numf, den):
-    """SO_{2m+1} (equally Sp_m) stack series: exponents 2, 4, ..., 2m."""
-    for k in range(1, m + 1):
-        numf += [(2 * k, 2 * k - 1, g), (2 * k - 1, 2 * k, g)]
-    for j in range(1, 2 * m + 1):
-        den[j] += 1
+def _bc_exps(m):
+    """Non-abelian exponents of SO_{2m+1} and of Sp_m: 2, 4, ..., 2m."""
+    return tuple(range(2, 2 * m + 1, 2))
 
 
-def _so_even_stack_parts(m, g, numf, den):
-    """SO_{2m} stack series: exponents 2, 4, ..., 2m-2 and m (Euler class)."""
-    for k in range(1, m):
-        numf += [(2 * k, 2 * k - 1, g), (2 * k - 1, 2 * k, g)]
-    for j in range(1, 2 * m - 1):
-        den[j] += 1
-    numf += [(m, m - 1, g), (m - 1, m, g)]
-    den[m - 1] += 1
-    den[m] += 1
+def _d_exps(m):
+    """Non-abelian exponents of SO_{2m}: 2, 4, ..., 2m-2 and m (Euler class)."""
+    return tuple(range(2, 2 * m - 1, 2)) + (m,)
 
 
-def _int_shift(x):
-    x = Fraction(x)
-    if x.denominator != 1:
-        raise NonIntegralExponent("non-integer (uv)-exponent %s" % x)
-    return int(x)
+def _chain_walls(comp):
+    """Walls between adjacent GL blocks, each with integral pairing."""
+    return [(comp[i] + comp[i + 1], 1) for i in range(len(comp) - 1)]
 
 
 def _gl_terms(r, d, g, abelian_drop=0):
     """Type A composition sum; abelian_drop=1 gives the SL_r normalization
-    (one less abelian factor per term and degree zero)."""
+    and, with d kept, the fixed-determinant one (one less abelian factor per
+    term)."""
     terms = []
     for comp in _compositions(r):
         l = len(comp)
-        apow = l - abelian_drop
-        numf = [(1, 0, g * apow), (0, 1, g * apow)] if apow else []
-        den = Counter({1: apow}) if apow else Counter()
-        for s in comp:
-            _gl_block_parts(s, g, numf, den)
-        shift = Fraction((g - 1) * _e2(comp))
+        walls = []
         p = 0
         for i in range(l - 1):
             p += comp[i]
-            rr = comp[i] + comp[i + 1]
-            den[rr] += 1
-            shift += rr * frac_rep(Fraction(-p * d, r))
-        terms.append(FTerm((-1) ** (l - 1), _int_shift(shift), tuple(numf), den))
+            walls.append((comp[i] + comp[i + 1], frac_rep(Fraction(-p * d, r))))
+        terms.append(_levi_term((-1) ** (l - 1), l - abelian_drop, _gl_exps(comp),
+                                _e2(comp), walls, g))
     return terms
 
 
-def _so_odd_terms(r, d, g):
-    """Type B composition sum for SO_{2r+1}, degree d in Z/2."""
-    fr = frac_rep(Fraction(d, 2))
+def _bc_terms(r, fr, g, c):
+    """Composition sum for SO_{2r+1} (c=0, fr = <d/2>) and Sp_r (c=1, fr
+    unused).
+
+    Both types have the same Levis and exponents; they differ only in the
+    pairings of the last simple root, which are shifted by c.
+    """
     u_full = r * (r + 1) // 2
     terms = []
     for comp in _compositions(r):
-        l = len(comp)
+        l, m = len(comp), comp[-1]
         e2 = _e2(comp)
         # Levi GL_{r_1} x ... x GL_{r_l} (last simple root crossed)
-        numf = [(1, 0, g * l), (0, 1, g * l)]
-        den = Counter({1: l})
-        for s in comp:
-            _gl_block_parts(s, g, numf, den)
-        shift = Fraction((g - 1) * (e2 + u_full))
-        for i in range(l - 1):
-            rr = comp[i] + comp[i + 1]
-            den[rr] += 1
-            shift += rr
-        den[2 * comp[-1]] += 1
-        shift += 2 * comp[-1] * fr
-        terms.append(FTerm((-1) ** l, _int_shift(shift), tuple(numf), den))
-        # Levi GL_{r_1} x ... x GL_{r_{l-1}} x SO_{2 r_l + 1}
-        m = comp[-1]
-        apow = l - 1
-        numf = [(1, 0, g * apow), (0, 1, g * apow)] if apow else []
-        den = Counter({1: apow}) if apow else Counter()
-        for s in comp[:-1]:
-            _gl_block_parts(s, g, numf, den)
-        _so_odd_stack_parts(m, g, numf, den)
-        shift = Fraction((g - 1) * (e2 + u_full - m * (m + 1) // 2))
-        for i in range(l - 2):
-            rr = comp[i] + comp[i + 1]
-            den[rr] += 1
-            shift += rr
+        last = (m + 1, 1) if c else (2 * m, fr)
+        terms.append(_levi_term((-1) ** l, l, _gl_exps(comp), e2 + u_full,
+                                _chain_walls(comp) + [last], g))
+        # Levi GL_{r_1} x ... x GL_{r_{l-1}} x SO_{2m+1} (or Sp_m)
+        walls = _chain_walls(comp[:-1])
         if l > 1:
-            rr = comp[l - 2] + 2 * m
-            den[rr] += 1
-            shift += rr
-        terms.append(FTerm((-1) ** (l - 1), _int_shift(shift), tuple(numf), den))
-    return terms
-
-
-def _sp_terms(r, g):
-    """Type C composition sum for Sp_r (trivial pi_1)."""
-    u_full = r * (r + 1) // 2
-    terms = []
-    for comp in _compositions(r):
-        l = len(comp)
-        e2 = _e2(comp)
-        # Levi GL_{r_1} x ... x GL_{r_l}
-        numf = [(1, 0, g * l), (0, 1, g * l)]
-        den = Counter({1: l})
-        for s in comp:
-            _gl_block_parts(s, g, numf, den)
-        shift = Fraction((g - 1) * (e2 + u_full))
-        for i in range(l - 1):
-            rr = comp[i] + comp[i + 1]
-            den[rr] += 1
-            shift += rr
-        den[comp[-1] + 1] += 1
-        shift += comp[-1] + 1
-        terms.append(FTerm((-1) ** l, _int_shift(shift), tuple(numf), den))
-        # Levi GL_{r_1} x ... x GL_{r_{l-1}} x Sp_{r_l}
-        m = comp[-1]
-        apow = l - 1
-        numf = [(1, 0, g * apow), (0, 1, g * apow)] if apow else []
-        den = Counter({1: apow}) if apow else Counter()
-        for s in comp[:-1]:
-            _gl_block_parts(s, g, numf, den)
-        _so_odd_stack_parts(m, g, numf, den)
-        shift = Fraction((g - 1) * (e2 + u_full - m * (m + 1) // 2))
-        for i in range(l - 2):
-            rr = comp[i] + comp[i + 1]
-            den[rr] += 1
-            shift += rr
-        if l > 1:
-            rr = comp[l - 2] + 2 * m + 1
-            den[rr] += 1
-            shift += rr
-        terms.append(FTerm((-1) ** (l - 1), _int_shift(shift), tuple(numf), den))
+            walls.append((comp[-2] + 2 * m + c, 1))
+        terms.append(_levi_term((-1) ** (l - 1), l - 1,
+                                _gl_exps(comp[:-1]) + _bc_exps(m),
+                                e2 + u_full - m * (m + 1) // 2, walls, g))
     return terms
 
 
@@ -452,55 +383,24 @@ def _so_even_terms(r, d, g):
     u_full = r * (r - 1) // 2
     terms = []
     for comp in _compositions(r):
-        l = len(comp)
+        l, m = len(comp), comp[-1]
         e2 = _e2(comp)
-        if comp[-1] == 1 and l >= 2:
-            numf = [(1, 0, g * l), (0, 1, g * l)]
-            den = Counter({1: l})
-            for s in comp:
-                _gl_block_parts(s, g, numf, den)
-            shift = Fraction((g - 1) * (e2 + u_full))
-            for i in range(l - 2):
-                rr = comp[i] + comp[i + 1]
-                den[rr] += 1
-                shift += rr
-            rr = comp[l - 2] + 1
-            den[rr] += 2
-            shift += 2 * rr * fr
-            terms.append(FTerm((-1) ** l, _int_shift(shift), tuple(numf), den))
-        if comp[-1] >= 2:
+        if m == 1 and l >= 2:
+            walls = _chain_walls(comp[:-1]) + [(comp[-2] + 1, fr)] * 2
+            terms.append(_levi_term((-1) ** l, l, _gl_exps(comp), e2 + u_full,
+                                    walls, g))
+        if m >= 2:
             # two conjugate all-GL Levis contribute identically
-            numf = [(1, 0, g * l), (0, 1, g * l)]
-            den = Counter({1: l})
-            for s in comp:
-                _gl_block_parts(s, g, numf, den)
-            shift = Fraction((g - 1) * (e2 + u_full))
-            for i in range(l - 1):
-                rr = comp[i] + comp[i + 1]
-                den[rr] += 1
-                shift += rr
-            rr = 2 * (comp[-1] - 1)
-            den[rr] += 1
-            shift += rr * fr
-            terms.append(FTerm(2 * (-1) ** l, _int_shift(shift), tuple(numf), den))
-            # Levi GL_{r_1} x ... x GL_{r_{l-1}} x SO_{2 r_l}
-            m = comp[-1]
-            apow = l - 1
-            numf = [(1, 0, g * apow), (0, 1, g * apow)] if apow else []
-            den = Counter({1: apow}) if apow else Counter()
-            for s in comp[:-1]:
-                _gl_block_parts(s, g, numf, den)
-            _so_even_stack_parts(m, g, numf, den)
-            shift = Fraction((g - 1) * (e2 + u_full - m * (m - 1) // 2))
-            for i in range(l - 2):
-                rr = comp[i] + comp[i + 1]
-                den[rr] += 1
-                shift += rr
+            walls = _chain_walls(comp) + [(2 * (m - 1), fr)]
+            terms.append(_levi_term(2 * (-1) ** l, l, _gl_exps(comp),
+                                    e2 + u_full, walls, g))
+            # Levi GL_{r_1} x ... x GL_{r_{l-1}} x SO_{2m}
+            walls = _chain_walls(comp[:-1])
             if l > 1:
-                rr = comp[l - 2] + 2 * m - 1
-                den[rr] += 1
-                shift += rr
-            terms.append(FTerm((-1) ** (l - 1), _int_shift(shift), tuple(numf), den))
+                walls.append((comp[-2] + 2 * m - 1, 1))
+            terms.append(_levi_term((-1) ** (l - 1), l - 1,
+                                    _gl_exps(comp[:-1]) + _d_exps(m),
+                                    e2 + u_full - m * (m - 1) // 2, walls, g))
     return terms
 
 
@@ -510,9 +410,9 @@ def _classical_terms(family, rank, d, g):
     if family == "SL":
         return _gl_terms(rank, 0, g, abelian_drop=1)
     if family == "SOodd":
-        return _so_odd_terms(rank, d, g)
+        return _bc_terms(rank, frac_rep(Fraction(d, 2)), g, 0)
     if family == "Sp":
-        return _sp_terms(rank, g)
+        return _bc_terms(rank, None, g, 1)
     if family == "SOeven":
         return _so_even_terms(rank, d, g)
     raise ValueError("unknown family %r" % (family,))
@@ -554,23 +454,7 @@ def hp_moduli_space(spec: GroupSpec, d, g, allow_large_genus=False) -> RatFun2:
 
 @lru_cache(maxsize=None)
 def _fixed_det_cached(r, d, g):
-    terms = []
-    for comp in _compositions(r):
-        l = len(comp)
-        apow = l - 1
-        numf = [(1, 0, g * apow), (0, 1, g * apow)] if apow else []
-        den = Counter({1: apow}) if apow else Counter()
-        for s in comp:
-            _gl_block_parts(s, g, numf, den)
-        shift = Fraction((g - 1) * _e2(comp))
-        p = 0
-        for i in range(l - 1):
-            p += comp[i]
-            rr = comp[i] + comp[i + 1]
-            den[rr] += 1
-            shift += rr * frac_rep(Fraction(-p * d, r))
-        terms.append(FTerm((-1) ** (l - 1), _int_shift(shift), tuple(numf), den))
-    result = assemble_exact(terms)
+    result = assemble_exact(_gl_terms(r, d, g, abelian_drop=1))
     # consistency with the unfixed-determinant moduli space: multiplying by
     # the Jacobian series (1+u)^g (1+v)^g must recover it exactly
     jac = _binom_power(1, 0, g) * _binom_power(0, 1, g)
@@ -587,11 +471,6 @@ def hp_moduli_fixed_det(r, d, g, allow_large_genus=False) -> RatFun2:
     if gcd(r, d) != 1:
         raise NotCoprime("need gcd(r, d) = 1, got (%d, %d)" % (r, d))
     return _fixed_det_cached(r, d, g)
-
-
-def _strip_factor(r: RatFun2, poly) -> RatFun2:
-    reduced, _ = r.cancel_factor(poly)
-    return reduced
 
 
 def specialize(x, kind):
@@ -613,10 +492,10 @@ def specialize(x, kind):
         if kind == "signature":
             return x.subs_uv(-1, 1)
         raise ValueError("unknown specialization %r" % (kind,))
-    r = _strip_factor(x, 1 + U)
+    r = x.cancel_factor(1 + U)[0]
     if kind == "chi_t":
         return r.subs_u(-1)
-    r = _strip_factor(r, 1 + V)
+    r = r.cancel_factor(1 + V)[0]
     if kind == "euler":
         return r.subs_uv(-1, -1)
     if kind == "signature":

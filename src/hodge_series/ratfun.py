@@ -26,8 +26,6 @@ from fractions import Fraction
 #: truncation order used by the verification suites unless overridden
 DEFAULT_ORDER = 24
 
-Rational = Fraction
-
 
 class NotDivisible(ArithmeticError):
     """Exact polynomial division failed: a is not a multiple of b."""

@@ -173,11 +173,6 @@ class GroupSpec:
     def __str__(self):
         return "x".join(_factor_name(f, r) for f, r in self.factors)
 
-    def pi1_description(self):
-        return " x ".join(
-            {"GL": "Z", "SL": "0", "Sp": "0", "SOodd": "Z/2", "SOeven": "Z/2"}[f]
-            for f, _ in self.factors)
-
 
 def _factor_name(fam, r):
     if fam == "GL":
@@ -380,27 +375,23 @@ class RootDatum:
         disagreement raises DefinitionMismatch.
         """
         I = tuple(sorted(parabolic_indices))
-        cached = self._cache.get(("rho", I))
-        if cached is None:
-            iset = set(I)
-            nilrad = []
-            for form, cf in zip(self.pos_roots, self.pos_coeffs):
-                if any(cf[i] for i in iset):
-                    nilrad.append(form)
-            positive_set = [
-                form for form in self.pos_roots
-                if any(_dot(form, self.simple_coroots[b]) > 0 for b in iset)]
-            nil_vals, alt_vals = {}, {}
+        nil_vals = self._cache.get(("rho", I))
+        if nil_vals is None:
+            nilrad = [form for form, cf in zip(self.pos_roots, self.pos_coeffs)
+                      if any(cf[i] for i in I)]
+            nil_vals = {}
             for a in I:
                 cv = self.simple_coroots[a]
-                alt_vals[a] = sum(_dot(form, cv) for form in positive_set)
                 nil_vals[a] = sum(_dot(form, cv) for form in nilrad)
                 if nil_vals[a] <= 0:
                     raise AssertionError("2 rho^I(alpha^vee) must be positive")
-            cached = (nil_vals, alt_vals)
-            self._cache[("rho", I)] = cached
-        nil_vals, alt_vals = cached
+            self._cache[("rho", I)] = nil_vals
         if strict:
+            positive_set = [
+                form for form in self.pos_roots
+                if any(_dot(form, self.simple_coroots[b]) > 0 for b in I)]
+            alt_vals = {a: sum(_dot(form, self.simple_coroots[a])
+                               for form in positive_set) for a in I}
             for a in I:
                 if nil_vals[a] != alt_vals[a]:
                     raise DefinitionMismatch(
@@ -554,8 +545,6 @@ class RootSystem:
 
     spec: GroupSpec
     datum: RootDatum
-    factor_coords: tuple      # (offset, n_f) per factor
-    factor_simples: tuple     # (offset, count) per factor
     pi1: tuple                # (free_rank, torsion) per factor
 
     @property
@@ -624,8 +613,7 @@ def build_root_system(spec: GroupSpec) -> RootSystem:
     """
     n = 0
     simples, coroots, pos = [], [], []
-    fcoords, fsimples, pi1s = [], [], []
-    scount = 0
+    pi1s = []
     for fam, r in spec.factors:
         bn, bs, bc, bp, _ = _block(fam, r)
         if len(bp) != _POS_COUNT[fam](r):
@@ -634,8 +622,6 @@ def build_root_system(spec: GroupSpec) -> RootSystem:
         simples.extend(pad(v) for v in bs)
         coroots.extend(pad(v) for v in bc)
         pos.extend(pad(v) for v in bp)
-        fcoords.append((n, bn))
-        fsimples.append((scount, len(bs)))
         cor_rows = [list(v) for v in bc]
         divs = smith_invariants(cor_rows)
         free = bn - len(divs)
@@ -644,14 +630,13 @@ def build_root_system(spec: GroupSpec) -> RootSystem:
             raise AssertionError("pi_1 mismatch for %s%d: %s" % (fam, r, (free, torsion)))
         pi1s.append((free, torsion))
         n += bn
-        scount += len(bs)
     width = n
     simples = [tuple(v) + (0,) * (width - len(v)) for v in simples]
     coroots = [tuple(v) + (0,) * (width - len(v)) for v in coroots]
     pos = [tuple(v) + (0,) * (width - len(v)) for v in pos]
     coeffs = _decompose_positive(simples, pos)
     datum = RootDatum(width, simples, coroots, pos, coeffs)
-    return RootSystem(spec, datum, tuple(fcoords), tuple(fsimples), tuple(pi1s))
+    return RootSystem(spec, datum, tuple(pi1s))
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from hodge_series.cli import main
 
 
@@ -107,6 +109,14 @@ class TestSpecialize:
                          "--genus", "2", "--what", "fixed-det", "--at", "chi-t")
         assert code == 3
 
+    def test_surviving_pole_exit_3(self, capsys):
+        code, out, err = run(capsys, "specialize", "--group", "GL2",
+                             "--degree", "1", "--genus", "2", "--what", "stack",
+                             "--at", "euler")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("precondition failed:")
+
 
 class TestVerify:
     def test_small_all_suite(self, capsys):
@@ -124,10 +134,13 @@ class TestVerify:
         assert obj["all_pass"] is True
         assert all(c["pass"] for c in obj["checks"])
 
-    def test_threaded_matches_sequential(self, capsys, monkeypatch):
-        code1, out1, _ = run(capsys, "verify", "--suite", "corollaries",
-                             "--max-rank", "2", "--genus-list", "2")
-        monkeypatch.setenv("HODGE_SERIES_THREADS", "4")
-        code2, out2, _ = run(capsys, "verify", "--suite", "corollaries",
-                             "--max-rank", "2", "--genus-list", "2")
-        assert (code1, out1) == (code2, out2)
+    @pytest.mark.parametrize("argv", [
+        ["--suite", "good-case", "--genus-list", "2,x"],
+        ["--suite", "good-case", "--genus-list", "1"],
+        ["--suite", "good-case", "--max-rank", "0"],
+        ["--suite", "recursion", "--max-rank", "1", "--order", "-1"],
+    ], ids=["genus-not-integer", "genus-below-2", "max-rank-0", "order-negative"])
+    def test_bad_parameter_exit_2(self, capsys, argv):
+        code, out, _ = run(capsys, "verify", *argv)
+        assert code == 2
+        assert "PASS" not in out

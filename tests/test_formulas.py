@@ -34,7 +34,7 @@ from hodge_series.ratfun import (
     one_minus_w,
     w_power,
 )
-from hodge_series.rootdata import GroupSpec, parse_group
+from hodge_series.rootdata import GroupSpec, degrees_of, parse_group
 
 GL = lambda r: GroupSpec((("GL", r),))
 SL = lambda r: GroupSpec((("SL", r),))
@@ -150,6 +150,23 @@ class TestClassicalVsClosed:
         s_co = hp_semistable_closed_series(
             GroupSpec(((family, rank),)), (d,), g, 24)
         assert s_cl == s_co
+
+
+class TestProductGroups:
+    """Kuenneth: on a product group the closed formula factors, so every
+    product Levi (whose center spans several factors) is exercised."""
+
+    CASES = [(text, d) for text in ("GL2xSO5", "SL2xGL3")
+             for d in degrees_of(parse_group(text))]
+
+    @pytest.mark.parametrize("text,d", CASES)
+    @pytest.mark.parametrize("g", [2, 3])
+    def test_closed_factors(self, text, d, g):
+        spec = parse_group(text)
+        expect = RatFun2(1)
+        for factor, di in zip(spec.factors, d):
+            expect = expect * hp_semistable_closed(GroupSpec((factor,)), (di,), g)
+        assert hp_semistable_closed(spec, d, g).rat_eq(expect)
 
 
 class TestSeriesAssembly:

@@ -35,7 +35,8 @@ print(hn_types_to_csv(enumerate_hn_types(spec, (1,), g, 8)))
 print("=== recursion identity, order 16, several groups ===")
 for name, d in [("GL2", (1,)), ("GL3", (2,)), ("SO5", (1,)), ("Sp2", (0,))]:
     rep = verify_recursion(parse_group(name), d, g, 16)
-    print("%-4s d=%s  match=%s  strata=%d" % (name, d, rep.match, rep.strata))
+    print("%-4s d=%s  match=%s  contributing strata=%d"
+          % (name, d, rep.match, rep.strata))
 
 print()
 print("=== Hodge numbers h^{p,q} of the GL_2 degree-1 stack, p+q <= 6 ===")

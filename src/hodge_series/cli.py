@@ -73,6 +73,8 @@ def _uni_json(p: UniPoly):
 
 
 def cmd_compute(args) -> int:
+    if args.expand is not None and args.expand < 0:
+        raise UsageError("--expand must be non-negative")
     spec, d, obj = _compute_object(args)
     expansion = None
     if args.expand is not None:
@@ -154,7 +156,7 @@ def _recursion_checks(max_rank, genus_list, order):
             for g in genus_list:
                 name = "recursion %s d=%s g=%d N=%d" % (spec, d, g, order)
                 checks.append((name, lambda spec=spec, d=d, g=g:
-                               recursion.verify_recursion(spec, d, g, order).match))
+                               recursion.verify_recursion(spec, d, g, order)))
     return checks
 
 
@@ -228,8 +230,20 @@ def _corollary_checks(max_rank, genus_list):
     return checks
 
 
+def _outcome(result):
+    """(pass, extra JSON fields) of a check's return value; a recursion
+    report also carries its stratum count and first mismatch."""
+    if isinstance(result, recursion.RecursionReport):
+        mm = result.first_mismatch
+        return result.match, {
+            "strata": result.strata,
+            "first_mismatch": None if mm is None
+            else [mm[0], mm[1], str(mm[2]), str(mm[3])]}
+    return bool(result), {}
+
+
 def _run_checks(checks):
-    return [bool(fn()) for _, fn in checks]
+    return [_outcome(fn()) for _, fn in checks]
 
 
 def _parse_genus_list(text):
@@ -240,6 +254,9 @@ def _parse_genus_list(text):
                          % (text,))
     if any(g < 2 for g in genus_list):
         raise UsageError("every genus in --genus-list must be at least 2")
+    if any(g > formulas.GENUS_CAP for g in genus_list):
+        raise UsageError("every genus in --genus-list must be at most %d"
+                         % formulas.GENUS_CAP)
     return genus_list
 
 
@@ -261,11 +278,12 @@ def cmd_verify(args) -> int:
     if not suites:
         raise UsageError("unknown suite %r" % (args.suite,))
     all_checks = [c for suite in suites.values() for c in suite]
-    results = _run_checks(all_checks)
+    outcomes = _run_checks(all_checks)
+    results = [ok for ok, _ in outcomes]
     if args.format == "json":
         out = {"suite": args.suite,
-               "checks": [{"name": n, "pass": ok}
-                          for (n, _), ok in zip(all_checks, results)],
+               "checks": [{"name": n, "pass": ok, **extra}
+                          for (n, _), (ok, extra) in zip(all_checks, outcomes)],
                "all_pass": all(results)}
         print(json.dumps(out, sort_keys=True))
     else:

@@ -20,8 +20,10 @@ where a(L) is the degree-independent series of the stack of all L-bundles,
 with d_k the exponents of L.  Every denominator in sight is a product of
 factors (1 - (uv)^k), so terms are carried in factored form (a numerator
 product plus a multiset of w-exponents, w = uv) and merged over a factored
-common denominator.  No gcd computations are ever needed, and a truncated
-assembly mode expands term by term for the series-level identities.
+common denominator.  No gcd computations are ever needed.  For the
+series-level identities a truncated assembly mode splits each numerator into
+slices by p - q, each a polynomial in w, and divides every slice by its
+factors (1 - w^k) as running sums along w.
 
 The classical-type composition sums are the same formula indexed by
 compositions of the rank, with their Levis, dim U, wall pairings and
@@ -136,14 +138,42 @@ def assemble_exact(terms) -> RatFun2:
 
 def assemble_series(terms, order) -> TruncSeries2:
     """Sum of the power-series expansions of factored terms, to total degree
-    <= order; terms whose w-shift already exceeds the order are skipped."""
-    total = TruncSeries2(order)
+    <= order; terms whose w-shift already exceeds the order are skipped.
+
+    u^i v^j = u^{i-j} w^j (or v^{j-i} w^i), so each numerator splits into
+    slices indexed by p - q, each a polynomial in w holding the coefficients
+    of total degree 2 * (w-degree) + |p - q| <= order.  Dividing a slice by
+    1 - w^k is the running sum s[x] += s[x - k]: integer-only and exact.
+    """
+    acc = {}  # p - q -> w-coefficients, summed over all terms
     for t in terms:
         if 2 * t.shift > order:
             continue
-        num = _num_poly(t, order)
-        total = total + RatFun2(num, _den_poly(t.den)).expand(order)
-    return total
+        slices = {}
+        for (i, j), c in _num_poly(t, order).terms.items():
+            s = slices.get(i - j)
+            if s is None:
+                s = slices[i - j] = [0] * ((order - abs(i - j)) // 2 + 1)
+            s[min(i, j)] += c
+        for delta, s in slices.items():
+            n = len(s)
+            for k, m in t.den.items():
+                for _ in range(m):
+                    for x in range(k, n):
+                        s[x] += s[x - k]
+            total = acc.get(delta)
+            if total is None:
+                acc[delta] = s
+            else:
+                for x in range(n):
+                    total[x] += s[x]
+    coeffs = {}
+    for delta, s in acc.items():
+        di, dj = max(delta, 0), max(-delta, 0)
+        for x, c in enumerate(s):
+            if c:
+                coeffs[(x + di, x + dj)] = c
+    return TruncSeries2(order, coeffs)
 
 
 # ---------------------------------------------------------------------------

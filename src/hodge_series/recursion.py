@@ -30,6 +30,10 @@ Hence 0 < s_a <= (maxCodim - (g-1) dim U^I) / w_a for every a in I, a box in
 s-space; its preimage under the affine bijection n -> s (computed by exact
 interval arithmetic on the inverse matrix) is a finite integer box in
 n-space that provably contains every admissible stratum.
+
+The recursion passes maxCodim = order // 2: a stratum enters shifted by
+(uv)^{codim}, of total degree 2 codim, so strata with 2 codim > order
+contribute nothing to the truncated series and are never enumerated.
 """
 
 from __future__ import annotations
@@ -293,13 +297,14 @@ def recursion_rhs(spec: GroupSpec, d, g, order) -> TruncSeries2:
     with the closed formula for G simultaneously validates the formula on
     all Levi subgroups.
     """
-    d = validate_degree(d, spec)
-    rs = build_root_system(spec)
-    datum = rs.datum
+    return _rhs(spec, g, order, enumerate_hn_types(spec, d, g, order // 2))
+
+
+def _rhs(spec, g, order, strata):
+    """recursion_rhs over the given strata, all of codim <= order // 2."""
+    datum = build_root_system(spec).datum
     total = assemble_series([a_series_term(spec, g)], order)
-    for hn in enumerate_hn_types(spec, d, g, order):
-        if 2 * hn.codim > order:
-            continue  # contributes nothing below the truncation order
+    for hn in strata:
         levi = datum.sub_datum(datum.complement(hn.I))
         fracs = levi.fund_fracs(hn.delta_lift)
         series = closed_series_for(levi, fracs, g, order)
@@ -312,7 +317,7 @@ class RecursionReport:
     match: bool
     first_mismatch: tuple | None  # (i, j, lhs, rhs)
     order: int
-    strata: int
+    strata: int  # contributing strata: codim <= order // 2
 
 
 def verify_recursion(spec: GroupSpec, d, g, order) -> RecursionReport:
@@ -321,12 +326,13 @@ def verify_recursion(spec: GroupSpec, d, g, order) -> RecursionReport:
     rs = build_root_system(spec)
     fracs = rs.datum.fund_fracs(rs.lift_degree(d))
     lhs = closed_series_for(rs.datum, fracs, g, order)
-    rhs = recursion_rhs(spec, d, g, order)
-    strata = len(enumerate_hn_types(spec, d, g, order))
+    strata = enumerate_hn_types(spec, d, g, order // 2)
+    rhs = _rhs(spec, g, order, strata)
+    n = len(strata)
     if lhs == rhs:
-        return RecursionReport(True, None, order, strata)
+        return RecursionReport(True, None, order, n)
     for (i, j) in sorted(set(lhs.coeffs) | set(rhs.coeffs)):
         lc, rc = lhs.coeff(i, j), rhs.coeff(i, j)
         if lc != rc:
-            return RecursionReport(False, (i, j, lc, rc), order, strata)
-    return RecursionReport(False, None, order, strata)
+            return RecursionReport(False, (i, j, lc, rc), order, n)
+    return RecursionReport(False, None, order, n)

@@ -78,6 +78,13 @@ class TestCompute:
                          "--what", "nonsense")
         assert code == 2
 
+    def test_negative_expand_exit_2(self, capsys):
+        code, out, err = run(capsys, "compute", "--group", "GL2", "--degree", "1",
+                             "--what", "semistable", "--expand", "-1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("usage error:")
+
 
 class TestSpecialize:
     def test_chi_t(self, capsys):
@@ -134,12 +141,39 @@ class TestVerify:
         assert obj["all_pass"] is True
         assert all(c["pass"] for c in obj["checks"])
 
+    def test_json_recursion_fields(self, capsys):
+        code, out, _ = run(capsys, "verify", "--suite", "recursion",
+                           "--max-rank", "2", "--genus-list", "2",
+                           "--order", "8", "--format", "json")
+        assert code == 0
+        checks = json.loads(out)["checks"]
+        gl2 = [c for c in checks if c["name"].startswith("recursion GL2 d=(1,)")]
+        assert gl2 == [{"name": "recursion GL2 d=(1,) g=2 N=8", "pass": True,
+                        "strata": 2, "first_mismatch": None}]
+
+    def test_json_recursion_mismatch(self, capsys, monkeypatch):
+        from hodge_series import recursion
+
+        report = recursion.RecursionReport(False, (3, 4, 10 ** 30, -7), 8, 5)
+        monkeypatch.setattr(recursion, "verify_recursion", lambda *a: report)
+        code, out, _ = run(capsys, "verify", "--suite", "recursion",
+                           "--max-rank", "1", "--genus-list", "2",
+                           "--order", "8", "--format", "json")
+        assert code == 1
+        check = json.loads(out)["checks"][0]
+        assert check["pass"] is False
+        assert check["strata"] == 5
+        assert check["first_mismatch"] == [3, 4, str(10 ** 30), "-7"]
+
     @pytest.mark.parametrize("argv", [
         ["--suite", "good-case", "--genus-list", "2,x"],
         ["--suite", "good-case", "--genus-list", "1"],
         ["--suite", "good-case", "--max-rank", "0"],
         ["--suite", "recursion", "--max-rank", "1", "--order", "-1"],
-    ], ids=["genus-not-integer", "genus-below-2", "max-rank-0", "order-negative"])
+        ["--suite", "recursion", "--max-rank", "1", "--genus-list", "9"],
+        ["--suite", "all", "--max-rank", "1", "--genus-list", "2,9"],
+    ], ids=["genus-not-integer", "genus-below-2", "max-rank-0", "order-negative",
+            "genus-above-cap", "genus-above-cap-all"])
     def test_bad_parameter_exit_2(self, capsys, argv):
         code, out, _ = run(capsys, "verify", *argv)
         assert code == 2

@@ -6,13 +6,21 @@ so each test is an independent restatement rather than a reuse of the code
 under test.
 """
 
+from collections import Counter
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hodge_series.formulas import (
+    FTerm,
     NotCoprime,
     NotGoodCase,
+    _den_poly,
+    _num_poly,
     a_series,
+    assemble_series,
     chi_t_fixed_det_formula,
+    closed_terms,
     hp_classifying,
     hp_moduli_fixed_det,
     hp_moduli_space,
@@ -28,13 +36,19 @@ from hodge_series.ratfun import (
     BivarPoly,
     RatFun1,
     RatFun2,
+    TruncSeries2,
     U,
     UniPoly,
     V,
     one_minus_w,
     w_power,
 )
-from hodge_series.rootdata import GroupSpec, degrees_of, parse_group
+from hodge_series.rootdata import (
+    GroupSpec,
+    build_root_system,
+    degrees_of,
+    parse_group,
+)
 
 GL = lambda r: GroupSpec((("GL", r),))
 SL = lambda r: GroupSpec((("SL", r),))
@@ -190,6 +204,41 @@ class TestSeriesAssembly:
             assert s.coeff(0, 0) == 1
             for (i, j), c in s.coeffs.items():
                 assert s.coeff(j, i) == c, (spec, i, j)
+
+
+def _expanded_sum(terms, order):
+    """Reference: each term as a general RatFun2, expanded by long division."""
+    total = TruncSeries2(order)
+    for t in terms:
+        total = total + RatFun2(_num_poly(t), _den_poly(t.den)).expand(order)
+    return total
+
+
+@st.composite
+def fterms(draw):
+    numf = []
+    for _ in range(draw(st.integers(0, 3))):
+        d = draw(st.integers(2, 4))
+        a, b = draw(st.sampled_from([(1, 0), (0, 1), (d, d - 1), (d - 1, d)]))
+        numf.append((a, b, draw(st.integers(0, 3))))
+    den = Counter(draw(st.dictionaries(st.integers(1, 6), st.integers(0, 3))))
+    coef = draw(st.sampled_from([-3, -2, -1, 1, 2, 3]))
+    return FTerm(coef, draw(st.integers(0, 3)), tuple(numf), den)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(fterms(), max_size=4), st.integers(0, 16))
+def test_assemble_series_matches_expansion(terms, order):
+    assert assemble_series(terms, order) == _expanded_sum(terms, order)
+
+
+@pytest.mark.parametrize("name", ["GL4", "SO8", "GL2xSO5"])
+def test_assemble_series_closed_terms(name):
+    spec = parse_group(name)
+    rs = build_root_system(spec)
+    for d in degrees_of(spec):
+        terms = closed_terms(rs.datum, rs.datum.fund_fracs(rs.lift_degree(d)), 2)
+        assert assemble_series(terms, 16) == _expanded_sum(terms, 16), d
 
 
 class TestModuliSpace:

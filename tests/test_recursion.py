@@ -151,6 +151,13 @@ class TestRecursion:
             total = total - series.shift_uv(hn.codim, N)
         assert total == recursion_rhs(spec, d, g, N)
 
+    @pytest.mark.parametrize("name", ["GL4", "SO7"])
+    def test_strata_counts_contributing_strata(self, name):
+        spec, N = parse_group(name), 20
+        contributing = [hn for hn in enumerate_hn_types(spec, (1,), 2, N)
+                        if 2 * hn.codim <= N]
+        assert verify_recursion(spec, (1,), 2, N).strata == len(contributing)
+
     def test_product_group(self):
         spec = parse_group("GL1xGL2")
         rep = verify_recursion(spec, (0, 1), 2, 14)

@@ -16,7 +16,8 @@ from . import formulas, recursion
 from .formulas import NotCoprime, NotGoodCase
 from .ratfun import (BivarPoly, RatFun1, RatFun2, UniPoly,
                      ZeroDenominatorAfterSubstitution)
-from .rootdata import GroupSpec, degrees_of, good_case, parse_degree, parse_group
+from .rootdata import (GroupSpec, build_root_system, degrees_of, good_case,
+                       parse_degree, parse_group)
 
 
 class UsageError(ValueError):
@@ -55,7 +56,11 @@ def _compute_object(args):
     if args.what == "semistable":
         return spec, d, formulas.hp_semistable_closed(spec, d, g)
     if args.what == "moduli":
-        return spec, d, formulas.hp_moduli_space(spec, d, g)
+        ms = formulas.hp_moduli_space(spec, d, g)
+        rs = build_root_system(spec)
+        dim_g = rs.rank + 2 * rs.num_positive
+        bound = 2 * ((g - 1) * dim_g + rs.center_dim)
+        return spec, d, formulas.to_polynomial(ms, bound)
     if args.what == "fixed-det":
         r, dd = _single_gl(spec, d)
         fd = formulas.hp_moduli_fixed_det(r, dd, g)

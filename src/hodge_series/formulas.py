@@ -19,11 +19,11 @@ where a(L) is the degree-independent series of the stack of all L-bundles,
 
 with d_k the exponents of L.  Every denominator in sight is a product of
 factors (1 - (uv)^k), so terms are carried in factored form (a numerator
-product plus a multiset of w-exponents, w = uv) and merged over a factored
-common denominator.  No gcd computations are ever needed.  For the
-series-level identities a truncated assembly mode splits each numerator into
-slices by p - q, each a polynomial in w, and divides every slice by its
-factors (1 - w^k) as running sums along w.
+product plus a multiset of w-exponents, w = uv).  One pass serves the exact
+and the truncated sum: it splits each numerator into slices by p - q, each a
+polynomial in w, and multiplies them by the term's cofactor over the common
+denominator.  The exact sum keeps that denominator; the truncated sum
+divides by it once, as running sums along w.  No gcd is ever computed.
 
 The classical-type composition sums are the same formula indexed by
 compositions of the rank, with their Levis, dim U, wall pairings and
@@ -38,15 +38,18 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from math import comb, gcd
+from operator import add, sub
 
 from .ratfun import (
-    ONE,
     BivarPoly,
     RatFun1,
     RatFun2,
     TruncSeries2,
+    U,
     UniPoly,
+    V,
     one_minus_w,
     to_polynomial,
 )
@@ -56,6 +59,7 @@ from .rootdata import (
     RootDatum,
     build_root_system,
     frac_rep,
+    good_case,
     validate_degree,
 )
 
@@ -111,69 +115,80 @@ def _num_poly(term, order=None):
     return poly
 
 
-def _den_poly(den_counter):
-    poly = ONE
-    for k in sorted(den_counter):
-        m = den_counter[k]
-        if m:
-            poly = poly * one_minus_w(k) ** m
-    return poly
+def _num_degree(term):
+    return 2 * term.shift + sum(e * (a + b) for a, b, e in term.numfactors)
 
 
-def assemble_exact(terms) -> RatFun2:
-    """Sum factored terms over the max-multiplicity common denominator."""
+def _common_den(terms):
+    """Max-multiplicity common denominator, as w-exponent -> multiplicity."""
     common = Counter()
     for t in terms:
-        for k, m in t.den.items():
-            if m > common[k]:
-                common[k] = m
-    total = BivarPoly()
+        common |= t.den
+    return common
+
+
+def _times_den(s, den):
+    """Multiply the w-slice s in place by prod (1 - w^k)^m over den: each
+    factor is s[x] -= s[x - k] top down (map reads the old s in full)."""
+    for k, m in den.items():
+        for _ in range(m):
+            s[k:] = map(sub, s[k:], s)
+
+
+def _unslice(slices):
+    return {(x + max(delta, 0), x - min(delta, 0)): c
+            for delta, s in slices.items() for x, c in enumerate(s) if c}
+
+
+def _over_common_den(terms, order):
+    """Numerators times their cofactors over the common denominator, summed
+    to total degree <= order; terms with 2 * shift > order are skipped.
+    u^i v^j = u^{i-j} w^j (or v^{j-i} w^i), so a polynomial splits into slices
+    indexed by p - q, each a list of w-coefficients of total degree
+    2 * (w-degree) + |p - q| <= order.  Returns (common, slices)."""
+    terms = [t for t in terms if 2 * t.shift <= order]
+    common = _common_den(terms)
+    acc = {}
     for t in terms:
-        poly = _num_poly(t)
-        cof = Counter({k: common[k] - t.den.get(k, 0) for k in common})
-        poly = poly * _den_poly(cof)
-        total = total + poly
-    return RatFun2(total, _den_poly(common))
-
-
-def assemble_series(terms, order) -> TruncSeries2:
-    """Sum of the power-series expansions of factored terms, to total degree
-    <= order; terms whose w-shift already exceeds the order are skipped.
-
-    u^i v^j = u^{i-j} w^j (or v^{j-i} w^i), so each numerator splits into
-    slices indexed by p - q, each a polynomial in w holding the coefficients
-    of total degree 2 * (w-degree) + |p - q| <= order.  Dividing a slice by
-    1 - w^k is the running sum s[x] += s[x - k]: integer-only and exact.
-    """
-    acc = {}  # p - q -> w-coefficients, summed over all terms
-    for t in terms:
-        if 2 * t.shift > order:
-            continue
+        cof = common - t.den
+        # a slice of this term stops at the degree of its numerator times cof
+        top = min(order, _num_degree(t) + 2 * sum(k * m for k, m in cof.items()))
         slices = {}
         for (i, j), c in _num_poly(t, order).terms.items():
             s = slices.get(i - j)
             if s is None:
-                s = slices[i - j] = [0] * ((order - abs(i - j)) // 2 + 1)
+                s = slices[i - j] = [0] * ((top - abs(i - j)) // 2 + 1)
             s[min(i, j)] += c
         for delta, s in slices.items():
-            n = len(s)
-            for k, m in t.den.items():
-                for _ in range(m):
-                    for x in range(k, n):
-                        s[x] += s[x - k]
+            _times_den(s, cof)
             total = acc.get(delta)
             if total is None:
-                acc[delta] = s
-            else:
-                for x in range(n):
-                    total[x] += s[x]
-    coeffs = {}
-    for delta, s in acc.items():
-        di, dj = max(delta, 0), max(-delta, 0)
-        for x, c in enumerate(s):
-            if c:
-                coeffs[(x + di, x + dj)] = c
-    return TruncSeries2(order, coeffs)
+                total = acc[delta] = [0] * ((order - abs(delta)) // 2 + 1)
+            total[:len(s)] = map(add, total, s)
+    return common, acc
+
+
+def assemble_exact(terms) -> RatFun2:
+    """Sum factored terms over the max-multiplicity common denominator; the
+    order bounds every numerator times its cofactor, so nothing is cut."""
+    deg = sum(k * m for k, m in _common_den(terms).items())
+    common, acc = _over_common_den(terms, 2 * deg + max(map(_num_degree, terms), default=0))
+    den = [1] + [0] * deg
+    _times_den(den, common)
+    return RatFun2(BivarPoly(_unslice(acc)), BivarPoly(_unslice({0: den})))
+
+
+def assemble_series(terms, order) -> TruncSeries2:
+    """Sum of the power-series expansions of factored terms to total degree
+    <= order: the common-denominator sum divided by each 1 - w^k as the
+    running sum s[x] += s[x - k] bottom up (a prefix sum per residue mod k)."""
+    common, acc = _over_common_den(terms, order)
+    for s in acc.values():
+        for k, m in common.items():
+            for _ in range(m):
+                for r in range(min(k, len(s))):
+                    s[r::k] = accumulate(s[r::k])
+    return TruncSeries2(order, _unslice(acc))
 
 
 # ---------------------------------------------------------------------------
@@ -224,10 +239,8 @@ def a_series(spec: GroupSpec, g, allow_large_genus=False) -> RatFun2:
 
 def hp_classifying(spec: GroupSpec) -> RatFun2:
     """Series of the classifying stack: 1 / prod_k (1 - (uv)^{d_k})."""
-    den = Counter()
-    for d in build_root_system(spec).datum.exponent_list():
-        den[d] += 1
-    return RatFun2(ONE, _den_poly(den))
+    exps = build_root_system(spec).datum.exponent_list()
+    return assemble_exact([FTerm(1, 0, (), Counter(exps))])
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +447,10 @@ def _so_even_terms(r, d, g):
     return terms
 
 
-def _classical_terms(family, rank, d, g):
+def _classical_terms(family, rank, d, g, allow_large_genus):
+    _check_genus(g, allow_large_genus)
+    spec = GroupSpec(((family, rank),))
+    (d,) = validate_degree(d if isinstance(d, tuple) else (d,), spec)
     if family == "GL":
         return _gl_terms(rank, d, g)
     if family == "SL":
@@ -450,18 +466,12 @@ def _classical_terms(family, rank, d, g):
 
 def hp_semistable_classical(family, rank, d, g, allow_large_genus=False) -> RatFun2:
     """The type-specific composition sum for a single classical factor."""
-    _check_genus(g, allow_large_genus)
-    spec = GroupSpec(((family, rank),))
-    (d,) = validate_degree(d if isinstance(d, tuple) else (d,), spec)
-    return assemble_exact(_classical_terms(family, rank, d, g))
+    return assemble_exact(_classical_terms(family, rank, d, g, allow_large_genus))
 
 
 def hp_semistable_classical_series(family, rank, d, g, order,
                                    allow_large_genus=False) -> TruncSeries2:
-    _check_genus(g, allow_large_genus)
-    spec = GroupSpec(((family, rank),))
-    (d,) = validate_degree(d if isinstance(d, tuple) else (d,), spec)
-    return assemble_series(_classical_terms(family, rank, d, g), order)
+    return assemble_series(_classical_terms(family, rank, d, g, allow_large_genus), order)
 
 
 # ---------------------------------------------------------------------------
@@ -471,8 +481,6 @@ def hp_semistable_classical_series(family, rank, d, g, order,
 
 def hp_moduli_space(spec: GroupSpec, d, g, allow_large_genus=False) -> RatFun2:
     """(1-uv)^m times the semistable-stack series; requires the good case."""
-    from .rootdata import good_case
-
     _check_genus(g, allow_large_genus)
     d = validate_degree(d, spec)
     if not good_case(spec, d):
@@ -510,27 +518,17 @@ def specialize(x, kind):
     Polynomials are substituted directly.  Rational functions first drop all
     common (1+u) / (1+v) powers; a genuinely surviving pole still raises.
     """
-    from .ratfun import U, V
-
     if kind == "poincare":
         return x.diagonal()
-    if isinstance(x, BivarPoly):
-        if kind == "chi_t":
-            return x.subs_u(-1)
-        if kind == "euler":
-            return x.subs_uv(-1, -1)
-        if kind == "signature":
-            return x.subs_uv(-1, 1)
+    if kind not in ("chi_t", "euler", "signature"):
         raise ValueError("unknown specialization %r" % (kind,))
-    r = x.cancel_factor(1 + U)[0]
+    if isinstance(x, RatFun2):
+        x = x.cancel_factor(1 + U)[0]
+        if kind != "chi_t":
+            x = x.cancel_factor(1 + V)[0]
     if kind == "chi_t":
-        return r.subs_u(-1)
-    r = r.cancel_factor(1 + V)[0]
-    if kind == "euler":
-        return r.subs_uv(-1, -1)
-    if kind == "signature":
-        return r.subs_uv(-1, 1)
-    raise ValueError("unknown specialization %r" % (kind,))
+        return x.subs_u(-1)
+    return x.subs_uv(-1, -1 if kind == "euler" else 1)
 
 
 def stack_poincare_series(spec: GroupSpec, g) -> RatFun1:

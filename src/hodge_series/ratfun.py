@@ -370,10 +370,6 @@ class TruncSeries2:
         self.coeffs = clean
 
     @staticmethod
-    def from_poly(p, order):
-        return TruncSeries2(order, p.terms)
-
-    @staticmethod
     def from_json_obj(obj):
         return TruncSeries2(int(obj["order"]),
                             {(int(i), int(j)): int(c)
@@ -463,10 +459,6 @@ class RatFun2:
             raise ZeroDivisionError("zero denominator polynomial")
         self.num = num
         self.den = den
-
-    @staticmethod
-    def from_poly(p):
-        return RatFun2(p, ONE)
 
     def is_zero(self):
         return self.num.is_zero()
@@ -565,36 +557,22 @@ class RatFun2:
     def cancel_factor(self, f):
         """Divide the maximal common power of f out of num and den.
 
+        Divides den first and then num, one power of f at a time, and stops
+        at the first failure; a zero numerator is divisible by anything.
         Returns (reduced function, multiplicity removed).
         """
         if f.is_zero() or f.total_degree() <= 0:
             raise ValueError("factor must be a nonzero non-constant polynomial")
-        num, den = self.num, self.den
-        a = 0
-        if not num.is_zero():
-            while True:
-                try:
-                    num2 = num.divide_exact(f)
-                except NotDivisible:
-                    break
-                num, a = num2, a + 1
-        else:
-            a = None  # zero numerator is divisible by anything
-        b = 0
+        num, den, mult = self.num, self.den, 0
         while True:
             try:
                 den2 = den.divide_exact(f)
+                num2 = num.divide_exact(f)
             except NotDivisible:
                 break
-            den, b = den2, b + 1
-        mult = b if a is None else min(a, b)
+            num, den, mult = num2, den2, mult + 1
         if mult == 0:
             return self, 0
-        num, den = self.num, self.den
-        for _ in range(mult):
-            if not num.is_zero():
-                num = num.divide_exact(f)
-            den = den.divide_exact(f)
         return RatFun2(num, den), mult
 
     def subs_u(self, val):

@@ -281,10 +281,6 @@ class RootDatum:
     # -- basics --------------------------------------------------------------
 
     @property
-    def rank(self):
-        return self.n
-
-    @property
     def num_simple(self):
         return len(self.simple_roots)
 
@@ -297,9 +293,6 @@ class RootDatum:
         """A[i][j] = <alpha_i, alpha_j^vee>."""
         return [[_dot(a, cv) for cv in self.simple_coroots]
                 for a in self.simple_roots]
-
-    def pairing(self, form, vec):
-        return _dot(form, vec)
 
     # -- Levi restriction ------------------------------------------------------
 

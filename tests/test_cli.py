@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import hashlib
 import json
 
 import pytest
@@ -68,6 +69,23 @@ class TestCompute:
         assert code == 3
         assert "precondition" in err
 
+    def test_moduli_plain_is_polynomial(self, capsys):
+        code, out, _ = run(capsys, "compute", "--group", "GL2", "--degree", "1",
+                           "--genus", "2", "--what", "moduli")
+        assert code == 0
+        assert "/" not in out
+        assert out.startswith("1 + ") and out.strip().endswith(" + u^5*v^5")
+
+    @pytest.mark.parametrize("group,degree", [("GL2", 10), ("SO3", 6)])
+    def test_moduli_json_polynomial(self, capsys, group, degree):
+        # total degree 2 ((g-1) dim G + dim Z)
+        code, out, _ = run(capsys, "compute", "--group", group, "--degree", "1",
+                           "--genus", "2", "--what", "moduli", "--format", "json")
+        assert code == 0
+        obj = json.loads(out)
+        assert "num" not in obj and "den" not in obj
+        assert max(i + j for i, j, _ in obj["polynomial"]) == degree
+
     def test_bad_group_exit_2(self, capsys):
         code, _, err = run(capsys, "compute", "--group", "E8",
                            "--what", "semistable")
@@ -84,6 +102,35 @@ class TestCompute:
         assert code == 2
         assert out == ""
         assert err.startswith("usage error:")
+
+
+# sha256 of the plain stdout; any change to the printed bytes shows here
+PINNED_OUTPUT = [
+    ("GL3 d=1", "a4ca2be429c5e7bea9631a058bbd1cf529814527d8e737366118fc66cd65a4eb",
+     ["--group", "GL3", "--degree", "1", "--genus", "2", "--what", "semistable"]),
+    ("SO7 d=1", "9c3765e35b56a17acf596da9891b103d088a2a2c92583dfe79e668dedca9fde4",
+     ["--group", "SO7", "--degree", "1", "--genus", "2", "--what", "semistable"]),
+    ("Sp2", "373f1e5b5b115e7e385acd02316783281fdfd0da04ff6261bff94a1b71b6a2b1",
+     ["--group", "Sp2", "--genus", "2", "--what", "semistable"]),
+    ("SO8 d=1", "740cce422d4163814a265589379e9e0d8b2cc1e5cd142c266734770e440acdc2",
+     ["--group", "SO8", "--degree", "1", "--genus", "2", "--what", "semistable"]),
+    ("GL2xSO5 d=1,1", "c066d1faaac0b22fe4940f6f2ef602b70c7b0508ffe3837da8212a0432a3007e",
+     ["--group", "GL2xSO5", "--degree", "1,1", "--genus", "2",
+      "--what", "semistable"]),
+    ("SO7 classifying", "41fdd628714e55e06a7b356fb5f0f2351be7bc49ff08059bf557037a9bc1f871",
+     ["--group", "SO7", "--what", "classifying"]),
+    ("GL3 stack json", "6314fd081bf46073c1238cb6cc371ec68ae975ee9bb6b1111c7b4e62d39f2f3f",
+     ["--group", "GL3", "--degree", "1", "--genus", "3", "--what", "stack",
+      "--expand", "8", "--format", "json"]),
+]
+
+
+@pytest.mark.parametrize("digest,argv", [p[1:] for p in PINNED_OUTPUT],
+                         ids=[p[0] for p in PINNED_OUTPUT])
+def test_pinned_output(capsys, digest, argv):
+    code, out, _ = run(capsys, "compute", *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestSpecialize:
@@ -110,6 +157,12 @@ class TestSpecialize:
         obj = json.loads(out)
         assert obj["num_t"] == [[0, "1"], [1, "4"], [2, "6"], [3, "4"], [4, "1"]]
         assert obj["den_t"] == [[0, "1"], [2, "-1"]]
+
+    def test_moduli_euler(self, capsys):
+        code, out, _ = run(capsys, "specialize", "--group", "GL2", "--degree", "1",
+                           "--genus", "2", "--what", "moduli", "--at", "euler")
+        assert code == 0
+        assert out.strip() == "0"
 
     def test_not_coprime_exit_3(self, capsys):
         code, _, _ = run(capsys, "specialize", "--group", "GL2", "--degree", "0",

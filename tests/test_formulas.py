@@ -15,9 +15,9 @@ from hodge_series.formulas import (
     FTerm,
     NotCoprime,
     NotGoodCase,
-    _den_poly,
     _num_poly,
     a_series,
+    assemble_exact,
     assemble_series,
     chi_t_fixed_det_formula,
     closed_terms,
@@ -206,12 +206,32 @@ class TestSeriesAssembly:
                 assert s.coeff(j, i) == c, (spec, i, j)
 
 
+def _den_product(den):
+    """prod (1 - w^k)^m as a general BivarPoly product."""
+    poly = BivarPoly.constant(1)
+    for k, m in den.items():
+        poly = poly * one_minus_w(k) ** m
+    return poly
+
+
 def _expanded_sum(terms, order):
     """Reference: each term as a general RatFun2, expanded by long division."""
     total = TruncSeries2(order)
     for t in terms:
-        total = total + RatFun2(_num_poly(t), _den_poly(t.den)).expand(order)
+        total = total + RatFun2(_num_poly(t), _den_product(t.den)).expand(order)
     return total
+
+
+def _product_sum(terms):
+    """Reference: each numerator times its cofactor by general BivarPoly
+    products, summed over the max-multiplicity common denominator."""
+    common = Counter()
+    for t in terms:
+        common |= t.den
+    total = BivarPoly()
+    for t in terms:
+        total = total + _num_poly(t) * _den_product(common - t.den)
+    return RatFun2(total, _den_product(common))
 
 
 @st.composite
@@ -239,6 +259,25 @@ def test_assemble_series_closed_terms(name):
     for d in degrees_of(spec):
         terms = closed_terms(rs.datum, rs.datum.fund_fracs(rs.lift_degree(d)), 2)
         assert assemble_series(terms, 16) == _expanded_sum(terms, 16), d
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(fterms(), max_size=4))
+def test_assemble_exact_matches_products(terms):
+    got, expect = assemble_exact(terms), _product_sum(terms)
+    assert got.num.terms == expect.num.terms
+    assert got.den.terms == expect.den.terms
+
+
+@pytest.mark.parametrize("name", ["GL4", "SO8", "GL2xSO5"])
+def test_assemble_exact_closed_terms(name):
+    spec = parse_group(name)
+    rs = build_root_system(spec)
+    for d in degrees_of(spec):
+        terms = closed_terms(rs.datum, rs.datum.fund_fracs(rs.lift_degree(d)), 2)
+        got, expect = assemble_exact(terms), _product_sum(terms)
+        assert got.num.terms == expect.num.terms, d
+        assert got.den.terms == expect.den.terms, d
 
 
 class TestModuliSpace:

@@ -169,6 +169,27 @@ class TestCancelFactor:
         red, m = r.cancel_factor(1 + U)
         assert m == 3 and red.rat_eq(RatFun2(ONE))
 
+    def test_numerator_untouched_without_den_factor(self, monkeypatch):
+        # a denominator with no factor f bounds the multiplicity by 0, so
+        # the numerator is never divided
+        divided = []
+        divide_exact = BivarPoly.divide_exact
+
+        def counting(self, other):
+            divided.append(self)
+            return divide_exact(self, other)
+
+        monkeypatch.setattr(BivarPoly, "divide_exact", counting)
+        r = RatFun2((1 + U) ** 3, (1 - W) * (1 - W * W))
+        red, m = r.cancel_factor(1 + U)
+        assert m == 0 and red is r
+        assert divided == [r.den]
+
+    def test_zero_numerator(self):
+        r = RatFun2(P(), (1 + U) ** 2 * (1 - W))
+        red, m = r.cancel_factor(1 + U)
+        assert m == 2 and red.num.is_zero() and red.den == 1 - W
+
 
 class TestSubstitute:
     def test_diagonal(self):

@@ -51,6 +51,7 @@ def _compute_object(args):
     if args.what == "classifying":
         return spec, None, formulas.hp_classifying(spec)
     g = args.genus
+    _check_genera([g], "--genus")
     if args.what == "stack":
         return spec, d, formulas.a_series(spec, g)
     if args.what == "semistable":
@@ -251,17 +252,23 @@ def _run_checks(checks):
     return [_outcome(fn()) for _, fn in checks]
 
 
+def _check_genera(genera, flag):
+    """Reject a genus outside 2..GENUS_CAP, the formulas' default range."""
+    for g in genera:
+        if not 2 <= g <= formulas.GENUS_CAP:
+            raise UsageError("%s: genus %d is outside 2..%d"
+                             % (flag, g, formulas.GENUS_CAP))
+
+
 def _parse_genus_list(text):
     try:
         genus_list = [int(x) for x in text.split(",") if x]
     except ValueError:
         raise UsageError("--genus-list must be comma-separated integers, got %r"
                          % (text,))
-    if any(g < 2 for g in genus_list):
-        raise UsageError("every genus in --genus-list must be at least 2")
-    if any(g > formulas.GENUS_CAP for g in genus_list):
-        raise UsageError("every genus in --genus-list must be at most %d"
-                         % formulas.GENUS_CAP)
+    if not genus_list:
+        raise UsageError("--genus-list must name at least one genus")
+    _check_genera(genus_list, "--genus-list")
     return genus_list
 
 
@@ -310,18 +317,16 @@ def build_parser():
                     "bundles on a curve of genus g >= 2.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, degree=True):
+    def common(p, formats):
         p.add_argument("--group", required=True,
                        help="e.g. GL3, SL2, SO5, SO8, Sp2, GL2xSO5")
-        if degree:
-            p.add_argument("--degree", default=None,
-                           help="comma-separated, one entry per factor")
+        p.add_argument("--degree", default=None,
+                       help="comma-separated, one entry per factor")
         p.add_argument("--genus", type=int, default=2)
-        p.add_argument("--format", choices=("plain", "json", "latex"),
-                       default="plain")
+        p.add_argument("--format", choices=formats, default="plain")
 
     pc = sub.add_parser("compute", help="print a series as a rational function")
-    common(pc)
+    common(pc, ("plain", "json", "latex"))
     pc.add_argument("--what", required=True,
                     choices=("stack", "semistable", "moduli", "fixed-det",
                              "classifying"))
@@ -340,7 +345,7 @@ def build_parser():
     pv.set_defaults(func=cmd_verify)
 
     ps = sub.add_parser("specialize", help="specialize a series")
-    common(ps)
+    common(ps, ("plain", "json"))
     ps.add_argument("--what", required=True,
                     choices=("stack", "semistable", "moduli", "fixed-det"))
     ps.add_argument("--at", required=True,

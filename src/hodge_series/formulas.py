@@ -291,16 +291,8 @@ def closed_ratfun(datum: RootDatum, fracs, g) -> RatFun2:
     return assemble_exact(closed_terms(datum, fracs, g))
 
 
-_closed_series_cache = {}
-
-
 def closed_series_for(datum: RootDatum, fracs, g, order) -> TruncSeries2:
-    key = (datum.key, fracs, g, order)
-    hit = _closed_series_cache.get(key)
-    if hit is None:
-        hit = assemble_series(closed_terms(datum, fracs, g), order)
-        _closed_series_cache[key] = hit
-    return hit
+    return assemble_series(closed_terms(datum, fracs, g), order)
 
 
 @lru_cache(maxsize=None)

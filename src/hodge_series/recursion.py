@@ -6,6 +6,9 @@ codimension formula, and verification of the stratification recursion
                           (uv)^{codim} * series(semistable Levi bundles)
 
 against the closed formula, coefficient by coefficient on truncated series.
+The side checked against it, series(all) minus the shifted Levi series, is
+one factored sum expanded once: the stack series a(G) plus every closed-formula
+term of every stratum's Levi, negated and shifted by w^{codim} (w = uv).
 
 A stratum is indexed by a pair (I, delta): a nonempty subset I of the simple
 roots (the walls on which the slope is strictly positive) and a topological
@@ -42,10 +45,11 @@ import csv
 import io
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .formulas import a_series_term, assemble_series, closed_series_for
+from .formulas import (a_series_term, assemble_series, closed_series_for,
+                       closed_terms)
 from .ratfun import TruncSeries2
 from .rootdata import (
     GroupSpec,
@@ -301,15 +305,15 @@ def recursion_rhs(spec: GroupSpec, d, g, order) -> TruncSeries2:
 
 
 def _rhs(spec, g, order, strata):
-    """recursion_rhs over the given strata, all of codim <= order // 2."""
+    """recursion_rhs over strata of codim <= order // 2, as one factored sum:
+    a(G) plus each Levi closed-formula term, negated and shifted by w^{codim}."""
     datum = build_root_system(spec).datum
-    total = assemble_series([a_series_term(spec, g)], order)
+    terms = [a_series_term(spec, g)]
     for hn in strata:
         levi = datum.sub_datum(datum.complement(hn.I))
-        fracs = levi.fund_fracs(hn.delta_lift)
-        series = closed_series_for(levi, fracs, g, order)
-        total = total - series.shift_uv(hn.codim, order)
-    return total
+        terms += [replace(t, coef=-t.coef, shift=t.shift + hn.codim)
+                  for t in closed_terms(levi, levi.fund_fracs(hn.delta_lift), g)]
+    return assemble_series(terms, order)
 
 
 @dataclass(frozen=True)

@@ -266,7 +266,7 @@ class RootDatum:
     positive roots; sufficient data for every formula in the package."""
 
     __slots__ = ("n", "simple_roots", "simple_coroots", "pos_roots",
-                 "pos_coeffs", "key", "_cache")
+                 "pos_coeffs", "_cache")
 
     def __init__(self, n, simple_roots, simple_coroots, pos_roots, pos_coeffs):
         self.n = n
@@ -274,8 +274,6 @@ class RootDatum:
         self.simple_coroots = tuple(tuple(c) for c in simple_coroots)
         self.pos_roots = tuple(tuple(f) for f in pos_roots)
         self.pos_coeffs = tuple(tuple(c) for c in pos_coeffs)
-        self.key = (self.n, self.simple_roots, self.simple_coroots,
-                    self.pos_roots)
         self._cache = {}
 
     # -- basics --------------------------------------------------------------

@@ -169,6 +169,13 @@ class TestSpecialize:
                          "--genus", "2", "--what", "fixed-det", "--at", "chi-t")
         assert code == 3
 
+    def test_latex_rejected_exit_2(self, capsys):
+        code, out, _ = run(capsys, "specialize", "--group", "GL2",
+                           "--degree", "1", "--genus", "2", "--what", "fixed-det",
+                           "--at", "chi-t", "--format", "latex")
+        assert code == 2
+        assert out == ""
+
     def test_surviving_pole_exit_3(self, capsys):
         code, out, err = run(capsys, "specialize", "--group", "GL2",
                              "--degree", "1", "--genus", "2", "--what", "stack",
@@ -176,6 +183,32 @@ class TestSpecialize:
         assert code == 3
         assert out == ""
         assert err.startswith("precondition failed:")
+
+
+@pytest.mark.parametrize("genus", ["1", "9"])
+@pytest.mark.parametrize("argv", [
+    ["compute", "--what", "stack"],
+    ["compute", "--what", "semistable"],
+    ["compute", "--what", "moduli"],
+    ["compute", "--what", "fixed-det"],
+    ["specialize", "--what", "stack", "--at", "poincare"],
+    ["specialize", "--what", "semistable", "--at", "poincare"],
+    ["specialize", "--what", "moduli", "--at", "euler"],
+    ["specialize", "--what", "fixed-det", "--at", "chi-t"],
+], ids=lambda a: "-".join(a[::2]))
+def test_genus_out_of_range_exit_2(capsys, argv, genus):
+    code, out, err = run(capsys, *argv, "--group", "GL2", "--degree", "1",
+                         "--genus", genus)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage error:")
+
+
+def test_classifying_ignores_genus(capsys):
+    code, out, _ = run(capsys, "compute", "--group", "SL2", "--genus", "9",
+                       "--what", "classifying")
+    assert code == 0
+    assert out.strip() == "(1) / (1 - u^2*v^2)"
 
 
 class TestVerify:
@@ -225,8 +258,10 @@ class TestVerify:
         ["--suite", "recursion", "--max-rank", "1", "--order", "-1"],
         ["--suite", "recursion", "--max-rank", "1", "--genus-list", "9"],
         ["--suite", "all", "--max-rank", "1", "--genus-list", "2,9"],
+        ["--suite", "recursion", "--max-rank", "2", "--genus-list", ""],
+        ["--suite", "recursion", "--max-rank", "2", "--genus-list", ","],
     ], ids=["genus-not-integer", "genus-below-2", "max-rank-0", "order-negative",
-            "genus-above-cap", "genus-above-cap-all"])
+            "genus-above-cap", "genus-above-cap-all", "genus-empty", "genus-comma"])
     def test_bad_parameter_exit_2(self, capsys, argv):
         code, out, _ = run(capsys, "verify", *argv)
         assert code == 2

@@ -135,11 +135,17 @@ class TestRecursion:
             rhs = recursion_rhs(GL(2), (d,), 2, 10)
             assert rhs == hp_semistable_closed(GL(2), (d,), 2).expand(10)
 
-    def test_stable_under_larger_max_codim(self):
-        # strata of codimension above the order contribute nothing
+    @pytest.mark.parametrize("name,d,g,N", [
+        ("GL2", (0,), 2, 8), ("GL4", (1,), 2, 20), ("SO7", (1,), 2, 20),
+        ("SL3", (0,), 2, 20), ("GL2xSO5", (1, 1), 2, 20), ("Sp3", (0,), 3, 20)],
+        ids=["GL2", "GL4", "SO7", "SL3", "GL2xSO5", "Sp3-g3"])
+    def test_stable_under_larger_max_codim(self, name, d, g, N):
+        # strata of codimension above the order contribute nothing; the
+        # per-stratum shift-and-subtract sum is the reference for the one
+        # factored sum of recursion_rhs
         from hodge_series.formulas import a_series_term, assemble_series, closed_series_for
 
-        spec, d, g, N = GL(2), (0,), 2, 8
+        spec = parse_group(name)
         rs = build_root_system(spec)
         datum = rs.datum
         total = assemble_series([a_series_term(spec, g)], N)

@@ -47,7 +47,9 @@ def _single_gl(spec, d):
 
 
 def _compute_object(args):
-    spec, d = _parse_spec_degree(args, need_degree=args.what != "classifying")
+    # --degree is optional for classifying, but checked whenever it is given
+    spec, d = _parse_spec_degree(
+        args, need_degree=args.what != "classifying" or args.degree is not None)
     if args.what == "classifying":
         return spec, None, formulas.hp_classifying(spec)
     g = args.genus

@@ -20,9 +20,14 @@ where a(L) is the degree-independent series of the stack of all L-bundles,
 with d_k the exponents of L.  Every denominator in sight is a product of
 factors (1 - (uv)^k), so terms are carried in factored form (a numerator
 product plus a multiset of w-exponents, w = uv).  One pass serves the exact
-and the truncated sum: it splits each numerator into slices by p - q, each a
-polynomial in w, and multiplies them by the term's cofactor over the common
-denominator.  The exact sum keeps that denominator; the truncated sum
+and the truncated sum.  A term's numerator is that of a(L^I), which depends
+only on dim Z(L^I) and the exponents of L^I, so the pass groups the terms by
+numerator (GL8: 128 terms, 22 groups).  A group with denominator gden, the
+union of its members' denominators, sums coef * w^shift * (gden / den) over
+its members into one short integer polynomial C(w).  The group's numerator
+is expanded once and split into slices by p - q, each a polynomial in w;
+each slice is multiplied by C(w) and then by the common denominator over
+gden.  The exact sum keeps the common denominator; the truncated sum
 divides by it once, as running sums along w.  No gcd is ever computed.
 
 The classical-type composition sums are the same formula indexed by
@@ -38,9 +43,9 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, repeat
 from math import comb, gcd
-from operator import add, sub
+from operator import add, mul, sub
 
 from .ratfun import (
     BivarPoly,
@@ -127,6 +132,10 @@ def _common_den(terms):
     return common
 
 
+def _w_degree(den):
+    return sum(k * m for k, m in den.items())
+
+
 def _times_den(s, den):
     """Multiply the w-slice s in place by prod (1 - w^k)^m over den: each
     factor is s[x] -= s[x - k] top down (map reads the old s in full)."""
@@ -135,9 +144,38 @@ def _times_den(s, den):
             s[k:] = map(sub, s[k:], s)
 
 
+def _convolve(a, b, n):
+    """First n coefficients of the product of the w-lists a and b.  The loop
+    runs over the operand with fewer nonzero entries and adds scaled
+    segments of the other."""
+    if len(a) - a.count(0) > len(b) - b.count(0):
+        a, b = b, a
+    out = [0] * n
+    for i, c in enumerate(a[:n]):
+        if c:
+            j = min(n, i + len(b))
+            out[i:j] = map(add, out[i:j], map(mul, b, repeat(c)))
+    return out
+
+
 def _unslice(slices):
     return {(x + max(delta, 0), x - min(delta, 0)): c
             for delta, s in slices.items() for x, c in enumerate(s) if c}
+
+
+def _group_cofactor(group, gden):
+    """C(w) = sum of coef * w^shift * prod (1 - w^k)^m over gden - den, for
+    the terms of one group, trimmed of trailing zeros."""
+    cofs = [(t, gden - t.den) for t in group]
+    C = [0] * (max(t.shift + _w_degree(cof) for t, cof in cofs) + 1)
+    for t, cof in cofs:
+        s = [0] * len(C)
+        s[t.shift] = t.coef
+        _times_den(s, cof)
+        C[:] = map(add, C, s)
+    while C and not C[-1]:
+        C.pop()
+    return C
 
 
 def _over_common_den(terms, order):
@@ -145,22 +183,40 @@ def _over_common_den(terms, order):
     to total degree <= order; terms with 2 * shift > order are skipped.
     u^i v^j = u^{i-j} w^j (or v^{j-i} w^i), so a polynomial splits into slices
     indexed by p - q, each a list of w-coefficients of total degree
-    2 * (w-degree) + |p - q| <= order.  Returns (common, slices)."""
+    2 * (w-degree) + |p - q| <= order.
+
+    Terms with the same numerator factors (the same Levi type) form a group
+    with denominator gden, the union of their denominators.  The group's
+    w-parts sum to one short list C(w) (``_group_cofactor``), its numerator
+    is expanded once, and each slice is convolved with C and then
+    multiplied by the rest of the common denominator, common - gden.
+    Returns (common, slices)."""
     terms = [t for t in terms if 2 * t.shift <= order]
     common = _common_den(terms)
-    acc = {}
+    groups = {}
     for t in terms:
-        cof = common - t.den
-        # a slice of this term stops at the degree of its numerator times cof
-        top = min(order, _num_degree(t) + 2 * sum(k * m for k, m in cof.items()))
+        groups.setdefault(t.numfactors, []).append(t)
+    acc = {}
+    for numfactors, group in groups.items():
+        gden = _common_den(group)
+        C = _group_cofactor(group, gden)
+        if not C:
+            continue
+        rest = common - gden
+        rest_deg = _w_degree(rest)
+        num = FTerm(1, 0, numfactors, gden)
+        top = min(order, _num_degree(num))
         slices = {}
-        for (i, j), c in _num_poly(t, order).terms.items():
+        for (i, j), c in _num_poly(num, order).terms.items():
             s = slices.get(i - j)
             if s is None:
                 s = slices[i - j] = [0] * ((top - abs(i - j)) // 2 + 1)
             s[min(i, j)] += c
         for delta, s in slices.items():
-            _times_den(s, cof)
+            # the slice times C and rest stops at its degree or at the order
+            s = _convolve(s, C, min(len(s) + len(C) - 1 + rest_deg,
+                                    (order - abs(delta)) // 2 + 1))
+            _times_den(s, rest)
             total = acc.get(delta)
             if total is None:
                 total = acc[delta] = [0] * ((order - abs(delta)) // 2 + 1)
@@ -171,7 +227,7 @@ def _over_common_den(terms, order):
 def assemble_exact(terms) -> RatFun2:
     """Sum factored terms over the max-multiplicity common denominator; the
     order bounds every numerator times its cofactor, so nothing is cut."""
-    deg = sum(k * m for k, m in _common_den(terms).items())
+    deg = _w_degree(_common_den(terms))
     common, acc = _over_common_den(terms, 2 * deg + max(map(_num_degree, terms), default=0))
     den = [1] + [0] * deg
     _times_den(den, common)

@@ -511,8 +511,12 @@ class RatFun2:
         return result
 
     def rat_eq(self, other):
-        """Semantic equality: num_a * den_b == num_b * den_a."""
+        """Semantic equality: num_a * den_b == num_b * den_a.  With equal
+        denominators the numerators decide alone, since a denominator is
+        never zero and Z[u, v] has no zero divisors."""
         other = _coerce_rat(other)
+        if self.den == other.den:
+            return self.num == other.num
         return self.num * other.den == other.num * self.den
 
     def __eq__(self, other):

@@ -96,6 +96,19 @@ class TestCompute:
                          "--what", "nonsense")
         assert code == 2
 
+    def test_classifying_bad_degree_exit_2(self, capsys):
+        code, out, err = run(capsys, "compute", "--group", "SL2",
+                             "--what", "classifying", "--degree", "garbage")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("usage error:")
+
+    def test_classifying_valid_degree(self, capsys):
+        code, out, _ = run(capsys, "compute", "--group", "SL2", "--degree", "0",
+                           "--what", "classifying", "--format", "json")
+        assert code == 0
+        assert "degree" not in json.loads(out)
+
     def test_negative_expand_exit_2(self, capsys):
         code, out, err = run(capsys, "compute", "--group", "GL2", "--degree", "1",
                              "--what", "semistable", "--expand", "-1")

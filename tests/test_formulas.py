@@ -235,24 +235,43 @@ def _product_sum(terms):
 
 
 @st.composite
-def fterms(draw):
+def numfactor_tuples(draw):
     numf = []
     for _ in range(draw(st.integers(0, 3))):
         d = draw(st.integers(2, 4))
         a, b = draw(st.sampled_from([(1, 0), (0, 1), (d, d - 1), (d - 1, d)]))
         numf.append((a, b, draw(st.integers(0, 3))))
+    return tuple(numf)
+
+
+@st.composite
+def fterms(draw, numfactors=None):
+    if numfactors is None:
+        numfactors = draw(numfactor_tuples())
     den = Counter(draw(st.dictionaries(st.integers(1, 6), st.integers(0, 3))))
     coef = draw(st.sampled_from([-3, -2, -1, 1, 2, 3]))
-    return FTerm(coef, draw(st.integers(0, 3)), tuple(numf), den)
+    return FTerm(coef, draw(st.integers(0, 3)), numfactors, den)
+
+
+@st.composite
+def shared_fterm_lists(draw):
+    """Terms of which most share one of one or two numerator tuples, with
+    their own coef, shift and den, as the terms of one Levi type do."""
+    shared = draw(st.lists(numfactor_tuples(), min_size=1, max_size=2))
+    term = st.one_of(st.sampled_from(shared).flatmap(fterms), fterms())
+    return draw(st.lists(term, max_size=6))
+
+
+fterm_lists = st.one_of(st.lists(fterms(), max_size=4), shared_fterm_lists())
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.lists(fterms(), max_size=4), st.integers(0, 16))
+@given(fterm_lists, st.integers(0, 16))
 def test_assemble_series_matches_expansion(terms, order):
     assert assemble_series(terms, order) == _expanded_sum(terms, order)
 
 
-@pytest.mark.parametrize("name", ["GL4", "SO8", "GL2xSO5"])
+@pytest.mark.parametrize("name", ["GL4", "GL5", "Sp3", "SO8", "GL2xSO5"])
 def test_assemble_series_closed_terms(name):
     spec = parse_group(name)
     rs = build_root_system(spec)
@@ -262,14 +281,14 @@ def test_assemble_series_closed_terms(name):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.lists(fterms(), max_size=4))
+@given(fterm_lists)
 def test_assemble_exact_matches_products(terms):
     got, expect = assemble_exact(terms), _product_sum(terms)
     assert got.num.terms == expect.num.terms
     assert got.den.terms == expect.den.terms
 
 
-@pytest.mark.parametrize("name", ["GL4", "SO8", "GL2xSO5"])
+@pytest.mark.parametrize("name", ["GL4", "GL5", "Sp3", "SO8", "GL2xSO5"])
 def test_assemble_exact_closed_terms(name):
     spec = parse_group(name)
     rs = build_root_system(spec)

@@ -98,6 +98,30 @@ class TestRatOps:
         assert not RatFun2(ONE, 1 - W).rat_eq(RatFun2(ONE, 1 - w_power(2)))
         assert RatFun2(BivarPoly(), 1 + U).rat_eq(RatFun2(BivarPoly(), 1 + V))
 
+    def test_rat_eq_equal_denominators(self):
+        den = (1 + U) * (1 - W)
+        assert RatFun2(1 + V, den).rat_eq(RatFun2(1 + V, (1 - W) * (1 + U)))
+        assert not RatFun2(1 + U, den).rat_eq(RatFun2(1 + V, den))
+        assert not RatFun2(1 + U, den).rat_eq(RatFun2(BivarPoly(), den))
+
+    def test_rat_eq_equal_denominators_multiplies_nothing(self, monkeypatch):
+        den = (1 - W) * (1 - w_power(2))
+        a, b = RatFun2(1 + U, den), RatFun2(1 + V, den)
+        c = RatFun2(1 - w_power(2), 1 - W)
+        products = []
+        mul = BivarPoly.__mul__
+
+        def counting(self, other):
+            products.append(other)
+            return mul(self, other)
+
+        monkeypatch.setattr(BivarPoly, "__mul__", counting)
+        assert a.rat_eq(a) and not a.rat_eq(b)
+        assert products == []
+        # unequal denominators still cross-multiply
+        assert c.rat_eq(RatFun2(1 + W))
+        assert len(products) == 2
+
 
 class TestExpand:
     def test_geometric(self):

@@ -42,7 +42,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import accumulate, repeat
 from math import comb, gcd
 from operator import add, mul, sub
@@ -52,9 +51,7 @@ from .ratfun import (
     RatFun1,
     RatFun2,
     TruncSeries2,
-    U,
     UniPoly,
-    V,
     one_minus_w,
     to_polynomial,
 )
@@ -351,28 +348,23 @@ def closed_series_for(datum: RootDatum, fracs, g, order) -> TruncSeries2:
     return assemble_series(closed_terms(datum, fracs, g), order)
 
 
-@lru_cache(maxsize=None)
-def _closed_cached(spec, d, g):
+def _datum_fracs(spec, d):
+    """The root datum of spec and its <varpi_a(d)> data."""
     rs = build_root_system(spec)
-    fracs = rs.datum.fund_fracs(rs.lift_degree(d))
-    return closed_ratfun(rs.datum, fracs, g)
+    return rs.datum, rs.datum.fund_fracs(rs.lift_degree(validate_degree(d, spec)))
 
 
 def hp_semistable_closed(spec: GroupSpec, d, g, allow_large_genus=False) -> RatFun2:
     """Closed formula for the series of the semistable stack of degree d."""
     _check_genus(g, allow_large_genus)
-    d = validate_degree(d, spec)
-    return _closed_cached(spec, d, g)
+    return closed_ratfun(*_datum_fracs(spec, d), g)
 
 
 def hp_semistable_closed_series(spec: GroupSpec, d, g, order,
                                 allow_large_genus=False) -> TruncSeries2:
     """Truncated expansion of the closed formula, assembled term by term."""
     _check_genus(g, allow_large_genus)
-    d = validate_degree(d, spec)
-    rs = build_root_system(spec)
-    fracs = rs.datum.fund_fracs(rs.lift_degree(d))
-    return closed_series_for(rs.datum, fracs, g, order)
+    return closed_series_for(*_datum_fracs(spec, d), g, order)
 
 
 # ---------------------------------------------------------------------------
@@ -528,26 +520,15 @@ def hp_semistable_classical_series(family, rank, d, g, order,
 
 
 def hp_moduli_space(spec: GroupSpec, d, g, allow_large_genus=False) -> RatFun2:
-    """(1-uv)^m times the semistable-stack series; requires the good case."""
+    """(1-uv)^m times the semistable-stack series, m = dim Z_G, good case only;
+    each term has (1-uv)^{dim Z(L^I)}, dim Z(L^I) >= m, in its denominator."""
     _check_genus(g, allow_large_genus)
     d = validate_degree(d, spec)
     if not good_case(spec, d):
         raise NotGoodCase("degree %s admits strictly semistable bundles" % (d,))
     m = build_root_system(spec).center_dim
     stack = hp_semistable_closed(spec, d, g, allow_large_genus)
-    return RatFun2(stack.num * one_minus_w(1) ** m, stack.den)
-
-
-@lru_cache(maxsize=None)
-def _fixed_det_cached(r, d, g):
-    result = assemble_exact(_gl_terms(r, d, g, abelian_drop=1))
-    # consistency with the unfixed-determinant moduli space: multiplying by
-    # the Jacobian series (1+u)^g (1+v)^g must recover it exactly
-    jac = _binom_power(1, 0, g) * _binom_power(0, 1, g)
-    full = hp_moduli_space(GroupSpec((("GL", r),)), (d,), g)
-    if not RatFun2(result.num * jac, result.den).rat_eq(full):
-        raise AssertionError("fixed-determinant factorization failed")
-    return result
+    return RatFun2(stack.num, stack.den.divide_exact(one_minus_w(1) ** m))
 
 
 def hp_moduli_fixed_det(r, d, g, allow_large_genus=False) -> RatFun2:
@@ -556,24 +537,28 @@ def hp_moduli_fixed_det(r, d, g, allow_large_genus=False) -> RatFun2:
     _check_genus(g, allow_large_genus)
     if gcd(r, d) != 1:
         raise NotCoprime("need gcd(r, d) = 1, got (%d, %d)" % (r, d))
-    return _fixed_det_cached(r, d, g)
+    result = assemble_exact(_gl_terms(r, d, g, abelian_drop=1))
+    # the Jacobian series (1+u)^g (1+v)^g times the result, over 1 - uv, must
+    # be the semistable stack series, over the same denominator exactly
+    jac = _binom_power(1, 0, g) * _binom_power(0, 1, g)
+    stack = hp_semistable_closed(GroupSpec((("GL", r),)), (d,), g, allow_large_genus)
+    if not RatFun2(result.num * jac, result.den * one_minus_w(1)).rat_eq(stack):
+        raise AssertionError("fixed-determinant factorization failed")
+    return result
 
 
 def specialize(x, kind):
     """Specializations: poincare (u=v=t), chi_t (u=-1), euler (u=v=-1),
     signature (u=-1, v=1).
 
-    Polynomials are substituted directly.  Rational functions first drop all
-    common (1+u) / (1+v) powers; a genuinely surviving pole still raises.
+    Everything is substituted directly: no package denominator f(uv) has a
+    factor 1 + u (f(-v) = 0 forces f = 0) or 1 + v to cancel first, so a pole
+    at the point raises ZeroDenominatorAfterSubstitution.
     """
     if kind == "poincare":
         return x.diagonal()
     if kind not in ("chi_t", "euler", "signature"):
         raise ValueError("unknown specialization %r" % (kind,))
-    if isinstance(x, RatFun2):
-        x = x.cancel_factor(1 + U)[0]
-        if kind != "chi_t":
-            x = x.cancel_factor(1 + V)[0]
     if kind == "chi_t":
         return x.subs_u(-1)
     return x.subs_uv(-1, -1 if kind == "euler" else 1)

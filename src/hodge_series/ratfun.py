@@ -12,19 +12,16 @@ Representation choices:
   very sparse factors such as ``(1 + u^3 v^2)^g`` or ``1 - (uv)^k``, so a
   dense representation would be wasteful.
 * ``RatFun2`` is an unreduced quotient num/den.  Bivariate gcds are never
-  computed: semantic equality is cross-multiplication equality, and
-  ``cancel_factor`` strips the only common factors (powers of ``1+u``,
-  ``1+v``, ``1-uv``) that the applications need removed.
+  computed: equal denominators compare numerators, others cross-multiply,
+  and ``to_polynomial`` certifies a polynomial by exact division.
 * ``TruncSeries2`` truncates by total degree ``i + j <= order``; this matches
-  the homogeneous filtration of Z[[u,v]].  Default working order is 24.
+  the homogeneous filtration of Z[[u,v]].
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-
-#: truncation order used by the verification suites unless overridden
-DEFAULT_ORDER = 24
+from heapq import heapify, heappop, heappush
 
 
 class NotDivisible(ArithmeticError):
@@ -224,16 +221,23 @@ class BivarPoly:
         """Return q with self == other * q, else raise NotDivisible.
 
         Greedy cancellation of lexicographic leading terms; correct for exact
-        division over Z because leading terms are multiplicative.
+        division over Z because leading terms are multiplicative.  Every
+        subtraction lands below the leading term it cancels, so a max-heap of
+        the remainder's monomials yields each leading term once, largest first.
         """
         if other.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
         rem = dict(self.terms)
+        heap = [(-i, -j) for i, j in rem]
+        heapify(heap)
         quot = {}
         lt = max(other.terms)
         lc = other.terms[lt]
-        while rem:
-            rlt = max(rem)
+        while heap:
+            i, j = heappop(heap)
+            rlt = (-i, -j)
+            if rlt not in rem:
+                continue
             di, dj = rlt[0] - lt[0], rlt[1] - lt[1]
             if di < 0 or dj < 0:
                 raise NotDivisible("monomial %r not reachable" % (rlt,))
@@ -243,11 +247,14 @@ class BivarPoly:
             quot[(di, dj)] = qc
             for (a, b), c in other.terms.items():
                 key = (a + di, b + dj)
-                nc = rem.get(key, 0) - qc * c
+                old = rem.get(key, 0)
+                nc = old - qc * c
                 if nc:
+                    if not old:
+                        heappush(heap, (-key[0], -key[1]))
                     rem[key] = nc
                 else:
-                    rem.pop(key, None)
+                    del rem[key]
         return BivarPoly(quot)
 
     def is_divisible_by(self, other):
@@ -337,7 +344,6 @@ class BivarPoly:
         return " + ".join(parts).replace("+ -", "- ")
 
 
-ZERO = BivarPoly()
 ONE = BivarPoly.constant(1)
 U = BivarPoly.monomial(1, 0)
 V = BivarPoly.monomial(0, 1)
@@ -664,16 +670,19 @@ def substitute(r, u=None, v=None, diagonal=False):
 def to_polynomial(r, degree_bound):
     """Certify that r is a polynomial of total degree <= degree_bound.
 
-    The candidate is the truncated expansion; the certificate is the exact
-    identity candidate * den == num.
+    The candidate is the exact quotient num / den in Z[u, v]; that it exists
+    is the certificate.  Raises NotPolynomialWithinBound when den does not
+    divide num or the quotient's total degree exceeds the bound.
     """
     if degree_bound < 0:
         raise ValueError("negative degree bound")
     r = _coerce_rat(r)
-    series = r.expand(degree_bound)
-    p = series.to_poly()
-    if p * r.den == r.num:
-        return p
+    try:
+        p = r.num.divide_exact(r.den)
+        if p.total_degree() <= degree_bound:
+            return p
+    except NotDivisible:
+        pass
     raise NotPolynomialWithinBound(
         "not a polynomial of total degree <= %d" % degree_bound)
 

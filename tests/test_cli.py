@@ -117,32 +117,47 @@ class TestCompute:
         assert err.startswith("usage error:")
 
 
-# sha256 of the plain stdout; any change to the printed bytes shows here
+# sha256 of the plain stdout and the exit code; any change to the printed
+# bytes shows here
 PINNED_OUTPUT = [
-    ("GL3 d=1", "a4ca2be429c5e7bea9631a058bbd1cf529814527d8e737366118fc66cd65a4eb",
-     ["--group", "GL3", "--degree", "1", "--genus", "2", "--what", "semistable"]),
-    ("SO7 d=1", "9c3765e35b56a17acf596da9891b103d088a2a2c92583dfe79e668dedca9fde4",
-     ["--group", "SO7", "--degree", "1", "--genus", "2", "--what", "semistable"]),
-    ("Sp2", "373f1e5b5b115e7e385acd02316783281fdfd0da04ff6261bff94a1b71b6a2b1",
-     ["--group", "Sp2", "--genus", "2", "--what", "semistable"]),
-    ("SO8 d=1", "740cce422d4163814a265589379e9e0d8b2cc1e5cd142c266734770e440acdc2",
-     ["--group", "SO8", "--degree", "1", "--genus", "2", "--what", "semistable"]),
-    ("GL2xSO5 d=1,1", "c066d1faaac0b22fe4940f6f2ef602b70c7b0508ffe3837da8212a0432a3007e",
-     ["--group", "GL2xSO5", "--degree", "1,1", "--genus", "2",
+    ("GL3 d=1", 0, "a4ca2be429c5e7bea9631a058bbd1cf529814527d8e737366118fc66cd65a4eb",
+     ["compute", "--group", "GL3", "--degree", "1", "--genus", "2",
       "--what", "semistable"]),
-    ("SO7 classifying", "41fdd628714e55e06a7b356fb5f0f2351be7bc49ff08059bf557037a9bc1f871",
-     ["--group", "SO7", "--what", "classifying"]),
-    ("GL3 stack json", "6314fd081bf46073c1238cb6cc371ec68ae975ee9bb6b1111c7b4e62d39f2f3f",
-     ["--group", "GL3", "--degree", "1", "--genus", "3", "--what", "stack",
+    ("SO7 d=1", 0, "9c3765e35b56a17acf596da9891b103d088a2a2c92583dfe79e668dedca9fde4",
+     ["compute", "--group", "SO7", "--degree", "1", "--genus", "2",
+      "--what", "semistable"]),
+    ("Sp2", 0, "373f1e5b5b115e7e385acd02316783281fdfd0da04ff6261bff94a1b71b6a2b1",
+     ["compute", "--group", "Sp2", "--genus", "2", "--what", "semistable"]),
+    ("SO8 d=1", 0, "740cce422d4163814a265589379e9e0d8b2cc1e5cd142c266734770e440acdc2",
+     ["compute", "--group", "SO8", "--degree", "1", "--genus", "2",
+      "--what", "semistable"]),
+    ("GL2xSO5 d=1,1", 0, "c066d1faaac0b22fe4940f6f2ef602b70c7b0508ffe3837da8212a0432a3007e",
+     ["compute", "--group", "GL2xSO5", "--degree", "1,1", "--genus", "2",
+      "--what", "semistable"]),
+    ("SO7 classifying", 0, "41fdd628714e55e06a7b356fb5f0f2351be7bc49ff08059bf557037a9bc1f871",
+     ["compute", "--group", "SO7", "--what", "classifying"]),
+    ("GL3 stack json", 0, "6314fd081bf46073c1238cb6cc371ec68ae975ee9bb6b1111c7b4e62d39f2f3f",
+     ["compute", "--group", "GL3", "--degree", "1", "--genus", "3", "--what", "stack",
       "--expand", "8", "--format", "json"]),
+    # specializations of rational functions (not polynomials)
+    ("SO7 d=1 chi-t", 0, "f9422bd0242af9d18dde7d11a3b4dea839a57ffda14d45406b188c7c0c5b0489",
+     ["specialize", "--group", "SO7", "--degree", "1", "--genus", "2",
+      "--what", "semistable", "--at", "chi-t"]),
+    # u = -1, v = 1 makes 1 - (uv)^k vanish for even k: the pole survives
+    ("SO7 d=1 signature", 3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     ["specialize", "--group", "SO7", "--degree", "1", "--genus", "2",
+      "--what", "semistable", "--at", "signature"]),
+    ("GL3 stack chi-t json", 0, "795053814d2d688ce5cda5e5e68b47bcbebfafaa11f9c5ae4aacbe6d8f23745c",
+     ["specialize", "--group", "GL3", "--degree", "1", "--what", "stack",
+      "--at", "chi-t", "--format", "json"]),
 ]
 
 
-@pytest.mark.parametrize("digest,argv", [p[1:] for p in PINNED_OUTPUT],
+@pytest.mark.parametrize("code,digest,argv", [p[1:] for p in PINNED_OUTPUT],
                          ids=[p[0] for p in PINNED_OUTPUT])
-def test_pinned_output(capsys, digest, argv):
-    code, out, _ = run(capsys, "compute", *argv)
-    assert code == 0
+def test_pinned_output(capsys, code, digest, argv):
+    got, out, _ = run(capsys, *argv)
+    assert got == code
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 

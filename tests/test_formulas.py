@@ -344,6 +344,29 @@ class TestFixedDet:
         with pytest.raises(NotCoprime):
             hp_moduli_fixed_det(2, 0, 2)
 
+    def test_self_check_runs_on_every_call(self, monkeypatch):
+        from hodge_series import formulas
+
+        stacks = []
+
+        def closed(*args, **kwargs):
+            stacks.append(args)
+            return hp_semistable_closed(*args, **kwargs)
+
+        monkeypatch.setattr(formulas, "hp_semistable_closed", closed)
+        hp_moduli_fixed_det(2, 1, 2)
+        hp_moduli_fixed_det(2, 1, 2)
+        assert len(stacks) == 2
+        # a wrong stack series makes the self-check fail
+        monkeypatch.setattr(formulas, "hp_semistable_closed",
+                            lambda *args, **kwargs: closed(*args, **kwargs) + 1)
+        with pytest.raises(AssertionError):
+            hp_moduli_fixed_det(2, 1, 2)
+
+    def test_large_genus_opt_in(self):
+        assert hp_moduli_fixed_det(2, 1, 9, allow_large_genus=True).rat_eq(
+            self.rank2_reference(9))
+
     @pytest.mark.parametrize("r,d,g", [(2, 1, 2), (2, 1, 3), (3, 1, 2), (3, 2, 2)])
     def test_polynomial_with_dimension_bound(self, r, d, g):
         bound = 2 * (g - 1) * (r * r - 1)

@@ -248,6 +248,20 @@ class TestToPolynomial:
         with pytest.raises(NotPolynomialWithinBound):
             to_polynomial(RatFun2(1 - w_power(4), 1 - W), 2)
 
+    def test_general_denominator(self):
+        assert to_polynomial(RatFun2((1 + U) * (1 + V), 1 + U), 1) == 1 + V
+
+    def test_no_expansion_or_product(self, monkeypatch):
+        # the exact quotient is the certificate: no series, no product
+        def forbidden(*args):
+            raise AssertionError("called")
+
+        r = RatFun2(1 - w_power(3) + U - U * W * W, 1 - W)
+        monkeypatch.setattr(RatFun2, "expand", forbidden)
+        monkeypatch.setattr(BivarPoly, "__mul__", forbidden)
+        assert to_polynomial(r, 5).terms == {(0, 0): 1, (1, 1): 1, (2, 2): 1,
+                                             (1, 0): 1, (2, 1): 1}
+
 
 class TestSerialization:
     def test_round_trip(self):
@@ -329,6 +343,35 @@ def test_rat_eq_equivalence_relation(n1, d1, n2, d2):
     assert a.rat_eq(c)
     if a.rat_eq(b):
         assert c.rat_eq(b)
+
+
+nonzero_polys = small_polys.filter(bool)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_polys, nonzero_polys)
+def test_divide_exact_round_trip(a, b):
+    assert (a * b).divide_exact(b) == a
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_polys, nonzero_polys)
+def test_divide_exact_quotient_or_not_divisible(a, b):
+    try:
+        q = a.divide_exact(b)
+    except NotDivisible:
+        return
+    assert q * b == a
+
+
+@settings(max_examples=40, deadline=None)
+@given(nonzero_polys, nonzero_polys)
+def test_to_polynomial_exact_bound(a, b):
+    n = a.total_degree()
+    assert to_polynomial(RatFun2(a * b, b), n) == a
+    if n >= 1:
+        with pytest.raises(NotPolynomialWithinBound):
+            to_polynomial(RatFun2(a * b, b), n - 1)
 
 
 @settings(max_examples=40, deadline=None)

@@ -4,7 +4,9 @@ recursion identity between full-stack and semistable series."""
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from hodge_series.formulas import hp_semistable_classical, hp_semistable_closed
 from hodge_series.recursion import (
     NonIntegralCodim,
     codim,
@@ -16,7 +18,7 @@ from hodge_series.recursion import (
     recursion_rhs,
     verify_recursion,
 )
-from hodge_series.rootdata import GroupSpec, build_root_system, parse_group
+from hodge_series.rootdata import GroupSpec, build_root_system, degrees_of, parse_group
 
 GL = lambda r: GroupSpec((("GL", r),))
 
@@ -193,6 +195,36 @@ class TestRecursion:
             lhs = hp_semistable_closed_series(GL(2), (d,), 2, 12)
             rhs = recursion_rhs(GL(2), (d,), 2, 12)
             assert lhs.to_poly().diagonal() == rhs.to_poly().diagonal()
+
+
+# factor -> rank; products are drawn with total rank <= 4
+RANDOM_FACTORS = {"GL1": 1, "GL2": 2, "GL3": 3, "SL2": 1, "SL3": 2, "SO5": 2,
+                  "SO7": 3, "Sp2": 2, "SO8": 4}
+
+
+@st.composite
+def group_degree_genus(draw):
+    names = [draw(st.sampled_from(sorted(RANDOM_FACTORS)))]
+    room = 4 - RANDOM_FACTORS[names[0]]
+    fits = sorted(n for n, r in RANDOM_FACTORS.items() if r <= room)
+    if fits and draw(st.booleans()):
+        names.append(draw(st.sampled_from(fits)))
+    spec = parse_group("x".join(names))
+    return spec, draw(st.sampled_from(degrees_of(spec))), draw(st.sampled_from((2, 3)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(group_degree_genus())
+def test_random_group_cross_check(case):
+    # closed formula against the recursion, and for a single factor against
+    # the composition sum as well
+    spec, d, g = case
+    rep = verify_recursion(spec, d, g, 12)
+    assert rep.match, rep.first_mismatch
+    if len(spec.factors) == 1:
+        (family, rank), = spec.factors
+        assert hp_semistable_classical(family, rank, d, g).rat_eq(
+            hp_semistable_closed(spec, d, g))
 
 
 class TestCsv:

@@ -203,6 +203,14 @@ def _good_case_checks(max_rank):
 
 def _corollary_checks(max_rank, genus_list):
     checks = []
+    polys = {}  # (r, d, g) -> fixed-det polynomial, shared by chi and eu
+
+    def fixed_det(r, d, g, bound):
+        if (r, d, g) not in polys:
+            polys[r, d, g] = formulas.to_polynomial(
+                formulas.hp_moduli_fixed_det(r, d, g), bound)
+        return polys[r, d, g]
+
     for r in range(2, max_rank + 1):
         for d in range(1, r + 1):
             if gcd(r, d) != 1:
@@ -211,14 +219,12 @@ def _corollary_checks(max_rank, genus_list):
                 bound = 2 * (g - 1) * (r * r - 1)
 
                 def chi(r=r, d=d, g=g, bound=bound):
-                    p = formulas.to_polynomial(
-                        formulas.hp_moduli_fixed_det(r, d, g), bound)
+                    p = fixed_det(r, d, g, bound)
                     return formulas.specialize(p, "chi_t") == \
                         formulas.chi_t_fixed_det_formula(r, g)
 
                 def eu(r=r, d=d, g=g, bound=bound):
-                    p = formulas.to_polynomial(
-                        formulas.hp_moduli_fixed_det(r, d, g), bound)
+                    p = fixed_det(r, d, g, bound)
                     return formulas.specialize(p, "euler") == 0 and \
                         formulas.specialize(p, "signature") == 0
 

@@ -540,9 +540,9 @@ def hp_moduli_fixed_det(r, d, g, allow_large_genus=False) -> RatFun2:
     result = assemble_exact(_gl_terms(r, d, g, abelian_drop=1))
     # the Jacobian series (1+u)^g (1+v)^g times the result, over 1 - uv, must
     # be the semistable stack series, over the same denominator exactly
-    jac = _binom_power(1, 0, g) * _binom_power(0, 1, g)
     stack = hp_semistable_closed(GroupSpec((("GL", r),)), (d,), g, allow_large_genus)
-    if not RatFun2(result.num * jac, result.den * one_minus_w(1)).rat_eq(stack):
+    lifted = result.num.mul_binomial(1, 0, g).mul_binomial(0, 1, g)
+    if not RatFun2(lifted, result.den * one_minus_w(1)).rat_eq(stack):
         raise AssertionError("fixed-determinant factorization failed")
     return result
 

@@ -197,6 +197,26 @@ class BivarPoly:
         out.terms = res
         return out
 
+    def mul_binomial(self, a, b, e):
+        """self * (1 + u^a v^b)^e, by e shift-add passes over one dict.
+
+        A pass adds every term into its shift by (a, b), largest keys first:
+        the shifted key is lexicographically larger, so every term is read
+        before anything is added into it.
+        """
+        res = dict(self.terms)
+        for _ in range(e):
+            for key in sorted(res, reverse=True):
+                shifted = (key[0] + a, key[1] + b)
+                nc = res.get(shifted, 0) + res[key]
+                if nc:
+                    res[shifted] = nc
+                else:
+                    del res[shifted]
+        out = BivarPoly.__new__(BivarPoly)
+        out.terms = res
+        return out
+
     def __pow__(self, e):
         if e < 0:
             raise ValueError("negative power of a polynomial")

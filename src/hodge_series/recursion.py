@@ -30,9 +30,17 @@ nilradical roots (w_a >= 1),
     codim = sum_a w_a s_a + (g - 1) dim U^I.
 
 Hence 0 < s_a <= (maxCodim - (g-1) dim U^I) / w_a for every a in I, a box in
-s-space; its preimage under the affine bijection n -> s (computed by exact
-interval arithmetic on the inverse matrix) is a finite integer box in
-n-space that provably contains every admissible stratum.
+s-space; its preimage under the affine bijection n -> s is a finite integer
+box in n-space that provably contains every admissible stratum.
+
+Everything is integer arithmetic.  The projection to the center of the Levi
+is an integer matrix P over a common denominator D (the Levi Cartan
+matrix's adjugate and determinant), so D mu, D s and D beta(mu) are integers
+linear in n; the box bounds come from the adjugate of the matrix M of
+n -> D s, with the box scaled by lcm(w_a).  Only mu's final entries are
+Fractions.  Everything that does not depend on the degree or the genus (P,
+the nilradical, w_a, M and its adjugate) is computed once per subset I and
+cached on the root datum.
 
 The recursion passes maxCodim = order // 2: a stratum enters shifted by
 (uv)^{codim}, of total degree 2 codim, so strata with 2 codim > order
@@ -44,17 +52,19 @@ from __future__ import annotations
 import csv
 import io
 import itertools
-import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from math import lcm
+from operator import mul
 
 from .formulas import (a_series_term, assemble_series, closed_series_for,
                        closed_terms)
 from .ratfun import TruncSeries2
 from .rootdata import (
     GroupSpec,
+    _adjugate,
+    _dot,
     build_root_system,
-    invert_matrix,
     validate_degree,
 )
 
@@ -90,17 +100,49 @@ def codim(datum_or_rs, mu, g):
     return int(total)
 
 
-def _interval_dot(row, lo, hi):
-    """Exact [min, max] of sum_i row[i] * x_i over the box lo <= x <= hi."""
-    a = b = Fraction(0)
-    for c, l, h in zip(row, lo, hi):
-        if c >= 0:
-            a += c * l
-            b += c * h
-        else:
-            a += c * h
-            b += c * l
-    return a, b
+@dataclass(frozen=True)
+class _HNSetup:
+    """Degree- and genus-independent integer data of the strata with walls I.
+
+    mu(X) = P X / D is the slope of the lift X = X0 + sum_a n_a alpha_a^vee,
+    and the nilradical roots take the values
+    beta_r(mu(X)) = (beta_r(P X0) + sum_a n_a step[r][a]) / D.  The rows
+    simple_rows of step (the walls alpha_a, a in I) form the matrix M of the
+    affine bijection n -> D s = M n + D s0, and adj = det * M^{-1}.  M is D
+    times the Schur complement of the Levi block in the Cartan matrix, so
+    det = D^|I| det A / det A_Levi > 0.
+    """
+
+    D: int
+    P: tuple
+    weights: tuple
+    nil_roots: tuple
+    step: tuple
+    simple_rows: tuple
+    det: int
+    adj: tuple
+
+
+def _hn_setup(datum, I) -> _HNSetup:
+    """The _HNSetup of walls I, cached on the datum."""
+    cached = datum._cache.get(("hn", I))
+    if cached is not None:
+        return cached
+    D, P = datum._projector(I)
+    nil = [(form, cf) for form, cf in zip(datum.pos_roots, datum.pos_coeffs)
+           if any(cf[a] for a in I)]
+    nil_roots = tuple(form for form, _ in nil)
+    # w_a = coefficient of alpha_a in the sum of the nilradical roots
+    weights = tuple(sum(cf[a] for _, cf in nil) for a in I)
+    pcs = tuple(tuple(_dot(row, datum.simple_coroots[a]) for row in P)
+                for a in I)
+    step = tuple(tuple(_dot(form, pc) for pc in pcs) for form in nil_roots)
+    simple_rows = tuple(nil_roots.index(datum.simple_roots[a]) for a in I)
+    det, adj = _adjugate([step[r] for r in simple_rows])
+    cached = _HNSetup(D, P, weights, nil_roots, step, simple_rows, det,
+                      tuple(map(tuple, adj)))
+    datum._cache[("hn", I)] = cached
+    return cached
 
 
 def enumerate_hn_types(spec: GroupSpec, d, g, max_codim):
@@ -119,60 +161,32 @@ def enumerate_hn_types(spec: GroupSpec, d, g, max_codim):
     found = []
     for mask in range(1, 1 << k):
         I = tuple(i for i in range(k) if (mask >> i) & 1)
-        iset = set(I)
-        nil_flags = [any(cf[i] for i in iset) for cf in datum.pos_coeffs]
-        dim_u = sum(nil_flags)
-        budget = max_codim - (g - 1) * dim_u
+        hn = _hn_setup(datum, I)
+        budget = max_codim - (g - 1) * len(hn.nil_roots)
         if budget <= 0:
             continue
-        # w_a = coefficient of alpha_a in the sum of the nilradical roots
-        weights = {a: 0 for a in I}
-        for cf, is_nil in zip(datum.pos_coeffs, nil_flags):
-            if is_nil:
-                for a in I:
-                    weights[a] += cf[a]
-        s_hi = [Fraction(budget, weights[a]) for a in I]
-        s_lo = [Fraction(0)] * len(I)
-        # affine map n -> s = (alpha_a(mu))_a:  s = M n + s0
-        proj = datum.project_to_center
-        mu0 = proj(I, X0)
-        pcs = [proj(I, datum.simple_coroots[b]) for b in I]
-        s0 = [Fraction(sum(f * m for f, m in zip(datum.simple_roots[a], mu0)))
-              for a in I]
-        M = [[sum(f * m for f, m in zip(datum.simple_roots[a], pc))
-              for pc in pcs] for a in I]
-        Minv = invert_matrix(M)
+        D, step, simple_rows = hn.D, hn.step, hn.simple_rows
+        mu0 = [_dot(row, X0) for row in hn.P]
+        base = [_dot(form, mu0) for form in hn.nil_roots]
+        # box 0 <= s_a <= budget / w_a, as T = L (D s - D s0) with
+        # L = lcm(w_a); then n = adj(M) T / (L det M)
+        L = lcm(*hn.weights)
+        t_lo = [-L * base[r] for r in simple_rows]
+        t_hi = [D * budget * (L // w) - L * base[r]
+                for w, r in zip(hn.weights, simple_rows)]
+        q = L * hn.det
         ranges = []
-        for gi in range(len(I)):
-            lo, hi = _interval_dot(
-                Minv[gi],
-                [l - s for l, s in zip(s_lo, s0)],
-                [h - s for h, s in zip(s_hi, s0)])
-            ranges.append(range(math.ceil(lo), math.floor(hi) + 1))
-        # nilradical-root values as integers scaled by a common denominator:
-        # beta(mu(n)) = base[r] / D + sum_a n_a * step[r][a] / D
-        nil_roots = [form for form, is_nil in zip(datum.pos_roots, nil_flags)
-                     if is_nil]
-        base_f = [sum(f * m for f, m in zip(form, mu0)) for form in nil_roots]
-        step_f = [[sum(f * m for f, m in zip(form, pc)) for pc in pcs]
-                  for form in nil_roots]
-        denoms = {x.denominator for x in base_f}
-        for row in step_f:
-            denoms.update(x.denominator for x in row)
-        D = 1
-        for q in denoms:
-            D = D * q // math.gcd(D, q)
-        base = [int(x * D) for x in base_f]
-        step = [[int(x * D) for x in row] for row in step_f]
-        # positions of the simple roots alpha_a within nil_roots
-        simple_rows = [nil_roots.index(datum.simple_roots[a]) for a in I]
+        for row in hn.adj:
+            lo = sum(c * (l if c >= 0 else h) for c, l, h in zip(row, t_lo, t_hi))
+            hi = sum(c * (h if c >= 0 else l) for c, l, h in zip(row, t_lo, t_hi))
+            ranges.append(range(-(-lo // q), hi // q + 1))
         gshift = (g - 1) * D
         bound = max_codim * D
+        walls = [(base[r], step[r]) for r in simple_rows]
         for n in itertools.product(*ranges):
-            vals = [b + sum(na * st for na, st in zip(n, strow))
-                    for b, strow in zip(base, step)]
-            if any(vals[simple_rows[gi]] <= 0 for gi in range(len(I))):
+            if any(b + sum(map(mul, n, strow)) <= 0 for b, strow in walls):
                 continue
+            vals = [b + sum(map(mul, n, strow)) for b, strow in zip(base, step)]
             total = 0
             ok = True
             for v in vals:
@@ -193,10 +207,8 @@ def enumerate_hn_types(spec: GroupSpec, d, g, max_codim):
                 cv = datum.simple_coroots[a]
                 for ci in range(datum.n):
                     X[ci] += na * cv[ci]
-            X = tuple(X)
-            mu = tuple(m0 + sum(na * pc[ci] for na, pc in zip(n, pcs))
-                       for ci, m0 in enumerate(mu0))
-            found.append(HNType(I, X, mu, c))
+            mu = tuple(Fraction(_dot(row, X), D) for row in hn.P)
+            found.append(HNType(I, tuple(X), mu, c))
     found.sort(key=lambda t: (t.codim, t.I, t.delta_lift))
     return found
 

@@ -18,6 +18,13 @@ dimensions, exponents d_k, unipotent dimensions, the pairings 2 rho^I(alpha^v)
 and fundamental-weight evaluations mod Z -- are done uniformly here, with the
 per-family tables of the classical types acting as test oracles only.
 
+Linear algebra is fraction-free over Z: one Bareiss elimination gives the
+determinant and the adjugate of an integer matrix, so a solve is an integer
+matrix-vector product over one denominator.  The Cartan matrix's adjugate
+is cached on the datum, and the projection to the center of a Levi is an
+integer matrix over one denominator; solve_linear and invert_matrix are
+rational front ends that clear each row's denominators first.
+
 Conventions: a subset I of simple-root indices labels the standard parabolic
 P^I whose Levi L^I has simple roots Delta \\ I; I = empty set gives L = G.
 The symbol <x> always denotes the representative of x mod Z in (0, 1].
@@ -29,7 +36,8 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
+from operator import mul
 
 FAMILIES = ("GL", "SL", "SOodd", "Sp", "SOeven")
 
@@ -58,8 +66,52 @@ def frac_rep(x) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# exact linear algebra over Q
+# fraction-free linear algebra over Z, with rational front ends
 # ---------------------------------------------------------------------------
+
+
+def _dot(form, vec):
+    return sum(map(mul, form, vec))
+
+
+def _adjugate(rows):
+    """(det, adj) of a square integer matrix A, with A * adj = det * I.
+
+    Fraction-free Gauss-Jordan elimination (Bareiss) of [A | I]: every
+    division is exact, so all intermediate entries stay integers.  A singular
+    A gives (0, None).
+    """
+    n = len(rows)
+    m = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(rows)]
+    sign = prev = 1
+    for k in range(n):
+        piv = next((r for r in range(k, n) if m[r][k]), None)
+        if piv is None:
+            return 0, None
+        if piv != k:
+            m[k], m[piv] = m[piv], m[k]
+            sign = -sign
+        top = m[k]
+        p = top[k]
+        for i in range(n):
+            if i != k:
+                f = m[i][k]
+                m[i] = [(p * x - f * y) // prev for x, y in zip(m[i], top)]
+        prev = p
+    # the rows now read [prev * I | E] with E * A = prev * I, prev = sign * det
+    return sign * prev, [[sign * x for x in r[n:]] for r in m]
+
+
+def _scaled_rows(rows):
+    """(scales, integer rows): each rational row times the lcm of its
+    denominators."""
+    scales, out = [], []
+    for row in rows:
+        row = [Fraction(x) for x in row]
+        s = lcm(*(x.denominator for x in row))
+        scales.append(s)
+        out.append([int(x * s) for x in row])
+    return scales, out
 
 
 def solve_linear(matrix, rhs):
@@ -67,31 +119,24 @@ def solve_linear(matrix, rhs):
 
     Raises SingularSystem when no unique solution exists.
     """
-    n = len(matrix)
-    aug = [[Fraction(matrix[i][j]) for j in range(n)] + [Fraction(rhs[i])]
-           for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if piv is None:
-            raise SingularSystem("singular %dx%d system" % (n, n))
-        aug[col], aug[piv] = aug[piv], aug[col]
-        pr = aug[col]
-        inv = 1 / pr[col]
-        aug[col] = [x * inv for x in pr]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return [aug[i][n] for i in range(n)]
+    _, rows = _scaled_rows([list(r) + [b] for r, b in zip(matrix, rhs)])
+    det, adj = _adjugate([r[:-1] for r in rows])
+    if not det:
+        raise SingularSystem("singular %dx%d system" % (len(rows), len(rows)))
+    b = [r[-1] for r in rows]
+    return [Fraction(_dot(row, b), det) for row in adj]
 
 
 def invert_matrix(matrix):
-    n = len(matrix)
-    cols = []
-    for j in range(n):
-        e = [Fraction(1) if i == j else Fraction(0) for i in range(n)]
-        cols.append(solve_linear(matrix, e))
-    return [[cols[j][i] for j in range(n)] for i in range(n)]
+    """Inverse of a square rational matrix, as Fractions.
+
+    Row i scaled by s_i gives an integer S A, and A^{-1} = adj(S A) S / det.
+    """
+    scales, rows = _scaled_rows(matrix)
+    det, adj = _adjugate(rows)
+    if not det:
+        raise SingularSystem("singular %dx%d system" % (len(rows), len(rows)))
+    return [[Fraction(x * s, det) for x, s in zip(row, scales)] for row in adj]
 
 
 def smith_invariants(rows):
@@ -257,10 +302,6 @@ def degrees_of(spec: GroupSpec):
 # ---------------------------------------------------------------------------
 
 
-def _dot(form, vec):
-    return sum(f * x for f, x in zip(form, vec))
-
-
 class RootDatum:
     """Lattice Z^n with simple roots (forms), simple coroots (vectors) and
     positive roots; sufficient data for every formula in the package."""
@@ -397,24 +438,50 @@ class RootDatum:
 
     # -- fundamental weights and projections -------------------------------------
 
+    def _cartan_adj(self):
+        """(det, adj) of the Cartan matrix, cached."""
+        cached = self._cache.get("cartan")
+        if cached is None:
+            cached = self._cache["cartan"] = _adjugate(self.cartan_matrix())
+        return cached
+
     def fund_weight_values(self, X):
         """(varpi_alpha(X))_alpha as Fractions, for a lattice point X.
 
         varpi_alpha vanishes on the center and pairs to delta with the simple
         coroots, so the values are the coroot-basis coordinates of X after
         removing its central component: writing X = X_z + sum_j c_j alpha_j^vee
-        gives the Cartan-matrix system A c = (alpha_i(X))_i.
+        gives the Cartan-matrix system A c = (alpha_i(X))_i, solved as
+        c = adj(A) (alpha_i(X))_i / det A.
         """
-        k = self.num_simple
-        if k == 0:
-            return ()
+        det, adj = self._cartan_adj()
         rhs = [_dot(a, X) for a in self.simple_roots]
-        sol = solve_linear(self.cartan_matrix(), rhs)
-        return tuple(sol)
+        return tuple(Fraction(_dot(row, rhs), det) for row in adj)
 
     def fund_fracs(self, X):
         """Tuple of <varpi_alpha(X)> in (0, 1]; the only way degrees enter."""
         return tuple(frac_rep(c) for c in self.fund_weight_values(X))
+
+    def _projector(self, parabolic_indices):
+        """(D, P): integers with D * project_to_center(I, X) = P X.
+
+        With A the Cartan matrix of the Levi (simple roots beta not in I),
+        mu = X - sum_b c_b beta_b^vee where c = adj(A) (beta(X))_beta / det A,
+        so det A * mu = (det A * Id - sum_b beta_b^vee (adj(A) beta)_b) X.
+        D and P are det A and that matrix divided by their common content;
+        D > 0 because a Cartan matrix of finite type has det A > 0.
+        """
+        levi = self.sub_datum(self.complement(parabolic_indices))
+        det, adj = levi._cartan_adj()
+        n = self.n
+        P = [[det * (i == j) for j in range(n)] for i in range(n)]
+        for cv, adj_row in zip(levi.simple_coroots, adj):
+            form = [_dot(adj_row, col) for col in zip(*levi.simple_roots)]
+            for i, c in enumerate(cv):
+                if c:
+                    P[i] = [x - c * f for x, f in zip(P[i], form)]
+        content = gcd(det, *(x for row in P for x in row))
+        return det // content, tuple(tuple(x // content for x in row) for row in P)
 
     def project_to_center(self, parabolic_indices, X):
         """Project X onto the center of the Levi L^I along the Levi coroots.
@@ -422,20 +489,8 @@ class RootDatum:
         Returns the unique mu with X - mu in Q-span{beta^vee : beta not in I}
         and beta(mu) = 0 for those beta.
         """
-        levi = self.complement(parabolic_indices)
-        X = tuple(Fraction(x) for x in X)
-        if not levi:
-            return X
-        a = [[_dot(self.simple_roots[b], self.simple_coroots[c]) for c in levi]
-             for b in levi]
-        rhs = [_dot(self.simple_roots[b], X) for b in levi]
-        coefs = solve_linear(a, rhs)
-        mu = list(X)
-        for c, b in zip(coefs, levi):
-            cv = self.simple_coroots[b]
-            for i in range(self.n):
-                mu[i] -= c * cv[i]
-        return tuple(mu)
+        D, P = self._projector(parabolic_indices)
+        return tuple(Fraction(_dot(row, X), D) for row in P)
 
 
 # ---------------------------------------------------------------------------
@@ -571,18 +626,22 @@ def _decompose_positive(simple_roots, pos_roots):
         if pos_roots:
             raise AssertionError("roots without simple roots")
         return []
-    # solve via least-squares-free exact method: the simple roots are
-    # linearly independent, so solve Gram system G c = S beta
-    gram = [[_dot(a, b) for b in simple_roots] for a in simple_roots]
+    # the simple roots are linearly independent, so the Gram system
+    # G c = S beta has the unique solution c = adj(G) S beta / det G
+    det, adj = _adjugate([[_dot(a, b) for b in simple_roots]
+                          for a in simple_roots])
+    if not det:
+        raise SingularSystem("simple roots are linearly dependent")
     out = []
     for beta in pos_roots:
         rhs = [_dot(a, beta) for a in simple_roots]
-        sol = solve_linear(gram, rhs)
         coeffs = []
-        for c in sol:
-            if c.denominator != 1 or c < 0:
-                raise AssertionError("positive root with bad coefficient %s" % c)
-            coeffs.append(int(c))
+        for row in adj:
+            c, rem = divmod(_dot(row, rhs), det)
+            if rem or c < 0:
+                raise AssertionError("positive root with bad coefficient %s"
+                                     % Fraction(_dot(row, rhs), det))
+            coeffs.append(c)
         # confirm the expansion reproduces beta exactly
         rec = [0] * len(beta)
         for c, a in zip(coeffs, simple_roots):

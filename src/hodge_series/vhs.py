@@ -20,8 +20,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 
-from .rootdata import invert_matrix
+from .rootdata import _adjugate, _scaled_rows, invert_matrix
 
 
 class NotSquare(ValueError):
@@ -172,23 +173,10 @@ def _leading_minors_positive(m):
 
 
 def _det(m):
-    n = len(m)
-    mat = [[Fraction(x) for x in row] for row in m]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if mat[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            mat[col], mat[piv] = mat[piv], mat[col]
-            det = -det
-        det *= mat[col][col]
-        inv = 1 / mat[col][col]
-        for r in range(col + 1, n):
-            f = mat[r][col] * inv
-            if f:
-                mat[r] = [a - f * b for a, b in zip(mat[r], mat[col])]
-    return det
+    """Exact determinant of a square rational matrix: row i scaled by s_i
+    gives an integer matrix of determinant det * prod s_i."""
+    scales, rows = _scaled_rows(m)
+    return Fraction(_adjugate(rows)[0], prod(scales))
 
 
 def validate_period_matrix(pm: PeriodMatrix):

@@ -279,6 +279,25 @@ class TestVerify:
         assert check["strata"] == 5
         assert check["first_mismatch"] == [3, 4, str(10 ** 30), "-7"]
 
+    def test_fixed_det_built_once_per_input(self, capsys, monkeypatch):
+        """The chi_t and euler+signature checks of one (r, d, g) share one
+        fixed-determinant polynomial: 10 inputs, 10 constructions."""
+        from hodge_series import formulas
+
+        calls = []
+        real = formulas.hp_moduli_fixed_det
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(formulas, "hp_moduli_fixed_det", counting)
+        code, out, _ = run(capsys, "verify", "--suite", "corollaries",
+                           "--max-rank", "4", "--genus-list", "2,3")
+        assert code == 0
+        assert out.strip().endswith("26/26 checks passed")
+        assert len(calls) == len(set(calls)) == 10
+
     @pytest.mark.parametrize("argv", [
         ["--suite", "good-case", "--genus-list", "2,x"],
         ["--suite", "good-case", "--genus-list", "1"],

@@ -300,6 +300,12 @@ def test_ring_axioms(a, b, c):
     assert a * (b + c) == a * b + a * c
 
 
+@settings(max_examples=60, deadline=None)
+@given(small_polys, st.integers(0, 2), st.integers(0, 2), st.integers(0, 4))
+def test_mul_binomial_is_the_product(p, a, b, e):
+    assert p.mul_binomial(a, b, e) == p * (1 + BivarPoly.monomial(a, b)) ** e
+
+
 unit_dens = st.builds(
     lambda p: p + 1 - BivarPoly.constant(p.constant_term()),
     small_polys,

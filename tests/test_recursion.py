@@ -1,6 +1,7 @@
 """Tests for stratum enumeration, the codimension formula, and the
 recursion identity between full-stack and semistable series."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -109,6 +110,72 @@ class TestEnumeration:
         assert hn_gl_oracle(2, 0, g + 1, g) == [((1, 1), (1, -1))]
         assert hn_gl_oracle(2, 1, g, g) == [((1, 1), (1, 0))]
         assert hn_gl_oracle(3, 0, 0, 2) == []
+
+
+# sha256 of hn_types_to_csv(enumerate_hn_types(group, d, g, max_codim)) and
+# the stratum count, recorded with the former Fraction enumeration; mu is part
+# of the digest, so exact slopes are pinned as well as the strata
+HN_DIGESTS = [
+    ("GL4", (1,), 2, 12, 9,
+     "ac8c8b4ad37dc6f6514594361b48ac19174da786f3288b98464b41b6a5f50535"),
+    ("SL3", (0,), 3, 12, 5,
+     "7c5dfc35ca43cb4f7e302a460dcbf597d3f25c9de59462501e846889b2ad621d"),
+    ("SO5", (1,), 2, 12, 6,
+     "e10fdbbce4f17b65453ba413d20014bb98637e7e6e273fd0a293825bb0b2f4b0"),
+    ("SO7", (0,), 2, 20, 9,
+     "57f97d650782ce7e571a121be979c607374c35701759f68d1307fb9969ad881c"),
+    ("SO9", (1,), 2, 20, 4,
+     "7cbdb9bf440ae2f331e54113f7eea83818f18abc59d021375b02d2629f223deb"),
+    ("Sp2", (0,), 2, 12, 5,
+     "52adf07b317613a17d46229c5d6886375e118104f435589f503c4cde684f1d4b"),
+    ("Sp3", (0,), 2, 20, 8,
+     "e46e8a5dc340c543ef26d9310e27e1068c3bc4861c52fc7e98c6f944b13e8dc4"),
+    ("SO8", (1,), 2, 20, 11,
+     "e6aba3ab35b42b348fe90e629ccb5a67c700a4d7ef6c3332018733c46cb4a413"),
+    ("SO10", (1,), 2, 20, 5,
+     "de7a6b76dd002d4f373d29ed6fb03288bbfbee07bdbd2f3d7b6520decef1f0b7"),
+    ("GL2xSO5", (1, 1), 2, 12, 20,
+     "679762546b6a6f4f9f7a98ab508191ef2d1537417072db33a9de454cefb9a5b3"),
+    ("GL3xSO5", (2, 0), 3, 12, 10,
+     "9b8abaee6f4e0243bbbf1731d9f79ab2047f9d49d486c6baca9320aac4c503e5"),
+    ("GL2xGL3", (1, 2), 2, 12, 31,
+     "95bceacdba29be20d560e4651df52d689988b38341a1f1dbe43f6db26a4a3902"),
+    ("GL6", (3,), 2, 15, 10,
+     "e5147f0fdf92bd5d0229a0fd0bfe41344b5adb3571ea11e7b844d9a8f5c88ad5"),
+]
+
+
+@pytest.mark.parametrize("group,d,g,max_codim,count,digest", HN_DIGESTS,
+                         ids=[c[0] for c in HN_DIGESTS])
+def test_pinned_strata(group, d, g, max_codim, count, digest):
+    types = enumerate_hn_types(parse_group(group), d, g, max_codim)
+    assert len(types) == count
+    text = hn_types_to_csv(types)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_set_up_is_cached_per_datum(monkeypatch):
+    """A second enumeration on the same group, at another degree and genus,
+    eliminates nothing: every per-wall matrix is cached on the root datum."""
+    from hodge_series import recursion, rootdata
+
+    calls = []
+    real = rootdata._adjugate
+
+    def counting(rows):
+        calls.append(len(rows))
+        return real(rows)
+
+    monkeypatch.setattr(rootdata, "_adjugate", counting)
+    monkeypatch.setattr(recursion, "_adjugate", counting)
+    build_root_system.cache_clear()
+    spec = parse_group("GL2xSO5")
+    first = enumerate_hn_types(spec, (1, 1), 2, 12)
+    assert first and calls
+    calls.clear()
+    second = enumerate_hn_types(spec, (0, 1), 3, 14)
+    assert second and second != first
+    assert calls == []
 
 
 class TestRecursion:

@@ -16,7 +16,9 @@ from hypothesis import given, settings, strategies as st
 from hodge_series.rootdata import (
     DefinitionMismatch,
     GroupSpec,
+    SingularSystem,
     UnsupportedRank,
+    _adjugate,
     build_root_system,
     degrees_of,
     exponents_of,
@@ -26,6 +28,7 @@ from hodge_series.rootdata import (
     levi_datum,
     parse_degree,
     parse_group,
+    invert_matrix,
     project_to_center,
     smith_invariants,
     solve_linear,
@@ -386,3 +389,90 @@ class TestLinearAlgebra:
     def test_smith_so(self):
         # SO_5 coroot rows
         assert smith_invariants([[1, -1], [0, 2]]) == [1, 2]
+
+
+def _reference_det(m):
+    """Fraction Gaussian elimination, kept here as an independent reference."""
+    n = len(m)
+    mat = [[Fraction(x) for x in row] for row in m]
+    det = Fraction(1)
+    for col in range(n):
+        piv = next((r for r in range(col, n) if mat[r][col] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != col:
+            mat[col], mat[piv] = mat[piv], mat[col]
+            det = -det
+        det *= mat[col][col]
+        inv = 1 / mat[col][col]
+        for r in range(col + 1, n):
+            f = mat[r][col] * inv
+            if f:
+                mat[r] = [a - f * b for a, b in zip(mat[r], mat[col])]
+    return det
+
+
+def _matmul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def _identity(n, scale=1):
+    return [[scale if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+def _square(entries):
+    return st.integers(1, 6).flatmap(
+        lambda n: st.lists(st.lists(entries, min_size=n, max_size=n),
+                           min_size=n, max_size=n))
+
+
+int_matrices = _square(st.integers(-4, 4))
+rat_matrices = _square(st.fractions(-3, 3, max_denominator=4))
+
+
+class TestAdjugate:
+    @settings(max_examples=150, deadline=None)
+    @given(int_matrices)
+    def test_adjugate_identity_and_det(self, a):
+        det, adj = _adjugate(a)
+        assert det == _reference_det(a)
+        if det:
+            assert _matmul(a, adj) == _identity(len(a), det)
+        else:
+            assert adj is None
+
+    @settings(max_examples=60, deadline=None)
+    @given(int_matrices, st.data())
+    def test_singular_gives_zero_and_solve_raises(self, a, data):
+        # repeat a row (scaled), so the matrix is singular
+        i = data.draw(st.integers(0, len(a) - 1))
+        j = data.draw(st.integers(0, len(a) - 1))
+        k = data.draw(st.integers(-2, 2))
+        if i == j:
+            a[i] = [0] * len(a)
+        else:
+            a[j] = [k * x for x in a[i]]
+        assert _adjugate(a) == (0, None)
+        with pytest.raises(SingularSystem):
+            solve_linear(a, [1] * len(a))
+        with pytest.raises(SingularSystem):
+            invert_matrix(a)
+
+    @settings(max_examples=40, deadline=None)
+    @given(rat_matrices, st.data())
+    def test_rational_front_ends_round_trip(self, a, data):
+        n = len(a)
+        if _reference_det(a) == 0:
+            with pytest.raises(SingularSystem):
+                invert_matrix(a)
+            return
+        x = data.draw(st.lists(st.fractions(-5, 5, max_denominator=6),
+                               min_size=n, max_size=n))
+        b = [sum(c * xi for c, xi in zip(row, x)) for row in a]
+        assert solve_linear(a, b) == x
+        inv = invert_matrix(a)
+        assert _matmul(a, inv) == _identity(n)
+        assert _matmul(inv, a) == _identity(n)
+
+    def test_empty_matrix(self):
+        assert _adjugate([]) == (1, [])

@@ -17,18 +17,21 @@ where a(L) is the degree-independent series of the stack of all L-bundles,
            * prod_{k > dim Z(L)} (1+u^{d_k} v^{d_k-1})^g (1+u^{d_k-1} v^{d_k})^g
                                  / ((1-(uv)^{d_k-1}) (1-(uv)^{d_k})),
 
-with d_k the exponents of L.  Every denominator in sight is a product of
-factors (1 - (uv)^k), so terms are carried in factored form (a numerator
-product plus a multiset of w-exponents, w = uv).  One pass serves the exact
-and the truncated sum.  A term's numerator is that of a(L^I), which depends
-only on dim Z(L^I) and the exponents of L^I, so the pass groups the terms by
-numerator (GL8: 128 terms, 22 groups).  A group with denominator gden, the
-union of its members' denominators, sums coef * w^shift * (gden / den) over
-its members into one short integer polynomial C(w).  The group's numerator
-is expanded once and split into slices by p - q, each a polynomial in w;
-each slice is multiplied by C(w) and then by the common denominator over
-gden.  The exact sum keeps the common denominator; the truncated sum
-divides by it once, as running sums along w.  No gcd is ever computed.
+with d_k the exponents of L.  ``closed_terms`` reads dim Z(L^I), the
+exponents, dim U^I and the pairings 2 rho^I(a^vee) from the root datum's
+cached Levi records (``RootDatum.levis``).  Every denominator in sight is a
+product of factors (1 - (uv)^k), so terms are carried in factored form (a
+numerator product plus a multiset of w-exponents, w = uv).  One pass serves
+the exact and the truncated sum.  A term's numerator is that of a(L^I),
+which depends only on dim Z(L^I) and the exponents of L^I, so the pass
+groups the terms by numerator (GL8: 128 terms, 22 groups).  A group with
+denominator gden, the union of its members' denominators, sums
+coef * w^shift * (gden / den) over its members into one short integer
+polynomial C(w).  The group's numerator is expanded once and split into
+slices by p - q, each a polynomial in w; each slice is multiplied by C(w)
+and then by the common denominator over gden.  The exact sum keeps the
+common denominator; the truncated sum divides by it once, as running sums
+along w.  No gcd is ever computed.
 
 The classical-type composition sums are the same formula indexed by
 compositions of the rank, with their Levis, dim U, wall pairings and
@@ -301,43 +304,12 @@ def hp_classifying(spec: GroupSpec) -> RatFun2:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Skeleton:
-    coef: int
-    m: int
-    nonab_exps: tuple
-    dim_u: int
-    rho: tuple  # of (index, 2 rho^I(alpha^vee))
-
-
-def _skeletons(datum: RootDatum):
-    """Degree-independent data of every term of the closed formula."""
-    cached = datum._cache.get("skeletons")
-    if cached is not None:
-        return cached
-    k = datum.num_simple
-    out = []
-    for mask in range(1 << k):
-        I = tuple(i for i in range(k) if (mask >> i) & 1)
-        levi = datum.sub_datum(datum.complement(I))
-        rho = datum.two_rho_pairings(I)
-        out.append(_Skeleton(
-            coef=(-1) ** len(I),
-            m=levi.dim_z,
-            nonab_exps=levi.exponent_list()[levi.dim_z:],
-            dim_u=datum.dim_unipotent(I),
-            rho=tuple((a, rho[a]) for a in I),
-        ))
-    out = tuple(out)
-    datum._cache["skeletons"] = out
-    return out
-
-
 def closed_terms(datum: RootDatum, fracs, g):
-    """Factored terms of the closed formula for the given <varpi_a(d)> data."""
-    return [_levi_term(sk.coef, sk.m, sk.nonab_exps, sk.dim_u,
-                       [(r, fracs[a]) for a, r in sk.rho], g)
-            for sk in _skeletons(datum)]
+    """Factored terms of the closed formula for the given <varpi_a(d)> data,
+    one per parabolic subset I, from the datum's Levi records."""
+    return [_levi_term((-1) ** len(L.I), L.dim_z, L.exponents[L.dim_z:], L.dim_u,
+                       [(r, fracs[a]) for a, r in L.walls], g)
+            for L in datum.levis()]
 
 
 def closed_ratfun(datum: RootDatum, fracs, g) -> RatFun2:

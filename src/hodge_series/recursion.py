@@ -129,11 +129,10 @@ def _hn_setup(datum, I) -> _HNSetup:
     if cached is not None:
         return cached
     D, P = datum._projector(I)
-    nil = [(form, cf) for form, cf in zip(datum.pos_roots, datum.pos_coeffs)
-           if any(cf[a] for a in I)]
-    nil_roots = tuple(form for form, _ in nil)
-    # w_a = coefficient of alpha_a in the sum of the nilradical roots
-    weights = tuple(sum(cf[a] for _, cf in nil) for a in I)
+    nil_roots = datum.levi(I).nilradical
+    # w_a = coefficient of alpha_a in the sum of the nilradical roots, which
+    # is its coefficient in 2 rho: the other positive roots lack alpha_a
+    weights = tuple(sum(cf[a] for cf in datum.pos_coeffs) for a in I)
     pcs = tuple(tuple(_dot(row, datum.simple_coroots[a]) for row in P)
                 for a in I)
     step = tuple(tuple(_dot(form, pc) for pc in pcs) for form in nil_roots)
@@ -148,8 +147,9 @@ def _hn_setup(datum, I) -> _HNSetup:
 def enumerate_hn_types(spec: GroupSpec, d, g, max_codim):
     """All nonsemistable strata of codimension <= max_codim, each once.
 
-    Deterministic order: by codimension, then by the bitmask of I, then by
-    the lift lexicographically.
+    Deterministic order: by codimension, then by the tuple I of wall indices
+    (lexicographically, so (0, 1) comes before (1,)), then by the lift
+    lexicographically.
     """
     if max_codim < 0:
         return []
@@ -157,14 +157,13 @@ def enumerate_hn_types(spec: GroupSpec, d, g, max_codim):
     rs = build_root_system(spec)
     datum = rs.datum
     X0 = rs.lift_degree(d)
-    k = datum.num_simple
     found = []
-    for mask in range(1, 1 << k):
-        I = tuple(i for i in range(k) if (mask >> i) & 1)
-        hn = _hn_setup(datum, I)
-        budget = max_codim - (g - 1) * len(hn.nil_roots)
+    for levi in datum.levis()[1:]:
+        I = levi.I
+        budget = max_codim - (g - 1) * levi.dim_u
         if budget <= 0:
             continue
+        hn = _hn_setup(datum, I)
         D, step, simple_rows = hn.D, hn.step, hn.simple_rows
         mu0 = [_dot(row, X0) for row in hn.P]
         base = [_dot(form, mu0) for form in hn.nil_roots]
@@ -322,7 +321,7 @@ def _rhs(spec, g, order, strata):
     datum = build_root_system(spec).datum
     terms = [a_series_term(spec, g)]
     for hn in strata:
-        levi = datum.sub_datum(datum.complement(hn.I))
+        levi = datum.levi(hn.I).datum
         terms += [replace(t, coef=-t.coef, shift=t.shift + hn.codim)
                   for t in closed_terms(levi, levi.fund_fracs(hn.delta_lift), g)]
     return assemble_series(terms, order)

@@ -18,6 +18,10 @@ dimensions, exponents d_k, unipotent dimensions, the pairings 2 rho^I(alpha^v)
 and fundamental-weight evaluations mod Z -- are done uniformly here, with the
 per-family tables of the classical types acting as test oracles only.
 
+Each parabolic subset I has one cached ``LeviDatum``, ``RootDatum.levi(I)``,
+read by the closed formula, the Levi projections and the HN enumeration.
+A Levi of a Levi is one of the group's own Levis, built once per group.
+
 Linear algebra is fraction-free over Z: one Bareiss elimination gives the
 determinant and the adjugate of an integer matrix, so a solve is an integer
 matrix-vector product over one denominator.  The Cartan matrix's adjugate
@@ -33,7 +37,7 @@ The symbol <x> always denotes the representative of x mod Z in (0, 1].
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -302,12 +306,31 @@ def degrees_of(spec: GroupSpec):
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class LeviDatum:
+    """The Levi L^I of the standard parabolic P^I of a root datum: its root
+    datum (simple roots Delta - I) and exponents, the forms of the
+    nilradical roots, and walls = ((alpha, 2 rho^I(alpha^vee)) for alpha
+    in I)."""
+
+    I: tuple
+    datum: RootDatum
+    exponents: tuple
+    nilradical: tuple
+    walls: tuple
+
+    rank = property(lambda self: self.datum.n)
+    dim_z = property(lambda self: self.datum.dim_z)
+    dim_u = property(lambda self: len(self.nilradical))
+    rho_pairings = property(lambda self: dict(self.walls))
+
+
 class RootDatum:
     """Lattice Z^n with simple roots (forms), simple coroots (vectors) and
     positive roots; sufficient data for every formula in the package."""
 
     __slots__ = ("n", "simple_roots", "simple_coroots", "pos_roots",
-                 "pos_coeffs", "_cache")
+                 "pos_coeffs", "_parent", "_index", "_cache")
 
     def __init__(self, n, simple_roots, simple_coroots, pos_roots, pos_coeffs):
         self.n = n
@@ -315,6 +338,7 @@ class RootDatum:
         self.simple_coroots = tuple(tuple(c) for c in simple_coroots)
         self.pos_roots = tuple(tuple(f) for f in pos_roots)
         self.pos_coeffs = tuple(tuple(c) for c in pos_coeffs)
+        self._parent = self._index = None
         self._cache = {}
 
     # -- basics --------------------------------------------------------------
@@ -336,8 +360,11 @@ class RootDatum:
     # -- Levi restriction ------------------------------------------------------
 
     def sub_datum(self, levi_indices):
-        """Root datum of the Levi with the given simple-root indices."""
+        """Root datum of the Levi with the given simple-root indices; a
+        sub-datum maps them to its parent's and returns the parent's own."""
         levi_indices = tuple(sorted(levi_indices))
+        if self._parent is not None:
+            return self._parent.sub_datum(tuple(self._index[i] for i in levi_indices))
         cached = self._cache.get(("sub", levi_indices))
         if cached is not None:
             return cached
@@ -352,6 +379,7 @@ class RootDatum:
             [self.simple_roots[i] for i in levi_indices],
             [self.simple_coroots[i] for i in levi_indices],
             roots, coeffs)
+        sub._parent, sub._index = self, levi_indices
         self._cache[("sub", levi_indices)] = sub
         return sub
 
@@ -388,7 +416,39 @@ class RootDatum:
         self._cache["exponents"] = result
         return result
 
-    # -- rho pairings -----------------------------------------------------------
+    # -- parabolic subsets --------------------------------------------------------
+
+    def levi(self, parabolic_indices):
+        """The LeviDatum of the parabolic subset I, cached: the one scan of
+        the nilradical (the positive roots whose support meets I)."""
+        I = tuple(sorted(parabolic_indices))
+        cached = self._cache.get(("levi", I))
+        if cached is not None:
+            return cached
+        nil = tuple(form for form, cf in zip(self.pos_roots, self.pos_coeffs)
+                    if any(cf[a] for a in I))
+        walls = []
+        for a in I:
+            cv = self.simple_coroots[a]
+            r = sum(_dot(form, cv) for form in nil)
+            if r <= 0:
+                raise AssertionError("2 rho^I(alpha^vee) must be positive")
+            walls.append((a, r))
+        levi = self.sub_datum(self.complement(I))
+        cached = self._cache[("levi", I)] = LeviDatum(
+            I, levi, levi.exponent_list(), nil, tuple(walls))
+        return cached
+
+    def levis(self):
+        """The LeviDatum of every parabolic subset, in bitmask order of I
+        (I = () first), cached."""
+        cached = self._cache.get("levis")
+        if cached is None:
+            k = self.num_simple
+            cached = self._cache["levis"] = tuple(
+                self.levi(tuple(i for i in range(k) if (mask >> i) & 1))
+                for mask in range(1 << k))
+        return cached
 
     def two_rho_pairings(self, parabolic_indices, strict=False):
         """Map alpha in I -> 2 rho^I(alpha^vee) for the parabolic subset I.
@@ -402,22 +462,12 @@ class RootDatum:
         in this package -- agreement of the closed formula with the
         stratification recursion and with the classical-type composition
         sums -- hold for the nilradical convention and fail for the other,
-        so the nilradical value is what this method returns.  With
-        strict=True the alternative convention is evaluated as well and any
-        disagreement raises DefinitionMismatch.
+        so the nilradical value is what this method returns (read from
+        levi(I)).  With strict=True the alternative convention is evaluated
+        as well and any disagreement raises DefinitionMismatch.
         """
         I = tuple(sorted(parabolic_indices))
-        nil_vals = self._cache.get(("rho", I))
-        if nil_vals is None:
-            nilrad = [form for form, cf in zip(self.pos_roots, self.pos_coeffs)
-                      if any(cf[i] for i in I)]
-            nil_vals = {}
-            for a in I:
-                cv = self.simple_coroots[a]
-                nil_vals[a] = sum(_dot(form, cv) for form in nilrad)
-                if nil_vals[a] <= 0:
-                    raise AssertionError("2 rho^I(alpha^vee) must be positive")
-            self._cache[("rho", I)] = nil_vals
+        nil_vals = self.levi(I).rho_pairings
         if strict:
             positive_set = [
                 form for form in self.pos_roots
@@ -429,12 +479,7 @@ class RootDatum:
                     raise DefinitionMismatch(
                         "rho^I conventions disagree at alpha_%d: nilradical %s"
                         " vs pairing-condition %s" % (a, nil_vals[a], alt_vals[a]))
-        return dict(nil_vals)
-
-    def dim_unipotent(self, parabolic_indices):
-        """Number of positive roots outside the Levi span."""
-        iset = set(parabolic_indices)
-        return sum(1 for cf in self.pos_coeffs if any(cf[i] for i in iset))
+        return nil_vals
 
     # -- fundamental weights and projections -------------------------------------
 
@@ -471,7 +516,7 @@ class RootDatum:
         D and P are det A and that matrix divided by their common content;
         D > 0 because a Cartan matrix of finite type has det A > 0.
         """
-        levi = self.sub_datum(self.complement(parabolic_indices))
+        levi = self.levi(parabolic_indices).datum
         det, adj = levi._cartan_adj()
         n = self.n
         P = [[det * (i == j) for j in range(n)] for i in range(n)]
@@ -694,31 +739,9 @@ def build_root_system(spec: GroupSpec) -> RootSystem:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LeviDatum:
-    """Summary of the Levi L^I of the standard parabolic P^I."""
-
-    I: tuple
-    rank: int
-    dim_z: int
-    exponents: tuple
-    dim_u: int
-    rho_pairings: dict = field(hash=False)
-
-
 def levi_datum(rs: RootSystem, I) -> LeviDatum:
     """Levi data for the parabolic subset I (Levi simple roots = Delta - I)."""
-    I = tuple(sorted(I))
-    datum = rs.datum
-    levi = datum.sub_datum(datum.complement(I))
-    return LeviDatum(
-        I=I,
-        rank=datum.n,
-        dim_z=levi.dim_z,
-        exponents=levi.exponent_list(),
-        dim_u=datum.dim_unipotent(I),
-        rho_pairings=datum.two_rho_pairings(I),
-    )
+    return rs.datum.levi(I)
 
 
 def exponents_of(spec: GroupSpec):

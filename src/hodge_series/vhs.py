@@ -265,23 +265,14 @@ def theta_basis_matrix(pm: PeriodMatrix):
     return top + bot
 
 
+def _nonsingular(m):
+    """Exact nonvanishing of det M for a square QC matrix M = A + iB: the
+    real matrix [[A, -B], [B, A]] has determinant |det M|^2."""
+    top = [[x.re for x in row] + [-x.im for x in row] for row in m]
+    bot = [[x.im for x in row] + [x.re for x in row] for row in m]
+    return _det(top + bot) != 0
+
+
 def theta_basis_invertible(pm: PeriodMatrix):
     """Exact nonvanishing of det of the (a, b) -> (theta, theta-bar) map."""
-    m = theta_basis_matrix(pm)
-    n = len(m)
-    mat = [[QC(x.re, x.im) for x in row] for row in m]
-    det = QC(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if not mat[r][col].is_zero()), None)
-        if piv is None:
-            return False
-        if piv != col:
-            mat[col], mat[piv] = mat[piv], mat[col]
-            det = -det
-        det = det * mat[col][col]
-        inv = QC(1) / mat[col][col]
-        for r in range(col + 1, n):
-            f = mat[r][col] * inv
-            if not f.is_zero():
-                mat[r] = [a - f * b for a, b in zip(mat[r], mat[col])]
-    return not det.is_zero()
+    return _nonsingular(theta_basis_matrix(pm))

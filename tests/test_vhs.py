@@ -7,11 +7,14 @@ import pytest
 
 from hodge_series.vhs import (
     QC,
+    I,
     NotSquare,
     PeriodMatrix,
     basis_change_consistent,
+    _nonsingular,
     identity_times_i,
     theta_basis_invertible,
+    theta_basis_matrix,
     theta_coefficients,
     validate_period_matrix,
 )
@@ -106,6 +109,58 @@ class TestBasisConsistency:
             assert ok
             assert basis_change_consistent(pm)
             assert theta_basis_invertible(pm)
+
+
+def _elimination_nonsingular(m):
+    """Reference: the former Gaussian elimination over Q(i), det as the
+    signed product of the pivots."""
+    n = len(m)
+    mat = [[QC(x.re, x.im) for x in row] for row in m]
+    det = QC(1)
+    for col in range(n):
+        piv = next((r for r in range(col, n) if not mat[r][col].is_zero()), None)
+        if piv is None:
+            return False
+        if piv != col:
+            mat[col], mat[piv] = mat[piv], mat[col]
+            det = -det
+        det = det * mat[col][col]
+        inv = QC(1) / mat[col][col]
+        for r in range(col + 1, n):
+            f = mat[r][col] * inv
+            if not f.is_zero():
+                mat[r] = [a - f * b for a, b in zip(mat[r], mat[col])]
+    return not det.is_zero()
+
+
+class TestNonsingular:
+    def test_singular_gaussian_matrix(self):
+        # det [[1, i], [i, -1]] = -1 - i^2 = 0
+        assert not _nonsingular([[QC(1), I], [I, QC(-1)]])
+        assert _nonsingular([[QC(1), I], [I, QC(1)]])
+
+    def test_random_period_matrices_match_elimination(self):
+        rng = random.Random(77)
+        for _ in range(10):
+            m = theta_basis_matrix(random_period_matrix(rng, rng.randrange(1, 4)))
+            assert _nonsingular(m) == _elimination_nonsingular(m) is True
+
+    def test_random_matrices_match_elimination(self):
+        # rank-deficient draws: the last row is a QC combination of the others
+        rng = random.Random(78)
+        seen = set()
+        for _ in range(60):
+            n = rng.randrange(1, 5)
+            m = [[QC(rng.randrange(-2, 3), rng.randrange(-2, 3)) for _ in range(n)]
+                 for _ in range(n)]
+            if n > 1 and rng.random() < 0.5:
+                c = [QC(rng.randrange(-2, 3), rng.randrange(-2, 3)) for _ in range(n - 1)]
+                m[-1] = [sum((ci * row[j] for ci, row in zip(c, m[:-1])), QC())
+                         for j in range(n)]
+            expected = _elimination_nonsingular(m)
+            seen.add(expected)
+            assert _nonsingular(m) == expected
+        assert seen == {True, False}
 
 
 class TestJson:

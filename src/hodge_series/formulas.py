@@ -27,9 +27,13 @@ which depends only on dim Z(L^I) and the exponents of L^I, so the pass
 groups the terms by numerator (GL8: 128 terms, 22 groups).  A group with
 denominator gden, the union of its members' denominators, sums
 coef * w^shift * (gden / den) over its members into one short integer
-polynomial C(w).  The group's numerator is expanded once and split into
-slices by p - q, each a polynomial in w; each slice is multiplied by C(w)
-and then by the common denominator over gden.  The exact sum keeps the
+polynomial C(w).  The whole sum lives on one flat integer list, a band of
+rows indexed by the v-degree, each row a range of p - q: the coefficient of
+u^p v^q sits at q * W + (p - q) - lo.  Multiplying by u^a v^b is a constant
+index shift there, so every factor (1 + u^a v^b), every entry of C(w) and
+every 1 - w^k is one list pass over the live extent of the product.  Each
+group's numerator is expanded once, multiplied by C(w) and by the common
+denominator over gden, and added into the band.  The exact sum keeps the
 common denominator; the truncated sum divides by it once, as running sums
 along w.  No gcd is ever computed.
 
@@ -45,8 +49,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, repeat
-from math import comb, gcd
+from itertools import repeat
+from math import gcd
 from operator import add, mul, sub
 
 from .ratfun import (
@@ -104,22 +108,6 @@ class FTerm:
     den: Counter        # w-exponent -> multiplicity
 
 
-def _binom_power(a, b, e):
-    """(1 + u^a v^b)^e expanded by the binomial theorem."""
-    return BivarPoly({(a * k, b * k): comb(e, k) for k in range(e + 1)})
-
-
-def _num_poly(term, order=None):
-    """Expanded numerator of a term (without denominator cofactors)."""
-    poly = BivarPoly.monomial(term.shift, term.shift, term.coef)
-    for a, b, e in term.numfactors:
-        if e == 0:
-            continue
-        factor = _binom_power(a, b, e)
-        poly = poly.mul_trunc(factor, order) if order is not None else poly * factor
-    return poly
-
-
 def _num_degree(term):
     return 2 * term.shift + sum(e * (a + b) for a, b, e in term.numfactors)
 
@@ -136,43 +124,35 @@ def _w_degree(den):
     return sum(k * m for k, m in den.items())
 
 
-def _times_den(s, den):
-    """Multiply the w-slice s in place by prod (1 - w^k)^m over den: each
-    factor is s[x] -= s[x - k] top down (map reads the old s in full)."""
+def _times_binomial(s, shift, e, op, cap):
+    """Multiply the list s in place by (1 + x^shift)^e (op=add) or by
+    (1 - x^shift)^e (op=sub), x^shift being a shift of the index: each
+    factor grows s by shift, then s[y] = op(s[y], s[y - shift]) top down
+    (map reads the old s in full), then cuts s to its first cap entries
+    unless cap is None."""
+    for _ in range(e):
+        s += repeat(0, shift)
+        s[shift:] = map(op, s[shift:], s)
+        if cap is not None:
+            del s[cap:]
+
+
+def _times_den(s, den, width=1, cap=None):
+    """Multiply s in place by prod (1 - w^k)^m over den, w^k being the
+    index shift k * width."""
     for k, m in den.items():
-        for _ in range(m):
-            s[k:] = map(sub, s[k:], s)
-
-
-def _convolve(a, b, n):
-    """First n coefficients of the product of the w-lists a and b.  The loop
-    runs over the operand with fewer nonzero entries and adds scaled
-    segments of the other."""
-    if len(a) - a.count(0) > len(b) - b.count(0):
-        a, b = b, a
-    out = [0] * n
-    for i, c in enumerate(a[:n]):
-        if c:
-            j = min(n, i + len(b))
-            out[i:j] = map(add, out[i:j], map(mul, b, repeat(c)))
-    return out
-
-
-def _unslice(slices):
-    return {(x + max(delta, 0), x - min(delta, 0)): c
-            for delta, s in slices.items() for x, c in enumerate(s) if c}
+        _times_binomial(s, k * width, m, sub, cap)
 
 
 def _group_cofactor(group, gden):
     """C(w) = sum of coef * w^shift * prod (1 - w^k)^m over gden - den, for
     the terms of one group, trimmed of trailing zeros."""
-    cofs = [(t, gden - t.den) for t in group]
-    C = [0] * (max(t.shift + _w_degree(cof) for t, cof in cofs) + 1)
-    for t, cof in cofs:
-        s = [0] * len(C)
-        s[t.shift] = t.coef
-        _times_den(s, cof)
-        C[:] = map(add, C, s)
+    C = []
+    for t in group:
+        s = [0] * t.shift + [t.coef]
+        _times_den(s, gden - t.den)
+        C += repeat(0, len(s) - len(C))
+        C[:len(s)] = map(add, C, s)
     while C and not C[-1]:
         C.pop()
     return C
@@ -180,71 +160,81 @@ def _group_cofactor(group, gden):
 
 def _over_common_den(terms, order):
     """Numerators times their cofactors over the common denominator, summed
-    to total degree <= order; terms with 2 * shift > order are skipped.
-    u^i v^j = u^{i-j} w^j (or v^{j-i} w^i), so a polynomial splits into slices
-    indexed by p - q, each a list of w-coefficients of total degree
-    2 * (w-degree) + |p - q| <= order.
+    on one flat band; terms with 2 * shift > order are skipped.
+
+    The coefficient of u^{delta+j} v^j sits at index j * W + delta - lo,
+    where [lo, lo + W) covers p - q over every group's numerator, and the
+    band has (order - lo) // 2 + 1 rows, enough for total degree <= order.
+    Multiplying by u^a v^b is then the index shift b * W + a - b, and
+    multiplying by w^k the shift k * W; neither wraps, so each factor is one
+    list pass over the live extent of the product, which grows by the shift.
 
     Terms with the same numerator factors (the same Levi type) form a group
     with denominator gden, the union of their denominators.  The group's
-    w-parts sum to one short list C(w) (``_group_cofactor``), its numerator
-    is expanded once, and each slice is convolved with C and then
-    multiplied by the rest of the common denominator, common - gden.
-    Returns (common, slices)."""
+    w-parts sum to one short list C(w) (``_group_cofactor``); its numerator
+    is expanded once by shift-adds, convolved with C (one pass per nonzero
+    entry), multiplied by the rest of the common denominator, common - gden,
+    and added into the band at its offset.  Returns (common, lo, W, band)."""
     terms = [t for t in terms if 2 * t.shift <= order]
     common = _common_den(terms)
     groups = {}
     for t in terms:
         groups.setdefault(t.numfactors, []).append(t)
-    acc = {}
+    lo = min((sum(e * min(a - b, 0) for a, b, e in nf) for nf in groups), default=0)
+    W = max((sum(e * max(a - b, 0) for a, b, e in nf) for nf in groups),
+            default=0) - lo + 1
+    band = [0] * (((order - lo) // 2 + 1) * W)
     for numfactors, group in groups.items():
         gden = _common_den(group)
         C = _group_cofactor(group, gden)
         if not C:
             continue
-        rest = common - gden
-        rest_deg = _w_degree(rest)
-        num = FTerm(1, 0, numfactors, gden)
-        top = min(order, _num_degree(num))
-        slices = {}
-        for (i, j), c in _num_poly(num, order).terms.items():
-            s = slices.get(i - j)
-            if s is None:
-                s = slices[i - j] = [0] * ((top - abs(i - j)) // 2 + 1)
-            s[min(i, j)] += c
-        for delta, s in slices.items():
-            # the slice times C and rest stops at its degree or at the order
-            s = _convolve(s, C, min(len(s) + len(C) - 1 + rest_deg,
-                                    (order - abs(delta)) // 2 + 1))
-            _times_den(s, rest)
-            total = acc.get(delta)
-            if total is None:
-                total = acc[delta] = [0] * ((order - abs(delta)) // 2 + 1)
-            total[:len(s)] = map(add, total, s)
-    return common, acc
+        # C's leading zeros (the w^shift) only move the product's offset
+        t0 = next(x for x, c in enumerate(C) if c)
+        off = t0 * W - lo
+        cap = len(band) - off
+        num = [1]
+        for a, b, e in numfactors:
+            _times_binomial(num, b * W + a - b, e, add, cap)
+        s = [0] * min(cap, len(num) + (len(C) - 1 - t0) * W)
+        for x, c in enumerate(C[t0:]):
+            if c:
+                y = x * W
+                s[y:y + len(num)] = map(add, s[y:y + len(num)], map(mul, num, repeat(c)))
+        _times_den(s, common - gden, W, cap)
+        band[off:off + len(s)] = map(add, band[off:off + len(s)], s)
+    return common, lo, W, band
+
+
+def _unband(band, lo, W):
+    """(p, q) -> c of the nonzero entries of a band."""
+    return {(x % W + lo + x // W, x // W): c for x, c in enumerate(band) if c}
 
 
 def assemble_exact(terms) -> RatFun2:
     """Sum factored terms over the max-multiplicity common denominator; the
     order bounds every numerator times its cofactor, so nothing is cut."""
     deg = _w_degree(_common_den(terms))
-    common, acc = _over_common_den(terms, 2 * deg + max(map(_num_degree, terms), default=0))
-    den = [1] + [0] * deg
+    common, lo, W, band = _over_common_den(
+        terms, 2 * deg + max(map(_num_degree, terms), default=0))
+    den = [1]
     _times_den(den, common)
-    return RatFun2(BivarPoly(_unslice(acc)), BivarPoly(_unslice({0: den})))
+    return RatFun2(BivarPoly(_unband(band, lo, W)),
+                   BivarPoly({(x, x): c for x, c in enumerate(den)}))
 
 
 def assemble_series(terms, order) -> TruncSeries2:
     """Sum of the power-series expansions of factored terms to total degree
     <= order: the common-denominator sum divided by each 1 - w^k as the
-    running sum s[x] += s[x - k] bottom up (a prefix sum per residue mod k)."""
-    common, acc = _over_common_den(terms, order)
-    for s in acc.values():
-        for k, m in common.items():
-            for _ in range(m):
-                for r in range(min(k, len(s))):
-                    s[r::k] = accumulate(s[r::k])
-    return TruncSeries2(order, _unslice(acc))
+    running sum s[x] += s[x - k * W] bottom up, one block of k * W at a
+    time."""
+    common, lo, W, band = _over_common_den(terms, order)
+    for k, m in common.items():
+        step = k * W
+        for _ in range(m):
+            for x in range(step, len(band), step):
+                band[x:x + step] = map(add, band[x:x + step], band[x - step:x])
+    return TruncSeries2(order, _unband(band, lo, W))
 
 
 # ---------------------------------------------------------------------------

@@ -361,10 +361,13 @@ class RootDatum:
 
     def sub_datum(self, levi_indices):
         """Root datum of the Levi with the given simple-root indices; a
-        sub-datum maps them to its parent's and returns the parent's own."""
+        sub-datum maps them to its parent's and returns the parent's own,
+        and the full index set gives the datum itself."""
         levi_indices = tuple(sorted(levi_indices))
         if self._parent is not None:
             return self._parent.sub_datum(tuple(self._index[i] for i in levi_indices))
+        if levi_indices == tuple(range(self.num_simple)):
+            return self
         cached = self._cache.get(("sub", levi_indices))
         if cached is not None:
             return cached

@@ -29,10 +29,6 @@ class NotSquare(ValueError):
     """Period matrix input is not a square matrix."""
 
 
-class SingularImaginaryPart(ArithmeticError):
-    """Im(tau) is singular; excluded by validation."""
-
-
 class QC:
     """Complex number with exact rational real and imaginary parts."""
 
@@ -209,8 +205,6 @@ def theta_coefficients(pm: PeriodMatrix):
         raise ValueError("invalid period matrix: " + "; ".join(diag))
     g = pm.g
     re, im = pm.real_part(), pm.imag_part()
-    if _det(im) == 0:
-        raise SingularImaginaryPart("Im(tau) singular")
     im_inv = invert_matrix(im)
     R = [[sum(re[i][k] * im_inv[k][j] for k in range(g)) for j in range(g)]
          for i in range(g)]

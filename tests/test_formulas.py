@@ -15,7 +15,6 @@ from hodge_series.formulas import (
     FTerm,
     NotCoprime,
     NotGoodCase,
-    _num_poly,
     a_series,
     assemble_exact,
     assemble_series,
@@ -206,6 +205,14 @@ class TestSeriesAssembly:
                 assert s.coeff(j, i) == c, (spec, i, j)
 
 
+def _num_poly(t):
+    """coef * w^shift * prod (1 + u^a v^b)^e as general BivarPoly products."""
+    poly = BivarPoly.monomial(t.shift, t.shift, t.coef)
+    for a, b, e in t.numfactors:
+        poly = poly * (1 + mono(a, b)) ** e
+    return poly
+
+
 def _den_product(den):
     """prod (1 - w^k)^m as a general BivarPoly product."""
     poly = BivarPoly.constant(1)
@@ -234,12 +241,19 @@ def _product_sum(terms):
     return RatFun2(total, _den_product(common))
 
 
+def _check_exact(terms):
+    got, expect = assemble_exact(terms), _product_sum(terms)
+    assert got.num.terms == expect.num.terms
+    assert got.den.terms == expect.den.terms
+
+
 @st.composite
 def numfactor_tuples(draw):
+    """General factors (1 + u^a v^b)^e, a, b in 0..3: (0, 0) and |a - b| >= 2
+    as well as the package's |a - b| <= 1."""
     numf = []
     for _ in range(draw(st.integers(0, 3))):
-        d = draw(st.integers(2, 4))
-        a, b = draw(st.sampled_from([(1, 0), (0, 1), (d, d - 1), (d - 1, d)]))
+        a, b = draw(st.integers(0, 3)), draw(st.integers(0, 3))
         numf.append((a, b, draw(st.integers(0, 3))))
     return tuple(numf)
 
@@ -283,9 +297,7 @@ def test_assemble_series_closed_terms(name):
 @settings(max_examples=60, deadline=None)
 @given(fterm_lists)
 def test_assemble_exact_matches_products(terms):
-    got, expect = assemble_exact(terms), _product_sum(terms)
-    assert got.num.terms == expect.num.terms
-    assert got.den.terms == expect.den.terms
+    _check_exact(terms)
 
 
 @pytest.mark.parametrize("name", ["GL4", "GL5", "Sp3", "SO8", "GL2xSO5"])
@@ -297,6 +309,50 @@ def test_assemble_exact_closed_terms(name):
         got, expect = assemble_exact(terms), _product_sum(terms)
         assert got.num.terms == expect.num.terms, d
         assert got.den.terms == expect.den.terms, d
+
+
+def test_assemble_empty_term_list():
+    assert assemble_exact([]).num.terms == {}
+    assert assemble_exact([]).den.terms == {(0, 0): 1}
+    for order in (0, 1, 5):
+        assert assemble_series([], order) == TruncSeries2(order)
+
+
+# (1 + u^3)^2 (1 + v^2)(1 + 1)^2 / ((1 - uv)(1 - (uv)^3)), and a term of
+# another Levi type
+WIDE = FTerm(2, 1, ((3, 0, 2), (0, 2, 1), (0, 0, 2)), Counter({1: 1, 3: 1}))
+NARROW = FTerm(-1, 0, ((2, 1, 2), (1, 2, 2)), Counter({1: 1, 2: 1}))
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_assemble_series_low_orders(order):
+    for terms in ([WIDE], [NARROW], [WIDE, NARROW]):
+        assert assemble_series(terms, order) == _expanded_sum(terms, order)
+
+
+def test_assemble_cancelling_group():
+    """Two terms of one Levi type whose w-parts cancel (C(w) = 0) add
+    nothing, beside a term of another type or alone."""
+    plus = FTerm(3, 1, WIDE.numfactors, Counter({2: 1}))
+    minus = FTerm(-3, 1, WIDE.numfactors, Counter({2: 1}))
+    for terms in ([plus, minus], [plus, NARROW, minus]):
+        _check_exact(terms)
+        for order in (0, 7, 16):
+            assert assemble_series(terms, order) == _expanded_sum(terms, order)
+    assert assemble_series([plus, minus], 16).is_zero()
+    assert assemble_exact([plus, minus]).num.is_zero()
+
+
+def test_assemble_series_past_the_exact_degree():
+    """The truncated series runs past the exact sum's total degree once it
+    is divided by the denominator (SL2 at order 40: the exact numerator has
+    degree 12)."""
+    rs = build_root_system(SL(2))
+    for d in degrees_of(rs.spec):
+        terms = closed_terms(rs.datum, rs.datum.fund_fracs(rs.lift_degree(d)), 2)
+        assert assemble_exact(terms).num.total_degree() < 40
+        assert assemble_series(terms, 40) == _expanded_sum(terms, 40), d
+    assert assemble_series([WIDE], 40) == _expanded_sum([WIDE], 40)
 
 
 class TestModuliSpace:

@@ -131,8 +131,9 @@ def test_levi_record_is_cached():
 
 
 def test_levis_of_levis_are_built_once_per_group(monkeypatch):
-    """The closed formula over every Levi of GL6 builds the group's 32 Levi
-    data once: 1 + 2^5 root data, not one more per Levi of a Levi."""
+    """The closed formula over every Levi of GL6 builds the group's Levi
+    data once: 2^5 root data, the group itself serving as the Levi of
+    I = (), and not one more per Levi of a Levi."""
     built = []
     init = RootDatum.__init__
 
@@ -146,4 +147,16 @@ def test_levis_of_levis_are_built_once_per_group(monkeypatch):
     for I in _subsets(datum.num_simple):
         levi = datum.sub_datum(datum.complement(I))
         closed_terms(levi, levi.fund_fracs(rs.lift_degree((1,))), 2)
-    assert len(built) == 1 + 2 ** 5
+    assert len(built) == 2 ** 5
+
+
+@pytest.mark.parametrize("name", GROUPS)
+def test_full_levi_is_the_datum_itself(name):
+    """The Levi of I = () is the group: its datum is the group's own object,
+    for the group and for each of its Levis."""
+    datum = build_root_system(parse_group(name)).datum
+    assert datum.levi(()).datum is datum
+    assert datum.sub_datum(range(datum.num_simple)) is datum
+    for L in datum.levis():
+        assert L.datum.levi(()).datum is L.datum
+        assert L.datum.sub_datum(range(L.datum.num_simple)) is L.datum

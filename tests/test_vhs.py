@@ -87,6 +87,19 @@ class TestThetaCoefficients:
         with pytest.raises(ValueError):
             theta_coefficients(pm)
 
+    @pytest.mark.parametrize("rows", [
+        [[QC(1, 0)]],
+        [[QC(0, 1), QC(0, 1)], [QC(0, 1), QC(0, 1)]],
+        [[QC(0, 1), QC(2), QC(0)], [QC(2), QC(0, 2), QC(0, 1)],
+         [QC(0), QC(0, 1), QC(Fraction(1, 3), Fraction(1, 2))]],
+    ])
+    def test_singular_imaginary_part_rejected(self, rows):
+        """A singular Im(tau) (its first, second or last leading minor is 0)
+        is not positive definite, so validation rejects it before any
+        inversion."""
+        with pytest.raises(ValueError, match=r"^invalid period matrix: .*positive definite"):
+            theta_coefficients(PeriodMatrix.from_rows(rows))
+
     def test_conjugation_consistency(self):
         rng = random.Random(5)
         pm = random_period_matrix(rng, 3)

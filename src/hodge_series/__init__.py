@@ -30,9 +30,6 @@ from .ratfun import (
     RatFun2,
     TruncSeries2,
     UniPoly,
-    cancel_factor,
-    expand_series,
-    substitute,
     to_polynomial,
 )
 from .recursion import (

@@ -47,7 +47,7 @@ Both routes build every factored term through the single helper
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import repeat
 from math import gcd
@@ -482,15 +482,19 @@ def hp_semistable_classical_series(family, rank, d, g, order,
 
 
 def hp_moduli_space(spec: GroupSpec, d, g, allow_large_genus=False) -> RatFun2:
-    """(1-uv)^m times the semistable-stack series, m = dim Z_G, good case only;
-    each term has (1-uv)^{dim Z(L^I)}, dim Z(L^I) >= m, in its denominator."""
+    """(1-uv)^m times the semistable-stack series, m = dim Z_G, good case only.
+
+    Each closed-formula term has (1-uv)^{dim Z(L^I)}, dim Z(L^I) >= m, in its
+    denominator, so the factor is dropped from every term's denominator
+    before the sum: the cofactors over the common denominator, and with them
+    the numerator, are those of the stack series."""
     _check_genus(g, allow_large_genus)
     d = validate_degree(d, spec)
     if not good_case(spec, d):
         raise NotGoodCase("degree %s admits strictly semistable bundles" % (d,))
     m = build_root_system(spec).center_dim
-    stack = hp_semistable_closed(spec, d, g, allow_large_genus)
-    return RatFun2(stack.num, stack.den.divide_exact(one_minus_w(1) ** m))
+    return assemble_exact([replace(t, den=t.den - Counter({1: m}))
+                           for t in closed_terms(*_datum_fracs(spec, d), g)])
 
 
 def hp_moduli_fixed_det(r, d, g, allow_large_genus=False) -> RatFun2:

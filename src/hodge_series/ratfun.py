@@ -3,7 +3,10 @@ truncated formal power series in two variables u, v.
 
 All coefficients are arbitrary-precision Python ints (Fractions only appear
 after substituting rational values for the variables), so every identity
-checked with these types is exact.
+checked with these types is exact.  The module holds only what the
+package computes with: the containers and their printing, one general
+expansion (``RatFun2.expand``), substitution for the specializations, and
+the exact division behind ``to_polynomial``.
 
 Representation choices:
 
@@ -26,10 +29,6 @@ from heapq import heapify, heappop, heappush
 
 class NotDivisible(ArithmeticError):
     """Exact polynomial division failed: a is not a multiple of b."""
-
-
-class DivisionByZeroFunction(ZeroDivisionError):
-    """Inversion of a rational function with zero numerator."""
 
 
 class NonUnitDenominator(ArithmeticError):
@@ -81,10 +80,6 @@ class BivarPoly:
     @staticmethod
     def monomial(i, j, c=1):
         return BivarPoly({(i, j): c})
-
-    @staticmethod
-    def from_json_terms(triples):
-        return BivarPoly({(int(i), int(j)): int(c) for i, j, c in triples})
 
     # -- basic queries -----------------------------------------------------
 
@@ -230,11 +225,6 @@ class BivarPoly:
                 base = base * base
         return result
 
-    def truncate(self, order):
-        out = BivarPoly.__new__(BivarPoly)
-        out.terms = {k: c for k, c in self.terms.items() if k[0] + k[1] <= order}
-        return out
-
     # -- division ----------------------------------------------------------
 
     def divide_exact(self, other):
@@ -277,13 +267,6 @@ class BivarPoly:
                     del rem[key]
         return BivarPoly(quot)
 
-    def is_divisible_by(self, other):
-        try:
-            self.divide_exact(other)
-            return True
-        except NotDivisible:
-            return False
-
     # -- substitution ------------------------------------------------------
 
     def subs_u(self, val):
@@ -292,13 +275,6 @@ class BivarPoly:
         res = {}
         for (i, j), c in self.terms.items():
             res[j] = res.get(j, 0) + c * val ** i
-        return UniPoly(res)
-
-    def subs_v(self, val):
-        val = Fraction(val)
-        res = {}
-        for (i, j), c in self.terms.items():
-            res[i] = res.get(i, 0) + c * val ** j
         return UniPoly(res)
 
     def subs_uv(self, uval, vval):
@@ -395,15 +371,6 @@ class TruncSeries2:
                     clean[(i, j)] = _as_int(c)
         self.coeffs = clean
 
-    @staticmethod
-    def from_json_obj(obj):
-        return TruncSeries2(int(obj["order"]),
-                            {(int(i), int(j)): int(c)
-                             for i, j, c in obj["coeffs"]})
-
-    def to_poly(self):
-        return BivarPoly(self.coeffs)
-
     def coeff(self, i, j):
         return self.coeffs.get((i, j), 0)
 
@@ -443,23 +410,6 @@ class TruncSeries2:
 
     __rmul__ = __mul__
 
-    def truncate(self, order):
-        if order > self.order:
-            raise ValueError("cannot extend a truncated series")
-        return TruncSeries2(order, self.coeffs)
-
-    def shift_uv(self, k, order=None):
-        """Multiply by (uv)^k, optionally re-truncating at the given order."""
-        order = self.order if order is None else order
-        res = {}
-        for (i, j), c in self.coeffs.items():
-            if i + j + 2 * k <= order:
-                res[(i + k, j + k)] = c
-        return TruncSeries2(order, res)
-
-    def nonnegative(self):
-        return all(c >= 0 for c in self.coeffs.values())
-
     def json_obj(self):
         return {"order": self.order,
                 "coeffs": [[i, j, str(c)] for (i, j), c in sorted(self.coeffs.items())]}
@@ -486,10 +436,7 @@ class RatFun2:
         self.num = num
         self.den = den
 
-    def is_zero(self):
-        return self.num.is_zero()
-
-    # -- field operations ----------------------------------------------------
+    # -- ring operations -----------------------------------------------------
 
     def __add__(self, other):
         other = _coerce_rat(other)
@@ -506,35 +453,11 @@ class RatFun2:
     def __sub__(self, other):
         return self.__add__(_coerce_rat(other).__neg__())
 
-    def __rsub__(self, other):
-        return _coerce_rat(other).__sub__(self)
-
     def __mul__(self, other):
         other = _coerce_rat(other)
         return RatFun2(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
-
-    def inv(self):
-        if self.num.is_zero():
-            raise DivisionByZeroFunction("inverse of the zero function")
-        return RatFun2(self.den, self.num)
-
-    def __truediv__(self, other):
-        return self.__mul__(_coerce_rat(other).inv())
-
-    def __pow__(self, e):
-        if e < 0:
-            return self.inv() ** (-e)
-        result = RatFun2(ONE, ONE)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
 
     def rat_eq(self, other):
         """Semantic equality: num_a * den_b == num_b * den_a.  With equal
@@ -582,40 +505,13 @@ class RatFun2:
                     S[(i, j)] = q
         return TruncSeries2(order, S)
 
-    # -- cancellation and substitution ----------------------------------------
-
-    def cancel_factor(self, f):
-        """Divide the maximal common power of f out of num and den.
-
-        Divides den first and then num, one power of f at a time, and stops
-        at the first failure; a zero numerator is divisible by anything.
-        Returns (reduced function, multiplicity removed).
-        """
-        if f.is_zero() or f.total_degree() <= 0:
-            raise ValueError("factor must be a nonzero non-constant polynomial")
-        num, den, mult = self.num, self.den, 0
-        while True:
-            try:
-                den2 = den.divide_exact(f)
-                num2 = num.divide_exact(f)
-            except NotDivisible:
-                break
-            num, den, mult = num2, den2, mult + 1
-        if mult == 0:
-            return self, 0
-        return RatFun2(num, den), mult
+    # -- substitution ----------------------------------------------------------
 
     def subs_u(self, val):
         den = self.den.subs_u(val)
         if den.is_zero():
             raise ZeroDenominatorAfterSubstitution("u := %s kills denominator" % (val,))
         return RatFun1(self.num.subs_u(val), den)
-
-    def subs_v(self, val):
-        den = self.den.subs_v(val)
-        if den.is_zero():
-            raise ZeroDenominatorAfterSubstitution("v := %s kills denominator" % (val,))
-        return RatFun1(self.num.subs_v(val), den)
 
     def subs_uv(self, uval, vval):
         den = self.den.subs_uv(uval, vval)
@@ -630,9 +526,6 @@ class RatFun2:
         if den.is_zero():
             raise ZeroDenominatorAfterSubstitution("u = v = t kills denominator")
         return RatFun1(self.num.diagonal(), den)
-
-    def json_obj(self):
-        return {"num": self.num.json_terms(), "den": self.den.json_terms()}
 
     def __str__(self):
         if self.den == ONE:
@@ -656,35 +549,6 @@ def _coerce_rat(x):
     if isinstance(x, int):
         return RatFun2(BivarPoly.constant(x), ONE)
     raise TypeError("cannot coerce %r to RatFun2" % (x,))
-
-
-def expand_series(r, order):
-    """Module-level alias for RatFun2.expand."""
-    return _coerce_rat(r).expand(order)
-
-
-def cancel_factor(r, f):
-    return _coerce_rat(r).cancel_factor(f)
-
-
-def substitute(r, u=None, v=None, diagonal=False):
-    """Substitute rational values for u and/or v, or set u = v = t.
-
-    Returns a Fraction when both variables are fixed, otherwise a univariate
-    RatFun1 (in v, u or t respectively).
-    """
-    r = _coerce_rat(r)
-    if diagonal:
-        if u is not None or v is not None:
-            raise ValueError("diagonal substitution takes no values")
-        return r.diagonal()
-    if u is not None and v is not None:
-        return r.subs_uv(u, v)
-    if u is not None:
-        return r.subs_u(u)
-    if v is not None:
-        return r.subs_v(v)
-    raise ValueError("nothing to substitute")
 
 
 def to_polynomial(r, degree_bound):
@@ -736,18 +600,8 @@ class UniPoly:
     def constant(c):
         return UniPoly({0: c})
 
-    @staticmethod
-    def monomial(d, c=1):
-        return UniPoly({d: c})
-
     def is_zero(self):
         return not self.terms
-
-    def degree(self):
-        return max(self.terms, default=-1)
-
-    def coeff(self, d):
-        return self.terms.get(d, 0)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -758,28 +612,6 @@ class UniPoly:
 
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = UniPoly.constant(other)
-        res = dict(self.terms)
-        for d, c in other.terms.items():
-            nc = res.get(d, 0) + c
-            if nc:
-                res[d] = nc
-            else:
-                res.pop(d, None)
-        return UniPoly(res)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return UniPoly({d: -c for d, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = UniPoly.constant(other)
-        return self.__add__(other.__neg__())
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -809,11 +641,6 @@ class UniPoly:
             if e:
                 base = base * base
         return result
-
-    def __call__(self, val):
-        val = Fraction(val)
-        return _norm_scalar(sum((c * val ** d for d, c in self.terms.items()),
-                                Fraction(0)))
 
     def __str__(self):
         if not self.terms:
@@ -862,31 +689,6 @@ class RatFun1:
         if isinstance(other, (RatFun1, UniPoly, int, Fraction)):
             return self.rat_eq(other)
         return NotImplemented
-
-    def __mul__(self, other):
-        if isinstance(other, (UniPoly, int, Fraction)):
-            other = RatFun1(other)
-        return RatFun1(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __add__(self, other):
-        if isinstance(other, (UniPoly, int, Fraction)):
-            other = RatFun1(other)
-        return RatFun1(self.num * other.den + other.num * self.den,
-                       self.den * other.den)
-
-    def __sub__(self, other):
-        if isinstance(other, (UniPoly, int, Fraction)):
-            other = RatFun1(other)
-        return RatFun1(self.num * other.den - other.num * self.den,
-                       self.den * other.den)
-
-    def __call__(self, val):
-        d = self.den(val)
-        if d == 0:
-            raise ZeroDenominatorAfterSubstitution("t := %s kills denominator" % (val,))
-        return _norm_scalar(Fraction(self.num(val)) / d)
 
     def __str__(self):
         if self.den == UniPoly.constant(1):

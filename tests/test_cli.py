@@ -45,8 +45,8 @@ class TestCompute:
                            "--format", "json")
         assert code == 0
         obj = json.loads(out)
-        num = BivarPoly.from_json_terms(obj["num"])
-        den = BivarPoly.from_json_terms(obj["den"])
+        num = BivarPoly({(i, j): int(c) for i, j, c in obj["num"]})
+        den = BivarPoly({(i, j): int(c) for i, j, c in obj["den"]})
         assert num.json_terms() == obj["num"]
         assert den.json_terms() == obj["den"]
 

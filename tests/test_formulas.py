@@ -46,6 +46,7 @@ from hodge_series.rootdata import (
     GroupSpec,
     build_root_system,
     degrees_of,
+    good_case,
     parse_group,
 )
 
@@ -376,6 +377,23 @@ class TestModuliSpace:
     def test_moduli_chi_t_vanishes(self):
         val = specialize(hp_moduli_space(GL(2), (1,), 2), "chi_t")
         assert val.rat_eq(RatFun1(UniPoly()))
+
+    @pytest.mark.parametrize("g", [2, 3])
+    def test_terms_equal_division_of_stack_denominator(self, g):
+        # reference: (1 - uv)^m divided out of the stack series' expanded
+        # denominator, m = dim Z_G; the quotient's terms must be the same
+        names = ["GL%d" % r for r in range(1, 7)] + ["SO%d" % n for n in range(3, 10)] + [
+            "Sp2", "Sp3", "SL3", "GL2xGL3", "GL2xSO5", "GL1xGL2", "SO5xSO5", "GL3xSO5"]
+        cases = [(spec, d) for spec in map(parse_group, names)
+                 for d in degrees_of(spec) if good_case(spec, d)]
+        assert len(cases) == 17
+        for spec, d in cases:
+            stack = hp_semistable_closed(spec, d, g)
+            m = build_root_system(spec).center_dim
+            ref = RatFun2(stack.num, stack.den.divide_exact(W1 ** m))
+            got = hp_moduli_space(spec, d, g)
+            assert got.num.terms == ref.num.terms, (spec, d, g)
+            assert got.den.terms == ref.den.terms, (spec, d, g)
 
 
 class TestFixedDet:

@@ -14,20 +14,15 @@ from hodge_series.ratfun import (
     NonUnitDenominator,
     NotDivisible,
     NotPolynomialWithinBound,
-    DivisionByZeroFunction,
     RatFun2,
     TruncSeries2,
     UniPoly,
     RatFun1,
     ZeroDenominatorAfterSubstitution,
-    cancel_factor,
-    expand_series,
-    substitute,
     to_polynomial,
     w_power,
 )
 
-P = BivarPoly
 W = w_power(1)
 
 
@@ -78,20 +73,9 @@ class TestRatOps:
         assert (r + (-r)).num.is_zero()
         assert (r - r).rat_eq(RatFun2(BivarPoly(), (1 - W) ** 2))
 
-    def test_inv(self):
-        assert RatFun2(W).inv().rat_eq(RatFun2(ONE, W))
-
-    def test_inv_zero(self):
-        with pytest.raises(DivisionByZeroFunction):
-            RatFun2(BivarPoly()).inv()
-
     def test_mul(self):
         r = RatFun2(1 + U, 1 - W) * RatFun2(1 + V)
         assert r.rat_eq(RatFun2((1 + U) * (1 + V), 1 - W))
-
-    def test_negative_power(self):
-        r = RatFun2(1 + U, 1 - W)
-        assert (r ** -2).rat_eq(RatFun2((1 - W) ** 2, (1 + U) ** 2))
 
     def test_rat_eq_examples(self):
         assert RatFun2(1 - w_power(2), 1 - W).rat_eq(RatFun2(1 + W))
@@ -125,7 +109,7 @@ class TestRatOps:
 
 class TestExpand:
     def test_geometric(self):
-        s = expand_series(RatFun2(ONE, 1 - W), 3)
+        s = RatFun2(ONE, 1 - W).expand(3)
         assert s == TruncSeries2(3, {(0, 0): 1, (1, 1): 1})
 
     def test_derived_square_case(self):
@@ -136,7 +120,7 @@ class TestExpand:
             2, {(0, 0): 1, (1, 0): 2, (0, 1): 2, (2, 0): 1, (1, 1): 5, (0, 2): 1})
 
     def test_alternating(self):
-        s = expand_series(RatFun2(ONE, 1 + U), 2)
+        s = RatFun2(ONE, 1 + U).expand(2)
         assert s == TruncSeries2(2, {(0, 0): 1, (1, 0): -1, (2, 0): 1})
 
     def test_non_unit(self):
@@ -149,7 +133,7 @@ class TestExpand:
 
     def test_integral_with_constant_two(self):
         s = RatFun2(BivarPoly.constant(2) * (1 + U), BivarPoly.constant(2)).expand(2)
-        assert s.to_poly() == 1 + U
+        assert BivarPoly(s.coeffs) == 1 + U
 
 
 class TestSeriesOps:
@@ -157,17 +141,9 @@ class TestSeriesOps:
         s = TruncSeries2(2, {(0, 0): 1, (1, 1): 1})
         assert s * s == TruncSeries2(2, {(0, 0): 1, (1, 1): 2})
 
-    def test_truncate(self):
-        s = TruncSeries2(4, {(0, 0): 1, (1, 1): 1, (2, 2): 1})
-        assert s.truncate(2) == TruncSeries2(2, {(0, 0): 1, (1, 1): 1})
-
     def test_add_to_zero(self):
         a = TruncSeries2(3, {(0, 0): 1, (1, 0): 1})
         assert (a + (-a)).is_zero()
-
-    def test_shift(self):
-        s = TruncSeries2(4, {(0, 0): 1, (1, 0): 1})
-        assert s.shift_uv(1) == TruncSeries2(4, {(1, 1): 1, (2, 1): 1})
 
     def test_mismatched_orders_take_min(self):
         a = TruncSeries2(5, {(0, 0): 1, (2, 2): 1})
@@ -176,48 +152,9 @@ class TestSeriesOps:
         assert (a * b).order == 3
 
 
-class TestCancelFactor:
-    def test_basic(self):
-        r = RatFun2((1 + U) ** 2 * (1 + V), 1 + U)
-        red, m = r.cancel_factor(1 + U)
-        assert m == 1
-        assert red.rat_eq(RatFun2((1 + U) * (1 + V)))
-
-    def test_absent(self):
-        r = RatFun2(ONE, 1 - W)
-        red, m = cancel_factor(r, 1 + U)
-        assert m == 0 and red is r
-
-    def test_full(self):
-        r = RatFun2((1 + U) ** 3, (1 + U) ** 3)
-        red, m = r.cancel_factor(1 + U)
-        assert m == 3 and red.rat_eq(RatFun2(ONE))
-
-    def test_numerator_untouched_without_den_factor(self, monkeypatch):
-        # a denominator with no factor f bounds the multiplicity by 0, so
-        # the numerator is never divided
-        divided = []
-        divide_exact = BivarPoly.divide_exact
-
-        def counting(self, other):
-            divided.append(self)
-            return divide_exact(self, other)
-
-        monkeypatch.setattr(BivarPoly, "divide_exact", counting)
-        r = RatFun2((1 + U) ** 3, (1 - W) * (1 - W * W))
-        red, m = r.cancel_factor(1 + U)
-        assert m == 0 and red is r
-        assert divided == [r.den]
-
-    def test_zero_numerator(self):
-        r = RatFun2(P(), (1 + U) ** 2 * (1 - W))
-        red, m = r.cancel_factor(1 + U)
-        assert m == 2 and red.num.is_zero() and red.den == 1 - W
-
-
 class TestSubstitute:
     def test_diagonal(self):
-        f = substitute(RatFun2(ONE, 1 - W), diagonal=True)
+        f = RatFun2(ONE, 1 - W).diagonal()
         assert f.rat_eq(RatFun1(UniPoly.constant(1), UniPoly({0: 1, 2: -1})))
 
     def test_u_minus_one(self):
@@ -264,17 +201,9 @@ class TestToPolynomial:
 
 
 class TestSerialization:
-    def test_round_trip(self):
-        p = (1 + U) ** 2 * (1 - 3 * V)
-        assert BivarPoly.from_json_terms(p.json_terms()) == p
-
     def test_sorted(self):
         trip = ((1 + U + V) ** 2).json_terms()
         assert trip == sorted(trip)
-
-    def test_series_round_trip(self):
-        s = RatFun2(ONE, 1 - W - U).expand(5)
-        assert TruncSeries2.from_json_obj(s.json_obj()) == s
 
     def test_big_coefficients_as_strings(self):
         p = BivarPoly({(0, 0): 10 ** 40})
@@ -326,7 +255,7 @@ def test_expand_multiplicative(n1, d1, n2, d2):
 def test_expand_truncation_consistent(n, d, big, small):
     big, small = max(big, small), min(big, small)
     r = RatFun2(n, d)
-    assert r.expand(big).truncate(small) == r.expand(small)
+    assert TruncSeries2(small, r.expand(big).coeffs) == r.expand(small)
 
 
 @settings(max_examples=40, deadline=None)
@@ -378,17 +307,3 @@ def test_to_polynomial_exact_bound(a, b):
     if n >= 1:
         with pytest.raises(NotPolynomialWithinBound):
             to_polynomial(RatFun2(a * b, b), n - 1)
-
-
-@settings(max_examples=40, deadline=None)
-@given(small_polys, unit_dens, st.integers(0, 3))
-def test_cancel_factor_round_trip(n, d, k):
-    f = 1 + U
-    r = RatFun2(n * f ** k, d * f)
-    red, mult = r.cancel_factor(f)
-    # dividing a common factor out of num and den preserves the function
-    assert red.rat_eq(r)
-    assert RatFun2(red.num * f ** mult, red.den * f ** mult).rat_eq(r)
-    # no common power of f survives
-    if not n.is_zero():
-        assert not (red.num.is_divisible_by(f) and red.den.is_divisible_by(f))

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hodge_series.formulas import hp_semistable_classical, hp_semistable_closed
+from hodge_series.ratfun import BivarPoly, TruncSeries2
 from hodge_series.recursion import (
     NonIntegralCodim,
     codim,
@@ -223,7 +224,9 @@ class TestRecursion:
                 continue
             levi = datum.sub_datum(datum.complement(hn.I))
             series = closed_series_for(levi, levi.fund_fracs(hn.delta_lift), g, N)
-            total = total - series.shift_uv(hn.codim, N)
+            c = hn.codim
+            total = total - TruncSeries2(
+                N, {(i + c, j + c): x for (i, j), x in series.coeffs.items()})
         assert total == recursion_rhs(spec, d, g, N)
 
     @pytest.mark.parametrize("name", ["GL4", "SO7"])
@@ -261,7 +264,7 @@ class TestRecursion:
         for d in (0, 1):
             lhs = hp_semistable_closed_series(GL(2), (d,), 2, 12)
             rhs = recursion_rhs(GL(2), (d,), 2, 12)
-            assert lhs.to_poly().diagonal() == rhs.to_poly().diagonal()
+            assert BivarPoly(lhs.coeffs).diagonal() == BivarPoly(rhs.coeffs).diagonal()
 
 
 # factor -> rank; products are drawn with total rank <= 4

@@ -72,10 +72,6 @@ def _compute_object(args):
     raise UsageError("unknown --what %r" % (args.what,))
 
 
-def _poly_json(p: BivarPoly):
-    return p.json_terms()
-
-
 def _uni_json(p: UniPoly):
     return [[d, str(c)] for d, c in sorted(p.terms.items())]
 
@@ -95,10 +91,10 @@ def cmd_compute(args) -> int:
         if args.what != "classifying":
             out["genus"] = args.genus
         if isinstance(obj, BivarPoly):
-            out["polynomial"] = _poly_json(obj)
+            out["polynomial"] = obj.json_terms()
         else:
-            out["num"] = _poly_json(obj.num)
-            out["den"] = _poly_json(obj.den)
+            out["num"] = obj.num.json_terms()
+            out["den"] = obj.den.json_terms()
         if expansion is not None:
             out["expansion"] = expansion.json_obj()
         print(json.dumps(out, sort_keys=True))

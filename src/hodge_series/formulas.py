@@ -27,15 +27,13 @@ which depends only on dim Z(L^I) and the exponents of L^I, so the pass
 groups the terms by numerator (GL8: 128 terms, 22 groups).  A group with
 denominator gden, the union of its members' denominators, sums
 coef * w^shift * (gden / den) over its members into one short integer
-polynomial C(w).  The whole sum lives on one flat integer list, a band of
-rows indexed by the v-degree, each row a range of p - q: the coefficient of
-u^p v^q sits at q * W + (p - q) - lo.  Multiplying by u^a v^b is a constant
-index shift there, so every factor (1 + u^a v^b), every entry of C(w) and
-every 1 - w^k is one list pass over the live extent of the product.  Each
-group's numerator is expanded once, multiplied by C(w) and by the common
-denominator over gden, and added into the band.  The exact sum keeps the
-common denominator; the truncated sum divides by it once, as running sums
-along w.  No gcd is ever computed.
+polynomial C(w).  The whole sum lives on one flat integer list, the band of
+:mod:`hodge_series.ratfun`, where every factor (1 + u^a v^b), every entry
+of C(w) and every 1 - w^k is one list pass over the live extent of the
+product.  Each group's numerator is expanded once, multiplied by C(w) and
+by the common denominator over gden, and added into the band.  The exact
+sum keeps the common denominator as its multiset; the truncated sum
+divides by it once, as running sums along w.  No gcd is ever computed.
 
 The classical-type composition sums are the same formula indexed by
 compositions of the rank, with their Levis, dim U, wall pairings and
@@ -51,7 +49,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import repeat
 from math import gcd
-from operator import add, mul, sub
+from operator import add, mul
 
 from .ratfun import (
     BivarPoly,
@@ -59,7 +57,11 @@ from .ratfun import (
     RatFun2,
     TruncSeries2,
     UniPoly,
-    one_minus_w,
+    _over_den,
+    _times_binomial,
+    _times_den,
+    _unband,
+    _w_degree,
     to_polynomial,
 )
 from .rootdata import (
@@ -120,30 +122,6 @@ def _common_den(terms):
     return common
 
 
-def _w_degree(den):
-    return sum(k * m for k, m in den.items())
-
-
-def _times_binomial(s, shift, e, op, cap):
-    """Multiply the list s in place by (1 + x^shift)^e (op=add) or by
-    (1 - x^shift)^e (op=sub), x^shift being a shift of the index: each
-    factor grows s by shift, then s[y] = op(s[y], s[y - shift]) top down
-    (map reads the old s in full), then cuts s to its first cap entries
-    unless cap is None."""
-    for _ in range(e):
-        s += repeat(0, shift)
-        s[shift:] = map(op, s[shift:], s)
-        if cap is not None:
-            del s[cap:]
-
-
-def _times_den(s, den, width=1, cap=None):
-    """Multiply s in place by prod (1 - w^k)^m over den, w^k being the
-    index shift k * width."""
-    for k, m in den.items():
-        _times_binomial(s, k * width, m, sub, cap)
-
-
 def _group_cofactor(group, gden):
     """C(w) = sum of coef * w^shift * prod (1 - w^k)^m over gden - den, for
     the terms of one group, trimmed of trailing zeros."""
@@ -160,14 +138,11 @@ def _group_cofactor(group, gden):
 
 def _over_common_den(terms, order):
     """Numerators times their cofactors over the common denominator, summed
-    on one flat band; terms with 2 * shift > order are skipped.
+    on one flat band (layout in :mod:`hodge_series.ratfun`); terms with
+    2 * shift > order are skipped.
 
-    The coefficient of u^{delta+j} v^j sits at index j * W + delta - lo,
-    where [lo, lo + W) covers p - q over every group's numerator, and the
-    band has (order - lo) // 2 + 1 rows, enough for total degree <= order.
-    Multiplying by u^a v^b is then the index shift b * W + a - b, and
-    multiplying by w^k the shift k * W; neither wraps, so each factor is one
-    list pass over the live extent of the product, which grows by the shift.
+    [lo, lo + W) covers p - q over every group's numerator, and the band has
+    (order - lo) // 2 + 1 rows, enough for total degree <= order.
 
     Terms with the same numerator factors (the same Levi type) form a group
     with denominator gden, the union of their denominators.  The group's
@@ -206,34 +181,21 @@ def _over_common_den(terms, order):
     return common, lo, W, band
 
 
-def _unband(band, lo, W):
-    """(p, q) -> c of the nonzero entries of a band."""
-    return {(x % W + lo + x // W, x // W): c for x, c in enumerate(band) if c}
-
-
 def assemble_exact(terms) -> RatFun2:
     """Sum factored terms over the max-multiplicity common denominator; the
     order bounds every numerator times its cofactor, so nothing is cut."""
     deg = _w_degree(_common_den(terms))
     common, lo, W, band = _over_common_den(
         terms, 2 * deg + max(map(_num_degree, terms), default=0))
-    den = [1]
-    _times_den(den, common)
-    return RatFun2(BivarPoly(_unband(band, lo, W)),
-                   BivarPoly({(x, x): c for x, c in enumerate(den)}))
+    return RatFun2(BivarPoly(_unband(band, lo, W)), common)
 
 
 def assemble_series(terms, order) -> TruncSeries2:
     """Sum of the power-series expansions of factored terms to total degree
-    <= order: the common-denominator sum divided by each 1 - w^k as the
-    running sum s[x] += s[x - k * W] bottom up, one block of k * W at a
-    time."""
+    <= order: the common-denominator sum divided by each 1 - w^k as running
+    sums along w."""
     common, lo, W, band = _over_common_den(terms, order)
-    for k, m in common.items():
-        step = k * W
-        for _ in range(m):
-            for x in range(step, len(band), step):
-                band[x:x + step] = map(add, band[x:x + step], band[x - step:x])
+    _over_den(band, common, W)
     return TruncSeries2(order, _unband(band, lo, W))
 
 
@@ -505,10 +467,11 @@ def hp_moduli_fixed_det(r, d, g, allow_large_genus=False) -> RatFun2:
         raise NotCoprime("need gcd(r, d) = 1, got (%d, %d)" % (r, d))
     result = assemble_exact(_gl_terms(r, d, g, abelian_drop=1))
     # the Jacobian series (1+u)^g (1+v)^g times the result, over 1 - uv, must
-    # be the semistable stack series, over the same denominator exactly
+    # be the semistable stack series: the same denominator multiset, then the
+    # same numerator
     stack = hp_semistable_closed(GroupSpec((("GL", r),)), (d,), g, allow_large_genus)
     lifted = result.num.mul_binomial(1, 0, g).mul_binomial(0, 1, g)
-    if not RatFun2(lifted, result.den * one_minus_w(1)).rat_eq(stack):
+    if result.wden + Counter({1: 1}) != stack.wden or lifted != stack.num:
         raise AssertionError("fixed-determinant factorization failed")
     return result
 
@@ -518,8 +481,10 @@ def specialize(x, kind):
     signature (u=-1, v=1).
 
     Everything is substituted directly: no package denominator f(uv) has a
-    factor 1 + u (f(-v) = 0 forces f = 0) or 1 + v to cancel first, so a pole
-    at the point raises ZeroDenominatorAfterSubstitution.
+    factor 1 + u or 1 + v to cancel first.  1 + u divides f(uv) exactly when
+    f(uv) vanishes at u = -1, that is when f(-v) = 0 identically, which
+    forces f = 0 (and 1 + v alike).  So a pole at the point is a true pole
+    and raises ZeroDenominatorAfterSubstitution.
     """
     if kind == "poincare":
         return x.diagonal()

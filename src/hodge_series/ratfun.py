@@ -4,39 +4,46 @@ truncated formal power series in two variables u, v.
 All coefficients are arbitrary-precision Python ints (Fractions only appear
 after substituting rational values for the variables), so every identity
 checked with these types is exact.  The module holds only what the
-package computes with: the containers and their printing, one general
-expansion (``RatFun2.expand``), substitution for the specializations, and
-the exact division behind ``to_polynomial``.
-
-Representation choices:
+package computes with: the containers and their printing, the band and its
+running sums, and substitution for the specializations.
 
 * ``BivarPoly`` stores a sparse map ``(deg_u, deg_v) -> coeff`` with no zero
-  coefficients.  The generating functions in this package are products of
-  very sparse factors such as ``(1 + u^3 v^2)^g`` or ``1 - (uv)^k``, so a
-  dense representation would be wasteful.
-* ``RatFun2`` is an unreduced quotient num/den.  Bivariate gcds are never
-  computed: equal denominators compare numerators, others cross-multiply,
-  and ``to_polynomial`` certifies a polynomial by exact division.
+  coefficients: the package's factors, such as ``(1 + u^3 v^2)^g`` or
+  ``1 - (uv)^k``, are very sparse.
+* ``RatFun2`` is num / prod (1 - (uv)^k)^m, every denominator of the
+  package, kept only as the multiset ``wden = {k: m}``; ``den`` expands it
+  for printing and substitution.  Multisets map injectively to polynomials
+  (1 - x^k is minus the product of the cyclotomic Phi_d over d | k, so Phi_d
+  occurs sum_{d | k} m_k times and Moebius inversion recovers m), so equal
+  multisets compare numerators alone; others bring both numerators over the
+  union.  No gcd is ever computed.
 * ``TruncSeries2`` truncates by total degree ``i + j <= order``; this matches
   the homogeneous filtration of Z[[u,v]].
+
+The band lays out a polynomial whose p - q lie in [lo, lo + W) on one flat
+integer list, one row of W entries per v-degree: u^p v^q sits at
+q * W + (p - q) - lo.  Multiplying by u^a v^b is the index shift
+b * W + a - b and by w^k = (uv)^k the shift k * W; neither wraps, so each
+factor (1 + u^a v^b) or (1 - w^k) is one list pass (``_times_binomial``).
+Each column is a polynomial in w, and dividing it by 1 - w^k as a power
+series is the running sum s[x] += s[x - k * W] bottom up, truncated to the
+band's rows (``_over_den``).  That one pass serves ``RatFun2.expand``,
+``BivarPoly.divide_exact`` and the truncated sums of ``formulas``.  Exact
+division certifies itself: with D = prod (1 - w^k)^m and K = sum k m, a
+column of degree < R is a multiple of D exactly when the top K of its R
+rows are zero after the passes, and the quotient is the rows below them.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
-from heapq import heapify, heappop, heappush
+from itertools import repeat
+from operator import add, sub
 
 
 class NotDivisible(ArithmeticError):
-    """Exact polynomial division failed: a is not a multiple of b."""
-
-
-class NonUnitDenominator(ArithmeticError):
-    """Series expansion requested for a denominator vanishing at (0, 0)."""
-
-
-class NonIntegralExpansion(ArithmeticError):
-    """A power-series coefficient of the expansion is not an integer."""
+    """Exact division failed: not a multiple of the denominator."""
 
 
 class ZeroDenominatorAfterSubstitution(ZeroDivisionError):
@@ -85,9 +92,6 @@ class BivarPoly:
 
     def is_zero(self):
         return not self.terms
-
-    def constant_term(self):
-        return self.terms.get((0, 0), 0)
 
     def total_degree(self):
         """Max of i + j over the support; -1 for the zero polynomial."""
@@ -227,45 +231,18 @@ class BivarPoly:
 
     # -- division ----------------------------------------------------------
 
-    def divide_exact(self, other):
-        """Return q with self == other * q, else raise NotDivisible.
-
-        Greedy cancellation of lexicographic leading terms; correct for exact
-        division over Z because leading terms are multiplicative.  Every
-        subtraction lands below the leading term it cancels, so a max-heap of
-        the remainder's monomials yields each leading term once, largest first.
-        """
-        if other.is_zero():
-            raise ZeroDivisionError("division by the zero polynomial")
-        rem = dict(self.terms)
-        heap = [(-i, -j) for i, j in rem]
-        heapify(heap)
-        quot = {}
-        lt = max(other.terms)
-        lc = other.terms[lt]
-        while heap:
-            i, j = heappop(heap)
-            rlt = (-i, -j)
-            if rlt not in rem:
-                continue
-            di, dj = rlt[0] - lt[0], rlt[1] - lt[1]
-            if di < 0 or dj < 0:
-                raise NotDivisible("monomial %r not reachable" % (rlt,))
-            qc, r = divmod(rem[rlt], lc)
-            if r:
-                raise NotDivisible("coefficient at %r not divisible" % (rlt,))
-            quot[(di, dj)] = qc
-            for (a, b), c in other.terms.items():
-                key = (a + di, b + dj)
-                old = rem.get(key, 0)
-                nc = old - qc * c
-                if nc:
-                    if not old:
-                        heappush(heap, (-key[0], -key[1]))
-                    rem[key] = nc
-                else:
-                    del rem[key]
-        return BivarPoly(quot)
+    def divide_exact(self, wden):
+        """Return q with self == q * prod (1 - (uv)^k)^m over wden = {k: m},
+        else raise NotDivisible.  The running sums on the band leave its top
+        sum k m rows zero exactly when the division is exact, and the
+        quotient is the rows below them (module docstring)."""
+        wden = _wden(wden)
+        lo, W, band = _band(self.terms)
+        _over_den(band, wden, W)
+        cut = max(len(band) - _w_degree(wden) * W, 0)
+        if any(band[cut:]):
+            raise NotDivisible("not a multiple of the denominator")
+        return BivarPoly(_unband(band[:cut], lo, W))
 
     # -- substitution ------------------------------------------------------
 
@@ -350,9 +327,85 @@ def w_power(k):
     return BivarPoly.monomial(k, k)
 
 
-def one_minus_w(k):
-    """1 - (uv)^k."""
-    return BivarPoly({(0, 0): 1, (k, k): -1})
+# ---------------------------------------------------------------------------
+# the band (layout in the module docstring) and denominator multisets
+# ---------------------------------------------------------------------------
+
+
+def _wden(wden):
+    """A denominator multiset {k: m} as a Counter without zero
+    multiplicities; ValueError unless every k >= 1 and m >= 0 is an int."""
+    out = Counter()
+    for k, m in dict(wden).items():
+        if type(k) is not int or type(m) is not int or k < 1 or m < 0:
+            raise ValueError("malformed denominator factor (1 - (uv)^%r)^%r" % (k, m))
+        if m:
+            out[k] = m
+    return out
+
+
+def _w_degree(wden):
+    return sum(k * m for k, m in wden.items())
+
+
+def _times_binomial(s, shift, e, op, cap):
+    """Multiply the list s in place by (1 + x^shift)^e (op=add) or by
+    (1 - x^shift)^e (op=sub), x^shift being a shift of the index: each
+    factor grows s by shift, then s[y] = op(s[y], s[y - shift]) top down
+    (map reads the old s in full), then cuts s to its first cap entries
+    unless cap is None."""
+    for _ in range(e):
+        s += repeat(0, shift)
+        s[shift:] = map(op, s[shift:], s)
+        if cap is not None:
+            del s[cap:]
+
+
+def _times_den(s, wden, width=1, cap=None):
+    """Multiply s in place by prod (1 - w^k)^m over wden, w^k being the
+    index shift k * width."""
+    for k, m in wden.items():
+        _times_binomial(s, k * width, m, sub, cap)
+
+
+def _over_den(s, wden, width=1):
+    """Divide s in place by prod (1 - w^k)^m over wden as a power series,
+    truncated to len(s): per factor the running sum s[x] += s[x - step],
+    step = k * width, bottom up, one block of step at a time."""
+    for k, m in wden.items():
+        step = k * width
+        for _ in range(m):
+            for x in range(step, len(s), step):
+                s[x:x + step] = map(add, s[x:x + step], s[x - step:x])
+
+
+def _band(terms, order=None):
+    """(lo, W, band) of a (p, q) -> c map, [lo, lo + W) spanning its p - q.
+    The band holds every term in rows up to the top v-degree or, given an
+    order, the terms of total degree <= order in the (order - lo) // 2 + 1
+    rows that degree reaches."""
+    if order is not None:
+        terms = {k: c for k, c in terms.items() if k[0] + k[1] <= order}
+    lo = min((p - q for p, q in terms), default=0)
+    W = max((p - q for p, q in terms), default=0) - lo + 1
+    rows = (max((q for _, q in terms), default=-1) + 1 if order is None
+            else (order - lo) // 2 + 1)
+    band = [0] * (rows * W)
+    for (p, q), c in terms.items():
+        band[q * W + p - q - lo] = c
+    return lo, W, band
+
+
+def _unband(band, lo, W):
+    """(p, q) -> c of the nonzero entries of a band."""
+    return {(x % W + lo + x // W, x // W): c for x, c in enumerate(band) if c}
+
+
+def _den_poly(wden):
+    """prod (1 - (uv)^k)^m over wden, expanded."""
+    s = [1]
+    _times_den(s, wden)
+    return BivarPoly({(x, x): c for x, c in enumerate(s)})
 
 
 class TruncSeries2:
@@ -422,51 +475,56 @@ class TruncSeries2:
 
 
 class RatFun2:
-    """Quotient of two BivarPoly; no gcd normalization is ever performed."""
+    """num / prod (1 - (uv)^k)^m, the denominator kept as the multiset
+    wden = {k: m}; no gcd normalization is ever performed."""
 
-    __slots__ = ("num", "den")
+    __slots__ = ("num", "wden")
 
-    def __init__(self, num, den=ONE):
+    def __init__(self, num, wden=None):
         if isinstance(num, int):
             num = BivarPoly.constant(num)
-        if isinstance(den, int):
-            den = BivarPoly.constant(den)
-        if den.is_zero():
-            raise ZeroDivisionError("zero denominator polynomial")
         self.num = num
-        self.den = den
+        self.wden = _wden(wden or {})
+
+    @property
+    def den(self):
+        """The expanded denominator, for printing and substitution."""
+        return _den_poly(self.wden)
+
+    def _num_over(self, wden):
+        """num times the factors of wden, a superset of self.wden, that
+        self.wden lacks."""
+        rest = wden - self.wden
+        return self.num * _den_poly(rest) if rest else self.num
 
     # -- ring operations -----------------------------------------------------
 
     def __add__(self, other):
         other = _coerce_rat(other)
-        if self.den == other.den:
-            return RatFun2(self.num + other.num, self.den)
-        return RatFun2(self.num * other.den + other.num * self.den,
-                       self.den * other.den)
+        common = self.wden | other.wden
+        return RatFun2(self._num_over(common) + other._num_over(common), common)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RatFun2(-self.num, self.den)
+        return RatFun2(-self.num, self.wden)
 
     def __sub__(self, other):
         return self.__add__(_coerce_rat(other).__neg__())
 
     def __mul__(self, other):
         other = _coerce_rat(other)
-        return RatFun2(self.num * other.num, self.den * other.den)
+        return RatFun2(self.num * other.num, self.wden + other.wden)
 
     __rmul__ = __mul__
 
     def rat_eq(self, other):
-        """Semantic equality: num_a * den_b == num_b * den_a.  With equal
-        denominators the numerators decide alone, since a denominator is
-        never zero and Z[u, v] has no zero divisors."""
+        """Semantic equality: both numerators over the union of the
+        multisets.  Equal multisets are equal denominators, and the
+        numerators decide alone, multiplied by nothing."""
         other = _coerce_rat(other)
-        if self.den == other.den:
-            return self.num == other.num
-        return self.num * other.den == other.num * self.den
+        common = self.wden | other.wden
+        return self._num_over(common) == other._num_over(common)
 
     def __eq__(self, other):
         if isinstance(other, (RatFun2, BivarPoly, int)):
@@ -476,42 +534,16 @@ class RatFun2:
     # -- expansion -----------------------------------------------------------
 
     def expand(self, order):
-        """Power-series expansion to total degree <= order.
-
-        Coefficients are solved in increasing total degree from
-        den * S = num.  Raises NonUnitDenominator if den(0,0) = 0 and
-        NonIntegralExpansion at the first non-integer coefficient.
-        """
-        c0 = self.den.constant_term()
-        if c0 == 0:
-            raise NonUnitDenominator("denominator vanishes at (0, 0)")
-        num = self.num.terms
-        den_rest = [(k, c) for k, c in self.den.terms.items() if k != (0, 0)]
-        S = {}
-        for t in range(order + 1):
-            for i in range(t + 1):
-                j = t - i
-                acc = num.get((i, j), 0)
-                for (a, b), dcoef in den_rest:
-                    if a <= i and b <= j:
-                        prev = S.get((i - a, j - b))
-                        if prev is not None:
-                            acc -= dcoef * prev
-                if acc:
-                    q, r = divmod(acc, c0)
-                    if r:
-                        raise NonIntegralExpansion(
-                            "coefficient at (%d, %d) is %s/%s" % (i, j, acc, c0))
-                    S[(i, j)] = q
-        return TruncSeries2(order, S)
+        """Power-series expansion to total degree <= order: the running sums
+        over the band of the numerator's terms up to that degree."""
+        lo, W, band = _band(self.num.terms, order)
+        _over_den(band, self.wden, W)
+        return TruncSeries2(order, _unband(band, lo, W))
 
     # -- substitution ----------------------------------------------------------
 
     def subs_u(self, val):
-        den = self.den.subs_u(val)
-        if den.is_zero():
-            raise ZeroDenominatorAfterSubstitution("u := %s kills denominator" % (val,))
-        return RatFun1(self.num.subs_u(val), den)
+        return RatFun1(self.num.subs_u(val), self.den.subs_u(val))
 
     def subs_uv(self, uval, vval):
         den = self.den.subs_uv(uval, vval)
@@ -522,13 +554,10 @@ class RatFun2:
 
     def diagonal(self):
         """Substitute u = v = t."""
-        den = self.den.diagonal()
-        if den.is_zero():
-            raise ZeroDenominatorAfterSubstitution("u = v = t kills denominator")
-        return RatFun1(self.num.diagonal(), den)
+        return RatFun1(self.num.diagonal(), self.den.diagonal())
 
     def __str__(self):
-        if self.den == ONE:
+        if not self.wden:
             return str(self.num)
         return "(%s) / (%s)" % (self.num, self.den)
 
@@ -536,7 +565,7 @@ class RatFun2:
         return "RatFun2(%s)" % (str(self),)
 
     def latex(self):
-        if self.den == ONE:
+        if not self.wden:
             return self.num.latex()
         return "\\frac{%s}{%s}" % (self.num.latex(), self.den.latex())
 
@@ -544,25 +573,24 @@ class RatFun2:
 def _coerce_rat(x):
     if isinstance(x, RatFun2):
         return x
-    if isinstance(x, BivarPoly):
-        return RatFun2(x, ONE)
-    if isinstance(x, int):
-        return RatFun2(BivarPoly.constant(x), ONE)
+    if isinstance(x, (BivarPoly, int)):
+        return RatFun2(x)
     raise TypeError("cannot coerce %r to RatFun2" % (x,))
 
 
 def to_polynomial(r, degree_bound):
     """Certify that r is a polynomial of total degree <= degree_bound.
 
-    The candidate is the exact quotient num / den in Z[u, v]; that it exists
-    is the certificate.  Raises NotPolynomialWithinBound when den does not
-    divide num or the quotient's total degree exceeds the bound.
+    The candidate is the exact quotient of num by the denominator
+    (``BivarPoly.divide_exact``); that it exists is the certificate.
+    Raises NotPolynomialWithinBound when the denominator does not divide
+    num or the quotient's total degree exceeds the bound.
     """
     if degree_bound < 0:
         raise ValueError("negative degree bound")
     r = _coerce_rat(r)
     try:
-        p = r.num.divide_exact(r.den)
+        p = r.num.divide_exact(r.wden)
         if p.total_degree() <= degree_bound:
             return p
     except NotDivisible:

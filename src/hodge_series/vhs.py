@@ -159,12 +159,19 @@ def identity_times_i(g):
 
 
 def _leading_minors_positive(m):
-    """Exact Sylvester criterion on a symmetric rational matrix."""
-    n = len(m)
-    for k in range(1, n + 1):
-        sub = [row[:k] for row in m[:k]]
-        if _det(sub) <= 0:
+    """Exact Sylvester criterion on a symmetric rational matrix, by one
+    Bareiss pass without row swaps over its rows scaled to integers by
+    s_i > 0: the k-th pivot is the k-th leading minor times s_1 ... s_k."""
+    _, rows = _scaled_rows(m)
+    prev = 1
+    for k, top in enumerate(rows):
+        p = top[k]
+        if p <= 0:
             return False
+        for i in range(k + 1, len(rows)):
+            f = rows[i][k]
+            rows[i] = [(p * x - f * y) // prev for x, y in zip(rows[i], top)]
+        prev = p
     return True
 
 

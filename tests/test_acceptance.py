@@ -33,7 +33,7 @@ from hodge_series.formulas import (
     stack_poincare_series,
     to_polynomial,
 )
-from hodge_series.ratfun import BivarPoly, RatFun2, U, V, one_minus_w, w_power
+from hodge_series.ratfun import BivarPoly, RatFun2, U, V, w_power
 from hodge_series.recursion import (
     enumerate_hn_types,
     hn_blocks_of,
@@ -52,7 +52,6 @@ from hodge_series.vhs import (
 from test_vhs import random_period_matrix
 
 GL = lambda r: GroupSpec((("GL", r),))
-W1 = one_minus_w(1)
 
 #: configurations of the recursion criterion (also reused by criterion 8)
 RECURSION_SPECS = (
@@ -67,13 +66,13 @@ def _mono(i, j):
 
 
 def _abelian(g):
-    return RatFun2((1 + U) ** g * (1 + V) ** g, W1)
+    return RatFun2((1 + U) ** g * (1 + V) ** g, {1: 1})
 
 
 def _rank2_reference(d, g):
     head = _abelian(g) * RatFun2(
-        (1 + _mono(2, 1)) ** g * (1 + _mono(1, 2)) ** g, W1 * one_minus_w(2))
-    tail = RatFun2(w_power(g if d == 1 else g + 1), one_minus_w(2)) \
+        (1 + _mono(2, 1)) ** g * (1 + _mono(1, 2)) ** g, {1: 1, 2: 1})
+    tail = RatFun2(w_power(g if d == 1 else g + 1), {2: 1}) \
         * _abelian(g) * _abelian(g)
     return head - tail
 

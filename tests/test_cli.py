@@ -150,6 +150,13 @@ PINNED_OUTPUT = [
     ("GL3 stack chi-t json", 0, "795053814d2d688ce5cda5e5e68b47bcbebfafaa11f9c5ae4aacbe6d8f23745c",
      ["specialize", "--group", "GL3", "--degree", "1", "--what", "stack",
       "--at", "chi-t", "--format", "json"]),
+    # polynomials certified by to_polynomial, and the expansion of a polynomial
+    ("GL3 d=1 moduli", 0, "c346aa4dd1fa6e5bcfe7b6b874f1029ea4cce95796963b5d8123478b8a129957",
+     ["compute", "--group", "GL3", "--degree", "1", "--genus", "2", "--what", "moduli"]),
+    ("GL3 d=1 fixed-det json", 0,
+     "eff45b0d463e0d624cf088afc918276d922c1fe172532b01a266d12909868a12",
+     ["compute", "--group", "GL3", "--degree", "1", "--genus", "3", "--what", "fixed-det",
+      "--expand", "6", "--format", "json"]),
 ]
 
 

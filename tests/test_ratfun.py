@@ -1,5 +1,6 @@
 """Unit and property tests for the exact bivariate arithmetic layer."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -10,8 +11,6 @@ from hodge_series.ratfun import (
     U,
     V,
     BivarPoly,
-    NonIntegralExpansion,
-    NonUnitDenominator,
     NotDivisible,
     NotPolynomialWithinBound,
     RatFun2,
@@ -53,45 +52,64 @@ class TestPolyOps:
 
 class TestDivision:
     def test_exact(self):
-        assert (1 - w_power(2)).divide_exact(1 - W) == 1 + W
+        assert (1 - w_power(2)).divide_exact({1: 1}) == 1 + W
 
     def test_square(self):
-        assert ((1 + U) ** 2).divide_exact(1 + U) == 1 + U
+        assert ((1 - W) ** 2).divide_exact({1: 1}) == 1 - W
 
     def test_not_divisible(self):
         with pytest.raises(NotDivisible):
-            (1 + U + V).divide_exact(1 + U)
+            (1 + U + W).divide_exact({1: 1})
 
-    def test_non_divisible_coefficient(self):
-        with pytest.raises(NotDivisible):
-            poly({(1, 0): 3}).divide_exact(poly({(1, 0): 2}))
+    def test_zero_and_empty_multiset(self):
+        assert BivarPoly().divide_exact({2: 3}).is_zero()
+        assert (1 + U).divide_exact({}) == 1 + U
+
+
+class TestDenominatorMultiset:
+    @pytest.mark.parametrize("wden", [{0: 1}, {-1: 1}, {1: -1}, {1.0: 1},
+                                      {1: 1.5}, {"1": 1}])
+    def test_malformed_rejected(self, wden):
+        with pytest.raises(ValueError):
+            RatFun2(ONE, wden)
+        with pytest.raises(ValueError):
+            ONE.divide_exact(wden)
+
+    def test_zero_multiplicity_dropped(self):
+        r = RatFun2(ONE, {1: 0, 2: 1})
+        assert r.wden == {2: 1}
+        assert r.rat_eq(RatFun2(ONE, {2: 1}))
+
+    def test_den_expands_the_product(self):
+        assert RatFun2(ONE, {1: 2, 3: 1}).den == (1 - W) ** 2 * (1 - w_power(3))
+        assert RatFun2(ONE).den == ONE
 
 
 class TestRatOps:
     def test_semantic_zero(self):
-        r = RatFun2(ONE, 1 - W)
+        r = RatFun2(ONE, {1: 1})
         assert (r + (-r)).num.is_zero()
-        assert (r - r).rat_eq(RatFun2(BivarPoly(), (1 - W) ** 2))
+        assert (r - r).rat_eq(RatFun2(BivarPoly(), {1: 2}))
 
     def test_mul(self):
-        r = RatFun2(1 + U, 1 - W) * RatFun2(1 + V)
-        assert r.rat_eq(RatFun2((1 + U) * (1 + V), 1 - W))
+        r = RatFun2(1 + U, {1: 1}) * RatFun2(1 + V)
+        assert r.rat_eq(RatFun2((1 + U) * (1 + V), {1: 1}))
 
     def test_rat_eq_examples(self):
-        assert RatFun2(1 - w_power(2), 1 - W).rat_eq(RatFun2(1 + W))
-        assert not RatFun2(ONE, 1 - W).rat_eq(RatFun2(ONE, 1 - w_power(2)))
-        assert RatFun2(BivarPoly(), 1 + U).rat_eq(RatFun2(BivarPoly(), 1 + V))
+        assert RatFun2(1 - w_power(2), {1: 1}).rat_eq(RatFun2(1 + W))
+        assert not RatFun2(ONE, {1: 1}).rat_eq(RatFun2(ONE, {2: 1}))
+        assert RatFun2(BivarPoly(), {1: 1}).rat_eq(RatFun2(BivarPoly(), {2: 1}))
 
     def test_rat_eq_equal_denominators(self):
-        den = (1 + U) * (1 - W)
-        assert RatFun2(1 + V, den).rat_eq(RatFun2(1 + V, (1 - W) * (1 + U)))
+        den = {2: 1, 1: 1}
+        assert RatFun2(1 + V, den).rat_eq(RatFun2(1 + V, {1: 1, 2: 1}))
         assert not RatFun2(1 + U, den).rat_eq(RatFun2(1 + V, den))
         assert not RatFun2(1 + U, den).rat_eq(RatFun2(BivarPoly(), den))
 
     def test_rat_eq_equal_denominators_multiplies_nothing(self, monkeypatch):
-        den = (1 - W) * (1 - w_power(2))
+        den = {1: 1, 2: 1}
         a, b = RatFun2(1 + U, den), RatFun2(1 + V, den)
-        c = RatFun2(1 - w_power(2), 1 - W)
+        c = RatFun2(1 - w_power(2), {1: 1})
         products = []
         mul = BivarPoly.__mul__
 
@@ -102,38 +120,32 @@ class TestRatOps:
         monkeypatch.setattr(BivarPoly, "__mul__", counting)
         assert a.rat_eq(a) and not a.rat_eq(b)
         assert products == []
-        # unequal denominators still cross-multiply
+        # unequal denominators: only the side lacking 1 - uv is multiplied
         assert c.rat_eq(RatFun2(1 + W))
-        assert len(products) == 2
+        assert len(products) == 1
 
 
 class TestExpand:
     def test_geometric(self):
-        s = RatFun2(ONE, 1 - W).expand(3)
+        s = RatFun2(ONE, {1: 1}).expand(3)
         assert s == TruncSeries2(3, {(0, 0): 1, (1, 1): 1})
 
     def test_derived_square_case(self):
         # (1+u)^2 (1+v)^2 / (1-uv) expanded to total degree 2:
         # (1+2u+u^2)(1+2v+v^2)(1+uv+...) = 1 + 2u + 2v + u^2 + 5uv + v^2 + ...
-        r = RatFun2((1 + U) ** 2 * (1 + V) ** 2, 1 - W)
+        r = RatFun2((1 + U) ** 2 * (1 + V) ** 2, {1: 1})
         assert r.expand(2) == TruncSeries2(
             2, {(0, 0): 1, (1, 0): 2, (0, 1): 2, (2, 0): 1, (1, 1): 5, (0, 2): 1})
 
     def test_alternating(self):
-        s = RatFun2(ONE, 1 + U).expand(2)
-        assert s == TruncSeries2(2, {(0, 0): 1, (1, 0): -1, (2, 0): 1})
+        # (1 - w) / (1 - w^2) = 1 / (1 + w)
+        s = RatFun2(1 - W, {2: 1}).expand(4)
+        assert s == TruncSeries2(4, {(0, 0): 1, (1, 1): -1, (2, 2): 1})
 
-    def test_non_unit(self):
-        with pytest.raises(NonUnitDenominator):
-            RatFun2(ONE, U).expand(2)
-
-    def test_non_integral(self):
-        with pytest.raises(NonIntegralExpansion):
-            RatFun2(ONE, BivarPoly.constant(2)).expand(1)
-
-    def test_integral_with_constant_two(self):
-        s = RatFun2(BivarPoly.constant(2) * (1 + U), BivarPoly.constant(2)).expand(2)
-        assert BivarPoly(s.coeffs) == 1 + U
+    def test_polynomial_truncated(self):
+        # terms past the order are dropped, whatever their v-degree
+        p = 1 + U ** 5 + V ** 3 + w_power(1)
+        assert RatFun2(p).expand(2) == TruncSeries2(2, {(0, 0): 1, (1, 1): 1})
 
 
 class TestSeriesOps:
@@ -154,7 +166,7 @@ class TestSeriesOps:
 
 class TestSubstitute:
     def test_diagonal(self):
-        f = RatFun2(ONE, 1 - W).diagonal()
+        f = RatFun2(ONE, {1: 1}).diagonal()
         assert f.rat_eq(RatFun1(UniPoly.constant(1), UniPoly({0: 1, 2: -1})))
 
     def test_u_minus_one(self):
@@ -166,8 +178,9 @@ class TestSubstitute:
         assert val == 0
 
     def test_zero_denominator(self):
+        # u = v = -1 kills 1 - uv
         with pytest.raises(ZeroDenominatorAfterSubstitution):
-            RatFun2(ONE, 1 + U).subs_u(-1)
+            RatFun2(ONE, {2: 1, 1: 1}).subs_uv(-1, -1)
 
     def test_rational_value(self):
         assert (1 + U).subs_u(Fraction(1, 2)) == UniPoly.constant(Fraction(3, 2))
@@ -175,25 +188,22 @@ class TestSubstitute:
 
 class TestToPolynomial:
     def test_basic(self):
-        assert to_polynomial(RatFun2(1 - w_power(2), 1 - W), 2) == 1 + W
+        assert to_polynomial(RatFun2(1 - w_power(2), {1: 1}), 2) == 1 + W
 
     def test_not_polynomial(self):
         with pytest.raises(NotPolynomialWithinBound):
-            to_polynomial(RatFun2(ONE, 1 - W), 10)
+            to_polynomial(RatFun2(ONE, {1: 1}), 10)
 
     def test_bound_too_small(self):
         with pytest.raises(NotPolynomialWithinBound):
-            to_polynomial(RatFun2(1 - w_power(4), 1 - W), 2)
-
-    def test_general_denominator(self):
-        assert to_polynomial(RatFun2((1 + U) * (1 + V), 1 + U), 1) == 1 + V
+            to_polynomial(RatFun2(1 - w_power(4), {1: 1}), 2)
 
     def test_no_expansion_or_product(self, monkeypatch):
         # the exact quotient is the certificate: no series, no product
         def forbidden(*args):
             raise AssertionError("called")
 
-        r = RatFun2(1 - w_power(3) + U - U * W * W, 1 - W)
+        r = RatFun2(1 - w_power(3) + U - U * W * W, {1: 1})
         monkeypatch.setattr(RatFun2, "expand", forbidden)
         monkeypatch.setattr(BivarPoly, "__mul__", forbidden)
         assert to_polynomial(r, 5).terms == {(0, 0): 1, (1, 1): 1, (2, 2): 1,
@@ -235,14 +245,19 @@ def test_mul_binomial_is_the_product(p, a, b, e):
     assert p.mul_binomial(a, b, e) == p * (1 + BivarPoly.monomial(a, b)) ** e
 
 
-unit_dens = st.builds(
-    lambda p: p + 1 - BivarPoly.constant(p.constant_term()),
-    small_polys,
-)
+wdens = st.dictionaries(st.integers(1, 4), st.integers(0, 3), max_size=3)
+
+
+def den_poly(wden):
+    """prod (1 - (uv)^k)^m by plain BivarPoly products."""
+    p = ONE
+    for k, m in wden.items():
+        p = p * (1 - w_power(k)) ** m
+    return p
 
 
 @settings(max_examples=40, deadline=None)
-@given(small_polys, unit_dens, small_polys, unit_dens)
+@given(small_polys, wdens, small_polys, wdens)
 def test_expand_multiplicative(n1, d1, n2, d2):
     r1, r2 = RatFun2(n1, d1), RatFun2(n2, d2)
     lhs = (r1 * r2).expand(6)
@@ -251,7 +266,14 @@ def test_expand_multiplicative(n1, d1, n2, d2):
 
 
 @settings(max_examples=40, deadline=None)
-@given(small_polys, unit_dens, st.integers(0, 6), st.integers(0, 6))
+@given(small_polys, wdens, st.integers(0, 8))
+def test_expand_times_denominator_is_numerator(n, d, order):
+    s = RatFun2(n, d).expand(order)
+    assert s * TruncSeries2(order, den_poly(d).terms) == TruncSeries2(order, n.terms)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_polys, wdens, st.integers(0, 6), st.integers(0, 6))
 def test_expand_truncation_consistent(n, d, big, small):
     big, small = max(big, small), min(big, small)
     r = RatFun2(n, d)
@@ -259,22 +281,22 @@ def test_expand_truncation_consistent(n, d, big, small):
 
 
 @settings(max_examples=40, deadline=None)
-@given(small_polys, unit_dens, unit_dens)
+@given(small_polys, wdens, wdens)
 def test_rat_eq_implies_equal_expansion(n, d, scale):
     r = RatFun2(n, d)
-    scaled = RatFun2(n * scale, d * scale)
+    scaled = RatFun2(n * den_poly(scale), Counter(d) + Counter(scale))
     assert r.rat_eq(scaled)
     assert r.expand(6) == scaled.expand(6)
 
 
 @settings(max_examples=40, deadline=None)
-@given(small_polys, unit_dens, small_polys, unit_dens)
+@given(small_polys, wdens, small_polys, wdens)
 def test_rat_eq_equivalence_relation(n1, d1, n2, d2):
     a, b = RatFun2(n1, d1), RatFun2(n2, d2)
     assert a.rat_eq(a)
     assert a.rat_eq(b) == b.rat_eq(a)
     # transitivity along a chain of rescalings
-    c = RatFun2(n1 * d2, d1 * d2)
+    c = RatFun2(n1 * den_poly(d2), Counter(d1) + Counter(d2))
     assert a.rat_eq(c)
     if a.rat_eq(b):
         assert c.rat_eq(b)
@@ -284,26 +306,29 @@ nonzero_polys = small_polys.filter(bool)
 
 
 @settings(max_examples=60, deadline=None)
-@given(small_polys, nonzero_polys)
-def test_divide_exact_round_trip(a, b):
-    assert (a * b).divide_exact(b) == a
+@given(small_polys, wdens)
+def test_divide_exact_round_trip(a, wden):
+    assert (a * den_poly(wden)).divide_exact(wden) == a
 
 
 @settings(max_examples=60, deadline=None)
-@given(small_polys, nonzero_polys)
-def test_divide_exact_quotient_or_not_divisible(a, b):
+@given(small_polys, wdens, wdens)
+def test_divide_exact_quotient_or_not_divisible(p, other, wden):
+    # a multiple of another product divides only sometimes, e.g. 1 - w^2 by 1 - w
+    a = p * den_poly(other)
     try:
-        q = a.divide_exact(b)
+        q = a.divide_exact(wden)
     except NotDivisible:
         return
-    assert q * b == a
+    assert q * den_poly(wden) == a
 
 
 @settings(max_examples=40, deadline=None)
-@given(nonzero_polys, nonzero_polys)
-def test_to_polynomial_exact_bound(a, b):
+@given(nonzero_polys, wdens)
+def test_to_polynomial_exact_bound(a, wden):
     n = a.total_degree()
-    assert to_polynomial(RatFun2(a * b, b), n) == a
+    r = RatFun2(a * den_poly(wden), wden)
+    assert to_polynomial(r, n) == a
     if n >= 1:
         with pytest.raises(NotPolynomialWithinBound):
-            to_polynomial(RatFun2(a * b, b), n - 1)
+            to_polynomial(r, n - 1)

@@ -11,6 +11,8 @@ from hodge_series.vhs import (
     NotSquare,
     PeriodMatrix,
     basis_change_consistent,
+    _det,
+    _leading_minors_positive,
     _nonsingular,
     identity_times_i,
     theta_basis_invertible,
@@ -60,6 +62,27 @@ class TestValidation:
         ok, diag = validate_period_matrix(pm)
         assert not ok
         assert any("positive definite" in d for d in diag)
+
+    def test_negative_definite_with_positive_determinant(self):
+        # Im(tau) = diag(-1, -1): det = 1 > 0, but the first leading minor is -1
+        pm = PeriodMatrix.from_rows([[QC(0, -1), QC(0)], [QC(0), QC(0, -1)]])
+        ok, diag = validate_period_matrix(pm)
+        assert not ok
+        assert any("positive definite" in d for d in diag)
+
+    def test_leading_minors_match_determinants(self):
+        """One Bareiss pass agrees with a determinant per leading minor on
+        M M^T + c I, c in -2..1: definite, semidefinite and indefinite."""
+        rng = random.Random(11)
+        for _ in range(200):
+            n = rng.randrange(1, 5)
+            a = [[Fraction(rng.randrange(-3, 4), rng.randrange(1, 4)) for _ in range(n)]
+                 for _ in range(n)]
+            c = rng.randrange(-2, 2)
+            m = [[sum(x * y for x, y in zip(a[i], a[j])) + (c if i == j else 0)
+                  for j in range(n)] for i in range(n)]
+            expect = all(_det([r[:k] for r in m[:k]]) > 0 for k in range(1, n + 1))
+            assert _leading_minors_positive(m) == expect
 
     def test_not_square(self):
         with pytest.raises(NotSquare):

@@ -3,12 +3,15 @@
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 formula
 precondition failure.  All numeric output is exact; big integers are printed
 as decimal strings in JSON.  Identical invocations print identical bytes.
+Each command returns its exit code with its text, which main prints, so a
+reader closing the pipe early changes neither.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from math import gcd
 
@@ -76,7 +79,7 @@ def _uni_json(p: UniPoly):
     return [[d, str(c)] for d, c in sorted(p.terms.items())]
 
 
-def cmd_compute(args) -> int:
+def cmd_compute(args):
     if args.expand is not None and args.expand < 0:
         raise UsageError("--expand must be non-negative")
     spec, d, obj = _compute_object(args)
@@ -97,20 +100,20 @@ def cmd_compute(args) -> int:
             out["den"] = obj.den.json_terms()
         if expansion is not None:
             out["expansion"] = expansion.json_obj()
-        print(json.dumps(out, sort_keys=True))
-    elif args.format == "latex":
-        print(obj.latex())
+        return 0, json.dumps(out, sort_keys=True)
+    if args.format == "latex":
+        lines = [obj.latex()]
         if expansion is not None:
-            print(BivarPoly(expansion.coeffs).latex()
-                  + " + O(\\deg %d)" % (expansion.order + 1))
+            lines.append(BivarPoly(expansion.coeffs).latex()
+                         + " + O(\\deg %d)" % (expansion.order + 1))
     else:
-        print(obj)
+        lines = [str(obj)]
         if expansion is not None:
-            print(expansion)
-    return 0
+            lines.append(str(expansion))
+    return 0, "\n".join(lines)
 
 
-def cmd_specialize(args) -> int:
+def cmd_specialize(args):
     spec, d, obj = _compute_object(args)
     kind = args.at.replace("-", "_")
     value = formulas.specialize(obj, kind)
@@ -126,10 +129,8 @@ def cmd_specialize(args) -> int:
             out["value_t"] = _uni_json(value)
         else:
             out["value"] = str(value)
-        print(json.dumps(out, sort_keys=True))
-    else:
-        print(value)
-    return 0
+        return 0, json.dumps(out, sort_keys=True)
+    return 0, str(value)
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +277,7 @@ def _parse_genus_list(text):
     return genus_list
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args):
     genus_list = _parse_genus_list(args.genus_list)
     if args.max_rank < 1:
         raise UsageError("--max-rank must be at least 1")
@@ -296,17 +297,17 @@ def cmd_verify(args) -> int:
     all_checks = [c for suite in suites.values() for c in suite]
     outcomes = _run_checks(all_checks)
     results = [ok for ok, _ in outcomes]
+    code = 0 if all(results) else 1
     if args.format == "json":
         out = {"suite": args.suite,
                "checks": [{"name": n, "pass": ok, **extra}
                           for (n, _), (ok, extra) in zip(all_checks, outcomes)],
                "all_pass": all(results)}
-        print(json.dumps(out, sort_keys=True))
-    else:
-        for (name, _), ok in zip(all_checks, results):
-            print("%s %s" % ("PASS" if ok else "FAIL", name))
-        print("%d/%d checks passed" % (sum(results), len(results)))
-    return 0 if all(results) else 1
+        return code, json.dumps(out, sort_keys=True)
+    lines = ["%s %s" % ("PASS" if ok else "FAIL", name)
+             for (name, _), ok in zip(all_checks, results)]
+    lines.append("%d/%d checks passed" % (sum(results), len(results)))
+    return code, "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +366,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if exc.code is not None else 2
     try:
-        return args.func(args)
+        code, text = args.func(args)
     except UsageError as exc:
         print("usage error: %s" % exc, file=sys.stderr)
         return 2
@@ -373,6 +374,16 @@ def main(argv=None) -> int:
             ZeroDenominatorAfterSubstitution) as exc:
         print("precondition failed: %s" % exc, file=sys.stderr)
         return 3
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe early; send what is still buffered to
+        # the null device so the interpreter's exit-time flush stays quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    return code
 
 
 if __name__ == "__main__":

@@ -55,10 +55,10 @@ class NotPolynomialWithinBound(ArithmeticError):
 
 
 def _as_int(c):
-    if isinstance(c, Fraction):
-        if c.denominator != 1:
-            raise TypeError("BivarPoly coefficients must be integers, got %r" % (c,))
-        return int(c)
+    if type(c) is int:
+        return c
+    if isinstance(c, Fraction) and c.denominator != 1:
+        raise TypeError("BivarPoly coefficients must be integers, got %r" % (c,))
     return int(c)
 
 
@@ -272,49 +272,41 @@ class BivarPoly:
         """Sorted [i, j, "coeff"] triples (coefficients as decimal strings)."""
         return [[i, j, str(c)] for (i, j), c in sorted(self.terms.items())]
 
-    def __str__(self):
+    def _format(self, power, times, scaled):
+        """The terms by total degree, then (i, j): power formats an exponent
+        above 1, times joins u to v and scaled a coefficient other than +-1
+        to its monomial."""
         if not self.terms:
             return "0"
+        top = max(e for key in self.terms for e in key)
+        pw = ["", ""] + [power % e for e in range(2, top + 1)]
         parts = []
         for (i, j), c in sorted(self.terms.items(), key=lambda kv: (kv[0][0] + kv[0][1], kv[0])):
-            mono = []
-            if i:
-                mono.append("u" if i == 1 else "u^%d" % i)
-            if j:
-                mono.append("v" if j == 1 else "v^%d" % j)
-            if not mono:
-                parts.append(str(c))
-            elif c == 1:
-                parts.append("*".join(mono))
-            elif c == -1:
-                parts.append("-" + "*".join(mono))
+            if i and j:
+                mono = "u" + pw[i] + times + "v" + pw[j]
+            elif i:
+                mono = "u" + pw[i]
+            elif j:
+                mono = "v" + pw[j]
             else:
-                parts.append("%d*%s" % (c, "*".join(mono)))
-        s = " + ".join(parts)
-        return s.replace("+ -", "- ")
+                parts.append(str(c))
+                continue
+            if c == 1:
+                parts.append(mono)
+            elif c == -1:
+                parts.append("-" + mono)
+            else:
+                parts.append(scaled % (c, mono))
+        return " + ".join(parts).replace("+ -", "- ")
+
+    def __str__(self):
+        return self._format("^%d", "*", "%d*%s")
 
     def __repr__(self):
         return "BivarPoly(%s)" % (str(self),)
 
     def latex(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for (i, j), c in sorted(self.terms.items(), key=lambda kv: (kv[0][0] + kv[0][1], kv[0])):
-            mono = ""
-            if i:
-                mono += "u" if i == 1 else "u^{%d}" % i
-            if j:
-                mono += "v" if j == 1 else "v^{%d}" % j
-            if not mono:
-                parts.append(str(c))
-            elif c == 1:
-                parts.append(mono)
-            elif c == -1:
-                parts.append("-" + mono)
-            else:
-                parts.append("%d %s" % (c, mono))
-        return " + ".join(parts).replace("+ -", "- ")
+        return self._format("^{%d}", "", "%d %s")
 
 
 ONE = BivarPoly.constant(1)

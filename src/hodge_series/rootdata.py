@@ -7,16 +7,19 @@ integer data on the coweight lattice pi_1(H) = Z^n:
 
 * simple roots and positive roots are stored as linear forms (integer row
   vectors paired against lattice points),
-* simple coroots are stored as lattice vectors,
-* every positive root also carries its expansion in the simple-root basis,
-  which is what the height / dual-partition computation of the cohomology
-  exponents consumes.
+* simple coroots are stored as lattice vectors.
+
+A family block gives only the simple roots and coroots (and the lift of
+degree 1).  The positive roots are their reflection closure: raising a root
+beta by s_i(beta) = beta - <beta, alpha_i^vee> alpha_i whenever
+<beta, alpha_i^vee> < 0 reaches every positive root from the simple ones,
+and each root is found together with its simple-root coefficients, which
+the height / dual-partition computation of the cohomology exponents reads.
 
 The same ``RootDatum`` structure describes every Levi subgroup (restrict the
 simple roots, keep the lattice), so all formula-level computations -- center
 dimensions, exponents d_k, unipotent dimensions, the pairings 2 rho^I(alpha^v)
-and fundamental-weight evaluations mod Z -- are done uniformly here, with the
-per-family tables of the classical types acting as test oracles only.
+and fundamental-weight evaluations mod Z -- are done uniformly here.
 
 Each parabolic subset I has one cached ``LeviDatum``, ``RootDatum.levi(I)``,
 read by the closed formula, the Levi projections and the HN enumeration.
@@ -552,75 +555,51 @@ def _unit(n, i, scale=1):
     return tuple(v)
 
 
-def _theta_diff(n, i, j):
-    v = [0] * n
-    v[i] += 1
-    v[j] -= 1
-    return tuple(v)
-
-
-def _theta_sum(n, i, j):
-    v = [0] * n
-    v[i] += 1
-    v[j] += 1
-    return tuple(v)
-
-
 def _block(fam, r):
-    """Return (n, simple_roots, simple_coroots, pos_roots, lift_fn)."""
-    if fam == "GL":
-        n = r
-        simples = [_theta_diff(n, i, i + 1) for i in range(r - 1)]
-        coroots = [_theta_diff(n, i, i + 1) for i in range(r - 1)]
-        pos = [_theta_diff(n, i, j) for i in range(r) for j in range(i + 1, r)]
-        lift = lambda d: _unit(n, 0, d)
-        return n, simples, coroots, pos, lift
+    """Return (n, simple_roots, simple_coroots, lift of degree 1)."""
     if fam == "SL":
-        # coweight lattice = coroot lattice, written in the coroot basis
+        # coweight lattice = coroot lattice, written in the coroot basis:
+        # the simple roots are the rows of the Cartan matrix
         n = r - 1
         cartan = [[2 if i == j else (-1 if abs(i - j) == 1 else 0)
                    for j in range(n)] for i in range(n)]
-        simples = [tuple(cartan[i]) for i in range(n)]
-        coroots = [_unit(n, i) for i in range(n)]
-        pos = []
-        for i in range(n):
-            for j in range(i, n):
-                form = [0] * n
-                for k in range(i, j + 1):
-                    for c in range(n):
-                        form[c] += cartan[k][c]
-                pos.append(tuple(form))
-        lift = lambda d: tuple([0] * n)
-        return n, simples, coroots, pos, lift
+        return n, cartan, [_unit(n, i) for i in range(n)], (0,) * n
+    n = r
+    chain = [tuple((j == i) - (j == i + 1) for j in range(n)) for i in range(r - 1)]
+    if fam == "GL":
+        return n, chain, chain, _unit(n, 0)
     if fam == "SOodd":
-        n = r
-        simples = [_theta_diff(n, i, i + 1) for i in range(r - 1)] + [_unit(n, r - 1)]
-        coroots = [_theta_diff(n, i, i + 1) for i in range(r - 1)] + [_unit(n, r - 1, 2)]
-        pos = ([_theta_diff(n, i, j) for i in range(r) for j in range(i + 1, r)]
-               + [_theta_sum(n, i, j) for i in range(r) for j in range(i + 1, r)]
-               + [_unit(n, i) for i in range(r)])
-        lift = lambda d: _unit(n, r - 1, d)
-        return n, simples, coroots, pos, lift
+        return n, chain + [_unit(n, r - 1)], chain + [_unit(n, r - 1, 2)], _unit(n, r - 1)
     if fam == "Sp":
-        n = r
-        simples = [_theta_diff(n, i, i + 1) for i in range(r - 1)] + [_unit(n, r - 1, 2)]
-        coroots = [_theta_diff(n, i, i + 1) for i in range(r - 1)] + [_unit(n, r - 1)]
-        pos = ([_theta_diff(n, i, j) for i in range(r) for j in range(i + 1, r)]
-               + [_theta_sum(n, i, j) for i in range(r) for j in range(i + 1, r)]
-               + [_unit(n, i, 2) for i in range(r)])
-        lift = lambda d: tuple([0] * n)
-        return n, simples, coroots, pos, lift
+        return n, chain + [_unit(n, r - 1, 2)], chain + [_unit(n, r - 1)], (0,) * n
     if fam == "SOeven":
-        if r < 2:
-            raise UnsupportedRank("SO_even needs rank >= 2")
-        n = r
-        simples = [_theta_diff(n, i, i + 1) for i in range(r - 1)] + [_theta_sum(n, r - 2, r - 1)]
-        coroots = list(simples)
-        pos = ([_theta_diff(n, i, j) for i in range(r) for j in range(i + 1, r)]
-               + [_theta_sum(n, i, j) for i in range(r) for j in range(i + 1, r)])
-        lift = lambda d: _unit(n, r - 1, d)
-        return n, simples, coroots, pos, lift
+        last = chain[-1][:-1] + (1,)  # e_{r-1} + e_r
+        return n, chain + [last], chain + [last], _unit(n, r - 1)
     raise ValueError(fam)
+
+
+def _positive_roots(simple_roots, simple_coroots):
+    """(forms, simple-root coefficients) of every positive root.
+
+    A positive root beta other than alpha_i with <beta, alpha_i^vee> < 0
+    reflects to the higher positive root s_i(beta) = beta - <beta,
+    alpha_i^vee> alpha_i, and every positive root is reached from a simple
+    root by such raising steps, so the closure of the simple roots under
+    them is the whole positive system.
+    """
+    k = len(simple_roots)
+    roots = {_unit(k, i): tuple(a) for i, a in enumerate(simple_roots)}
+    todo = list(roots.items())
+    while todo:
+        cf, form = todo.pop()
+        for i, (a, cv) in enumerate(zip(simple_roots, simple_coroots)):
+            p = _dot(form, cv)
+            if p < 0:
+                up = cf[:i] + (cf[i] - p,) + cf[i + 1:]
+                if up not in roots:
+                    roots[up] = tuple(f - p * x for f, x in zip(form, a))
+                    todo.append((up, roots[up]))
+    return tuple(roots.values()), tuple(roots)
 
 
 _EXPECTED_PI1 = {"GL": (1, ()), "SL": (0, ()), "SOodd": (0, (2,)),
@@ -640,6 +619,7 @@ class RootSystem:
     spec: GroupSpec
     datum: RootDatum
     pi1: tuple                # (free_rank, torsion) per factor
+    _lifts: tuple             # the lift of degree 1, per factor
 
     @property
     def rank(self):
@@ -661,80 +641,39 @@ class RootSystem:
         consuming the lift is invariant under that ambiguity.
         """
         d = validate_degree(d, self.spec)
-        X = []
-        for (fam, r), di in zip(self.spec.factors, d):
-            X.extend(_block(fam, r)[4](di))
-        return tuple(X)
-
-
-def _decompose_positive(simple_roots, pos_roots):
-    """Exact expansion of each positive root in the simple-root basis."""
-    k = len(simple_roots)
-    if k == 0:
-        if pos_roots:
-            raise AssertionError("roots without simple roots")
-        return []
-    # the simple roots are linearly independent, so the Gram system
-    # G c = S beta has the unique solution c = adj(G) S beta / det G
-    det, adj = _adjugate([[_dot(a, b) for b in simple_roots]
-                          for a in simple_roots])
-    if not det:
-        raise SingularSystem("simple roots are linearly dependent")
-    out = []
-    for beta in pos_roots:
-        rhs = [_dot(a, beta) for a in simple_roots]
-        coeffs = []
-        for row in adj:
-            c, rem = divmod(_dot(row, rhs), det)
-            if rem or c < 0:
-                raise AssertionError("positive root with bad coefficient %s"
-                                     % Fraction(_dot(row, rhs), det))
-            coeffs.append(c)
-        # confirm the expansion reproduces beta exactly
-        rec = [0] * len(beta)
-        for c, a in zip(coeffs, simple_roots):
-            for i, ai in enumerate(a):
-                rec[i] += c * ai
-        if tuple(rec) != tuple(beta):
-            raise AssertionError("positive root outside simple-root span")
-        out.append(tuple(coeffs))
-    return out
+        return tuple(di * x for di, lift in zip(d, self._lifts) for x in lift)
 
 
 @lru_cache(maxsize=None)
 def build_root_system(spec: GroupSpec) -> RootSystem:
     """Assemble the block-diagonal root system of a product of factors.
 
-    Verifies, per factor: the positive-root count (dim G - rank)/2, and that
+    The factors' simple roots and coroots are placed side by side, and the
+    positive roots, with their simple-root coefficients, are the reflection
+    closure of the concatenated simple roots (``_positive_roots``).  Checks
+    that the closure has (dim G - rank)/2 roots and that, per factor,
     pi_1 = pi_1 H / (coroot lattice) computed by Smith reduction matches the
     expected Z / 0 / Z2 answer.
     """
+    blocks = [_block(fam, r) for fam, r in spec.factors]
+    width = sum(b[0] for b in blocks)
+    simples, coroots, pi1s = [], [], []
     n = 0
-    simples, coroots, pos = [], [], []
-    pi1s = []
-    for fam, r in spec.factors:
-        bn, bs, bc, bp, _ = _block(fam, r)
-        if len(bp) != _POS_COUNT[fam](r):
-            raise AssertionError("positive root count wrong for %s%d" % (fam, r))
-        pad = lambda vec: tuple([0] * n) + tuple(vec)
-        simples.extend(pad(v) for v in bs)
-        coroots.extend(pad(v) for v in bc)
-        pos.extend(pad(v) for v in bp)
-        cor_rows = [list(v) for v in bc]
-        divs = smith_invariants(cor_rows)
-        free = bn - len(divs)
-        torsion = tuple(d for d in divs if d > 1)
-        if (free, torsion) != _EXPECTED_PI1[fam]:
-            raise AssertionError("pi_1 mismatch for %s%d: %s" % (fam, r, (free, torsion)))
-        pi1s.append((free, torsion))
+    for (fam, r), (bn, bs, bc, _) in zip(spec.factors, blocks):
+        pad = lambda vec: (0,) * n + tuple(vec) + (0,) * (width - n - bn)
+        simples.extend(map(pad, bs))
+        coroots.extend(map(pad, bc))
+        divs = smith_invariants(bc)
+        pi1 = (bn - len(divs), tuple(d for d in divs if d > 1))
+        if pi1 != _EXPECTED_PI1[fam]:
+            raise AssertionError("pi_1 mismatch for %s%d: %s" % (fam, r, pi1))
+        pi1s.append(pi1)
         n += bn
-    width = n
-    simples = [tuple(v) + (0,) * (width - len(v)) for v in simples]
-    coroots = [tuple(v) + (0,) * (width - len(v)) for v in coroots]
-    pos = [tuple(v) + (0,) * (width - len(v)) for v in pos]
-    coeffs = _decompose_positive(simples, pos)
+    pos, coeffs = _positive_roots(simples, coroots)
+    if len(pos) != sum(_POS_COUNT[fam](r) for fam, r in spec.factors):
+        raise AssertionError("positive root count wrong for %s" % (spec,))
     datum = RootDatum(width, simples, coroots, pos, coeffs)
-    return RootSystem(spec, datum, tuple(pi1s))
+    return RootSystem(spec, datum, tuple(pi1s), tuple(b[3] for b in blocks))
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,10 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -157,6 +161,18 @@ PINNED_OUTPUT = [
      "eff45b0d463e0d624cf088afc918276d922c1fe172532b01a266d12909868a12",
      ["compute", "--group", "GL3", "--degree", "1", "--genus", "3", "--what", "fixed-det",
       "--expand", "6", "--format", "json"]),
+    ("GL3 d=1 latex", 0, "b7e9a8193ec8811fde77bb2cbc318624ea9b5ea869b2f311083577e95d5ee919",
+     ["compute", "--group", "GL3", "--degree", "1", "--genus", "2",
+      "--what", "semistable", "--format", "latex"]),
+    # the largest root systems the benchmark prints (perfbench/digests.json)
+    ("GL8 d=3", 0, "713e96821031f1274cf1a2d46ad856637ba02fc922ebc72d89af04128ef25a08",
+     ["compute", "--group", "GL8", "--degree", "3", "--genus", "2",
+      "--what", "semistable"]),
+    ("Sp6", 0, "02871932ee0f383351e3716616b18044cbdbcbdd0bc7534560b596a2a81c5954",
+     ["compute", "--group", "Sp6", "--genus", "2", "--what", "semistable"]),
+    ("SO12 d=1", 0, "a1c0c914db10bdfcf94eff9d69821c80e1695ac0f9e2a0adb09afb13e1e8327e",
+     ["compute", "--group", "SO12", "--degree", "1", "--genus", "2",
+      "--what", "semistable"]),
 ]
 
 
@@ -166,6 +182,22 @@ def test_pinned_output(capsys, code, digest, argv):
     got, out, _ = run(capsys, *argv)
     assert got == code
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_closed_pipe_keeps_exit_code_and_stderr_quiet():
+    # 68 KB of LaTeX, more than a pipe holds, so the write meets the
+    # closed read end
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "hodge_series.cli", "compute", "--group", "GL8",
+         "--degree", "3", "--what", "semistable", "--format", "latex"],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.read(20) == b"\\frac{1 + 2 v + 2 u "
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=120) == 0
+    assert err == b""
 
 
 class TestSpecialize:

@@ -50,6 +50,22 @@ class TestPolyOps:
             poly({(-1, 0): 1})
 
 
+# (constructor from a coefficient dict, the dict it stores)
+@pytest.mark.parametrize("build,stored", [
+    (BivarPoly, lambda p: p.terms),
+    (lambda terms: TruncSeries2(4, terms), lambda s: s.coeffs),
+], ids=["BivarPoly", "TruncSeries2"])
+class TestCoefficientValidation:
+    def test_integral_fraction_stored_as_int(self, build, stored):
+        stored = stored(build({(1, 0): Fraction(4, 2), (0, 1): 3}))
+        assert stored == {(1, 0): 2, (0, 1): 3}
+        assert all(type(c) is int for c in stored.values())
+
+    def test_proper_fraction_rejected(self, build, stored):
+        with pytest.raises(TypeError):
+            build({(1, 0): Fraction(1, 2)})
+
+
 class TestDivision:
     def test_exact(self):
         assert (1 - w_power(2)).divide_exact({1: 1}) == 1 + W

@@ -13,6 +13,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import hodge_series.rootdata as rootdata
 from hodge_series.rootdata import (
     DefinitionMismatch,
     GroupSpec,
@@ -124,6 +125,88 @@ class TestRootSystems:
         assert rs.rank == 4
         assert rs.num_positive == 1 + 4
         assert rs.center_dim == 1
+
+
+def _reference_block(fam, r):
+    """Textbook positive roots of one factor, as forms on its block:
+    e_i - e_j (i < j) for every family, e_i + e_j for the orthogonal and
+    symplectic ones, plus e_i (SO_odd) or 2 e_i (Sp); SL in the coroot
+    basis, where alpha_i + ... + alpha_j is the sum of Cartan rows i..j."""
+    if fam == "SL":
+        n = r - 1
+        cartan = [[2 if a == b else (-1 if abs(a - b) == 1 else 0) for b in range(n)]
+                  for a in range(n)]
+        return n, {tuple(map(sum, zip(*cartan[i:j + 1])))
+                   for i in range(n) for j in range(i, n)}
+
+    def e(*pairs):
+        v = [0] * r
+        for i, c in pairs:
+            v[i] += c
+        return tuple(v)
+
+    pairs = list(itertools.combinations(range(r), 2))
+    roots = {e((i, 1), (j, -1)) for i, j in pairs}
+    if fam != "GL":
+        roots |= {e((i, 1), (j, 1)) for i, j in pairs}
+    if fam == "SOodd":
+        roots |= {e((i, 1)) for i in range(r)}
+    if fam == "Sp":
+        roots |= {e((i, 2)) for i in range(r)}
+    return r, roots
+
+
+def _reference_roots(spec):
+    """The factors' reference roots, padded to the product's lattice."""
+    blocks = [_reference_block(fam, r) for fam, r in spec.factors]
+    width = sum(n for n, _ in blocks)
+    out, start = set(), 0
+    for n, roots in blocks:
+        out |= {(0,) * start + f + (0,) * (width - start - n) for f in roots}
+        start += n
+    return out
+
+
+BUILDER_SPECS = (ALL_RANK_LE_6 + [fam(8) for fam in (GL, SL, SOodd, Sp, SOeven)]
+                 + [parse_group("GL2xSO5"), parse_group("GL3xSp2xSO8")])
+
+
+class TestPositiveRootClosure:
+    @pytest.mark.parametrize("spec", BUILDER_SPECS, ids=str)
+    def test_forms_match_textbook_lists(self, spec):
+        d = build_root_system(spec).datum
+        assert len(set(d.pos_roots)) == len(d.pos_roots)
+        assert set(d.pos_roots) == _reference_roots(spec)
+
+    @pytest.mark.parametrize("spec", BUILDER_SPECS, ids=str)
+    def test_coefficients_non_negative_and_reproduce_form(self, spec):
+        d = build_root_system(spec).datum
+        assert len(d.pos_coeffs) == len(d.pos_roots)
+        for form, cf in zip(d.pos_roots, d.pos_coeffs):
+            assert len(cf) == d.num_simple and min(cf) >= 0
+            expansion = [sum(c * a[x] for c, a in zip(cf, d.simple_roots))
+                         for x in range(d.n)]
+            assert tuple(expansion) == form
+
+
+@pytest.fixture
+def fresh_root_systems():
+    """Build every root system anew, and drop what was built in the test."""
+    build_root_system.cache_clear()
+    yield
+    build_root_system.cache_clear()
+
+
+class TestBuilderChecks:
+    def test_positive_root_count_check_fires(self, monkeypatch, fresh_root_systems):
+        monkeypatch.setitem(rootdata._POS_COUNT, "SOodd", lambda r: r * r + 1)
+        with pytest.raises(AssertionError, match="positive root count"):
+            build_root_system(parse_group("GL2xSO5"))
+
+    def test_pi1_check_fires(self, monkeypatch, fresh_root_systems):
+        monkeypatch.setitem(rootdata._EXPECTED_PI1, "Sp", (0, (2,)))
+        with pytest.raises(AssertionError, match="pi_1 mismatch"):
+            build_root_system(Sp(3))
 
 
 class TestExponents:

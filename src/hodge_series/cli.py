@@ -295,6 +295,9 @@ def cmd_verify(args):
     if not suites:
         raise UsageError("unknown suite %r" % (args.suite,))
     all_checks = [c for suite in suites.values() for c in suite]
+    if not all_checks:
+        raise UsageError("suite %r has no checks up to --max-rank %d"
+                         % (args.suite, args.max_rank))
     outcomes = _run_checks(all_checks)
     results = [ok for ok, _ in outcomes]
     code = 0 if all(results) else 1

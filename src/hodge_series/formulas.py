@@ -470,7 +470,7 @@ def hp_moduli_fixed_det(r, d, g, allow_large_genus=False) -> RatFun2:
     # be the semistable stack series: the same denominator multiset, then the
     # same numerator
     stack = hp_semistable_closed(GroupSpec((("GL", r),)), (d,), g, allow_large_genus)
-    lifted = result.num.mul_binomial(1, 0, g).mul_binomial(0, 1, g)
+    lifted = result.num.mul_binomials(((1, 0, g), (0, 1, g)))
     if result.wden + Counter({1: 1}) != stack.wden or lifted != stack.num:
         raise AssertionError("fixed-determinant factorization failed")
     return result

@@ -2,7 +2,7 @@
 truncated formal power series in two variables u, v.
 
 All coefficients are arbitrary-precision Python ints (Fractions only appear
-after substituting rational values for the variables), so every identity
+after substituting non-integral values for the variables), so every identity
 checked with these types is exact.  The module holds only what the
 package computes with: the containers and their printing, the band and its
 running sums, and substitution for the specializations.
@@ -28,7 +28,10 @@ factor (1 + u^a v^b) or (1 - w^k) is one list pass (``_times_binomial``).
 Each column is a polynomial in w, and dividing it by 1 - w^k as a power
 series is the running sum s[x] += s[x - k * W] bottom up, truncated to the
 band's rows (``_over_den``).  That one pass serves ``RatFun2.expand``,
-``BivarPoly.divide_exact`` and the truncated sums of ``formulas``.  Exact
+``BivarPoly.divide_exact`` and the truncated sums of ``formulas``; the
+shift-adds alone serve the exact sums of ``formulas`` and the Jacobian
+product (1 + u)^g (1 + v)^g of its fixed-determinant self-check
+(``BivarPoly.mul_binomials``, on a band widened to fit).  Exact
 division certifies itself: with D = prod (1 - w^k)^m and K = sum k m, a
 column of degree < R is a multiple of D exactly when the top K of its R
 rows are zero after the passes, and the quotient is the rows below them.
@@ -196,24 +199,22 @@ class BivarPoly:
         out.terms = res
         return out
 
-    def mul_binomial(self, a, b, e):
-        """self * (1 + u^a v^b)^e, by e shift-add passes over one dict.
-
-        A pass adds every term into its shift by (a, b), largest keys first:
-        the shifted key is lexicographically larger, so every term is read
-        before anything is added into it.
-        """
-        res = dict(self.terms)
-        for _ in range(e):
-            for key in sorted(res, reverse=True):
-                shifted = (key[0] + a, key[1] + b)
-                nc = res.get(shifted, 0) + res[key]
-                if nc:
-                    res[shifted] = nc
-                else:
-                    del res[shifted]
+    def mul_binomials(self, factors):
+        """self * prod (1 + u^a v^b)^e over the (a, b, e) triples of factors,
+        on one band: self's band is widened once by sum e |a - b| columns,
+        so that no factor's shift b * W + a - b wraps, and each factor is
+        then e list passes (module docstring)."""
+        lo, W, band = _band(self.terms)
+        lo2 = lo - sum(e * max(b - a, 0) for a, b, e in factors)
+        W2 = W + sum(e * abs(a - b) for a, b, e in factors)
+        wide = [0] * (len(band) // W * W2)
+        for y, x in zip(range(lo - lo2, len(wide), W2), range(0, len(band), W)):
+            wide[y:y + W] = band[x:x + W]
+        del band  # one band at a time keeps the peak memory of the passes low
+        for a, b, e in factors:
+            _times_binomial(wide, b * W2 + a - b, e, add, None)
         out = BivarPoly.__new__(BivarPoly)
-        out.terms = res
+        out.terms = _unband(wide, lo2, W2)
         return out
 
     def __pow__(self, e):
@@ -248,16 +249,17 @@ class BivarPoly:
 
     def subs_u(self, val):
         """Substitute u := val (a Fraction or int); returns UniPoly in v."""
-        val = Fraction(val)
+        pu = _powers(val, (i for i, _ in self.terms))
         res = {}
         for (i, j), c in self.terms.items():
-            res[j] = res.get(j, 0) + c * val ** i
+            res[j] = res.get(j, 0) + c * pu[i]
         return UniPoly(res)
 
     def subs_uv(self, uval, vval):
-        uval, vval = Fraction(uval), Fraction(vval)
-        return sum((c * uval ** i * vval ** j for (i, j), c in self.terms.items()),
-                   Fraction(0))
+        """Substitute u := uval, v := vval; returns a Fraction."""
+        pu = _powers(uval, (i for i, _ in self.terms))
+        pv = _powers(vval, (j for _, j in self.terms))
+        return Fraction(sum(c * pu[i] * pv[j] for (i, j), c in self.terms.items()))
 
     def diagonal(self):
         """Substitute u = v = t; returns UniPoly in t."""
@@ -594,6 +596,18 @@ def to_polynomial(r, degree_bound):
 # ---------------------------------------------------------------------------
 # univariate helpers (results of substitution; coefficients may be Fractions)
 # ---------------------------------------------------------------------------
+
+
+def _powers(val, exponents):
+    """[val^0, ..., val^top], top the largest of exponents, in ints when val
+    is integral and in Fractions otherwise."""
+    val = Fraction(val)
+    if val.denominator == 1:
+        val = val.numerator
+    out = [1]
+    for _ in range(max(exponents, default=0)):
+        out.append(out[-1] * val)
+    return out
 
 
 def _norm_scalar(c):

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from hodge_series.cli import main
+from hodge_series.formulas import chi_t_fixed_det_formula
 
 
 def run(capsys, *argv):
@@ -243,6 +244,28 @@ class TestSpecialize:
         assert code == 2
         assert out == ""
 
+    def test_euler_json_value(self, capsys):
+        code, out, _ = run(capsys, "specialize", "--group", "GL3",
+                           "--degree", "2", "--genus", "3", "--what", "fixed-det",
+                           "--at", "euler", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["value"] == "0"
+        assert '"value": "0"' in out
+
+    @pytest.mark.parametrize("degree", ["1", "3"])
+    def test_genus_8_fixed_det(self, capsys, degree):
+        """The largest fixed-det input at the default genus cap: chi_t is the
+        closed product formula, Euler number and signature vanish."""
+        argv = ["specialize", "--group", "GL4", "--degree", degree, "--genus", "8",
+                "--what", "fixed-det", "--at"]
+        code, out, _ = run(capsys, *argv, "chi-t")
+        assert code == 0
+        assert out == str(chi_t_fixed_det_formula(4, 8)) + "\n"
+        for at in ("euler", "signature"):
+            code, out, _ = run(capsys, *argv, at)
+            assert code == 0
+            assert out == "0\n"
+
     def test_surviving_pole_exit_3(self, capsys):
         code, out, err = run(capsys, "specialize", "--group", "GL2",
                              "--degree", "1", "--genus", "2", "--what", "stack",
@@ -336,6 +359,17 @@ class TestVerify:
         assert code == 0
         assert out.strip().endswith("26/26 checks passed")
         assert len(calls) == len(set(calls)) == 10
+
+    @pytest.mark.parametrize("fmt", ["plain", "json"])
+    def test_suite_without_checks_exit_2(self, capsys, fmt):
+        """No corollary exists below rank 2: an empty run is a usage error,
+        not 0/0 checks passed."""
+        code, out, err = run(capsys, "verify", "--suite", "corollaries",
+                             "--max-rank", "1", "--genus-list", "2",
+                             "--format", fmt)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("usage error:")
 
     @pytest.mark.parametrize("argv", [
         ["--suite", "good-case", "--genus-list", "2,x"],

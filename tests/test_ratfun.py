@@ -4,7 +4,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hodge_series.ratfun import (
     ONE,
@@ -201,6 +201,47 @@ class TestSubstitute:
     def test_rational_value(self):
         assert (1 + U).subs_u(Fraction(1, 2)) == UniPoly.constant(Fraction(3, 2))
 
+    SAMPLE = (1 + U) ** 3 * (1 - V) ** 2 * (1 + W) - 5 * U ** 4 * V
+
+    @staticmethod
+    def forbid_fraction_arithmetic(monkeypatch):
+        def refuse(*args):
+            raise AssertionError("Fraction arithmetic at an integral value")
+        for name in ("__add__", "__radd__", "__mul__", "__rmul__", "__pow__"):
+            monkeypatch.setattr(Fraction, name, refuse)
+
+    @pytest.mark.parametrize("val", [-1, 1, Fraction(-1)])
+    def test_integral_value_in_ints(self, monkeypatch, val):
+        ref = {}
+        for (i, j), c in self.SAMPLE.terms.items():
+            ref[j] = ref.get(j, 0) + c * Fraction(val) ** i
+        self.forbid_fraction_arithmetic(monkeypatch)
+        got = self.SAMPLE.subs_u(val)
+        monkeypatch.undo()
+        assert got == UniPoly(ref)
+        assert all(type(c) is int for c in got.terms.values())
+
+    @pytest.mark.parametrize("uval,vval", [(-1, -1), (-1, 1), (Fraction(-1), 1),
+                                           (1, Fraction(-1))])
+    def test_integral_values_in_ints(self, monkeypatch, uval, vval):
+        ref = sum(c * Fraction(uval) ** i * Fraction(vval) ** j
+                  for (i, j), c in self.SAMPLE.terms.items())
+        self.forbid_fraction_arithmetic(monkeypatch)
+        got = self.SAMPLE.subs_uv(uval, vval)
+        monkeypatch.undo()
+        assert type(got) is Fraction and got == ref
+
+    def test_non_integral_value_in_fractions(self):
+        half = Fraction(1, 2)
+        got = self.SAMPLE.subs_u(half)
+        ref = {}
+        for (i, j), c in self.SAMPLE.terms.items():
+            ref[j] = ref.get(j, 0) + c * half ** i
+        assert got == UniPoly(ref)
+        assert any(type(c) is Fraction for c in got.terms.values())
+        assert self.SAMPLE.subs_uv(half, -1) == sum(
+            c * half ** i * (-1) ** j for (i, j), c in self.SAMPLE.terms.items())
+
 
 class TestToPolynomial:
     def test_basic(self):
@@ -255,10 +296,24 @@ def test_ring_axioms(a, b, c):
     assert a * (b + c) == a * b + a * c
 
 
-@settings(max_examples=60, deadline=None)
-@given(small_polys, st.integers(0, 2), st.integers(0, 2), st.integers(0, 4))
-def test_mul_binomial_is_the_product(p, a, b, e):
-    assert p.mul_binomial(a, b, e) == p * (1 + BivarPoly.monomial(a, b)) ** e
+binomial_factors = st.lists(
+    st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3)), max_size=3)
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_polys, binomial_factors)
+@example(BivarPoly(), [(1, 0, 2), (0, 1, 2)])
+@example(1 + U * V ** 2, [(1, 3, 2)])                # a < b
+@example(V - 2 * U ** 3, [(3, 1, 1), (0, 2, 3)])      # a > b, then a < b
+@example(1 - W, [(2, 2, 2), (0, 0, 1)])              # a = b, and the constant 2
+@example(1 + U + V, [(1, 2, 0), (2, 0, 0)])           # e = 0 only
+@example(U ** 2, [])
+def test_mul_binomials_is_the_product(p, factors):
+    """p * prod (1 + u^a v^b)^e on one widened band equals the plain product."""
+    expected = p
+    for a, b, e in factors:
+        expected = expected * (1 + BivarPoly.monomial(a, b)) ** e
+    assert p.mul_binomials(factors) == expected
 
 
 wdens = st.dictionaries(st.integers(1, 4), st.integers(0, 3), max_size=3)

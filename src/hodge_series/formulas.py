@@ -28,12 +28,17 @@ groups the terms by numerator (GL8: 128 terms, 22 groups).  A group with
 denominator gden, the union of its members' denominators, sums
 coef * w^shift * (gden / den) over its members into one short integer
 polynomial C(w).  The whole sum lives on one flat integer list, the band of
-:mod:`hodge_series.ratfun`, where every factor (1 + u^a v^b), every entry
-of C(w) and every 1 - w^k is one list pass over the live extent of the
-product.  Each group's numerator is expanded once, multiplied by C(w) and
-by the common denominator over gden, and added into the band.  The exact
-sum keeps the common denominator as its multiset; the truncated sum
-divides by it once, as running sums along w.  No gcd is ever computed.
+:mod:`hodge_series.ratfun`, where every factor (1 + u^a v^b) and every
+1 - w^k is one list pass, a shift-add by a fixed index shift: a letter.
+A group's term over the common denominator is its C(w), laid out as one
+band column (the leaf), times its letters: its numerator factors and the
+factors of the common denominator over gden.  The groups share most of
+their letters, so the sum is taken by Horner's rule over them: the letters
+common to every group are applied once, to the sum of the rest, and the
+groups split on the letter held by the most of them, which is applied once
+to the sum of those that hold it.  The exact sum keeps the common
+denominator as its multiset; the truncated sum divides by it once, as
+running sums along w.  No gcd is ever computed.
 
 The classical-type composition sums are the same formula indexed by
 compositions of the rank, with their Levis, dim U, wall pairings and
@@ -47,17 +52,18 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import reduce
 from itertools import repeat
 from math import gcd
-from operator import add, mul
+from operator import add, and_, itemgetter, sub
 
 from .ratfun import (
-    BivarPoly,
     RatFun1,
     RatFun2,
     TruncSeries2,
     UniPoly,
     _over_den,
+    _poly,
     _times_binomial,
     _times_den,
     _unband,
@@ -146,10 +152,15 @@ def _over_common_den(terms, order):
 
     Terms with the same numerator factors (the same Levi type) form a group
     with denominator gden, the union of their denominators.  The group's
-    w-parts sum to one short list C(w) (``_group_cofactor``); its numerator
-    is expanded once by shift-adds, convolved with C (one pass per nonzero
-    entry), multiplied by the rest of the common denominator, common - gden,
-    and added into the band at its offset.  Returns (common, lo, W, band)."""
+    w-parts sum to one short list C(w) (``_group_cofactor``), laid out as a
+    band column: the group's leaf, at the offset of C's lowest nonzero
+    power.  What multiplies the leaf is a multiset of letters, band shifts
+    with their sign: b * W + a - b with multiplicity e for each numerator
+    factor (1 + u^a v^b)^e, and k * W with multiplicity m for each factor
+    (1 - w^k)^m of common - gden.  ``_horner`` sums leaf times letters over
+    the groups: the letters common to all first, then a split on the letter
+    the most groups share.  A group whose leaf starts at or past the band's
+    end adds nothing to it.  Returns (common, lo, W, band)."""
     terms = [t for t in terms if 2 * t.shift <= order]
     common = _common_den(terms)
     groups = {}
@@ -158,27 +169,90 @@ def _over_common_den(terms, order):
     lo = min((sum(e * min(a - b, 0) for a, b, e in nf) for nf in groups), default=0)
     W = max((sum(e * max(a - b, 0) for a, b, e in nf) for nf in groups),
             default=0) - lo + 1
-    band = [0] * (((order - lo) // 2 + 1) * W)
+    n = ((order - lo) // 2 + 1) * W
+    items = []
     for numfactors, group in groups.items():
         gden = _common_den(group)
         C = _group_cofactor(group, gden)
         if not C:
             continue
-        # C's leading zeros (the w^shift) only move the product's offset
+        # C's leading zeros (the w^shift) only move the leaf's offset
         t0 = next(x for x, c in enumerate(C) if c)
         off = t0 * W - lo
-        cap = len(band) - off
-        num = [1]
+        if off >= n:
+            continue
+        leaf = [0] * ((len(C) - 1 - t0) * W + 1)
+        leaf[::W] = C[t0:]
+        del leaf[n - off:]
+        letters = Counter()
         for a, b, e in numfactors:
-            _times_binomial(num, b * W + a - b, e, add, cap)
-        s = [0] * min(cap, len(num) + (len(C) - 1 - t0) * W)
-        for x, c in enumerate(C[t0:]):
-            if c:
-                y = x * W
-                s[y:y + len(num)] = map(add, s[y:y + len(num)], map(mul, num, repeat(c)))
-        _times_den(s, common - gden, W, cap)
-        band[off:off + len(s)] = map(add, band[off:off + len(s)], s)
+            letters[b * W + a - b, add] += e
+        for k, m in (common - gden).items():
+            letters[k * W, sub] += m
+        items.append((+letters, off, leaf))
+    band = [0] * n
+    if items:
+        off, s = _horner(items, n)
+        band[off:off + len(s)] = s
     return common, lo, W, band
+
+
+def _horner(items, n):
+    """Sum over the items (letters, off, leaf) of leaf * prod over letters
+    (shift, op) -> e of (1 +- x^shift)^e, as (off, list) cut at the band's
+    end n; the leaves are multiplied in place.
+
+    The letters common to every item are applied once, to the sum.  Of the
+    rest, the letter f held by the most items splits them: the items holding
+    it are summed by recursion with f^m taken out, m their least
+    multiplicity, and f^m is applied to that sum; the others go round
+    again.  Letters that no two items share are applied item by item.  The
+    recursion only enters items that lose m copies of f, so its depth is
+    bounded by the letters of one item, not by the number of items."""
+    shared = reduce(and_, (letters for letters, _, _ in items))
+    if shared:
+        items = [(letters - shared, off, leaf) for letters, off, leaf in items]
+    total = None
+    while items:
+        held = Counter(f for letters, _, _ in items for f in letters)
+        f, count = max(held.items(), key=itemgetter(1), default=(None, 0))
+        if count < 2:
+            for item in items:
+                total = _add_at(total, _apply(*item, n))
+            break
+        with_f = [item for item in items if f in item[0]]
+        items = [item for item in items if f not in item[0]]
+        fm = Counter({f: min(letters[f] for letters, _, _ in with_f)})
+        part = _horner([(letters - fm, off, leaf) for letters, off, leaf in with_f], n)
+        total = _add_at(total, _apply(fm, *part, n))
+    return _apply(shared, *total, n)
+
+
+def _apply(letters, off, s, n):
+    """(off, s) with s multiplied in place by its letters, smallest shift
+    first, and cut at n - off.  Every shift is causal, so the entries below
+    the cut are exact, and a letter whose shift reaches the cut changes
+    none of them."""
+    cap = n - off
+    for (shift, op), e in sorted(letters.items(), key=lambda fe: fe[0][0]):
+        if shift < cap:
+            _times_binomial(s, shift, e, op, cap)
+    return off, s
+
+
+def _add_at(total, part):
+    """The sum of two (off, list) partial sums, aligned by offset, in the
+    list of the lower offset; total None is the empty sum.  The other list
+    is emptied: no partial sum is read after it is added, and an item that
+    still refers to it must not keep it alive."""
+    if total is None:
+        return part
+    (o1, s1), (o2, s2) = sorted((total, part), key=itemgetter(0))
+    x, y = o2 - o1, o2 - o1 + len(s2)
+    s1 += repeat(0, y - len(s1))
+    s1[x:y] = map(add, s1[x:y], s2)
+    s2.clear()
+    return o1, s1
 
 
 def assemble_exact(terms) -> RatFun2:
@@ -187,7 +261,7 @@ def assemble_exact(terms) -> RatFun2:
     deg = _w_degree(_common_den(terms))
     common, lo, W, band = _over_common_den(
         terms, 2 * deg + max(map(_num_degree, terms), default=0))
-    return RatFun2(BivarPoly(_unband(band, lo, W)), common)
+    return RatFun2(_poly(_unband(band, lo, W)), common)
 
 
 def assemble_series(terms, order) -> TruncSeries2:

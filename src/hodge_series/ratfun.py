@@ -130,16 +130,12 @@ class BivarPoly:
                 res[k] = nc
             else:
                 res.pop(k, None)
-        out = BivarPoly.__new__(BivarPoly)
-        out.terms = res
-        return out
+        return _poly(res)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = BivarPoly.__new__(BivarPoly)
-        out.terms = {k: -c for k, c in self.terms.items()}
-        return out
+        return _poly({k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, int):
@@ -153,9 +149,7 @@ class BivarPoly:
         if isinstance(other, int):
             if other == 0:
                 return BivarPoly()
-            out = BivarPoly.__new__(BivarPoly)
-            out.terms = {k: c * other for k, c in self.terms.items()}
-            return out
+            return _poly({k: c * other for k, c in self.terms.items()})
         if not isinstance(other, BivarPoly):
             return NotImplemented
         a, b = self.terms, other.terms
@@ -170,9 +164,7 @@ class BivarPoly:
                     res[key] = nc
                 else:
                     del res[key]
-        out = BivarPoly.__new__(BivarPoly)
-        out.terms = res
-        return out
+        return _poly(res)
 
     __rmul__ = __mul__
 
@@ -195,9 +187,7 @@ class BivarPoly:
                     res[key] = nc
                 else:
                     del res[key]
-        out = BivarPoly.__new__(BivarPoly)
-        out.terms = res
-        return out
+        return _poly(res)
 
     def mul_binomials(self, factors):
         """self * prod (1 + u^a v^b)^e over the (a, b, e) triples of factors,
@@ -213,9 +203,7 @@ class BivarPoly:
         del band  # one band at a time keeps the peak memory of the passes low
         for a, b, e in factors:
             _times_binomial(wide, b * W2 + a - b, e, add, None)
-        out = BivarPoly.__new__(BivarPoly)
-        out.terms = _unband(wide, lo2, W2)
-        return out
+        return _poly(_unband(wide, lo2, W2))
 
     def __pow__(self, e):
         if e < 0:
@@ -243,7 +231,7 @@ class BivarPoly:
         cut = max(len(band) - _w_degree(wden) * W, 0)
         if any(band[cut:]):
             raise NotDivisible("not a multiple of the denominator")
-        return BivarPoly(_unband(band[:cut], lo, W))
+        return _poly(_unband(band[:cut], lo, W))
 
     # -- substitution ------------------------------------------------------
 
@@ -311,6 +299,15 @@ class BivarPoly:
         return self._format("^{%d}", "", "%d %s")
 
 
+def _poly(terms):
+    """A BivarPoly on terms as they stand, unchecked: for maps that hold
+    only nonzero ints at non-negative exponents by construction, as the
+    ring operations and ``_unband`` produce them."""
+    out = BivarPoly.__new__(BivarPoly)
+    out.terms = terms
+    return out
+
+
 ONE = BivarPoly.constant(1)
 U = BivarPoly.monomial(1, 0)
 V = BivarPoly.monomial(0, 1)
@@ -355,11 +352,11 @@ def _times_binomial(s, shift, e, op, cap):
             del s[cap:]
 
 
-def _times_den(s, wden, width=1, cap=None):
-    """Multiply s in place by prod (1 - w^k)^m over wden, w^k being the
-    index shift k * width."""
+def _times_den(s, wden):
+    """Multiply s, a list of coefficients of w, in place by prod (1 - w^k)^m
+    over wden."""
     for k, m in wden.items():
-        _times_binomial(s, k * width, m, sub, cap)
+        _times_binomial(s, k, m, sub, None)
 
 
 def _over_den(s, wden, width=1):

@@ -6,11 +6,15 @@ so each test is an independent restatement rather than a reuse of the code
 under test.
 """
 
+import sys
 from collections import Counter
+from itertools import repeat
+from operator import add, mul, sub
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hodge_series import formulas, ratfun
 from hodge_series.formulas import (
     FTerm,
     NotCoprime,
@@ -30,6 +34,11 @@ from hodge_series.formulas import (
     specialize,
     stack_poincare_series,
     to_polynomial,
+    _common_den,
+    _gl_terms,
+    _group_cofactor,
+    _num_degree,
+    _over_common_den,
 )
 from hodge_series.ratfun import (
     BivarPoly,
@@ -39,6 +48,8 @@ from hodge_series.ratfun import (
     U,
     UniPoly,
     V,
+    _times_binomial,
+    _w_degree,
     w_power,
 )
 from hodge_series.rootdata import (
@@ -311,6 +322,27 @@ def test_assemble_exact_closed_terms(name):
         assert got.wden == expect.wden, d
 
 
+def _closed(name, d, g):
+    rs = build_root_system(parse_group(name))
+    return closed_terms(rs.datum, rs.datum.fund_fracs(rs.lift_degree(d)), g)
+
+
+def test_assemble_exact_built_unchecked(monkeypatch):
+    """The assembled numerator comes off the band as nonzero ints at
+    non-negative exponents and is not validated again."""
+    terms = _closed("GL4", (1,), 3)
+    expect = _product_sum(terms).num.terms
+    monkeypatch.setattr(ratfun, "_as_int", _no_validation)
+    got = assemble_exact(terms).num.terms
+    assert got == expect
+    assert all(type(c) is int and c and i >= 0 and j >= 0
+               for (i, j), c in got.items())
+
+
+def _no_validation(c):
+    raise AssertionError("coefficient validated again")
+
+
 def test_assemble_empty_term_list():
     assert assemble_exact([]).num.terms == {}
     assert assemble_exact([]).den.terms == {(0, 0): 1}
@@ -353,6 +385,153 @@ def test_assemble_series_past_the_exact_degree():
         assert assemble_exact(terms).num.total_degree() < 40
         _check_series(terms, 40)
     _check_series([WIDE], 40)
+
+
+def _over_common_den_reference(terms, order):
+    """The band of ``_over_common_den`` group by group, as it was built
+    before the Horner pass: each group's numerator expanded by shift-adds,
+    convolved with C(w) one pass per nonzero entry, multiplied by every
+    factor of common - gden and added into the band at its offset."""
+    terms = [t for t in terms if 2 * t.shift <= order]
+    common = _common_den(terms)
+    groups = {}
+    for t in terms:
+        groups.setdefault(t.numfactors, []).append(t)
+    lo = min((sum(e * min(a - b, 0) for a, b, e in nf) for nf in groups), default=0)
+    W = max((sum(e * max(a - b, 0) for a, b, e in nf) for nf in groups),
+            default=0) - lo + 1
+    band = [0] * (((order - lo) // 2 + 1) * W)
+    for numfactors, group in groups.items():
+        gden = _common_den(group)
+        C = _group_cofactor(group, gden)
+        if not C:
+            continue
+        t0 = next(x for x, c in enumerate(C) if c)
+        off = t0 * W - lo
+        cap = len(band) - off
+        num = [1]
+        for a, b, e in numfactors:
+            _times_binomial(num, b * W + a - b, e, add, cap)
+        s = [0] * min(cap, len(num) + (len(C) - 1 - t0) * W)
+        for x, c in enumerate(C[t0:]):
+            if c:
+                y = x * W
+                s[y:y + len(num)] = map(add, s[y:y + len(num)], map(mul, num, repeat(c)))
+        for k, m in (common - gden).items():
+            _times_binomial(s, k * W, m, sub, cap)
+        band[off:off + len(s)] = map(add, band[off:off + len(s)], s)
+    return common, lo, W, band
+
+
+def _exact_order(terms):
+    """The order at which ``assemble_exact`` assembles terms."""
+    return (2 * _w_degree(_common_den(terms))
+            + max(map(_num_degree, terms), default=0))
+
+
+def _check_band(terms, orders=(0, 1, 7, 30)):
+    for order in (_exact_order(terms),) + tuple(orders):
+        got = _over_common_den(terms, order)
+        assert got == _over_common_den_reference(terms, order), order
+
+
+class TestHornerBand:
+    """The Horner pass of ``_over_common_den`` against the group-by-group
+    reference: the same (common, lo, W, band), list for list."""
+
+    @pytest.mark.parametrize("name,d,g", [
+        ("GL8", (3,), 2), ("Sp6", (0,), 2), ("SO12", (1,), 2), ("GL4", (1,), 8)])
+    def test_closed_terms(self, name, d, g):
+        _check_band(_closed(name, d, g))
+
+    def test_fixed_det_terms(self):
+        _check_band(_gl_terms(4, 1, 8, abelian_drop=1))
+
+    @settings(max_examples=80, deadline=None)
+    @given(fterm_lists, st.integers(0, 16))
+    def test_random_term_lists(self, terms, order):
+        _check_band(terms, (0, 1, order))
+
+    def test_cofactor_starts_past_the_band(self):
+        """Groups whose C(w) cancels at its lowest powers, so that at low
+        orders their first entry lies at or past the band's end:
+        C = 1 - (1 - w) = w alone (offset W = 2, band of 2 entries at orders
+        0 and 1), and C = 1 - (1 - w^2) = w^2 beside NARROW (offset
+        2 W - lo = 12, band of 10 entries)."""
+        at_end = [FTerm(1, 0, ((1, 0, 1),), Counter({1: 1})),
+                  FTerm(-1, 0, ((1, 0, 1),), Counter())]
+        past_end = [FTerm(1, 0, ((0, 1, 1),), Counter({2: 1})),
+                    FTerm(-1, 0, ((0, 1, 1),), Counter())]
+        assert _group_cofactor(at_end, Counter({1: 1})) == [0, 1]
+        assert _group_cofactor(past_end, Counter({2: 1})) == [0, 0, 1]
+        for terms in (at_end, past_end, past_end + [NARROW], [NARROW] + past_end,
+                      at_end + [NARROW] + past_end):
+            _check_band(terms, (0, 1, 2, 3, 4))
+            for order in (0, 1, 2, 5):
+                _check_series(terms, order)
+            _check_exact(terms)
+        assert not any(_over_common_den(at_end, 1)[3])
+        assert any(_over_common_den(at_end, 2)[3])
+        assert len(_over_common_den(past_end + [NARROW], 0)[3]) == 10
+
+    def test_single_group(self):
+        """Nothing is shared: every letter of the lone group is its own."""
+        one = [WIDE, FTerm(-5, 2, WIDE.numfactors, Counter({2: 2}))]
+        for terms in ([WIDE], [NARROW], one):
+            _check_band(terms, (0, 1, 2, 7, 30))
+            _check_exact(terms)
+
+    def test_letter_common_to_every_group(self):
+        """(1 + u)^2 divides every numerator, with other factors and
+        denominators around it that the groups do not all share."""
+        nfs = [((1, 0, 2), (2, 1, 1)), ((1, 0, 3),), ((0, 1, 1), (1, 0, 2)),
+               ((1, 0, 2), (2, 1, 1), (1, 2, 1))]
+        terms = [FTerm((-1) ** i, i, nf, Counter({1 + i: 1, 2: i % 2}))
+                 for i, nf in enumerate(nfs)]
+        _check_band(terms, (0, 1, 2, 7, 30))
+        _check_exact(terms)
+        for order in (0, 5, 16):
+            _check_series(terms, order)
+
+    def test_512_groups(self, monkeypatch):
+        """GL10's 512 closed terms, and two lists of 512 terms of 512 Levi
+        types each, assemble at the interpreter's own recursion limit: the recursion takes at
+        least one letter off every group it enters, so it goes no deeper
+        than the letters of one group, however many groups there are."""
+        limit = sys.getrecursionlimit()
+        depth = [0, 0]  # current, deepest
+        horner = formulas._horner
+
+        def tracked(items, n):
+            depth[0] += 1
+            depth[1] = max(depth)
+            try:
+                return horner(items, n)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(formulas, "_horner", tracked)
+        pool = [(1, 0), (0, 1), (2, 1), (1, 2), (3, 2), (2, 3), (3, 0), (0, 2), (1, 1)]
+        many = [FTerm(1 - 2 * (i % 3 == 0), i % 4,
+                      tuple((a, b, 1 + (i + j) % 2)
+                            for j, (a, b) in enumerate(pool) if i >> j & 1),
+                      Counter({1 + i % 5: 1, 2 + i % 7: 1}))
+                for i in range(512)]
+        # no two groups share a numerator factor
+        lone = [FTerm(1 + i % 3, i % 5, ((i, 0, 1),), Counter({1: i % 2}))
+                for i in range(1, 513)]
+        assert len({t.numfactors for t in many}) == 512
+        gl10 = _closed("GL10", (1,), 2)
+        assert len(gl10) == 512
+        for terms, orders in ((many, (0, 1, 12)), (lone, (0, 5)), (gl10, (0, 7, 30))):
+            depth[1] = 0
+            for order in orders:
+                got = _over_common_den(terms, order)
+                assert got == _over_common_den_reference(terms, order)
+            letters = (max(sum(e for _, _, e in t.numfactors) for t in terms)
+                       + sum(_common_den(terms).values()))
+            assert 1 <= depth[1] <= 1 + letters
+        assert sys.getrecursionlimit() == limit
 
 
 class TestModuliSpace:
@@ -417,7 +596,7 @@ class TestFixedDet:
             hp_moduli_fixed_det(2, 0, 2)
 
     def test_self_check_runs_on_every_call(self, monkeypatch):
-        from hodge_series import formulas
+        from hodge_series import formulas, ratfun
 
         stacks = []
 

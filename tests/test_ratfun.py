@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from hodge_series import ratfun
 from hodge_series.ratfun import (
     ONE,
     U,
@@ -80,6 +81,21 @@ class TestDivision:
     def test_zero_and_empty_multiset(self):
         assert BivarPoly().divide_exact({2: 3}).is_zero()
         assert (1 + U).divide_exact({}) == 1 + U
+
+    def test_quotient_built_unchecked(self, monkeypatch):
+        """The quotient comes off the band as nonzero ints at non-negative
+        exponents and is not validated again, coefficient by coefficient."""
+        num = (1 + U) ** 3 * (1 + V) ** 2 * (1 - W) * (1 - w_power(3)) ** 2
+        expect = ((1 + U) ** 3 * (1 + V) ** 2).terms
+        monkeypatch.setattr(ratfun, "_as_int", _no_validation)
+        q = num.divide_exact({1: 1, 3: 2})
+        assert q.terms == expect
+        assert all(type(c) is int and c and i >= 0 and j >= 0
+                   for (i, j), c in q.terms.items())
+
+
+def _no_validation(c):
+    raise AssertionError("coefficient validated again")
 
 
 class TestDenominatorMultiset:

@@ -52,10 +52,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import reduce
 from itertools import repeat
 from math import gcd
-from operator import add, and_, itemgetter, sub
+from operator import add, itemgetter, sub
 
 from .ratfun import (
     RatFun1,
@@ -184,12 +183,13 @@ def _over_common_den(terms, order):
         leaf = [0] * ((len(C) - 1 - t0) * W + 1)
         leaf[::W] = C[t0:]
         del leaf[n - off:]
-        letters = Counter()
+        letters = {}
         for a, b, e in numfactors:
-            letters[b * W + a - b, add] += e
+            f = (b * W + a - b, add)
+            letters[f] = letters.get(f, 0) + e
         for k, m in (common - gden).items():
-            letters[k * W, sub] += m
-        items.append((+letters, off, leaf))
+            letters[k * W, sub] = m
+        items.append(({f: e for f, e in letters.items() if e > 0}, off, leaf))
     band = [0] * n
     if items:
         off, s = _horner(items, n)
@@ -200,7 +200,7 @@ def _over_common_den(terms, order):
 def _horner(items, n):
     """Sum over the items (letters, off, leaf) of leaf * prod over letters
     (shift, op) -> e of (1 +- x^shift)^e, as (off, list) cut at the band's
-    end n; the leaves are multiplied in place.
+    end n; the leaves are multiplied, and the letter dicts emptied, in place.
 
     The letters common to every item are applied once, to the sum.  Of the
     rest, the letter f held by the most items splits them: the items holding
@@ -209,12 +209,17 @@ def _horner(items, n):
     again.  Letters that no two items share are applied item by item.  The
     recursion only enters items that lose m copies of f, so its depth is
     bounded by the letters of one item, not by the number of items."""
-    shared = reduce(and_, (letters for letters, _, _ in items))
-    if shared:
-        items = [(letters - shared, off, leaf) for letters, off, leaf in items]
+    shared = dict(items[0][0])
+    for letters, _, _ in items[1:]:
+        shared = {f: min(e, letters[f]) for f, e in shared.items() if f in letters}
+    for letters, _, _ in items:
+        _take(letters, shared)
     total = None
     while items:
-        held = Counter(f for letters, _, _ in items for f in letters)
+        held = {}
+        for letters, _, _ in items:
+            for f in letters:
+                held[f] = held.get(f, 0) + 1
         f, count = max(held.items(), key=itemgetter(1), default=(None, 0))
         if count < 2:
             for item in items:
@@ -222,10 +227,21 @@ def _horner(items, n):
             break
         with_f = [item for item in items if f in item[0]]
         items = [item for item in items if f not in item[0]]
-        fm = Counter({f: min(letters[f] for letters, _, _ in with_f)})
-        part = _horner([(letters - fm, off, leaf) for letters, off, leaf in with_f], n)
-        total = _add_at(total, _apply(fm, *part, n))
+        fm = {f: min(letters[f] for letters, _, _ in with_f)}
+        for letters, _, _ in with_f:
+            _take(letters, fm)
+        total = _add_at(total, _apply(fm, *_horner(with_f, n), n))
     return _apply(shared, *total, n)
+
+
+def _take(letters, part):
+    """Remove the letters of part, with their multiplicities, from the
+    letters held (a superset), in place."""
+    for f, e in part.items():
+        if letters[f] == e:
+            del letters[f]
+        else:
+            letters[f] -= e
 
 
 def _apply(letters, off, s, n):

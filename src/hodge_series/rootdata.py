@@ -21,9 +21,16 @@ simple roots, keep the lattice), so all formula-level computations -- center
 dimensions, exponents d_k, unipotent dimensions, the pairings 2 rho^I(alpha^v)
 and fundamental-weight evaluations mod Z -- are done uniformly here.
 
-Each parabolic subset I has one cached ``LeviDatum``, ``RootDatum.levi(I)``,
-read by the closed formula, the Levi projections and the HN enumeration.
-A Levi of a Levi is one of the group's own Levis, built once per group.
+A root datum keeps one cached table of its positive roots: per root, its
+support as a bitmask of the simple roots, its height and its pairings with
+every simple coroot.  Each parabolic subset I has one cached ``LeviDatum``,
+``RootDatum.levi(I)``, read off that table by whether a root's support meets
+I: the nilradical and its wall pairings from the roots that meet it, the
+exponents of L^I from the heights of the others.  The closed formula, the
+Levi projections and the HN enumeration read these records.  The Levi's own
+root datum is built only when a record's ``datum`` is read (the recursion
+does so for the strata it enumerates); a Levi of a Levi is one of the
+group's own Levis, built once per group.
 
 Linear algebra is fraction-free over Z: one Bareiss elimination gives the
 determinant and the adjugate of an integer matrix, so a solve is an integer
@@ -40,7 +47,7 @@ The symbol <x> always denotes the representative of x mod Z in (0, 1].
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -309,21 +316,42 @@ def degrees_of(spec: GroupSpec):
 # ---------------------------------------------------------------------------
 
 
+def _exponents(heights, dim_z):
+    """Degrees d_1 <= ... <= d_n of the generators of H*(B-): dim_z ones,
+    then one plus each part of the dual partition of the positive-root
+    height multiset (the heights n_h of a root system form a partition whose
+    dual lists the Weyl-group exponents)."""
+    exps = []
+    if heights:
+        maxh = max(heights)
+        count = [0] * (maxh + 1)
+        for h in heights:
+            count[h] += 1
+        seq = count[1:]
+        if any(seq[i] < seq[i + 1] for i in range(len(seq) - 1)):
+            raise AssertionError("height multiset is not a partition")
+        for j in range(1, seq[0] + 1):
+            exps.append(sum(1 for c in seq if c >= j))
+    return tuple([1] * dim_z + sorted(e + 1 for e in exps))
+
+
 @dataclass(frozen=True)
 class LeviDatum:
-    """The Levi L^I of the standard parabolic P^I of a root datum: its root
-    datum (simple roots Delta - I) and exponents, the forms of the
-    nilradical roots, and walls = ((alpha, 2 rho^I(alpha^vee)) for alpha
-    in I)."""
+    """The Levi L^I of the standard parabolic P^I of a root datum, read off
+    the ambient datum's table of positive roots: dim Z(L^I), the exponents
+    of L^I, the forms of the nilradical roots, and walls = ((alpha,
+    2 rho^I(alpha^vee)) for alpha in I).  The Levi's own root datum (simple
+    roots Delta - I) is built on the first read of ``datum``."""
 
     I: tuple
-    datum: RootDatum
+    dim_z: int
     exponents: tuple
     nilradical: tuple
     walls: tuple
+    ambient: RootDatum = field(repr=False, compare=False)
 
-    rank = property(lambda self: self.datum.n)
-    dim_z = property(lambda self: self.datum.dim_z)
+    datum = property(lambda self: self.ambient.sub_datum(self.ambient.complement(self.I)))
+    rank = property(lambda self: self.ambient.n)
     dim_u = property(lambda self: len(self.nilradical))
     rho_pairings = property(lambda self: dict(self.walls))
 
@@ -360,6 +388,30 @@ class RootDatum:
         return [[_dot(a, cv) for cv in self.simple_coroots]
                 for a in self.simple_roots]
 
+    def _roots(self):
+        """The table of positive roots, cached: one row (support, height,
+        pairings) per root, in the order of pos_roots, with the support a
+        bitmask of the simple roots of nonzero coefficient and the pairings
+        <beta, alpha_a^vee> with every simple coroot."""
+        cached = self._cache.get("roots")
+        if cached is None:
+            cached = self._cache["roots"] = tuple(
+                (sum(1 << i for i, c in enumerate(cf) if c), sum(cf),
+                 tuple(_dot(form, cv) for cv in self.simple_coroots))
+                for form, cf in zip(self.pos_roots, self.pos_coeffs))
+        return cached
+
+    def _mask(self, indices):
+        """Bitmask of a set of simple-root indices; ValueError unless they
+        are distinct and lie in range(num_simple)."""
+        mask = 0
+        for i in indices:
+            if not 0 <= i < self.num_simple or mask >> i & 1:
+                raise ValueError("simple-root indices must be distinct and in "
+                                 "range(%d), got %r" % (self.num_simple, indices))
+            mask |= 1 << i
+        return mask
+
     # -- Levi restriction ------------------------------------------------------
 
     def sub_datum(self, levi_indices):
@@ -367,17 +419,17 @@ class RootDatum:
         sub-datum maps them to its parent's and returns the parent's own,
         and the full index set gives the datum itself."""
         levi_indices = tuple(sorted(levi_indices))
+        mask = self._mask(levi_indices)
         if self._parent is not None:
             return self._parent.sub_datum(tuple(self._index[i] for i in levi_indices))
-        if levi_indices == tuple(range(self.num_simple)):
+        if len(levi_indices) == self.num_simple:
             return self
         cached = self._cache.get(("sub", levi_indices))
         if cached is not None:
             return cached
-        keep = set(levi_indices)
         roots, coeffs = [], []
-        for form, cf in zip(self.pos_roots, self.pos_coeffs):
-            if all(c == 0 or i in keep for i, c in enumerate(cf)):
+        for form, cf, (support, _, _) in zip(self.pos_roots, self.pos_coeffs, self._roots()):
+            if not support & ~mask:
                 roots.append(form)
                 coeffs.append(tuple(cf[i] for i in levi_indices))
         sub = RootDatum(
@@ -397,52 +449,39 @@ class RootDatum:
 
     def exponent_list(self):
         """Degrees d_1 <= ... <= d_n of the generators of H*(B-), with
-        dim Z leading ones.
-
-        The semisimple exponents come from the dual partition of the
-        positive-root height multiset (the heights n_h of a root system form
-        a partition whose dual lists the Weyl-group exponents).
-        """
+        dim Z leading ones (see ``_exponents``), cached."""
         cached = self._cache.get("exponents")
-        if cached is not None:
-            return cached
-        heights = [sum(cf) for cf in self.pos_coeffs]
-        exps = []
-        if heights:
-            maxh = max(heights)
-            count = [0] * (maxh + 1)
-            for h in heights:
-                count[h] += 1
-            seq = [count[h] for h in range(1, maxh + 1)]
-            if any(seq[i] < seq[i + 1] for i in range(len(seq) - 1)):
-                raise AssertionError("height multiset is not a partition")
-            for j in range(1, seq[0] + 1):
-                exps.append(sum(1 for c in seq if c >= j))
-        result = tuple([1] * self.dim_z + sorted(e + 1 for e in exps))
-        self._cache["exponents"] = result
-        return result
+        if cached is None:
+            cached = self._cache["exponents"] = _exponents(
+                [sum(cf) for cf in self.pos_coeffs], self.dim_z)
+        return cached
 
     # -- parabolic subsets --------------------------------------------------------
 
     def levi(self, parabolic_indices):
-        """The LeviDatum of the parabolic subset I, cached: the one scan of
-        the nilradical (the positive roots whose support meets I)."""
+        """The LeviDatum of the parabolic subset I, cached: one pass over the
+        table of positive roots.  The nilradical is the roots whose support
+        meets I, the walls sum their pairings, and the exponents come from
+        the heights of the other roots, the roots of L^I."""
         I = tuple(sorted(parabolic_indices))
         cached = self._cache.get(("levi", I))
         if cached is not None:
             return cached
-        nil = tuple(form for form, cf in zip(self.pos_roots, self.pos_coeffs)
-                    if any(cf[a] for a in I))
-        walls = []
-        for a in I:
-            cv = self.simple_coroots[a]
-            r = sum(_dot(form, cv) for form in nil)
-            if r <= 0:
-                raise AssertionError("2 rho^I(alpha^vee) must be positive")
-            walls.append((a, r))
-        levi = self.sub_datum(self.complement(I))
+        mask = self._mask(I)
+        nil, pairings, heights = [], [], []
+        for form, (support, height, pairs) in zip(self.pos_roots, self._roots()):
+            if support & mask:
+                nil.append(form)
+                pairings.append(pairs)
+            else:
+                heights.append(height)
+        sums = [sum(col) for col in zip(*pairings)]
+        walls = tuple((a, sums[a]) for a in I)
+        if any(r <= 0 for _, r in walls):
+            raise AssertionError("2 rho^I(alpha^vee) must be positive")
+        dim_z = self.dim_z + len(I)
         cached = self._cache[("levi", I)] = LeviDatum(
-            I, levi, levi.exponent_list(), nil, tuple(walls))
+            I, dim_z, _exponents(heights, dim_z), tuple(nil), walls, self)
         return cached
 
     def levis(self):
@@ -520,15 +559,19 @@ class RootDatum:
         mu = X - sum_b c_b beta_b^vee where c = adj(A) (beta(X))_beta / det A,
         so det A * mu = (det A * Id - sum_b beta_b^vee (adj(A) beta)_b) X.
         D and P are det A and that matrix divided by their common content;
-        D > 0 because a Cartan matrix of finite type has det A > 0.
+        D > 0 because a Cartan matrix of finite type has det A > 0.  A is
+        read from the datum's own Cartan matrix, so no Levi datum is built.
         """
-        levi = self.levi(parabolic_indices).datum
-        det, adj = levi._cartan_adj()
+        self._mask(parabolic_indices)
+        keep = self.complement(parabolic_indices)
+        cartan = self.cartan_matrix()
+        det, adj = _adjugate([[cartan[i][j] for j in keep] for i in keep])
+        columns = list(zip(*(self.simple_roots[b] for b in keep)))
         n = self.n
         P = [[det * (i == j) for j in range(n)] for i in range(n)]
-        for cv, adj_row in zip(levi.simple_coroots, adj):
-            form = [_dot(adj_row, col) for col in zip(*levi.simple_roots)]
-            for i, c in enumerate(cv):
+        for b, adj_row in zip(keep, adj):
+            form = [_dot(adj_row, col) for col in columns]
+            for i, c in enumerate(self.simple_coroots[b]):
                 if c:
                     P[i] = [x - c * f for x, f in zip(P[i], form)]
         content = gcd(det, *(x for row in P for x in row))

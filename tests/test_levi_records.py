@@ -160,3 +160,67 @@ def test_full_levi_is_the_datum_itself(name):
     for L in datum.levis():
         assert L.datum.levi(()).datum is L.datum
         assert L.datum.sub_datum(range(L.datum.num_simple)) is L.datum
+
+
+@pytest.mark.parametrize("name", ["GL8", "Sp6", "SO12"])
+def test_records_match_reference_at_benchmark_ranks(name):
+    """The records read off the table of positive roots agree with the scan
+    reference on the groups and ranks of the benchmark's closed formula."""
+    datum = build_root_system(parse_group(name)).datum
+    _check_records(datum, datum)
+
+
+@pytest.mark.parametrize("name", ["GL8", "Sp6", "SO12"])
+def test_closed_formula_builds_no_levi_datum(name, monkeypatch):
+    """The closed formula reads only the records: on a fresh datum it builds
+    no root datum besides the group's own (2^rank of them before the
+    records were read off the table)."""
+    built = []
+    init = RootDatum.__init__
+
+    def counting(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(RootDatum, "__init__", counting)
+    rs = build_root_system.__wrapped__(parse_group(name))  # a fresh datum
+    datum = rs.datum
+    closed_terms(datum, datum.fund_fracs(rs.lift_degree(degrees_of(rs.spec)[-1])), 2)
+    assert built == [datum]
+
+
+def test_levi_datum_is_built_on_first_read():
+    """A record's datum is the Levi sub-datum, built when first read and the
+    same object on every later read."""
+    datum = build_root_system.__wrapped__(parse_group("GL4")).datum
+    L = datum.levi((1,))
+    assert ("sub", (0, 2)) not in datum._cache
+    assert L.datum is datum.sub_datum((0, 2)) is L.datum
+    assert L.rank == L.datum.n and L.dim_z == L.datum.dim_z == 2
+    assert L.exponents == L.datum.exponent_list()
+
+
+@pytest.mark.parametrize("bad", [(0, 0), (-1,), (2,), (5,), (1, 1, 0)])
+def test_malformed_index_sets_are_rejected(bad):
+    """Parabolic and Levi index sets must be distinct simple-root indices:
+    on GL3, (0, 0) would alias (0,), -1 would read alpha_1 and 5 would fail
+    with an IndexError."""
+    datum = build_root_system(parse_group("GL3")).datum
+    for method in (datum.levi, datum.sub_datum, datum.two_rho_pairings):
+        with pytest.raises(ValueError):
+            method(bad)
+    with pytest.raises(ValueError):
+        datum.project_to_center(bad, (1, 0, 0))
+    assert ("levi", tuple(sorted(bad))) not in datum._cache
+
+
+def test_malformed_index_sets_are_rejected_by_a_levi():
+    """A Levi sub-datum checks indices against its own simple roots before
+    mapping them to the group's."""
+    datum = build_root_system(parse_group("GL4")).datum
+    levi = datum.sub_datum((0, 2))
+    for bad in [(2,), (-1,), (0, 0)]:
+        for method in (levi.levi, levi.sub_datum):
+            with pytest.raises(ValueError):
+                method(bad)
+    assert levi.sub_datum((1,)) is datum.sub_datum((2,))

@@ -45,6 +45,16 @@ compositions of the rank, with their Levis, dim U, wall pairings and
 exponents written out by hand per type instead of read from the root datum.
 Both routes build every factored term through the single helper
 ``_levi_term``, which turns (sign, Levi, dim U, walls) into an ``FTerm``.
+
+Both sums are linear in their terms, so two sums are compared as one: the
+terms of one side and those of the other with coef negated
+(``classical_difference_terms``; the recursion check of
+:mod:`hodge_series.recursion` likewise).  The sum is zero exactly when the
+two sides are equal, exactly and to every order, since both sides skip the
+same terms (2 shift > order).  Equal terms of the two sides fall in one
+group and cancel in its C(w), in integers, before the band; equal terms
+whose factor tuples are ordered differently meet on the band and cancel
+there.
 """
 
 from __future__ import annotations
@@ -64,7 +74,6 @@ from .ratfun import (
     _over_den,
     _poly,
     _times_binomial,
-    _times_den,
     _unband,
     _w_degree,
     to_polynomial,
@@ -120,10 +129,13 @@ def _num_degree(term):
 
 
 def _common_den(terms):
-    """Max-multiplicity common denominator, as w-exponent -> multiplicity."""
-    common = Counter()
+    """Max-multiplicity common denominator, as a dict w-exponent ->
+    multiplicity, positive multiplicities only."""
+    common = {}
     for t in terms:
-        common |= t.den
+        for k, m in t.den.items():
+            if m > common.get(k, 0):
+                common[k] = m
     return common
 
 
@@ -133,7 +145,8 @@ def _group_cofactor(group, gden):
     C = []
     for t in group:
         s = [0] * t.shift + [t.coef]
-        _times_den(s, gden - t.den)
+        for k, m in gden.items():
+            _times_binomial(s, k, m - t.den.get(k, 0), sub, None)
         C += repeat(0, len(s) - len(C))
         C[:len(s)] = map(add, C, s)
     while C and not C[-1]:
@@ -187,8 +200,8 @@ def _over_common_den(terms, order):
         for a, b, e in numfactors:
             f = (b * W + a - b, add)
             letters[f] = letters.get(f, 0) + e
-        for k, m in (common - gden).items():
-            letters[k * W, sub] = m
+        for k, m in common.items():
+            letters[k * W, sub] = m - gden.get(k, 0)
         items.append(({f: e for f, e in letters.items() if e > 0}, off, leaf))
     band = [0] * n
     if items:
@@ -346,12 +359,16 @@ def hp_classifying(spec: GroupSpec) -> RatFun2:
 # ---------------------------------------------------------------------------
 
 
-def closed_terms(datum: RootDatum, fracs, g):
-    """Factored terms of the closed formula for the given <varpi_a(d)> data,
-    one per parabolic subset I, from the datum's Levi records."""
-    return [_levi_term((-1) ** len(L.I), L.dim_z, L.exponents[L.dim_z:], L.dim_u,
-                       [(r, fracs[a]) for a, r in L.walls], g)
-            for L in datum.levis()]
+def closed_terms(datum: RootDatum, fracs, g, coef=1, shift=0):
+    """Factored terms of coef * w^shift times the closed formula for the
+    given <varpi_a(d)> data, one per parabolic subset I, from the datum's
+    Levi records."""
+    terms = [_levi_term(coef * (-1) ** len(L.I), L.dim_z, L.exponents[L.dim_z:],
+                        L.dim_u, [(r, fracs[a]) for a, r in L.walls], g)
+             for L in datum.levis()]
+    for t in terms:
+        t.shift += shift
+    return terms
 
 
 def closed_ratfun(datum: RootDatum, fracs, g) -> RatFun2:
@@ -528,6 +545,16 @@ def hp_semistable_classical_series(family, rank, d, g, order,
     return assemble_series(_classical_terms(family, rank, d, g, allow_large_genus), order)
 
 
+def classical_difference_terms(family, rank, d, g, allow_large_genus=False):
+    """The composition sum's factored terms followed by the closed formula's
+    with coef negated: one list, whose exact sum (or truncated sum, to any
+    order) is zero exactly when the two sides agree."""
+    terms = _classical_terms(family, rank, d, g, allow_large_genus)
+    datum, fracs = _datum_fracs(GroupSpec(((family, rank),)),
+                                d if isinstance(d, tuple) else (d,))
+    return terms + closed_terms(datum, fracs, g, -1)
+
+
 # ---------------------------------------------------------------------------
 # moduli spaces (good case) and specializations
 # ---------------------------------------------------------------------------
@@ -612,8 +639,8 @@ def chi_t_fixed_det_formula(r, g) -> UniPoly:
 __all__ = [
     "FTerm", "GENUS_CAP", "NotCoprime", "NotGoodCase",
     "a_series", "assemble_exact", "assemble_series",
-    "chi_t_fixed_det_formula", "closed_ratfun", "closed_series_for",
-    "closed_terms", "hp_classifying", "hp_moduli_fixed_det",
+    "chi_t_fixed_det_formula", "classical_difference_terms", "closed_ratfun",
+    "closed_series_for", "closed_terms", "hp_classifying", "hp_moduli_fixed_det",
     "hp_moduli_space", "hp_semistable_classical",
     "hp_semistable_classical_series", "hp_semistable_closed",
     "hp_semistable_closed_series", "specialize", "stack_poincare_series",

@@ -6,9 +6,10 @@ codimension formula, and verification of the stratification recursion
                           (uv)^{codim} * series(semistable Levi bundles)
 
 against the closed formula, coefficient by coefficient on truncated series.
-The side checked against it, series(all) minus the shifted Levi series, is
-one factored sum expanded once: the stack series a(G) plus every closed-formula
-term of every stratum's Levi, negated and shifted by w^{codim} (w = uv).
+Both sides are factored sums: the closed formula's terms for G, and the
+stack series a(G) plus every closed-formula term of every stratum's Levi,
+negated and shifted by w^{codim} (w = uv).  The check expands their
+difference, one factored sum, once, and passes when it is zero.
 
 A stratum is indexed by a pair (I, delta): a nonempty subset I of the simple
 roots (the walls on which the slope is strictly positive) and a topological
@@ -52,7 +53,7 @@ from __future__ import annotations
 import csv
 import io
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from operator import mul
@@ -312,19 +313,23 @@ def recursion_rhs(spec: GroupSpec, d, g, order) -> TruncSeries2:
     with the closed formula for G simultaneously validates the formula on
     all Levi subgroups.
     """
-    return _rhs(spec, g, order, enumerate_hn_types(spec, d, g, order // 2))
+    strata = enumerate_hn_types(spec, d, g, order // 2)
+    return assemble_series(_rhs_terms(spec, g, strata, 1), order)
 
 
-def _rhs(spec, g, order, strata):
-    """recursion_rhs over strata of codim <= order // 2, as one factored sum:
-    a(G) plus each Levi closed-formula term, negated and shifted by w^{codim}."""
+def _rhs_terms(spec, g, strata, sign):
+    """sign times the factored terms of recursion_rhs over the given strata:
+    a(G), and each stratum's Levi closed-formula terms negated and shifted
+    by w^{codim}."""
     datum = build_root_system(spec).datum
-    terms = [a_series_term(spec, g)]
+    a = a_series_term(spec, g)
+    a.coef *= sign
+    terms = [a]
     for hn in strata:
         levi = datum.levi(hn.I).datum
-        terms += [replace(t, coef=-t.coef, shift=t.shift + hn.codim)
-                  for t in closed_terms(levi, levi.fund_fracs(hn.delta_lift), g)]
-    return assemble_series(terms, order)
+        terms += closed_terms(levi, levi.fund_fracs(hn.delta_lift), g,
+                              -sign, hn.codim)
+    return terms
 
 
 @dataclass(frozen=True)
@@ -336,16 +341,24 @@ class RecursionReport:
 
 
 def verify_recursion(spec: GroupSpec, d, g, order) -> RecursionReport:
-    """Compare the closed formula with the stratification recursion."""
+    """Compare the closed formula with the stratification recursion.
+
+    Both sides are sums of factored terms, so they agree to total degree
+    <= order exactly when one truncated sum is zero: the closed-formula
+    terms of G, minus a(G), plus every stratum's shifted Levi terms.  Only
+    when it is not are the two sides assembled apart, to report the first
+    coefficient (i, j) where they differ, with both values."""
     d = validate_degree(d, spec)
     rs = build_root_system(spec)
     fracs = rs.datum.fund_fracs(rs.lift_degree(d))
-    lhs = closed_series_for(rs.datum, fracs, g, order)
     strata = enumerate_hn_types(spec, d, g, order // 2)
-    rhs = _rhs(spec, g, order, strata)
     n = len(strata)
-    if lhs == rhs:
+    diff = assemble_series(closed_terms(rs.datum, fracs, g)
+                           + _rhs_terms(spec, g, strata, -1), order)
+    if diff.is_zero():
         return RecursionReport(True, None, order, n)
+    lhs = closed_series_for(rs.datum, fracs, g, order)
+    rhs = assemble_series(_rhs_terms(spec, g, strata, 1), order)
     for (i, j) in sorted(set(lhs.coeffs) | set(rhs.coeffs)):
         lc, rc = lhs.coeff(i, j), rhs.coeff(i, j)
         if lc != rc:

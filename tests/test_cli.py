@@ -324,8 +324,61 @@ class TestVerify:
         assert code == 0
         checks = json.loads(out)["checks"]
         gl2 = [c for c in checks if c["name"].startswith("recursion GL2 d=(1,)")]
+        wall = [c.pop("wall_s") for c in gl2]
         assert gl2 == [{"name": "recursion GL2 d=(1,) g=2 N=8", "pass": True,
                         "strata": 2, "first_mismatch": None}]
+        assert all(type(w) is float and w >= 0 for w in wall)
+
+    @staticmethod
+    def break_bc_exps(monkeypatch):
+        """Raise the last exponent of SO_{2m+1} and Sp_m, m > 1, in the
+        composition sums alone; the closed formula reads its exponents off
+        the root datum."""
+        from hodge_series import formulas
+
+        real = formulas._bc_exps
+        monkeypatch.setattr(formulas, "_bc_exps", lambda m: (
+            real(m)[:-1] + (real(m)[-1] + 1,) if m > 1 else real(m)))
+
+    def test_classical_break_fails(self, capsys, monkeypatch):
+        self.break_bc_exps(monkeypatch)
+        code, out, _ = run(capsys, "verify", "--suite", "classical",
+                           "--max-rank", "3", "--genus-list", "2")
+        lines = out.splitlines()
+        assert code == 1
+        assert lines[-1] == "15/21 checks passed"
+        assert [ln for ln in lines if ln.startswith("FAIL")][0] \
+            == "FAIL classical SO5 d=(0,) g=2"
+
+    def test_classical_series_branch(self, capsys):
+        """Above rank 4 the classical checks compare truncated series."""
+        code, out, _ = run(capsys, "verify", "--suite", "classical",
+                           "--max-rank", "5", "--genus-list", "2", "--order", "10")
+        lines = out.splitlines()
+        assert code == 0
+        assert lines[-1] == "42/42 checks passed"
+        assert sum(ln.endswith(" series N=10") for ln in lines) == 11
+
+    @pytest.mark.parametrize("order,passed,series_fails", [
+        (10, 33, []),
+        (18, 30, ["FAIL classical SO11 d=(0,) g=2 series N=18",
+                  "FAIL classical SO11 d=(1,) g=2 series N=18",
+                  "FAIL classical Sp5 d=(0,) g=2 series N=18"])])
+    def test_classical_series_branch_break(self, capsys, monkeypatch, order,
+                                           passed, series_fails):
+        """Under the same break the rank <= 4 checks of SO_{2m+1} and Sp_m
+        fail at any order; at rank 5 the raised exponent 10 -> 11 first
+        shows at total degree 18, so the series checks pass at order 10
+        and fail at order 18."""
+        self.break_bc_exps(monkeypatch)
+        code, out, _ = run(capsys, "verify", "--suite", "classical",
+                           "--max-rank", "5", "--genus-list", "2",
+                           "--order", str(order))
+        lines = out.splitlines()
+        assert code == 1
+        assert lines[-1] == "%d/42 checks passed" % passed
+        assert [ln for ln in lines if ln.startswith("FAIL") and "series" in ln] \
+            == series_fails
 
     def test_json_recursion_mismatch(self, capsys, monkeypatch):
         from hodge_series import recursion

@@ -8,6 +8,7 @@ under test.
 
 import sys
 from collections import Counter
+from dataclasses import replace
 from itertools import repeat
 from operator import add, mul, sub
 
@@ -229,12 +230,18 @@ def _den_product(den):
     return poly
 
 
-def _product_sum(terms):
-    """Reference: each numerator times its cofactor by general BivarPoly
-    products, summed over the max-multiplicity common denominator."""
+def _union_den(terms):
+    """The max-multiplicity common denominator, by Counter union."""
     common = Counter()
     for t in terms:
         common |= t.den
+    return common
+
+
+def _product_sum(terms):
+    """Reference: each numerator times its cofactor by general BivarPoly
+    products, summed over the max-multiplicity common denominator."""
+    common = _union_den(terms)
     total = BivarPoly()
     for t in terms:
         total = total + _num_poly(t) * _den_product(common - t.den)
@@ -393,7 +400,7 @@ def _over_common_den_reference(terms, order):
     convolved with C(w) one pass per nonzero entry, multiplied by every
     factor of common - gden and added into the band at its offset."""
     terms = [t for t in terms if 2 * t.shift <= order]
-    common = _common_den(terms)
+    common = _union_den(terms)
     groups = {}
     for t in terms:
         groups.setdefault(t.numfactors, []).append(t)
@@ -402,7 +409,7 @@ def _over_common_den_reference(terms, order):
             default=0) - lo + 1
     band = [0] * (((order - lo) // 2 + 1) * W)
     for numfactors, group in groups.items():
-        gden = _common_den(group)
+        gden = _union_den(group)
         C = _group_cofactor(group, gden)
         if not C:
             continue
@@ -532,6 +539,73 @@ class TestHornerBand:
                        + sum(_common_den(terms).values()))
             assert 1 <= depth[1] <= 1 + letters
         assert sys.getrecursionlimit() == limit
+
+
+def _negated(terms):
+    return [replace(t, coef=-t.coef) for t in terms]
+
+
+@st.composite
+def equal_rewrites(draw, terms):
+    """The same sum written otherwise, term by term: numerator factors
+    reordered, a coef split in two, and 1 / (1 - w^k) split as
+    1 + w^k / (1 - w^k); then the list shuffled."""
+    out = []
+    for t in terms:
+        t = replace(t, numfactors=tuple(draw(st.permutations(t.numfactors))))
+        if draw(st.booleans()):
+            part = draw(st.sampled_from([-2, -1, 1, 2]))
+            out.append(replace(t, coef=part))
+            t = replace(t, coef=t.coef - part)
+        ks = sorted(k for k, m in t.den.items() if m > 0)
+        if ks and draw(st.booleans()):
+            k = draw(st.sampled_from(ks))
+            out.append(replace(t, den=t.den - Counter({k: 1})))
+            t = replace(t, shift=t.shift + k)
+        out.append(t)
+    return draw(st.permutations(out))
+
+
+class TestDifferenceSum:
+    """One list, one side's terms and the other's negated, sums to zero
+    exactly when the two sides' sums are equal: exactly, and truncated at
+    every order."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_zero_exactly_when_equal(self, data):
+        a = data.draw(fterm_lists)
+        kind = data.draw(st.sampled_from(["other", "equal", "plus one term"]))
+        if kind == "other":
+            b = data.draw(fterm_lists)
+        else:
+            b = data.draw(equal_rewrites(a))
+            if kind == "plus one term":
+                b.append(data.draw(fterms()))
+        diff = a + _negated(b)
+        zero = assemble_exact(diff).num.is_zero()
+        assert zero == assemble_exact(a).rat_eq(assemble_exact(b))
+        if kind != "other":
+            assert zero == (kind == "equal")
+        for order in (0, 7, 30):
+            assert (assemble_series(diff, order).is_zero()
+                    == (assemble_series(a, order) == assemble_series(b, order)))
+
+    @pytest.mark.parametrize("family,rank,d,g", [
+        ("GL", 4, 1, 2), ("SL", 3, 0, 3), ("SOodd", 3, 1, 2), ("Sp", 4, 0, 2),
+        ("SOeven", 4, 1, 3)])
+    def test_classical_difference_terms(self, family, rank, d, g):
+        """The composition sum's terms, then the closed formula's negated;
+        their sum is zero, and dropping either side's last term breaks it."""
+        spec = GroupSpec(((family, rank),))
+        classical = formulas._classical_terms(family, rank, d, g, False)
+        closed = closed_terms(*formulas._datum_fracs(spec, (d,)), g)
+        terms = formulas.classical_difference_terms(family, rank, d, g)
+        assert terms == classical + _negated(closed)
+        assert assemble_exact(terms).num.is_zero()
+        assert assemble_series(terms, 24).is_zero()
+        for broken in (terms[:len(classical) - 1] + terms[len(classical):], terms[:-1]):
+            assert not assemble_exact(broken).num.is_zero()
 
 
 class TestModuliSpace:

@@ -2,12 +2,15 @@
 recursion identity between full-stack and semistable series."""
 
 import hashlib
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hodge_series.formulas import hp_semistable_classical, hp_semistable_closed
+from hodge_series import recursion
+from hodge_series.formulas import (closed_series_for, hp_semistable_classical,
+                                   hp_semistable_closed)
 from hodge_series.ratfun import BivarPoly, TruncSeries2
 from hodge_series.recursion import (
     NonIntegralCodim,
@@ -265,6 +268,32 @@ class TestRecursion:
             lhs = hp_semistable_closed_series(GL(2), (d,), 2, 12)
             rhs = recursion_rhs(GL(2), (d,), 2, 12)
             assert BivarPoly(lhs.coeffs).diagonal() == BivarPoly(rhs.coeffs).diagonal()
+
+
+@pytest.mark.parametrize("name,d,mismatch", [
+    ("GL4", (1,), (4, 4, 185, 186)), ("SO10", (1,), (14, 14, 2648, 2649)),
+    ("GL3xSO5", (1, 0), (3, 3, 147, 148))])
+def test_broken_stratum_fails(monkeypatch, name, d, mismatch):
+    """The first stratum's codim raised by 1 breaks the recursion side
+    alone: the check fails, and reports the first coefficient at which
+    closed_series_for and recursion_rhs, assembled apart, differ."""
+    real = recursion.enumerate_hn_types
+
+    def broken(*args, **kwargs):
+        strata = real(*args, **kwargs)
+        return [replace(strata[0], codim=strata[0].codim + 1)] + strata[1:]
+
+    monkeypatch.setattr(recursion, "enumerate_hn_types", broken)
+    spec, g, N = parse_group(name), 2, 30
+    rep = verify_recursion(spec, d, g, N)
+    assert not rep.match
+    assert rep.first_mismatch == mismatch
+    rs = build_root_system(spec)
+    lhs = closed_series_for(rs.datum, rs.datum.fund_fracs(rs.lift_degree(d)), g, N)
+    rhs = recursion_rhs(spec, d, g, N)
+    i, j = min(k for k in set(lhs.coeffs) | set(rhs.coeffs)
+               if lhs.coeff(*k) != rhs.coeff(*k))
+    assert mismatch == (i, j, lhs.coeff(i, j), rhs.coeff(i, j))
 
 
 # factor -> rank; products are drawn with total rank <= 4

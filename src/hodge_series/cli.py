@@ -264,7 +264,9 @@ def _outcome(result):
 
 def _run_checks(checks):
     """(pass, extra JSON fields) per check; the fields include wall_s, the
-    check's wall time in seconds."""
+    wall seconds of the check's own call.  Work cached by an earlier check
+    (root systems, Levi tables, the corollaries' shared fixed-det
+    polynomial) is charged to the check that first did it."""
     outcomes = []
     for _, fn in checks:
         start = perf_counter()

@@ -545,13 +545,12 @@ def hp_semistable_classical_series(family, rank, d, g, order,
     return assemble_series(_classical_terms(family, rank, d, g, allow_large_genus), order)
 
 
-def classical_difference_terms(family, rank, d, g, allow_large_genus=False):
+def classical_difference_terms(family, rank, d: int, g):
     """The composition sum's factored terms followed by the closed formula's
     with coef negated: one list, whose exact sum (or truncated sum, to any
     order) is zero exactly when the two sides agree."""
-    terms = _classical_terms(family, rank, d, g, allow_large_genus)
-    datum, fracs = _datum_fracs(GroupSpec(((family, rank),)),
-                                d if isinstance(d, tuple) else (d,))
+    terms = _classical_terms(family, rank, d, g, False)
+    datum, fracs = _datum_fracs(GroupSpec(((family, rank),)), (d,))
     return terms + closed_terms(datum, fracs, g, -1)
 
 

@@ -345,9 +345,10 @@ def verify_recursion(spec: GroupSpec, d, g, order) -> RecursionReport:
 
     Both sides are sums of factored terms, so they agree to total degree
     <= order exactly when one truncated sum is zero: the closed-formula
-    terms of G, minus a(G), plus every stratum's shifted Levi terms.  Only
-    when it is not are the two sides assembled apart, to report the first
-    coefficient (i, j) where they differ, with both values."""
+    terms of G, minus a(G), plus every stratum's shifted Levi terms.  When it
+    is not, its least nonzero coefficient (i, j) is the first mismatch: the
+    closed series gives lhs there, and rhs is lhs minus the sum's
+    coefficient."""
     d = validate_degree(d, spec)
     rs = build_root_system(spec)
     fracs = rs.datum.fund_fracs(rs.lift_degree(d))
@@ -357,10 +358,6 @@ def verify_recursion(spec: GroupSpec, d, g, order) -> RecursionReport:
                            + _rhs_terms(spec, g, strata, -1), order)
     if diff.is_zero():
         return RecursionReport(True, None, order, n)
-    lhs = closed_series_for(rs.datum, fracs, g, order)
-    rhs = assemble_series(_rhs_terms(spec, g, strata, 1), order)
-    for (i, j) in sorted(set(lhs.coeffs) | set(rhs.coeffs)):
-        lc, rc = lhs.coeff(i, j), rhs.coeff(i, j)
-        if lc != rc:
-            return RecursionReport(False, (i, j, lc, rc), order, n)
-    return RecursionReport(False, None, order, n)
+    i, j = min(diff.coeffs)
+    lc = closed_series_for(rs.datum, fracs, g, order).coeff(i, j)
+    return RecursionReport(False, (i, j, lc, lc - diff.coeff(i, j)), order, n)

@@ -18,9 +18,7 @@ from .formulas import (
     hp_moduli_fixed_det,
     hp_moduli_space,
     hp_semistable_classical,
-    hp_semistable_classical_series,
     hp_semistable_closed,
-    hp_semistable_closed_series,
     specialize,
     stack_poincare_series,
 )
@@ -43,17 +41,11 @@ from .recursion import (
 )
 from .rootdata import (
     GroupSpec,
-    RootSystem,
     build_root_system,
-    exponents_of,
     frac_rep,
-    fund_weight_mod_Z,
     good_case,
-    levi_datum,
     parse_degree,
     parse_group,
-    project_to_center,
-    rho_pairing,
 )
 from .vhs import (
     PeriodMatrix,

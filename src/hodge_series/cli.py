@@ -64,9 +64,9 @@ def _compute_object(args):
         return spec, d, formulas.hp_semistable_closed(spec, d, g)
     if args.what == "moduli":
         ms = formulas.hp_moduli_space(spec, d, g)
-        rs = build_root_system(spec)
-        dim_g = rs.rank + 2 * rs.num_positive
-        bound = 2 * ((g - 1) * dim_g + rs.center_dim)
+        datum = build_root_system(spec)
+        dim_g = datum.n + 2 * len(datum.pos_roots)
+        bound = 2 * ((g - 1) * dim_g + datum.dim_z)
         return spec, d, formulas.to_polynomial(ms, bound)
     if args.what == "fixed-det":
         r, dd = _single_gl(spec, d)
@@ -265,7 +265,7 @@ def _outcome(result):
 def _run_checks(checks):
     """(pass, extra JSON fields) per check; the fields include wall_s, the
     wall seconds of the check's own call.  Work cached by an earlier check
-    (root systems, Levi tables, the corollaries' shared fixed-det
+    (root data, Levi tables, the corollaries' shared fixed-det
     polynomial) is charged to the check that first did it."""
     outcomes = []
     for _, fn in checks:

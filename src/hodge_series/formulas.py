@@ -337,9 +337,9 @@ def _levi_term(coef, m, nonab_exps, dim_u, walls, g):
 
 
 def a_series_term(spec: GroupSpec, g) -> FTerm:
-    rs = build_root_system(spec)
-    m = rs.center_dim
-    return _levi_term(1, m, rs.datum.exponent_list()[m:], 0, (), g)
+    datum = build_root_system(spec)
+    m = datum.dim_z
+    return _levi_term(1, m, datum.exponent_list()[m:], 0, (), g)
 
 
 def a_series(spec: GroupSpec, g, allow_large_genus=False) -> RatFun2:
@@ -350,7 +350,7 @@ def a_series(spec: GroupSpec, g, allow_large_genus=False) -> RatFun2:
 
 def hp_classifying(spec: GroupSpec) -> RatFun2:
     """Series of the classifying stack: 1 / prod_k (1 - (uv)^{d_k})."""
-    exps = build_root_system(spec).datum.exponent_list()
+    exps = build_root_system(spec).exponent_list()
     return assemble_exact([FTerm(1, 0, (), Counter(exps))])
 
 
@@ -381,21 +381,14 @@ def closed_series_for(datum: RootDatum, fracs, g, order) -> TruncSeries2:
 
 def _datum_fracs(spec, d):
     """The root datum of spec and its <varpi_a(d)> data."""
-    rs = build_root_system(spec)
-    return rs.datum, rs.datum.fund_fracs(rs.lift_degree(validate_degree(d, spec)))
+    datum = build_root_system(spec)
+    return datum, datum.fund_fracs(datum.lift_degree(d))
 
 
 def hp_semistable_closed(spec: GroupSpec, d, g, allow_large_genus=False) -> RatFun2:
     """Closed formula for the series of the semistable stack of degree d."""
     _check_genus(g, allow_large_genus)
     return closed_ratfun(*_datum_fracs(spec, d), g)
-
-
-def hp_semistable_closed_series(spec: GroupSpec, d, g, order,
-                                allow_large_genus=False) -> TruncSeries2:
-    """Truncated expansion of the closed formula, assembled term by term."""
-    _check_genus(g, allow_large_genus)
-    return closed_series_for(*_datum_fracs(spec, d), g, order)
 
 
 # ---------------------------------------------------------------------------
@@ -540,11 +533,6 @@ def hp_semistable_classical(family, rank, d, g, allow_large_genus=False) -> RatF
     return assemble_exact(_classical_terms(family, rank, d, g, allow_large_genus))
 
 
-def hp_semistable_classical_series(family, rank, d, g, order,
-                                   allow_large_genus=False) -> TruncSeries2:
-    return assemble_series(_classical_terms(family, rank, d, g, allow_large_genus), order)
-
-
 def classical_difference_terms(family, rank, d: int, g):
     """The composition sum's factored terms followed by the closed formula's
     with coef negated: one list, whose exact sum (or truncated sum, to any
@@ -570,9 +558,9 @@ def hp_moduli_space(spec: GroupSpec, d, g, allow_large_genus=False) -> RatFun2:
     d = validate_degree(d, spec)
     if not good_case(spec, d):
         raise NotGoodCase("degree %s admits strictly semistable bundles" % (d,))
-    m = build_root_system(spec).center_dim
-    return assemble_exact([replace(t, den=t.den - Counter({1: m}))
-                           for t in closed_terms(*_datum_fracs(spec, d), g)])
+    datum, fracs = _datum_fracs(spec, d)
+    return assemble_exact([replace(t, den=t.den - Counter({1: datum.dim_z}))
+                           for t in closed_terms(datum, fracs, g)])
 
 
 def hp_moduli_fixed_det(r, d, g, allow_large_genus=False) -> RatFun2:
@@ -615,9 +603,9 @@ def stack_poincare_series(spec: GroupSpec, g) -> RatFun1:
     """One-variable Poincare series of the full stack, as a product over the
     exponents: ((1+t)^{2g}/(1-t^2))^m prod (1+t^{2d-1})^{2g} /
     ((1-t^{2d-2})(1-t^{2d}))."""
-    rs = build_root_system(spec)
-    exps = rs.datum.exponent_list()
-    m = rs.center_dim
+    datum = build_root_system(spec)
+    exps = datum.exponent_list()
+    m = datum.dim_z
     num = UniPoly({0: 1, 1: 1}) ** (2 * g * m)
     den = UniPoly({0: 1, 2: -1}) ** m
     for d in exps[m:]:
@@ -640,8 +628,6 @@ __all__ = [
     "a_series", "assemble_exact", "assemble_series",
     "chi_t_fixed_det_formula", "classical_difference_terms", "closed_ratfun",
     "closed_series_for", "closed_terms", "hp_classifying", "hp_moduli_fixed_det",
-    "hp_moduli_space", "hp_semistable_classical",
-    "hp_semistable_classical_series", "hp_semistable_closed",
-    "hp_semistable_closed_series", "specialize", "stack_poincare_series",
-    "to_polynomial",
+    "hp_moduli_space", "hp_semistable_classical", "hp_semistable_closed",
+    "specialize", "stack_poincare_series", "to_polynomial",
 ]

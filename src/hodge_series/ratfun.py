@@ -313,11 +313,6 @@ U = BivarPoly.monomial(1, 0)
 V = BivarPoly.monomial(0, 1)
 
 
-def w_power(k):
-    """(uv)^k as a polynomial."""
-    return BivarPoly.monomial(k, k)
-
-
 # ---------------------------------------------------------------------------
 # the band (layout in the module docstring) and denominator multisets
 # ---------------------------------------------------------------------------

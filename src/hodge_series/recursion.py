@@ -58,15 +58,14 @@ from fractions import Fraction
 from math import lcm
 from operator import mul
 
-from .formulas import (a_series_term, assemble_series, closed_series_for,
-                       closed_terms)
+from .formulas import (_datum_fracs, a_series_term, assemble_series,
+                       closed_series_for, closed_terms)
 from .ratfun import TruncSeries2
 from .rootdata import (
     GroupSpec,
     _adjugate,
     _dot,
     build_root_system,
-    validate_degree,
 )
 
 
@@ -84,9 +83,8 @@ class HNType:
     codim: int
 
 
-def codim(datum_or_rs, mu, g):
+def codim(datum, mu, g):
     """sum of (beta(mu) + g - 1) over positive roots with beta(mu) > 0."""
-    datum = getattr(datum_or_rs, "datum", datum_or_rs)
     mu = tuple(Fraction(m) for m in mu)
     total = Fraction(0)
     count = 0
@@ -154,10 +152,8 @@ def enumerate_hn_types(spec: GroupSpec, d, g, max_codim):
     """
     if max_codim < 0:
         return []
-    d = validate_degree(d, spec)
-    rs = build_root_system(spec)
-    datum = rs.datum
-    X0 = rs.lift_degree(d)
+    datum = build_root_system(spec)
+    X0 = datum.lift_degree(d)
     found = []
     for levi in datum.levis()[1:]:
         I = levi.I
@@ -268,9 +264,9 @@ def oracle_codim(blocks, g):
     return total
 
 
-def hn_blocks_of(rs, hn: HNType):
+def hn_blocks_of(datum, hn: HNType):
     """GL-only: convert a stratum to ordered (rank, degree) block data."""
-    (fam, r), = rs.spec.factors
+    (fam, r), = datum.spec.factors
     if fam != "GL":
         raise ValueError("block data only defined for a single GL factor")
     walls = sorted(i + 1 for i in hn.I)
@@ -321,7 +317,7 @@ def _rhs_terms(spec, g, strata, sign):
     """sign times the factored terms of recursion_rhs over the given strata:
     a(G), and each stratum's Levi closed-formula terms negated and shifted
     by w^{codim}."""
-    datum = build_root_system(spec).datum
+    datum = build_root_system(spec)
     a = a_series_term(spec, g)
     a.coef *= sign
     terms = [a]
@@ -349,15 +345,13 @@ def verify_recursion(spec: GroupSpec, d, g, order) -> RecursionReport:
     is not, its least nonzero coefficient (i, j) is the first mismatch: the
     closed series gives lhs there, and rhs is lhs minus the sum's
     coefficient."""
-    d = validate_degree(d, spec)
-    rs = build_root_system(spec)
-    fracs = rs.datum.fund_fracs(rs.lift_degree(d))
+    datum, fracs = _datum_fracs(spec, d)
     strata = enumerate_hn_types(spec, d, g, order // 2)
     n = len(strata)
-    diff = assemble_series(closed_terms(rs.datum, fracs, g)
+    diff = assemble_series(closed_terms(datum, fracs, g)
                            + _rhs_terms(spec, g, strata, -1), order)
     if diff.is_zero():
         return RecursionReport(True, None, order, n)
     i, j = min(diff.coeffs)
-    lc = closed_series_for(rs.datum, fracs, g, order).coeff(i, j)
+    lc = closed_series_for(datum, fracs, g, order).coeff(i, j)
     return RecursionReport(False, (i, j, lc, lc - diff.coeff(i, j)), order, n)

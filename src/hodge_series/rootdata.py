@@ -2,8 +2,10 @@
 
 The five supported families are GL_r, SL_r, SO_{2r+1}, Sp_r and SO_{2r}
 (types A, A, B, C, D).  A group is described by a ``GroupSpec`` (an ordered
-product of such factors); ``build_root_system`` turns it into explicit
-integer data on the coweight lattice pi_1(H) = Z^n:
+product of such factors); ``build_root_system`` turns it into the group's
+own ``RootDatum``, explicit integer data on the coweight lattice
+pi_1(H) = Z^n together with the per-factor lifts of degree 1
+(``RootDatum.lift_degree``):
 
 * simple roots and positive roots are stored as linear forms (integer row
   vectors paired against lattice points),
@@ -36,8 +38,8 @@ Linear algebra is fraction-free over Z: one Bareiss elimination gives the
 determinant and the adjugate of an integer matrix, so a solve is an integer
 matrix-vector product over one denominator.  The Cartan matrix's adjugate
 is cached on the datum, and the projection to the center of a Levi is an
-integer matrix over one denominator; solve_linear and invert_matrix are
-rational front ends that clear each row's denominators first.
+integer matrix over one denominator; invert_matrix is a rational front
+end that clears each row's denominators first.
 
 Conventions: a subset I of simple-root indices labels the standard parabolic
 P^I whose Levi L^I has simple roots Delta \\ I; I = empty set gives L = G.
@@ -60,10 +62,6 @@ class UnsupportedRank(ValueError):
     """Rank outside the allowed range for the requested family."""
 
 
-class DefinitionMismatch(ArithmeticError):
-    """The two candidate definitions of rho^I disagree on an evaluation."""
-
-
 class SingularSystem(ArithmeticError):
     """A linear system that must be invertible turned out singular."""
 
@@ -80,7 +78,7 @@ def frac_rep(x) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# fraction-free linear algebra over Z, with rational front ends
+# fraction-free linear algebra over Z, with a rational front end
 # ---------------------------------------------------------------------------
 
 
@@ -126,19 +124,6 @@ def _scaled_rows(rows):
         scales.append(s)
         out.append([int(x * s) for x in row])
     return scales, out
-
-
-def solve_linear(matrix, rhs):
-    """Solve the square system matrix * x = rhs over Fractions.
-
-    Raises SingularSystem when no unique solution exists.
-    """
-    _, rows = _scaled_rows([list(r) + [b] for r, b in zip(matrix, rhs)])
-    det, adj = _adjugate([r[:-1] for r in rows])
-    if not det:
-        raise SingularSystem("singular %dx%d system" % (len(rows), len(rows)))
-    b = [r[-1] for r in rows]
-    return [Fraction(_dot(row, b), det) for row in adj]
 
 
 def invert_matrix(matrix):
@@ -358,17 +343,23 @@ class LeviDatum:
 
 class RootDatum:
     """Lattice Z^n with simple roots (forms), simple coroots (vectors) and
-    positive roots; sufficient data for every formula in the package."""
+    positive roots; sufficient data for every formula in the package.
+
+    A group's own datum (from ``build_root_system``) also keeps its
+    ``spec`` and the lift of degree 1 per factor, read by ``lift_degree``;
+    on a Levi sub-datum both are None."""
 
     __slots__ = ("n", "simple_roots", "simple_coroots", "pos_roots",
-                 "pos_coeffs", "_parent", "_index", "_cache")
+                 "pos_coeffs", "spec", "_lifts", "_parent", "_index", "_cache")
 
-    def __init__(self, n, simple_roots, simple_coroots, pos_roots, pos_coeffs):
+    def __init__(self, n, simple_roots, simple_coroots, pos_roots, pos_coeffs,
+                 spec=None, lifts=None):
         self.n = n
         self.simple_roots = tuple(tuple(f) for f in simple_roots)
         self.simple_coroots = tuple(tuple(c) for c in simple_coroots)
         self.pos_roots = tuple(tuple(f) for f in pos_roots)
         self.pos_coeffs = tuple(tuple(c) for c in pos_coeffs)
+        self.spec, self._lifts = spec, lifts
         self._parent = self._index = None
         self._cache = {}
 
@@ -495,7 +486,7 @@ class RootDatum:
                 for mask in range(1 << k))
         return cached
 
-    def two_rho_pairings(self, parabolic_indices, strict=False):
+    def two_rho_pairings(self, parabolic_indices):
         """Map alpha in I -> 2 rho^I(alpha^vee) for the parabolic subset I.
 
         Two candidate conventions exist for rho^I: half the sum of the
@@ -508,23 +499,9 @@ class RootDatum:
         stratification recursion and with the classical-type composition
         sums -- hold for the nilradical convention and fail for the other,
         so the nilradical value is what this method returns (read from
-        levi(I)).  With strict=True the alternative convention is evaluated
-        as well and any disagreement raises DefinitionMismatch.
+        levi(I)).
         """
-        I = tuple(sorted(parabolic_indices))
-        nil_vals = self.levi(I).rho_pairings
-        if strict:
-            positive_set = [
-                form for form in self.pos_roots
-                if any(_dot(form, self.simple_coroots[b]) > 0 for b in I)]
-            alt_vals = {a: sum(_dot(form, self.simple_coroots[a])
-                               for form in positive_set) for a in I}
-            for a in I:
-                if nil_vals[a] != alt_vals[a]:
-                    raise DefinitionMismatch(
-                        "rho^I conventions disagree at alpha_%d: nilradical %s"
-                        " vs pairing-condition %s" % (a, nil_vals[a], alt_vals[a]))
-        return nil_vals
+        return self.levi(parabolic_indices).rho_pairings
 
     # -- fundamental weights and projections -------------------------------------
 
@@ -547,6 +524,19 @@ class RootDatum:
         det, adj = self._cartan_adj()
         rhs = [_dot(a, X) for a in self.simple_roots]
         return tuple(Fraction(_dot(row, rhs), det) for row in adj)
+
+    def lift_degree(self, d):
+        """Canonical lift of d in pi_1 G to the coweight lattice.
+
+        GL uses d * e_1 of its block, SO families d * e_r, SL and Sp lift to
+        zero.  Any two lifts differ by the coroot lattice, and every formula
+        consuming the lift is invariant under that ambiguity.  Only a
+        group's own datum lifts degrees; a Levi sub-datum raises ValueError.
+        """
+        if self.spec is None:
+            raise ValueError("a Levi sub-datum has no degree lifts")
+        d = validate_degree(d, self.spec)
+        return tuple(di * x for di, lift in zip(d, self._lifts) for x in lift)
 
     def fund_fracs(self, X):
         """Tuple of <varpi_alpha(X)> in (0, 1]; the only way degrees enter."""
@@ -655,41 +645,9 @@ _POS_COUNT = {"GL": lambda r: r * (r - 1) // 2,
               "SOeven": lambda r: r * (r - 1)}
 
 
-@dataclass
-class RootSystem:
-    """Concatenated root datum of a GroupSpec plus bookkeeping per factor."""
-
-    spec: GroupSpec
-    datum: RootDatum
-    pi1: tuple                # (free_rank, torsion) per factor
-    _lifts: tuple             # the lift of degree 1, per factor
-
-    @property
-    def rank(self):
-        return self.datum.n
-
-    @property
-    def center_dim(self):
-        return self.datum.dim_z
-
-    @property
-    def num_positive(self):
-        return len(self.datum.pos_roots)
-
-    def lift_degree(self, d):
-        """Canonical lift of d in pi_1 G to the coweight lattice.
-
-        GL uses d * e_1 of its block, SO families d * e_r, SL and Sp lift to
-        zero.  Any two lifts differ by the coroot lattice, and every formula
-        consuming the lift is invariant under that ambiguity.
-        """
-        d = validate_degree(d, self.spec)
-        return tuple(di * x for di, lift in zip(d, self._lifts) for x in lift)
-
-
 @lru_cache(maxsize=None)
-def build_root_system(spec: GroupSpec) -> RootSystem:
-    """Assemble the block-diagonal root system of a product of factors.
+def build_root_system(spec: GroupSpec) -> RootDatum:
+    """The root datum of a product of factors, with its degree lifts.
 
     The factors' simple roots and coroots are placed side by side, and the
     positive roots, with their simple-root coefficients, are the reflection
@@ -700,7 +658,7 @@ def build_root_system(spec: GroupSpec) -> RootSystem:
     """
     blocks = [_block(fam, r) for fam, r in spec.factors]
     width = sum(b[0] for b in blocks)
-    simples, coroots, pi1s = [], [], []
+    simples, coroots = [], []
     n = 0
     for (fam, r), (bn, bs, bc, _) in zip(spec.factors, blocks):
         pad = lambda vec: (0,) * n + tuple(vec) + (0,) * (width - n - bn)
@@ -710,48 +668,17 @@ def build_root_system(spec: GroupSpec) -> RootSystem:
         pi1 = (bn - len(divs), tuple(d for d in divs if d > 1))
         if pi1 != _EXPECTED_PI1[fam]:
             raise AssertionError("pi_1 mismatch for %s%d: %s" % (fam, r, pi1))
-        pi1s.append(pi1)
         n += bn
     pos, coeffs = _positive_roots(simples, coroots)
     if len(pos) != sum(_POS_COUNT[fam](r) for fam, r in spec.factors):
         raise AssertionError("positive root count wrong for %s" % (spec,))
-    datum = RootDatum(width, simples, coroots, pos, coeffs)
-    return RootSystem(spec, datum, tuple(pi1s), tuple(b[3] for b in blocks))
+    return RootDatum(width, simples, coroots, pos, coeffs, spec,
+                     tuple(b[3] for b in blocks))
 
 
 # ---------------------------------------------------------------------------
 # GroupSpec-level operations
 # ---------------------------------------------------------------------------
-
-
-def levi_datum(rs: RootSystem, I) -> LeviDatum:
-    """Levi data for the parabolic subset I (Levi simple roots = Delta - I)."""
-    return rs.datum.levi(I)
-
-
-def exponents_of(spec: GroupSpec):
-    """Exponents d_k of the full group (center ones included)."""
-    return build_root_system(spec).datum.exponent_list()
-
-
-def rho_pairing(rs: RootSystem, I, alpha_index, strict=True):
-    """2 rho^I(alpha^vee) for alpha in I.
-
-    Strict by default: evaluates both conventions and raises
-    DefinitionMismatch when they differ (see RootDatum.two_rho_pairings).
-    """
-    vals = rs.datum.two_rho_pairings(tuple(I), strict=strict)
-    return vals[alpha_index]
-
-
-def fund_weight_mod_Z(rs: RootSystem, alpha_index, d) -> Fraction:
-    """<varpi_alpha(d)> in (0, 1] for the canonical lift of d."""
-    X = rs.lift_degree(d)
-    return rs.datum.fund_fracs(X)[alpha_index]
-
-
-def project_to_center(rs: RootSystem, I, X):
-    return rs.datum.project_to_center(tuple(I), X)
 
 
 def good_case(spec: GroupSpec, d) -> bool:
@@ -764,6 +691,6 @@ def good_case(spec: GroupSpec, d) -> bool:
     so shrinking I to a singleton shows: the good case holds iff no single
     q_alpha = varpi_alpha(X_d) is an integer.
     """
-    rs = build_root_system(spec)
-    values = rs.datum.fund_weight_values(rs.lift_degree(d))
+    datum = build_root_system(spec)
+    values = datum.fund_weight_values(datum.lift_degree(d))
     return all(v.denominator != 1 for v in values)

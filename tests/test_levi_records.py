@@ -15,7 +15,6 @@ from hodge_series.rootdata import (
     RootDatum,
     build_root_system,
     degrees_of,
-    levi_datum,
     parse_group,
 )
 
@@ -86,11 +85,10 @@ def _reference_closed_terms(datum, fracs, g):
 
 @pytest.mark.parametrize("name", GROUPS)
 def test_records_match_reference(name):
-    rs = build_root_system(parse_group(name))
-    datum = rs.datum
+    datum = build_root_system(parse_group(name))
     _check_records(datum, datum)
     for L in datum.levis():
-        assert levi_datum(rs, L.I) is L
+        assert datum.levi(L.I) is L
         assert datum.two_rho_pairings(L.I) == L.rho_pairings
 
 
@@ -98,7 +96,7 @@ def test_records_match_reference(name):
 def test_records_of_levis_match_reference(name):
     """A Levi's own records (parabolic subsets of L^I) agree with a fresh,
     unlinked copy of the Levi, and its Levis are the group's."""
-    datum = build_root_system(parse_group(name)).datum
+    datum = build_root_system(parse_group(name))
     for L in datum.levis():
         index = datum.complement(L.I)
         _check_records(L.datum, _reference_sub_datum(datum, index))
@@ -109,10 +107,9 @@ def test_records_of_levis_match_reference(name):
 
 @pytest.mark.parametrize("name", GROUPS)
 def test_closed_terms_match_reference(name):
-    rs = build_root_system(parse_group(name))
-    datum = rs.datum
-    for d in degrees_of(rs.spec):
-        X = rs.lift_degree(d)
+    datum = build_root_system(parse_group(name))
+    for d in degrees_of(datum.spec):
+        X = datum.lift_degree(d)
         for g in (2, 3):
             fracs = datum.fund_fracs(X)
             assert closed_terms(datum, fracs, g) == _reference_closed_terms(datum, fracs, g)
@@ -124,7 +121,7 @@ def test_closed_terms_match_reference(name):
 
 
 def test_levi_record_is_cached():
-    datum = build_root_system(parse_group("SO8")).datum
+    datum = build_root_system(parse_group("SO8"))
     for I in _subsets(datum.num_simple):
         assert datum.levi(I) is datum.levi(I) is datum.levi(tuple(reversed(I)))
     assert datum.levis() is datum.levis()
@@ -142,11 +139,10 @@ def test_levis_of_levis_are_built_once_per_group(monkeypatch):
         init(self, *args)
 
     monkeypatch.setattr(RootDatum, "__init__", counting)
-    rs = build_root_system.__wrapped__(parse_group("GL6"))  # a fresh datum
-    datum = rs.datum
+    datum = build_root_system.__wrapped__(parse_group("GL6"))  # a fresh datum
     for I in _subsets(datum.num_simple):
         levi = datum.sub_datum(datum.complement(I))
-        closed_terms(levi, levi.fund_fracs(rs.lift_degree((1,))), 2)
+        closed_terms(levi, levi.fund_fracs(datum.lift_degree((1,))), 2)
     assert len(built) == 2 ** 5
 
 
@@ -154,7 +150,7 @@ def test_levis_of_levis_are_built_once_per_group(monkeypatch):
 def test_full_levi_is_the_datum_itself(name):
     """The Levi of I = () is the group: its datum is the group's own object,
     for the group and for each of its Levis."""
-    datum = build_root_system(parse_group(name)).datum
+    datum = build_root_system(parse_group(name))
     assert datum.levi(()).datum is datum
     assert datum.sub_datum(range(datum.num_simple)) is datum
     for L in datum.levis():
@@ -166,7 +162,7 @@ def test_full_levi_is_the_datum_itself(name):
 def test_records_match_reference_at_benchmark_ranks(name):
     """The records read off the table of positive roots agree with the scan
     reference on the groups and ranks of the benchmark's closed formula."""
-    datum = build_root_system(parse_group(name)).datum
+    datum = build_root_system(parse_group(name))
     _check_records(datum, datum)
 
 
@@ -183,16 +179,15 @@ def test_closed_formula_builds_no_levi_datum(name, monkeypatch):
         init(self, *args)
 
     monkeypatch.setattr(RootDatum, "__init__", counting)
-    rs = build_root_system.__wrapped__(parse_group(name))  # a fresh datum
-    datum = rs.datum
-    closed_terms(datum, datum.fund_fracs(rs.lift_degree(degrees_of(rs.spec)[-1])), 2)
+    datum = build_root_system.__wrapped__(parse_group(name))  # a fresh datum
+    closed_terms(datum, datum.fund_fracs(datum.lift_degree(degrees_of(datum.spec)[-1])), 2)
     assert built == [datum]
 
 
 def test_levi_datum_is_built_on_first_read():
     """A record's datum is the Levi sub-datum, built when first read and the
     same object on every later read."""
-    datum = build_root_system.__wrapped__(parse_group("GL4")).datum
+    datum = build_root_system.__wrapped__(parse_group("GL4"))
     L = datum.levi((1,))
     assert ("sub", (0, 2)) not in datum._cache
     assert L.datum is datum.sub_datum((0, 2)) is L.datum
@@ -205,7 +200,7 @@ def test_malformed_index_sets_are_rejected(bad):
     """Parabolic and Levi index sets must be distinct simple-root indices:
     on GL3, (0, 0) would alias (0,), -1 would read alpha_1 and 5 would fail
     with an IndexError."""
-    datum = build_root_system(parse_group("GL3")).datum
+    datum = build_root_system(parse_group("GL3"))
     for method in (datum.levi, datum.sub_datum, datum.two_rho_pairings):
         with pytest.raises(ValueError):
             method(bad)
@@ -217,7 +212,7 @@ def test_malformed_index_sets_are_rejected(bad):
 def test_malformed_index_sets_are_rejected_by_a_levi():
     """A Levi sub-datum checks indices against its own simple roots before
     mapping them to the group's."""
-    datum = build_root_system(parse_group("GL4")).datum
+    datum = build_root_system(parse_group("GL4"))
     levi = datum.sub_datum((0, 2))
     for bad in [(2,), (-1,), (0, 0)]:
         for method in (levi.levi, levi.sub_datum):

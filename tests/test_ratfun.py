@@ -20,10 +20,9 @@ from hodge_series.ratfun import (
     RatFun1,
     ZeroDenominatorAfterSubstitution,
     to_polynomial,
-    w_power,
 )
 
-W = w_power(1)
+W = BivarPoly.monomial(1, 1)
 
 
 def poly(d):
@@ -38,7 +37,7 @@ class TestPolyOps:
         assert (1 + W) ** 0 == ONE
 
     def test_difference_of_squares(self):
-        assert (1 - W) * (1 + W) == 1 - w_power(2)
+        assert (1 - W) * (1 + W) == 1 - BivarPoly.monomial(2, 2)
 
     def test_add_cancels(self):
         assert ((1 + U) - (1 + U)).is_zero()
@@ -69,7 +68,7 @@ class TestCoefficientValidation:
 
 class TestDivision:
     def test_exact(self):
-        assert (1 - w_power(2)).divide_exact({1: 1}) == 1 + W
+        assert (1 - BivarPoly.monomial(2, 2)).divide_exact({1: 1}) == 1 + W
 
     def test_square(self):
         assert ((1 - W) ** 2).divide_exact({1: 1}) == 1 - W
@@ -85,7 +84,7 @@ class TestDivision:
     def test_quotient_built_unchecked(self, monkeypatch):
         """The quotient comes off the band as nonzero ints at non-negative
         exponents and is not validated again, coefficient by coefficient."""
-        num = (1 + U) ** 3 * (1 + V) ** 2 * (1 - W) * (1 - w_power(3)) ** 2
+        num = (1 + U) ** 3 * (1 + V) ** 2 * (1 - W) * (1 - BivarPoly.monomial(3, 3)) ** 2
         expect = ((1 + U) ** 3 * (1 + V) ** 2).terms
         monkeypatch.setattr(ratfun, "_as_int", _no_validation)
         q = num.divide_exact({1: 1, 3: 2})
@@ -113,7 +112,7 @@ class TestDenominatorMultiset:
         assert r.rat_eq(RatFun2(ONE, {2: 1}))
 
     def test_den_expands_the_product(self):
-        assert RatFun2(ONE, {1: 2, 3: 1}).den == (1 - W) ** 2 * (1 - w_power(3))
+        assert RatFun2(ONE, {1: 2, 3: 1}).den == (1 - W) ** 2 * (1 - BivarPoly.monomial(3, 3))
         assert RatFun2(ONE).den == ONE
 
 
@@ -128,7 +127,7 @@ class TestRatOps:
         assert r.rat_eq(RatFun2((1 + U) * (1 + V), {1: 1}))
 
     def test_rat_eq_examples(self):
-        assert RatFun2(1 - w_power(2), {1: 1}).rat_eq(RatFun2(1 + W))
+        assert RatFun2(1 - BivarPoly.monomial(2, 2), {1: 1}).rat_eq(RatFun2(1 + W))
         assert not RatFun2(ONE, {1: 1}).rat_eq(RatFun2(ONE, {2: 1}))
         assert RatFun2(BivarPoly(), {1: 1}).rat_eq(RatFun2(BivarPoly(), {2: 1}))
 
@@ -141,7 +140,7 @@ class TestRatOps:
     def test_rat_eq_equal_denominators_multiplies_nothing(self, monkeypatch):
         den = {1: 1, 2: 1}
         a, b = RatFun2(1 + U, den), RatFun2(1 + V, den)
-        c = RatFun2(1 - w_power(2), {1: 1})
+        c = RatFun2(1 - BivarPoly.monomial(2, 2), {1: 1})
         products = []
         mul = BivarPoly.__mul__
 
@@ -176,7 +175,7 @@ class TestExpand:
 
     def test_polynomial_truncated(self):
         # terms past the order are dropped, whatever their v-degree
-        p = 1 + U ** 5 + V ** 3 + w_power(1)
+        p = 1 + U ** 5 + V ** 3 + BivarPoly.monomial(1, 1)
         assert RatFun2(p).expand(2) == TruncSeries2(2, {(0, 0): 1, (1, 1): 1})
 
 
@@ -261,7 +260,7 @@ class TestSubstitute:
 
 class TestToPolynomial:
     def test_basic(self):
-        assert to_polynomial(RatFun2(1 - w_power(2), {1: 1}), 2) == 1 + W
+        assert to_polynomial(RatFun2(1 - BivarPoly.monomial(2, 2), {1: 1}), 2) == 1 + W
 
     def test_not_polynomial(self):
         with pytest.raises(NotPolynomialWithinBound):
@@ -269,14 +268,14 @@ class TestToPolynomial:
 
     def test_bound_too_small(self):
         with pytest.raises(NotPolynomialWithinBound):
-            to_polynomial(RatFun2(1 - w_power(4), {1: 1}), 2)
+            to_polynomial(RatFun2(1 - BivarPoly.monomial(4, 4), {1: 1}), 2)
 
     def test_no_expansion_or_product(self, monkeypatch):
         # the exact quotient is the certificate: no series, no product
         def forbidden(*args):
             raise AssertionError("called")
 
-        r = RatFun2(1 - w_power(3) + U - U * W * W, {1: 1})
+        r = RatFun2(1 - BivarPoly.monomial(3, 3) + U - U * W * W, {1: 1})
         monkeypatch.setattr(RatFun2, "expand", forbidden)
         monkeypatch.setattr(BivarPoly, "__mul__", forbidden)
         assert to_polynomial(r, 5).terms == {(0, 0): 1, (1, 1): 1, (2, 2): 1,
@@ -339,7 +338,7 @@ def den_poly(wden):
     """prod (1 - (uv)^k)^m by plain BivarPoly products."""
     p = ONE
     for k, m in wden.items():
-        p = p * (1 - w_power(k)) ** m
+        p = p * (1 - BivarPoly.monomial(k, k)) ** m
     return p
 
 

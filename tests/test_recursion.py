@@ -30,31 +30,31 @@ GL = lambda r: GroupSpec((("GL", r),))
 
 class TestCodim:
     def test_gl2_degree_zero_strata(self):
-        rs = build_root_system(GL(2))
+        datum = build_root_system(GL(2))
         for k in range(1, 5):
             for g in (2, 3):
-                assert codim(rs, (k, -k), g) == 2 * k + g - 1
+                assert codim(datum, (k, -k), g) == 2 * k + g - 1
 
     def test_gl2_degree_one_strata(self):
-        rs = build_root_system(GL(2))
+        datum = build_root_system(GL(2))
         for k in range(1, 5):
             for g in (2, 3):
-                assert codim(rs, (k, 1 - k), g) == 2 * k + g - 2
+                assert codim(datum, (k, 1 - k), g) == 2 * k + g - 2
 
     def test_zero_slope(self):
-        rs = build_root_system(GL(3))
-        assert codim(rs, (0, 0, 0), 2) == 0
+        datum = build_root_system(GL(3))
+        assert codim(datum, (0, 0, 0), 2) == 0
 
     def test_monotone_under_scaling(self):
-        rs = build_root_system(parse_group("SO5"))
+        datum = build_root_system(parse_group("SO5"))
         mu = (Fraction(2), Fraction(1))
         for g in (2, 3):
-            assert codim(rs, tuple(2 * m for m in mu), g) > codim(rs, mu, g)
+            assert codim(datum, tuple(2 * m for m in mu), g) > codim(datum, mu, g)
 
     def test_non_integral(self):
-        rs = build_root_system(GL(2))
+        datum = build_root_system(GL(2))
         with pytest.raises(NonIntegralCodim):
-            codim(rs, (Fraction(1, 3), 0), 2)
+            codim(datum, (Fraction(1, 3), 0), 2)
 
 
 class TestEnumeration:
@@ -74,8 +74,7 @@ class TestEnumeration:
         assert len(enumerate_hn_types(GL(2), (0,), g, g + 1)) == 1
 
     def test_slope_condition_and_degree(self):
-        rs = build_root_system(GL(3))
-        datum = rs.datum
+        datum = build_root_system(GL(3))
         for t in enumerate_hn_types(GL(3), (1,), 2, 12):
             assert sum(t.delta_lift) == 1
             for a in t.I:
@@ -103,9 +102,9 @@ class TestEnumeration:
     @pytest.mark.parametrize("g", [2, 3])
     def test_gl_oracle_bijection(self, r, d, g):
         spec = GL(r)
-        rs = build_root_system(spec)
+        datum = build_root_system(spec)
         types = enumerate_hn_types(spec, (d,), g, 24)
-        mine = sorted((hn_blocks_of(rs, t), t.codim) for t in types)
+        mine = sorted((hn_blocks_of(datum, t), t.codim) for t in types)
         oracle = sorted((b, oracle_codim(b, g)) for b in hn_gl_oracle(r, d, 24, g))
         assert mine == oracle
 
@@ -219,8 +218,7 @@ class TestRecursion:
         from hodge_series.formulas import a_series_term, assemble_series, closed_series_for
 
         spec = parse_group(name)
-        rs = build_root_system(spec)
-        datum = rs.datum
+        datum = build_root_system(spec)
         total = assemble_series([a_series_term(spec, g)], N)
         for hn in enumerate_hn_types(spec, d, g, 3 * N):
             if 2 * hn.codim > N:
@@ -262,10 +260,10 @@ class TestRecursion:
 
     def test_diagonal_specialization_consistent(self):
         # t-specializations of closed formula and recursion output agree
-        from hodge_series.formulas import hp_semistable_closed_series
+        from hodge_series.formulas import _datum_fracs
 
         for d in (0, 1):
-            lhs = hp_semistable_closed_series(GL(2), (d,), 2, 12)
+            lhs = closed_series_for(*_datum_fracs(GL(2), (d,)), 2, 12)
             rhs = recursion_rhs(GL(2), (d,), 2, 12)
             assert BivarPoly(lhs.coeffs).diagonal() == BivarPoly(rhs.coeffs).diagonal()
 
@@ -288,8 +286,8 @@ def test_broken_stratum_fails(monkeypatch, name, d, mismatch):
     rep = verify_recursion(spec, d, g, N)
     assert not rep.match
     assert rep.first_mismatch == mismatch
-    rs = build_root_system(spec)
-    lhs = closed_series_for(rs.datum, rs.datum.fund_fracs(rs.lift_degree(d)), g, N)
+    datum = build_root_system(spec)
+    lhs = closed_series_for(datum, datum.fund_fracs(datum.lift_degree(d)), g, N)
     rhs = recursion_rhs(spec, d, g, N)
     i, j = min(k for k in set(lhs.coeffs) | set(rhs.coeffs)
                if lhs.coeff(*k) != rhs.coeff(*k))

@@ -15,24 +15,19 @@ from hypothesis import given, settings, strategies as st
 
 import hodge_series.rootdata as rootdata
 from hodge_series.rootdata import (
-    DefinitionMismatch,
     GroupSpec,
     SingularSystem,
     UnsupportedRank,
     _adjugate,
+    _dot,
     build_root_system,
     degrees_of,
-    exponents_of,
     frac_rep,
-    fund_weight_mod_Z,
     good_case,
-    levi_datum,
     parse_degree,
     parse_group,
     invert_matrix,
-    project_to_center,
     smith_invariants,
-    solve_linear,
 )
 
 GL = lambda r: GroupSpec((("GL", r),))
@@ -78,53 +73,63 @@ class TestParsing:
 
 class TestRootSystems:
     def test_gl3(self):
-        rs = build_root_system(GL(3))
-        d = rs.datum
+        d = build_root_system(GL(3))
         assert d.simple_roots == ((1, -1, 0), (0, 1, -1))
         assert d.simple_coroots == ((1, -1, 0), (0, 1, -1))
         assert len(d.pos_roots) == 3
         assert d.cartan_matrix() == [[2, -1], [-1, 2]]
 
     def test_so5(self):
-        rs = build_root_system(SOodd(2))
-        d = rs.datum
+        d = build_root_system(SOodd(2))
         assert d.simple_roots == ((1, -1), (0, 1))
         assert d.simple_coroots == ((1, -1), (0, 2))
         assert len(d.pos_roots) == 4
 
     def test_sp2(self):
-        rs = build_root_system(Sp(2))
-        d = rs.datum
+        d = build_root_system(Sp(2))
         assert d.simple_roots == ((1, -1), (0, 2))
         assert d.simple_coroots == ((1, -1), (0, 1))
 
     def test_so8(self):
-        rs = build_root_system(SOeven(4))
-        d = rs.datum
+        d = build_root_system(SOeven(4))
         assert d.simple_roots[-1] == (0, 0, 1, 1)
         assert len(d.pos_roots) == 12
 
     def test_pi1(self):
-        assert build_root_system(GL(3)).pi1 == ((1, ()),)
-        assert build_root_system(SL(4)).pi1 == ((0, ()),)
-        assert build_root_system(SOodd(3)).pi1 == ((0, (2,)),)
-        assert build_root_system(Sp(3)).pi1 == ((0, ()),)
-        assert build_root_system(SOeven(3)).pi1 == ((0, (2,)),)
+        # pi_1 = Z^n / (coroot lattice): free rank n minus the number of
+        # elementary divisors of the coroots, torsion the divisors above 1
+        expected = {"GL": (1, ()), "SL": (0, ()), "SOodd": (0, (2,)),
+                    "Sp": (0, ()), "SOeven": (0, (2,))}
+        for spec in ALL_RANK_LE_6:
+            (fam, r), = spec.factors
+            n, _, coroots, _ = rootdata._block(fam, r)
+            divs = smith_invariants(coroots)
+            assert (n - len(divs), tuple(x for x in divs if x > 1)) == expected[fam], spec
 
     def test_positive_root_count_rank_le_6(self):
         dims = {"GL": lambda r: r * r, "SL": lambda r: r * r - 1,
                 "SOodd": lambda r: r * (2 * r + 1), "Sp": lambda r: r * (2 * r + 1),
                 "SOeven": lambda r: r * (2 * r - 1)}
         for spec in ALL_RANK_LE_6:
-            rs = build_root_system(spec)
+            d = build_root_system(spec)
             fam, r = spec.factors[0]
-            assert rs.num_positive == (dims[fam](r) - rs.rank) // 2
+            assert len(d.pos_roots) == (dims[fam](r) - d.n) // 2
 
     def test_product_block_structure(self):
-        rs = build_root_system(parse_group("GL2xSO5"))
-        assert rs.rank == 4
-        assert rs.num_positive == 1 + 4
-        assert rs.center_dim == 1
+        d = build_root_system(parse_group("GL2xSO5"))
+        assert d.n == 4
+        assert len(d.pos_roots) == 1 + 4
+        assert d.dim_z == 1
+
+    def test_datum_keeps_spec_and_lifts(self):
+        spec = parse_group("GL2xSO5")
+        d = build_root_system(spec)
+        assert d.spec == spec
+        assert d.lift_degree((3, 1)) == (3, 0, 0, 1)
+        levi = d.sub_datum((0,))
+        assert levi.spec is None
+        with pytest.raises(ValueError, match="no degree lifts"):
+            levi.lift_degree((0, 0))
 
 
 def _reference_block(fam, r):
@@ -174,13 +179,13 @@ BUILDER_SPECS = (ALL_RANK_LE_6 + [fam(8) for fam in (GL, SL, SOodd, Sp, SOeven)]
 class TestPositiveRootClosure:
     @pytest.mark.parametrize("spec", BUILDER_SPECS, ids=str)
     def test_forms_match_textbook_lists(self, spec):
-        d = build_root_system(spec).datum
+        d = build_root_system(spec)
         assert len(set(d.pos_roots)) == len(d.pos_roots)
         assert set(d.pos_roots) == _reference_roots(spec)
 
     @pytest.mark.parametrize("spec", BUILDER_SPECS, ids=str)
     def test_coefficients_non_negative_and_reproduce_form(self, spec):
-        d = build_root_system(spec).datum
+        d = build_root_system(spec)
         assert len(d.pos_coeffs) == len(d.pos_roots)
         for form, cf in zip(d.pos_roots, d.pos_coeffs):
             assert len(cf) == d.num_simple and min(cf) >= 0
@@ -211,12 +216,12 @@ class TestBuilderChecks:
 
 class TestExponents:
     def test_tables(self):
-        assert exponents_of(GL(3)) == (1, 2, 3)
-        assert exponents_of(SL(4)) == (2, 3, 4)
-        assert exponents_of(SOodd(2)) == (2, 4)
-        assert exponents_of(Sp(3)) == (2, 4, 6)
-        assert exponents_of(SOeven(4)) == (2, 4, 4, 6)
-        assert exponents_of(SOeven(2)) == (2, 2)
+        assert build_root_system(GL(3)).exponent_list() == (1, 2, 3)
+        assert build_root_system(SL(4)).exponent_list() == (2, 3, 4)
+        assert build_root_system(SOodd(2)).exponent_list() == (2, 4)
+        assert build_root_system(Sp(3)).exponent_list() == (2, 4, 6)
+        assert build_root_system(SOeven(4)).exponent_list() == (2, 4, 4, 6)
+        assert build_root_system(SOeven(2)).exponent_list() == (2, 2)
 
     def test_tables_rank_le_6(self):
         for spec in ALL_RANK_LE_6:
@@ -229,67 +234,71 @@ class TestExponents:
                 expect = tuple(2 * k for k in range(1, r + 1))
             else:
                 expect = tuple(sorted([2 * k for k in range(1, r)] + [r]))
-            assert exponents_of(spec) == expect, spec
+            assert build_root_system(spec).exponent_list() == expect, spec
 
     def test_product(self):
         # GL2 contributes {1, 2}, SO5 contributes {2, 4}; rank 4 in total
-        assert exponents_of(parse_group("GL2xSO5")) == (1, 2, 2, 4)
+        assert build_root_system(parse_group("GL2xSO5")).exponent_list() == (1, 2, 2, 4)
 
     def test_matches_trivial_levi(self):
         for spec in ALL_RANK_LE_6:
-            rs = build_root_system(spec)
-            assert exponents_of(spec) == levi_datum(rs, ()).exponents
+            d = build_root_system(spec)
+            assert d.exponent_list() == d.levi(()).exponents
 
 
 class TestLeviData:
     def test_gl3_alpha1(self):
-        rs = build_root_system(GL(3))
-        ld = levi_datum(rs, (0,))
+        ld = build_root_system(GL(3)).levi((0,))
         assert ld.dim_z == 2
         assert ld.exponents == (1, 1, 2)
         assert ld.dim_u == 2
 
     def test_gl2_alpha1(self):
-        rs = build_root_system(GL(2))
-        ld = levi_datum(rs, (0,))
+        ld = build_root_system(GL(2)).levi((0,))
         assert ld.dim_z == 2
         assert ld.exponents == (1, 1)
         assert ld.dim_u == 1
 
     def test_full_parabolic(self):
         for spec in ALL_RANK_LE_6:
-            rs = build_root_system(spec)
-            full = tuple(range(rs.datum.num_simple))
-            assert levi_datum(rs, full).dim_u == rs.num_positive
-            assert levi_datum(rs, ()).dim_u == 0
+            d = build_root_system(spec)
+            full = tuple(range(d.num_simple))
+            assert d.levi(full).dim_u == len(d.pos_roots)
+            assert d.levi(()).dim_u == 0
+
+
+def _pairing_condition_values(d, I):
+    """2 rho^I(alpha^vee) for alpha in I under the other candidate
+    convention: rho^I half the sum of the positive roots beta with
+    <beta, alpha^vee> > 0 for some alpha in I."""
+    roots = [form for form in d.pos_roots
+             if any(_dot(form, d.simple_coroots[b]) > 0 for b in I)]
+    return {a: sum(_dot(form, d.simple_coroots[a]) for form in roots) for a in I}
 
 
 class TestRhoPairings:
     def test_gl2(self):
-        rs = build_root_system(GL(2))
-        assert rs.datum.two_rho_pairings((0,)) == {0: 2}
+        assert build_root_system(GL(2)).two_rho_pairings((0,)) == {0: 2}
 
     def test_gl3(self):
-        rs = build_root_system(GL(3))
-        assert rs.datum.two_rho_pairings((0,)) == {0: 3}
-        assert rs.datum.two_rho_pairings((0, 1)) == {0: 2, 1: 2}
+        d = build_root_system(GL(3))
+        assert d.two_rho_pairings((0,)) == {0: 3}
+        assert d.two_rho_pairings((0, 1)) == {0: 2, 1: 2}
 
-    def test_module_level_op(self):
-        from hodge_series.rootdata import rho_pairing
-
-        rs = build_root_system(GL(3))
-        assert rho_pairing(rs, (0,), 0) == 3
-        with pytest.raises(DefinitionMismatch):
-            rho_pairing(build_root_system(SOodd(3)), (1,), 1)
-        assert rho_pairing(build_root_system(SOodd(3)), (1,), 1, strict=False) == 4
+    def test_single_wall_lookup(self):
+        assert build_root_system(GL(3)).two_rho_pairings((0,))[0] == 3
+        so7 = build_root_system(SOodd(3))
+        assert so7.two_rho_pairings((1,))[1] == 4
+        assert _pairing_condition_values(so7, (1,))[1] == 5
 
     def test_type_a_conventions_agree_to_rank_4(self):
         for spec in [GL(r) for r in range(2, 5)] + [SL(r) for r in range(2, 5)]:
-            rs = build_root_system(spec)
-            k = rs.datum.num_simple
+            d = build_root_system(spec)
+            k = d.num_simple
             for size in range(1, k + 1):
                 for I in itertools.combinations(range(k), size):
-                    pair = rs.datum.two_rho_pairings(I, strict=True)
+                    pair = d.two_rho_pairings(I)
+                    assert pair == _pairing_condition_values(d, I)
                     assert all(v > 0 for v in pair.values())
 
     def test_conventions_differ_in_type_b(self):
@@ -297,55 +306,57 @@ class TestRhoPairings:
         # root (Levi GL_2 x SO_3).  Nilradical half-sum gives 4; the
         # "<beta, alpha^vee> > 0 for some alpha in I" condition gives 5.
         # The composition-sum expansion for SO_7 and the recursion identity
-        # both require 4, which is what non-strict evaluation returns.
-        rs = build_root_system(SOodd(3))
-        assert rs.datum.two_rho_pairings((1,)) == {1: 4}
-        with pytest.raises(DefinitionMismatch):
-            rs.datum.two_rho_pairings((1,), strict=True)
+        # both require 4, which is what two_rho_pairings returns.
+        d = build_root_system(SOodd(3))
+        assert d.two_rho_pairings((1,)) == {1: 4}
+        assert _pairing_condition_values(d, (1,)) == {1: 5}
 
     def test_conventions_differ_in_type_a_rank_5(self):
         # GL_5 with non-adjacent walls I = {alpha_1, alpha_3}: the Levi is
         # GL_1 x GL_2 x GL_2 and the block-boundary factor of the type A
         # composition sum forces 2 rho^I(alpha_1^vee) = r_1 + r_2 = 3, the
         # nilradical value; the pairing condition would give 4.
-        rs = build_root_system(GL(5))
-        assert rs.datum.two_rho_pairings((0, 2))[0] == 3
-        with pytest.raises(DefinitionMismatch):
-            rs.datum.two_rho_pairings((0, 2), strict=True)
+        d = build_root_system(GL(5))
+        assert d.two_rho_pairings((0, 2))[0] == 3
+        assert _pairing_condition_values(d, (0, 2))[0] == 4
 
     def test_nonstrict_positive_everywhere(self):
         for spec in ALL_RANK_LE_6:
-            rs = build_root_system(spec)
-            if rs.rank > 4:
+            d = build_root_system(spec)
+            if d.n > 4:
                 continue
-            k = rs.datum.num_simple
+            k = d.num_simple
             for size in range(1, k + 1):
                 for I in itertools.combinations(range(k), size):
-                    pair = rs.datum.two_rho_pairings(I)
+                    pair = d.two_rho_pairings(I)
                     assert all(v > 0 for v in pair.values())
+
+
+LIFT_SPECS = ([spec for spec in ALL_RANK_LE_6 if sum(r for _, r in spec.factors) <= 4]
+              + [parse_group(s) for s in ("GL2xSO5", "GL1xSL3", "SO3xSO5",
+                                          "GL2xGL2", "Sp2xSO4", "GL1xGL1xSO3")])
 
 
 class TestFundWeights:
     def test_gl2(self):
-        rs = build_root_system(GL(2))
-        assert fund_weight_mod_Z(rs, 0, (1,)) == Fraction(1, 2)
-        assert fund_weight_mod_Z(rs, 0, (0,)) == 1
+        d = build_root_system(GL(2))
+        assert d.fund_fracs(d.lift_degree((1,)))[0] == Fraction(1, 2)
+        assert d.fund_fracs(d.lift_degree((0,)))[0] == 1
 
     def test_gl3(self):
-        rs = build_root_system(GL(3))
-        assert fund_weight_mod_Z(rs, 0, (1,)) == Fraction(2, 3)
-        assert fund_weight_mod_Z(rs, 1, (1,)) == Fraction(1, 3)
+        d = build_root_system(GL(3))
+        assert d.fund_fracs(d.lift_degree((1,)))[0] == Fraction(2, 3)
+        assert d.fund_fracs(d.lift_degree((1,)))[1] == Fraction(1, 3)
 
     def test_so5(self):
-        rs = build_root_system(SOodd(2))
-        assert fund_weight_mod_Z(rs, 0, (1,)) == 1
-        assert fund_weight_mod_Z(rs, 1, (1,)) == Fraction(1, 2)
+        d = build_root_system(SOodd(2))
+        assert d.fund_fracs(d.lift_degree((1,)))[0] == 1
+        assert d.fund_fracs(d.lift_degree((1,)))[1] == Fraction(1, 2)
 
     def test_lift_independence(self):
         rng = random.Random(7)
         for spec in (GL(3), SOodd(2), SOeven(3), Sp(2)):
-            rs = build_root_system(spec)
-            d = rs.datum
+            d = build_root_system(spec)
             for _ in range(25):
                 X = tuple(rng.randrange(-3, 4) for _ in range(d.n))
                 lam = [0] * d.n
@@ -356,6 +367,22 @@ class TestFundWeights:
                 for va, vb in zip(d.fund_weight_values(X),
                                   d.fund_weight_values(shifted)):
                     assert (va - vb).denominator == 1
+
+    @pytest.mark.parametrize("spec", LIFT_SPECS, ids=str)
+    def test_fund_fracs_invariant_under_coroot_shift_of_lift(self, spec):
+        # any two lifts of d differ by the coroot lattice, and <varpi(d)>
+        # must not see which lift was taken
+        rng = random.Random(str(spec))
+        d = build_root_system(spec)
+        for degree in degrees_of(spec):
+            X = d.lift_degree(degree)
+            fracs = d.fund_fracs(X)
+            for _ in range(10):
+                shifted = list(X)
+                for cv in d.simple_coroots:
+                    c = rng.randrange(-5, 6)
+                    shifted = [a + c * b for a, b in zip(shifted, cv)]
+                assert d.fund_fracs(tuple(shifted)) == fracs
 
 
 class TestFracRep:
@@ -379,23 +406,22 @@ def test_frac_rep_properties(x):
 
 class TestProjectToCenter:
     def test_full_parabolic_is_identity(self):
-        rs = build_root_system(GL(2))
-        assert project_to_center(rs, (0,), (3, -5)) == (3, -5)
+        d = build_root_system(GL(2))
+        assert d.project_to_center((0,), (3, -5)) == (3, -5)
 
     def test_gl2_stratum(self):
-        rs = build_root_system(GL(2))
+        d = build_root_system(GL(2))
         # full parabolic subset: nothing projected out
-        assert project_to_center(rs, (0,), (2, -2)) == (2, -2)
+        assert d.project_to_center((0,), (2, -2)) == (2, -2)
 
     def test_gl2_center(self):
-        rs = build_root_system(GL(2))
-        assert project_to_center(rs, (), (1, 0)) == (Fraction(1, 2), Fraction(1, 2))
+        d = build_root_system(GL(2))
+        assert d.project_to_center((), (1, 0)) == (Fraction(1, 2), Fraction(1, 2))
 
     def test_idempotent_linear(self):
         rng = random.Random(11)
         for spec in (GL(3), SOodd(3), Sp(2), SOeven(3)):
-            rs = build_root_system(spec)
-            d = rs.datum
+            d = build_root_system(spec)
             k = d.num_simple
             for _ in range(10):
                 I = tuple(i for i in range(k) if rng.random() < 0.5)
@@ -416,8 +442,7 @@ class TestProjectToCenter:
         # sum over nilradical roots of beta(mu) is an integer for lattice mu
         rng = random.Random(3)
         for spec in ALL_RANK_LE_6:
-            rs = build_root_system(spec)
-            d = rs.datum
+            d = build_root_system(spec)
             k = d.num_simple
             for _ in range(8):
                 I = tuple(i for i in range(k) if rng.random() < 0.5)
@@ -463,9 +488,6 @@ class TestDegrees:
 
 
 class TestLinearAlgebra:
-    def test_solve(self):
-        assert solve_linear([[2, 1], [1, 1]], [3, 2]) == [1, 1]
-
     def test_smith_gl(self):
         assert smith_invariants([[1, -1, 0], [0, 1, -1]]) == [1, 1]
 
@@ -526,7 +548,7 @@ class TestAdjugate:
 
     @settings(max_examples=60, deadline=None)
     @given(int_matrices, st.data())
-    def test_singular_gives_zero_and_solve_raises(self, a, data):
+    def test_singular_gives_zero_and_invert_raises(self, a, data):
         # repeat a row (scaled), so the matrix is singular
         i = data.draw(st.integers(0, len(a) - 1))
         j = data.draw(st.integers(0, len(a) - 1))
@@ -537,22 +559,16 @@ class TestAdjugate:
             a[j] = [k * x for x in a[i]]
         assert _adjugate(a) == (0, None)
         with pytest.raises(SingularSystem):
-            solve_linear(a, [1] * len(a))
-        with pytest.raises(SingularSystem):
             invert_matrix(a)
 
     @settings(max_examples=40, deadline=None)
-    @given(rat_matrices, st.data())
-    def test_rational_front_ends_round_trip(self, a, data):
+    @given(rat_matrices)
+    def test_rational_front_ends_round_trip(self, a):
         n = len(a)
         if _reference_det(a) == 0:
             with pytest.raises(SingularSystem):
                 invert_matrix(a)
             return
-        x = data.draw(st.lists(st.fractions(-5, 5, max_denominator=6),
-                               min_size=n, max_size=n))
-        b = [sum(c * xi for c, xi in zip(row, x)) for row in a]
-        assert solve_linear(a, b) == x
         inv = invert_matrix(a)
         assert _matmul(a, inv) == _identity(n)
         assert _matmul(inv, a) == _identity(n)

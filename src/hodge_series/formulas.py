@@ -27,18 +27,23 @@ which depends only on dim Z(L^I) and the exponents of L^I, so the pass
 groups the terms by numerator (GL8: 128 terms, 22 groups).  A group with
 denominator gden, the union of its members' denominators, sums
 coef * w^shift * (gden / den) over its members into one short integer
-polynomial C(w).  The whole sum lives on one flat integer list, the band of
-:mod:`hodge_series.ratfun`, where every factor (1 + u^a v^b) and every
-1 - w^k is one list pass, a shift-add by a fixed index shift: a letter.
-A group's term over the common denominator is its C(w), laid out as one
-band column (the leaf), times its letters: its numerator factors and the
-factors of the common denominator over gden.  The groups share most of
-their letters, so the sum is taken by Horner's rule over them: the letters
-common to every group are applied once, to the sum of the rest, and the
-groups split on the letter held by the most of them, which is applied once
-to the sum of those that hold it.  The exact sum keeps the common
-denominator as its multiset; the truncated sum divides by it once, as
-running sums along w.  No gcd is ever computed.
+polynomial C(w).  The whole sum lives on one band of
+:mod:`hodge_series.ratfun`, a single Python int with one signed B-bit slot
+per coefficient, where every factor (1 + u^a v^b) and every 1 - w^k is one
+C-level shift-add by a fixed slot shift: a letter.  A group's term over
+the common denominator is its C(w), laid out as one band column (the
+leaf), times its letters: its numerator factors and the factors of the
+common denominator over gden.  The groups share most of their letters, so
+the sum is taken by Horner's rule over them: the letters common to every
+group are applied once, to the sum of the rest, and the groups split on
+the letter held by the most of them, which is applied once to the sum of
+those that hold it.  The slot width B is fixed before the first pass, from
+a bound on every partial sum: a letter (1 +- x^s)^e at most multiplies the
+l1 norm by 2^e, so sum over the groups of l1(C) * 2^(their letters' total
+multiplicity) bounds them all.  The exact sum keeps the common denominator
+as its multiset; the truncated sum divides by it once, as running sums
+along w, in slots widened beforehand for that division.  No gcd is ever
+computed.
 
 The classical-type composition sums are the same formula indexed by
 compositions of the rank, with their Levis, dim U, wall pairings and
@@ -71,11 +76,16 @@ from .ratfun import (
     RatFun2,
     TruncSeries2,
     UniPoly,
+    _l1,
     _over_den,
+    _pack,
     _poly,
+    _series_growth,
     _times_binomial,
+    _times_den,
     _unband,
     _w_degree,
+    _width,
     to_polynomial,
 )
 from .rootdata import (
@@ -141,12 +151,15 @@ def _common_den(terms):
 
 def _group_cofactor(group, gden):
     """C(w) = sum of coef * w^shift * prod (1 - w^k)^m over gden - den, for
-    the terms of one group, trimmed of trailing zeros."""
+    the terms of one group, trimmed of trailing zeros; the factors a term
+    already has in full are skipped."""
     C = []
     for t in group:
         s = [0] * t.shift + [t.coef]
         for k, m in gden.items():
-            _times_binomial(s, k, m - t.den.get(k, 0), sub, None)
+            m -= t.den.get(k, 0)
+            if m:
+                _times_den(s, ((k, m),))
         C += repeat(0, len(s) - len(C))
         C[:len(s)] = map(add, C, s)
     while C and not C[-1]:
@@ -155,24 +168,29 @@ def _group_cofactor(group, gden):
 
 
 def _over_common_den(terms, order):
-    """Numerators times their cofactors over the common denominator, summed
-    on one flat band (layout in :mod:`hodge_series.ratfun`); terms with
+    """Numerators times their cofactors over the common denominator, laid
+    out for one band (layout in :mod:`hodge_series.ratfun`); terms with
     2 * shift > order are skipped.
 
     [lo, lo + W) covers p - q over every group's numerator, and the band has
-    (order - lo) // 2 + 1 rows, enough for total degree <= order.
+    n = ((order - lo) // 2 + 1) * W slots, enough for total degree <= order.
 
     Terms with the same numerator factors (the same Levi type) form a group
     with denominator gden, the union of their denominators.  The group's
-    w-parts sum to one short list C(w) (``_group_cofactor``), laid out as a
-    band column: the group's leaf, at the offset of C's lowest nonzero
-    power.  What multiplies the leaf is a multiset of letters, band shifts
-    with their sign: b * W + a - b with multiplicity e for each numerator
-    factor (1 + u^a v^b)^e, and k * W with multiplicity m for each factor
-    (1 - w^k)^m of common - gden.  ``_horner`` sums leaf times letters over
-    the groups: the letters common to all first, then a split on the letter
-    the most groups share.  A group whose leaf starts at or past the band's
-    end adds nothing to it.  Returns (common, lo, W, band)."""
+    w-parts sum to one short list C(w) (``_group_cofactor``), which is laid
+    out as a band column: the group's leaf, at the offset of C's lowest
+    nonzero power.  What multiplies the leaf is a multiset of letters, band
+    shifts with their sign: b * W + a - b with multiplicity e for each
+    numerator factor (1 + u^a v^b)^e, and k * W with multiplicity m for
+    each factor (1 - w^k)^m of common - gden.  A group whose leaf starts at
+    or past the band's end adds nothing to it.
+
+    Returns (common, lo, W, n, items, bound), an item (letters, off, column)
+    for each group, column the nonzero part of C from its lowest power on;
+    ``_band_sum`` sums them.  A letter (1 +- x^s)^e multiplies the l1 norm
+    by at most 2^e and cutting the band never raises it, so bound, the sum
+    over the items of l1(C) * 2^(sum of their multiplicities), bounds the
+    l1 norm of every partial sum that ``_horner`` forms, cut or not."""
     terms = [t for t in terms if 2 * t.shift <= order]
     common = _common_den(terms)
     groups = {}
@@ -182,7 +200,7 @@ def _over_common_den(terms, order):
     W = max((sum(e * max(a - b, 0) for a, b, e in nf) for nf in groups),
             default=0) - lo + 1
     n = ((order - lo) // 2 + 1) * W
-    items = []
+    items, bound = [], 0
     for numfactors, group in groups.items():
         gden = _common_den(group)
         C = _group_cofactor(group, gden)
@@ -193,27 +211,37 @@ def _over_common_den(terms, order):
         off = t0 * W - lo
         if off >= n:
             continue
-        leaf = [0] * ((len(C) - 1 - t0) * W + 1)
-        leaf[::W] = C[t0:]
-        del leaf[n - off:]
         letters = {}
         for a, b, e in numfactors:
             f = (b * W + a - b, add)
             letters[f] = letters.get(f, 0) + e
         for k, m in common.items():
             letters[k * W, sub] = m - gden.get(k, 0)
-        items.append(({f: e for f, e in letters.items() if e > 0}, off, leaf))
-    band = [0] * n
-    if items:
-        off, s = _horner(items, n)
-        band[off:off + len(s)] = s
-    return common, lo, W, band
+        letters = {f: e for f, e in letters.items() if e > 0}
+        bound += _l1(C) << sum(letters.values())
+        items.append((letters, off, C[t0:]))
+    return common, lo, W, n, items, bound
 
 
-def _horner(items, n):
-    """Sum over the items (letters, off, leaf) of leaf * prod over letters
-    (shift, op) -> e of (1 +- x^shift)^e, as (off, list) cut at the band's
-    end n; the leaves are multiplied, and the letter dicts emptied, in place.
+def _band_sum(items, n, W, B):
+    """The band of n slots of width B summing the items of
+    ``_over_common_den``: each column packed as a leaf, its entries W slots
+    apart and cut at the band's end, then ``_horner``."""
+    if not items:
+        return 0
+    leaves = []
+    for letters, off, col in items:
+        m = min((len(col) - 1) * W + 1, n - off)
+        leaves.append((letters, off, _pack(
+            [(x * W, c) for x, c in enumerate(col[:-(-m // W)])], m, B)))
+    off, X = _horner(leaves, n, B)
+    return X << off * B
+
+
+def _horner(items, n, B):
+    """Sum over the items (letters, off, X) of the band X times prod over
+    letters (shift, op) -> e of (1 +- x^shift)^e, as (off, X) cut at the
+    band's end n; the letter dicts are emptied in place.
 
     The letters common to every item are applied once, to the sum.  Of the
     rest, the letter f held by the most items splits them: the items holding
@@ -236,15 +264,15 @@ def _horner(items, n):
         f, count = max(held.items(), key=itemgetter(1), default=(None, 0))
         if count < 2:
             for item in items:
-                total = _add_at(total, _apply(*item, n))
+                total = _add_at(total, _apply(*item, n, B), B)
             break
         with_f = [item for item in items if f in item[0]]
         items = [item for item in items if f not in item[0]]
         fm = {f: min(letters[f] for letters, _, _ in with_f)}
         for letters, _, _ in with_f:
             _take(letters, fm)
-        total = _add_at(total, _apply(fm, *_horner(with_f, n), n))
-    return _apply(shared, *total, n)
+        total = _add_at(total, _apply(fm, *_horner(with_f, n, B), n, B), B)
+    return _apply(shared, *total, n, B)
 
 
 def _take(letters, part):
@@ -257,49 +285,45 @@ def _take(letters, part):
             letters[f] -= e
 
 
-def _apply(letters, off, s, n):
-    """(off, s) with s multiplied in place by its letters, smallest shift
-    first, and cut at n - off.  Every shift is causal, so the entries below
-    the cut are exact, and a letter whose shift reaches the cut changes
-    none of them."""
+def _apply(letters, off, X, n, B):
+    """(off, X) with X multiplied by its letters, smallest shift first, and
+    cut at n - off slots.  Every shift is causal, so the slots below the
+    cut are exact, and a letter whose shift reaches the cut changes none of
+    them."""
     cap = n - off
     for (shift, op), e in sorted(letters.items(), key=lambda fe: fe[0][0]):
         if shift < cap:
-            _times_binomial(s, shift, e, op, cap)
-    return off, s
+            X = _times_binomial(X, shift, e, op, cap, B)
+    return off, X
 
 
-def _add_at(total, part):
-    """The sum of two (off, list) partial sums, aligned by offset, in the
-    list of the lower offset; total None is the empty sum.  The other list
-    is emptied: no partial sum is read after it is added, and an item that
-    still refers to it must not keep it alive."""
+def _add_at(total, part, B):
+    """The sum of two (off, X) partial sums, aligned by offset at the lower
+    one; total None is the empty sum."""
     if total is None:
         return part
-    (o1, s1), (o2, s2) = sorted((total, part), key=itemgetter(0))
-    x, y = o2 - o1, o2 - o1 + len(s2)
-    s1 += repeat(0, y - len(s1))
-    s1[x:y] = map(add, s1[x:y], s2)
-    s2.clear()
-    return o1, s1
+    (o1, X1), (o2, X2) = sorted((total, part), key=itemgetter(0))
+    return o1, X1 + (X2 << (o2 - o1) * B)
 
 
 def assemble_exact(terms) -> RatFun2:
     """Sum factored terms over the max-multiplicity common denominator; the
     order bounds every numerator times its cofactor, so nothing is cut."""
     deg = _w_degree(_common_den(terms))
-    common, lo, W, band = _over_common_den(
+    common, lo, W, n, items, bound = _over_common_den(
         terms, 2 * deg + max(map(_num_degree, terms), default=0))
-    return RatFun2(_poly(_unband(band, lo, W)), common)
+    B = _width(bound)
+    return RatFun2(_poly(_unband(_band_sum(items, n, W, B), n, lo, W, B)), common)
 
 
 def assemble_series(terms, order) -> TruncSeries2:
     """Sum of the power-series expansions of factored terms to total degree
     <= order: the common-denominator sum divided by each 1 - w^k as running
-    sums along w."""
-    common, lo, W, band = _over_common_den(terms, order)
-    _over_den(band, common, W)
-    return TruncSeries2(order, _unband(band, lo, W))
+    sums along w, at a slot width that holds both."""
+    common, lo, W, n, items, bound = _over_common_den(terms, order)
+    B = _width(bound * _series_growth(common, n // W))
+    X = _over_den(_band_sum(items, n, W, B), n, common, W, B)
+    return TruncSeries2(order, _unband(X, n, lo, W, B))
 
 
 # ---------------------------------------------------------------------------

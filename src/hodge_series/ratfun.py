@@ -20,29 +20,51 @@ running sums, and substitution for the specializations.
 * ``TruncSeries2`` truncates by total degree ``i + j <= order``; this matches
   the homogeneous filtration of Z[[u,v]].
 
-The band lays out a polynomial whose p - q lie in [lo, lo + W) on one flat
-integer list, one row of W entries per v-degree: u^p v^q sits at
-q * W + (p - q) - lo.  Multiplying by u^a v^b is the index shift
-b * W + a - b and by w^k = (uv)^k the shift k * W; neither wraps, so each
-factor (1 + u^a v^b) or (1 - w^k) is one list pass (``_times_binomial``).
-Each column is a polynomial in w, and dividing it by 1 - w^k as a power
-series is the running sum s[x] += s[x - k * W] bottom up, truncated to the
-band's rows (``_over_den``).  That one pass serves ``RatFun2.expand``,
-``BivarPoly.divide_exact`` and the truncated sums of ``formulas``; the
-shift-adds alone serve the exact sums of ``formulas`` and the Jacobian
-product (1 + u)^g (1 + v)^g of its fixed-determinant self-check
-(``BivarPoly.mul_binomials``, on a band widened to fit).  Exact
-division certifies itself: with D = prod (1 - w^k)^m and K = sum k m, a
-column of degree < R is a multiple of D exactly when the top K of its R
-rows are zero after the passes, and the quotient is the rows below them.
+The band lays out a polynomial whose p - q lie in [lo, lo + W) in rows of
+W slots, one row per v-degree: u^p v^q sits in slot i = q * W + (p - q) - lo.
+The band is carried as one Python int, X = sum c_i * 2^(B * i), each slot a
+signed B-bit field, B a multiple of 64 (``_width``).  X is the band's
+polynomial evaluated at 2^B, so sums and shifts of X are exact ring
+operations: multiplying by u^a v^b is the slot shift b * W + a - b and by
+w^k = (uv)^k the shift k * W; neither wraps, so each factor (1 + u^a v^b)
+or (1 - w^k) is one C-level shift-add, X +- (X << shift * B)
+(``_times_binomial``).  Each column is a polynomial in w, and dividing it
+by 1 - w^k as a power series is doubling: X += X << step * B for
+step = k * W, 2 k * W, 4 k * W, ... while step is below the band's n
+slots, each pass cut to n slots (``_over_den``).  Cutting to n slots is the
+signed remainder of X modulo 2^(n * B) (``_cut``).  A band is encoded and
+decoded once per result, as 64-bit words through a memoryview: with
+2^(B - 1) added to every slot no slot borrows from the next, and flipping
+each slot's top bit turns c + 2^(B - 1) into the two's complement of c
+(``_pack``, ``_unband``; the zero band decodes nothing).
+
+Only the cut and the decode read slots, and both are exact while every
+coefficient they read has |c| < 2^(B - 1).  B is chosen once per band from
+an a-priori bound on the l1 norm of every part of the band that a cut or
+the decode reads: a factor (1 +- x^s)^e at most multiplies the l1 norm by
+2^e, cutting never raises it, and dividing a band of R rows by
+prod (1 - w^k)^m as a truncated series multiplies it by at most the sum
+of the first R coefficients of the series 1 / prod (1 - w^k)^m, which are
+all non-negative (``_series_growth``), every partial quotient included.
+
+The running sums serve ``RatFun2.expand``, ``BivarPoly.divide_exact`` and
+the truncated sums of ``formulas``; the shift-adds alone serve the exact
+sums of ``formulas`` and the Jacobian product (1 + u)^g (1 + v)^g of its
+fixed-determinant self-check (``BivarPoly.mul_binomials``, on a band
+widened to fit).  Exact division certifies itself: with
+D = prod (1 - w^k)^m and K = sum k m, a column of degree < R is a multiple
+of D exactly when the top K of its R rows are zero after the passes, and
+the quotient is the rows below them.  Short polynomials in w alone (the
+expanded denominator, the cofactors of ``formulas``) stay integer lists.
 """
 
 from __future__ import annotations
 
+import sys
 from collections import Counter
 from fractions import Fraction
-from itertools import repeat
-from operator import add, sub
+from itertools import compress, repeat
+from operator import add, and_, lshift, or_, sub
 
 
 class NotDivisible(ArithmeticError):
@@ -193,17 +215,20 @@ class BivarPoly:
         """self * prod (1 + u^a v^b)^e over the (a, b, e) triples of factors,
         on one band: self's band is widened once by sum e |a - b| columns,
         so that no factor's shift b * W + a - b wraps, and each factor is
-        then e list passes (module docstring)."""
-        lo, W, band = _band(self.terms)
-        lo2 = lo - sum(e * max(b - a, 0) for a, b, e in factors)
-        W2 = W + sum(e * abs(a - b) for a, b, e in factors)
-        wide = [0] * (len(band) // W * W2)
-        for y, x in zip(range(lo - lo2, len(wide), W2), range(0, len(band), W)):
-            wide[y:y + W] = band[x:x + W]
-        del band  # one band at a time keeps the peak memory of the passes low
+        then e shift-adds (module docstring).  The product's l1 norm is at
+        most that of self times 2^(sum e), which sets the slot width."""
+        terms, lo, W, rows = _layout(self.terms)
+        lo -= sum(e * max(b - a, 0) for a, b, e in factors)
+        W += sum(e * abs(a - b) for a, b, e in factors)
+        B = _width(_l1(terms.values()) << sum(e for _, _, e in factors))
+        n = rows * W
+        X = _band(terms, lo, W, n, B)
         for a, b, e in factors:
-            _times_binomial(wide, b * W2 + a - b, e, add, None)
-        return _poly(_unband(wide, lo2, W2))
+            shift = b * W + a - b
+            for _ in range(e):
+                X += X << shift * B
+            n += shift * e
+        return _poly(_unband(X, n, lo, W, B))
 
     def __pow__(self, e):
         if e < 0:
@@ -226,12 +251,15 @@ class BivarPoly:
         sum k m rows zero exactly when the division is exact, and the
         quotient is the rows below them (module docstring)."""
         wden = _wden(wden)
-        lo, W, band = _band(self.terms)
-        _over_den(band, wden, W)
-        cut = max(len(band) - _w_degree(wden) * W, 0)
-        if any(band[cut:]):
+        terms, lo, W, rows = _layout(self.terms)
+        n = rows * W
+        B = _width(_l1(terms.values()) * _series_growth(wden, rows))
+        X = _over_den(_band(terms, lo, W, n, B), n, wden, W, B)
+        cut = max(rows - _w_degree(wden), 0) * W
+        q = _cut(X, cut, B)
+        if q != X:
             raise NotDivisible("not a multiple of the denominator")
-        return _poly(_unband(band[:cut], lo, W))
+        return _poly(_unband(q, cut, lo, W, B))
 
     # -- substitution ------------------------------------------------------
 
@@ -268,10 +296,10 @@ class BivarPoly:
         to its monomial."""
         if not self.terms:
             return "0"
-        top = max(e for key in self.terms for e in key)
+        top = max(map(max, self.terms))
         pw = ["", ""] + [power % e for e in range(2, top + 1)]
         parts = []
-        for (i, j), c in sorted(self.terms.items(), key=lambda kv: (kv[0][0] + kv[0][1], kv[0])):
+        for _, i, j, c in sorted([(i + j, i, j, c) for (i, j), c in self.terms.items()]):
             if i and j:
                 mono = "u" + pw[i] + times + "v" + pw[j]
             elif i:
@@ -334,63 +362,157 @@ def _w_degree(wden):
     return sum(k * m for k, m in wden.items())
 
 
-def _times_binomial(s, shift, e, op, cap):
-    """Multiply the list s in place by (1 + x^shift)^e (op=add) or by
-    (1 - x^shift)^e (op=sub), x^shift being a shift of the index: each
-    factor grows s by shift, then s[y] = op(s[y], s[y - shift]) top down
-    (map reads the old s in full), then cuts s to its first cap entries
-    unless cap is None."""
-    for _ in range(e):
-        s += repeat(0, shift)
-        s[shift:] = map(op, s[shift:], s)
-        if cap is not None:
-            del s[cap:]
+def _width(bound):
+    """The slot width B of a band whose coefficients are bounded by bound:
+    the least multiple of 64 with bound < 2^(B - 1)."""
+    return bound.bit_length() // 64 * 64 + 64
 
 
-def _times_den(s, wden):
-    """Multiply s, a list of coefficients of w, in place by prod (1 - w^k)^m
-    over wden."""
+def _series_growth(wden, rows):
+    """The sum of the first rows coefficients of 1 / prod (1 - w^k)^m over
+    wden, all of them non-negative, by running sums on that short w-list:
+    dividing a band of rows rows by wden as a power series, cut to those
+    rows, multiplies its l1 norm by at most this, at every cut on the way."""
+    s = [1] + [0] * (rows - 1)
     for k, m in wden.items():
-        _times_binomial(s, k, m, sub, None)
-
-
-def _over_den(s, wden, width=1):
-    """Divide s in place by prod (1 - w^k)^m over wden as a power series,
-    truncated to len(s): per factor the running sum s[x] += s[x - step],
-    step = k * width, bottom up, one block of step at a time."""
-    for k, m in wden.items():
-        step = k * width
         for _ in range(m):
-            for x in range(step, len(s), step):
-                s[x:x + step] = map(add, s[x:x + step], s[x - step:x])
+            for j in range(k, rows):
+                s[j] += s[j - k]
+    return sum(s)
 
 
-def _band(terms, order=None):
-    """(lo, W, band) of a (p, q) -> c map, [lo, lo + W) spanning its p - q.
-    The band holds every term in rows up to the top v-degree or, given an
-    order, the terms of total degree <= order in the (order - lo) // 2 + 1
-    rows that degree reaches."""
+def _l1(coeffs):
+    return sum(map(abs, coeffs))
+
+
+def _cut(X, n, B):
+    """The band X cut to its first n slots: the signed remainder of X
+    modulo 2^(n * B), exact while those slots hold |c| < 2^(B - 1)."""
+    top = 1 << n * B
+    r = X & (top - 1)
+    return r - top if r and r.bit_length() == n * B else r
+
+
+def _times_binomial(X, shift, e, op, cap, B):
+    """The band X times (1 + x^shift)^e (op=add) or (1 - x^shift)^e
+    (op=sub), x^shift a shift by shift slots: e shift-adds, each cut to cap
+    slots once it reaches past them.  With the low cap slots in range, X
+    reaches past them exactly when |X| >= 2^(cap * B - 1)."""
+    s, top = shift * B, cap * B - 1
+    for _ in range(e):
+        X = op(X, X << s)
+        if X.bit_length() > top:
+            X = _cut(X, cap, B)
+    return X
+
+
+def _times_den(s, factors):
+    """Multiply s, a list of coefficients of w, in place by prod (1 - w^k)^m
+    over the (k, m) pairs of factors: per factor, s grows by k and
+    s[y] -= s[y - k] top down (map reads the old s in full)."""
+    for k, m in factors:
+        for _ in range(m):
+            s += repeat(0, k)
+            s[k:] = map(sub, s[k:], s)
+
+
+def _over_den(X, n, wden, W, B):
+    """The band X of n slots divided by prod (1 - w^k)^m over wden as a
+    power series along w = x^W, cut to n slots: per factor, doubling,
+    X += X << step * B for step = k * W, 2 k * W, 4 k * W, ... while
+    step < n, which multiplies X by the sum of w^(k t) over the t with
+    k t * W < n, then one cut.  Every shift is causal, so the slots below
+    the cut are those of the truncated quotient, and X grows to at most
+    3 n slots before it."""
+    for k, m in wden.items():
+        for _ in range(m):
+            step = k * W
+            while step < n:
+                X += X << step * B
+                step *= 2
+            X = _cut(X, n, B)
+    return X
+
+
+def _layout(terms, order=None):
+    """(terms, lo, W, rows) of a (p, q) -> c map: the terms of total degree
+    <= order (all of them without an order), [lo, lo + W) spanning their
+    p - q, and the rows of their band: up to the top v-degree or, given an
+    order, the (order - lo) // 2 + 1 rows that total degree reaches."""
     if order is not None:
         terms = {k: c for k, c in terms.items() if k[0] + k[1] <= order}
     lo = min((p - q for p, q in terms), default=0)
     W = max((p - q for p, q in terms), default=0) - lo + 1
     rows = (max((q for _, q in terms), default=-1) + 1 if order is None
             else (order - lo) // 2 + 1)
-    band = [0] * (rows * W)
-    for (p, q), c in terms.items():
-        band[q * W + p - q - lo] = c
-    return lo, W, band
+    return terms, lo, W, rows
 
 
-def _unband(band, lo, W):
-    """(p, q) -> c of the nonzero entries of a band."""
-    return {(x % W + lo + x // W, x // W): c for x, c in enumerate(band) if c}
+def _bias(n, B):
+    """The int whose n slots of B bits each hold 2^(B - 1)."""
+    return int.from_bytes((bytes(B // 8 - 1) + b"\x80") * n, "little")
+
+
+def _words(buf, fmt):
+    """buf as 64-bit words, fmt "q" signed or "Q" unsigned, word 0 the
+    lowest of the int that ``int.from_bytes(buf, sys.byteorder)`` reads."""
+    words = memoryview(buf).cast(fmt)
+    return words[::-1] if sys.byteorder == "big" else words
+
+
+def _pack(entries, n, B):
+    """The band sum c * 2^(B * i) over the list of (i, c) entries, at
+    distinct slots i < n, each |c| < 2^(B - 1).  Each c is written as its
+    B-bit two's complement, k = B // 64 words with the top one signed;
+    flipping the top bit of every slot turns that into c + 2^(B - 1), and
+    taking the bias 2^(B - 1) off every slot leaves the signed sum."""
+    k = B // 64
+    buf = bytearray(n * B // 8)
+    for j in range(k - 1):
+        low, s = _words(buf, "Q")[j::k], 64 * j
+        for i, c in entries:
+            low[i] = c >> s & 0xFFFFFFFFFFFFFFFF
+    top, s = _words(buf, "q")[k - 1::k], 64 * (k - 1)
+    for i, c in entries:
+        top[i] = c >> s
+    bias = _bias(n, B)
+    return (int.from_bytes(buf, sys.byteorder) ^ bias) - bias
+
+
+def _band(terms, lo, W, n, B):
+    """The band of n slots of width B holding a (p, q) -> c map laid out on
+    [lo, lo + W)."""
+    return _pack([(q * W + p - q - lo, c) for (p, q), c in terms.items()], n, B)
+
+
+def _unband(X, n, lo, W, B):
+    """(p, q) -> c of the nonzero slots of a band X of n slots, each
+    |c| < 2^(B - 1), the inverse of ``_pack``: with the bias added to every
+    slot no slot borrows from the next, and flipping each slot's top bit
+    leaves c as its B-bit two's complement, read as k = B // 64 words, the
+    top one signed.  Row by row, the nonzero slots are picked out with
+    their keys at C level.  The zero band decodes nothing."""
+    if not X:
+        return {}
+    bias = _bias(n, B)
+    words = _words(((X + bias) ^ bias).to_bytes(n * B // 8, sys.byteorder), "q")
+    k = B // 64
+    out = {}
+    for q in range(-(-n // W)):
+        a, b = q * W * k, (q + 1) * W * k
+        row = words[a + k - 1:b:k]
+        for j in range(k - 2, -1, -1):
+            row = list(map(or_, map(lshift, row, repeat(64)),
+                           map(and_, words[a + j:b:k], repeat(0xFFFFFFFFFFFFFFFF))))
+        out.update(zip(compress(zip(range(lo + q, lo + q + W), repeat(q)), row),
+                       compress(row, row)))
+    return out
 
 
 def _den_poly(wden):
     """prod (1 - (uv)^k)^m over wden, expanded."""
     s = [1]
-    _times_den(s, wden)
+    _times_den(s, wden.items())
     return BivarPoly({(x, x): c for x, c in enumerate(s)})
 
 
@@ -522,9 +644,11 @@ class RatFun2:
     def expand(self, order):
         """Power-series expansion to total degree <= order: the running sums
         over the band of the numerator's terms up to that degree."""
-        lo, W, band = _band(self.num.terms, order)
-        _over_den(band, self.wden, W)
-        return TruncSeries2(order, _unband(band, lo, W))
+        terms, lo, W, rows = _layout(self.num.terms, order)
+        n = rows * W
+        B = _width(_l1(terms.values()) * _series_growth(self.wden, rows))
+        X = _over_den(_band(terms, lo, W, n, B), n, self.wden, W, B)
+        return TruncSeries2(order, _unband(X, n, lo, W, B))
 
     # -- substitution ----------------------------------------------------------
 

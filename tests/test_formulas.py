@@ -13,8 +13,9 @@ from itertools import repeat
 from operator import add, mul, sub
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+import band_reference
 from hodge_series import formulas, ratfun
 from hodge_series.formulas import (
     FTerm,
@@ -34,6 +35,7 @@ from hodge_series.formulas import (
     specialize,
     stack_poincare_series,
     to_polynomial,
+    _band_sum,
     _common_den,
     _gl_terms,
     _group_cofactor,
@@ -48,8 +50,9 @@ from hodge_series.ratfun import (
     U,
     UniPoly,
     V,
-    _times_binomial,
+    _unband,
     _w_degree,
+    _width,
 )
 from hodge_series.rootdata import (
     GroupSpec,
@@ -416,14 +419,14 @@ def _over_common_den_reference(terms, order):
         cap = len(band) - off
         num = [1]
         for a, b, e in numfactors:
-            _times_binomial(num, b * W + a - b, e, add, cap)
+            band_reference.times_binomial(num, b * W + a - b, e, add, cap)
         s = [0] * min(cap, len(num) + (len(C) - 1 - t0) * W)
         for x, c in enumerate(C[t0:]):
             if c:
                 y = x * W
                 s[y:y + len(num)] = map(add, s[y:y + len(num)], map(mul, num, repeat(c)))
         for k, m in (common - gden).items():
-            _times_binomial(s, k * W, m, sub, cap)
+            band_reference.times_binomial(s, k * W, m, sub, cap)
         band[off:off + len(s)] = map(add, band[off:off + len(s)], s)
     return common, lo, W, band
 
@@ -434,15 +437,35 @@ def _exact_order(terms):
             + max(map(_num_degree, terms), default=0))
 
 
+def _packed_band(terms, order):
+    """(common, lo, W, band) of the packed Horner sum, at the slot width of
+    its bound, decoded to a list."""
+    common, lo, W, n, items, bound = _over_common_den(terms, order)
+    B = _width(bound)
+    band = [0] * n
+    for (p, q), c in _unband(_band_sum(items, n, W, B), n, lo, W, B).items():
+        band[q * W + p - q - lo] = c
+    return common, lo, W, band
+
+
 def _check_band(terms, orders=(0, 1, 7, 30)):
     for order in (_exact_order(terms),) + tuple(orders):
-        got = _over_common_den(terms, order)
+        got = _packed_band(terms, order)
         assert got == _over_common_den_reference(terms, order), order
 
 
+def _series_reference(terms, order):
+    """``assemble_series`` on the list band: the reference band divided by
+    the common denominator by list running sums."""
+    common, lo, W, band = _over_common_den_reference(terms, order)
+    band_reference.over_den(band, common, W)
+    return TruncSeries2(order, band_reference.unband(band, lo, W))
+
+
 class TestHornerBand:
-    """The Horner pass of ``_over_common_den`` against the group-by-group
-    reference: the same (common, lo, W, band), list for list."""
+    """The Horner pass of ``_band_sum`` over the groups of
+    ``_over_common_den`` against the group-by-group reference: the same
+    (common, lo, W, band), the packed band decoded to a list."""
 
     @pytest.mark.parametrize("name,d,g", [
         ("GL8", (3,), 2), ("Sp6", (0,), 2), ("SO12", (1,), 2), ("GL4", (1,), 8)])
@@ -475,9 +498,9 @@ class TestHornerBand:
             for order in (0, 1, 2, 5):
                 _check_series(terms, order)
             _check_exact(terms)
-        assert not any(_over_common_den(at_end, 1)[3])
-        assert any(_over_common_den(at_end, 2)[3])
-        assert len(_over_common_den(past_end + [NARROW], 0)[3]) == 10
+        assert not any(_packed_band(at_end, 1)[3])
+        assert any(_packed_band(at_end, 2)[3])
+        assert len(_packed_band(past_end + [NARROW], 0)[3]) == 10
 
     def test_single_group(self):
         """Nothing is shared: every letter of the lone group is its own."""
@@ -507,11 +530,11 @@ class TestHornerBand:
         depth = [0, 0]  # current, deepest
         horner = formulas._horner
 
-        def tracked(items, n):
+        def tracked(*args):
             depth[0] += 1
             depth[1] = max(depth)
             try:
-                return horner(items, n)
+                return horner(*args)
             finally:
                 depth[0] -= 1
 
@@ -531,12 +554,51 @@ class TestHornerBand:
         for terms, orders in ((many, (0, 1, 12)), (lone, (0, 5)), (gl10, (0, 7, 30))):
             depth[1] = 0
             for order in orders:
-                got = _over_common_den(terms, order)
+                got = _packed_band(terms, order)
                 assert got == _over_common_den_reference(terms, order)
             letters = (max(sum(e for _, _, e in t.numfactors) for t in terms)
                        + sum(_common_den(terms).values()))
             assert 1 <= depth[1] <= 1 + letters
         assert sys.getrecursionlimit() == limit
+
+
+@st.composite
+def big_fterms(draw):
+    """Terms with coefficients up to 2^200 and numerator multiplicities up to
+    6, which carry coefficients near 2^62 or 2^126 across 2^63 or 2^127."""
+    numf = tuple((draw(st.integers(0, 3)), draw(st.integers(0, 3)), draw(st.integers(0, 6)))
+                 for _ in range(draw(st.integers(0, 3))))
+    den = Counter(draw(st.dictionaries(st.integers(1, 4), st.integers(0, 3))))
+    return FTerm(draw(band_reference.big_coefs), draw(st.integers(0, 3)), numf, den)
+
+
+class TestSlotWidth:
+    """The packed band against the list band of ``band_reference``, with
+    coefficients that need slots of 64, 128 and more bits."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(big_fterms(), min_size=1, max_size=4), st.integers(0, 16))
+    @example([FTerm((1 << 62) + 1, 0, ((1, 0, 2),), Counter())], 4)
+    @example([FTerm(-(1 << 126) - 1, 1, ((0, 1, 3),), Counter({2: 2}))], 9)
+    def test_sums_against_the_list_band(self, terms, order):
+        _check_band(terms, (order,))
+        assert assemble_series(terms, order) == _series_reference(terms, order)
+
+    @pytest.mark.parametrize("coef,e,width,top", [
+        ((1 << 61) + 1, 1, 64, 62), ((1 << 62) + 1, 2, 128, 64),
+        ((1 << 125) + 1, 1, 128, 126), ((1 << 126) + 1, 2, 192, 128)])
+    def test_width_follows_the_bound(self, coef, e, width, top):
+        """coef * (1 + u)^e needs a wider slot exactly when its bound
+        |coef| * 2^e reaches 2^63 or 2^127; its largest coefficient, of
+        top bits, is read back exactly."""
+        for sign in (1, -1):
+            terms = [FTerm(sign * coef, 0, ((1, 0, e),), Counter())]
+            *_, bound = _over_common_den(terms, e)
+            assert _width(bound) == width
+            got = assemble_exact(terms).num.terms
+            assert got == {(i, 0): sign * coef * c for i, c in enumerate((1, e, 1)[:e + 1]) if c}
+            assert max(map(abs, got.values())).bit_length() == top
+            _check_band(terms, (0, 1, e))
 
 
 def _negated(terms):

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import band_reference
 from hodge_series import ratfun
 from hodge_series.ratfun import (
     ONE,
@@ -418,3 +419,41 @@ def test_to_polynomial_exact_bound(a, wden):
     if n >= 1:
         with pytest.raises(NotPolynomialWithinBound):
             to_polynomial(r, n - 1)
+
+
+big_polys = st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                            band_reference.big_coefs, max_size=5).map(BivarPoly)
+
+
+class TestSlotWidth:
+    """The packed band against the list band of ``band_reference``, with
+    coefficients up to 2^200 and multiplicities that carry them across
+    2^63 and 2^127."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(big_polys, st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3),
+                                         st.integers(0, 6)), max_size=3))
+    @example(BivarPoly({(0, 0): (1 << 62) + 1}), [(1, 0, 2)])
+    @example(BivarPoly({(1, 2): -(1 << 126) - 1}), [(0, 1, 1), (2, 0, 1)])
+    def test_mul_binomials(self, p, factors):
+        assert p.mul_binomials(factors).terms == band_reference.mul_binomials(p.terms, factors)
+
+    @settings(max_examples=60, deadline=None)
+    @given(big_polys, wdens, wdens)
+    @example(BivarPoly({(0, 0): (1 << 62) + 1}), {}, {1: 2})
+    @example(BivarPoly({(0, 0): 1 << 60}), {12: 2}, {1: 2})  # quotient 1.5 * 2^63
+    def test_divide_exact(self, p, other, wden):
+        a = p * den_poly(other)
+        try:
+            expect = band_reference.divide_exact(a.terms, wden)
+        except NotDivisible:
+            with pytest.raises(NotDivisible):
+                a.divide_exact(wden)
+            return
+        assert a.divide_exact(wden).terms == expect
+
+    @settings(max_examples=60, deadline=None)
+    @given(big_polys, wdens, st.integers(0, 12))
+    @example(BivarPoly({(0, 0): (1 << 126) + 1}), {1: 3}, 12)
+    def test_expand(self, p, wden, order):
+        assert RatFun2(p, wden).expand(order) == band_reference.expand(p.terms, wden, order)

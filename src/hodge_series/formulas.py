@@ -17,29 +17,36 @@ where a(L) is the degree-independent series of the stack of all L-bundles,
            * prod_{k > dim Z(L)} (1+u^{d_k} v^{d_k-1})^g (1+u^{d_k-1} v^{d_k})^g
                                  / ((1-(uv)^{d_k-1}) (1-(uv)^{d_k})),
 
-with d_k the exponents of L.  ``closed_terms`` reads dim Z(L^I), the
-exponents, dim U^I and the pairings 2 rho^I(a^vee) from the root datum's
-cached Levi records (``RootDatum.levis``).  Every denominator in sight is a
-product of factors (1 - (uv)^k), so terms are carried in factored form (a
-numerator product plus a multiset of w-exponents, w = uv).  One pass serves
-the exact and the truncated sum.  A term's numerator is that of a(L^I),
-which depends only on dim Z(L^I) and the exponents of L^I, so the pass
-groups the terms by numerator (GL8: 128 terms, 22 groups).  A group with
-denominator gden, the union of its members' denominators, sums
-coef * w^shift * (gden / den) over its members into one short integer
-polynomial C(w).  The whole sum lives on one band of
+with d_k the exponents of L.  Every exponent of w = uv in a term is an
+integer, and it is computed in integers: the fractions <varpi_a(d)> are put
+over one common denominator D, so the exponent of subset I is the quotient
+of (g-1) dim U^I * D + sum 2 rho^I(a^vee) n_a by D, and a nonzero remainder
+raises ``NonIntegralExponent``.  ``closed_terms`` reads the rest of each
+term from a template per Levi record and genus (``_templates``): the sign,
+(g-1) dim U^I, the numerator factors of a(L^I) and its denominator with the
+walls' factors in it, built once from the root datum's cached Levi records
+(``RootDatum.levis``) and cached beside them.  Every denominator in sight
+is a product of factors (1 - (uv)^k), so terms are carried in factored form
+(a numerator product plus a multiset of w-exponents).  One pass serves the
+exact and the truncated sum.  A term's numerator is that of a(L^I), which
+depends only on dim Z(L^I) and the exponents of L^I, so the pass groups the
+terms by numerator (GL8: 128 terms, 22 groups).  A group with denominator
+gden, the union of its members' denominators, sums coef * w^shift * (gden /
+den) over its members into one short integer polynomial C(w): it first sums
+coef * w^shift over the members with equal den, then multiplies each
+nonzero sum once by gden / den.  The whole sum lives on one band of
 :mod:`hodge_series.ratfun`, a single Python int with one signed B-bit slot
 per coefficient, where every factor (1 + u^a v^b) and every 1 - w^k is one
-C-level shift-add by a fixed slot shift: a letter.  A group's term over
-the common denominator is its C(w), laid out as one band column (the
-leaf), times its letters: its numerator factors and the factors of the
-common denominator over gden.  The groups share most of their letters, so
-the sum is taken by Horner's rule over them: the letters common to every
-group are applied once, to the sum of the rest, and the groups split on
-the letter held by the most of them, which is applied once to the sum of
-those that hold it.  The slot width B is fixed before the first pass, from
-a bound on every partial sum: a letter (1 +- x^s)^e at most multiplies the
-l1 norm by 2^e, so sum over the groups of l1(C) * 2^(their letters' total
+C-level shift-add by a fixed slot shift: a letter.  A group's term over the
+common denominator is its C(w), laid out as one band column (the leaf),
+times its letters: its numerator factors and the factors of the common
+denominator over gden.  The groups share most of their letters, so the sum
+is taken by Horner's rule over them: the letters common to every group are
+applied once, to the sum of the rest, and the groups split on the letter
+held by the most of them, which is applied once to the sum of those that
+hold it.  The slot width B is fixed before the first pass, from a bound on
+every partial sum: a letter (1 +- x^s)^e at most multiplies the l1 norm by
+2^e, so sum over the groups of l1(C) * 2^(their letters' total
 multiplicity) bounds them all.  The exact sum keeps the common denominator
 as its multiset; the truncated sum divides by it once, as running sums
 along w, in slots widened beforehand for that division.  No gcd is ever
@@ -47,9 +54,11 @@ computed.
 
 The classical-type composition sums are the same formula indexed by
 compositions of the rank, with their Levis, dim U, wall pairings and
-exponents written out by hand per type instead of read from the root datum.
-Both routes build every factored term through the single helper
-``_levi_term``, which turns (sign, Levi, dim U, walls) into an ``FTerm``.
+exponents written out by hand per type instead of read from the root datum;
+their walls carry <varpi> as integer numerators over r (type A) or over 2
+(types B, C and D).  They build every factored term through ``_levi_term``,
+which turns (sign, Levi, dim U, walls, D) into an ``FTerm`` from the same
+parts as a template (``_levi_parts``, ``_exponent``).
 
 Both sums are linear in their terms, so two sums are compared as one: the
 terms of one side and those of the other with coef negated
@@ -66,9 +75,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from itertools import repeat
-from math import gcd
+from math import gcd, lcm
 from operator import add, itemgetter, sub
 
 from .ratfun import (
@@ -93,7 +101,6 @@ from .rootdata import (
     NonIntegralExponent,
     RootDatum,
     build_root_system,
-    frac_rep,
     good_case,
     validate_degree,
 )
@@ -138,33 +145,50 @@ def _num_degree(term):
     return 2 * term.shift + sum(e * (a + b) for a, b, e in term.numfactors)
 
 
-def _common_den(terms):
-    """Max-multiplicity common denominator, as a dict w-exponent ->
-    multiplicity, positive multiplicities only."""
+def _common_den(dens):
+    """Max-multiplicity common denominator of the given denominators, as a
+    dict w-exponent -> multiplicity, positive multiplicities only."""
     common = {}
-    for t in terms:
-        for k, m in t.den.items():
+    for den in dens:
+        for k, m in den.items():
             if m > common.get(k, 0):
                 common[k] = m
     return common
 
 
-def _group_cofactor(group, gden):
-    """C(w) = sum of coef * w^shift * prod (1 - w^k)^m over gden - den, for
-    the terms of one group, trimmed of trailing zeros; the factors a term
-    already has in full are skipped."""
-    C = []
+def _group_cofactor(group):
+    """(gden, C) for the terms of one group: gden the union of their
+    denominators, and C(w) the sum of coef * w^shift * prod (1 - w^k)^m over
+    gden - den, trimmed of trailing zeros.
+
+    The terms are first summed per denominator, as sum coef * w^shift, so
+    each cofactor is multiplied once per distinct denominator, and a
+    denominator whose sum cancels (as equal terms of the two sides of a
+    difference sum do) is skipped; the factors a denominator already has in
+    full are skipped too."""
+    buckets = {}
     for t in group:
-        s = [0] * t.shift + [t.coef]
-        for k, m in gden.items():
-            m -= t.den.get(k, 0)
-            if m:
-                _times_den(s, ((k, m),))
+        key = frozenset(t.den.items())
+        b = buckets.get(key)
+        if b is None:
+            buckets[key] = (t.den, {t.shift: t.coef})
+        else:
+            b[1][t.shift] = b[1].get(t.shift, 0) + t.coef
+    gden = _common_den(den for den, _ in buckets.values())
+    C = []
+    for den, w in buckets.values():
+        if not any(w.values()):
+            continue
+        s = [0] * (max(w) + 1)
+        for x, c in w.items():
+            s[x] = c
+        _times_den(s, [(k, m - den.get(k, 0)) for k, m in gden.items()
+                       if m != den.get(k, 0)])
         C += repeat(0, len(s) - len(C))
         C[:len(s)] = map(add, C, s)
     while C and not C[-1]:
         C.pop()
-    return C
+    return gden, C
 
 
 def _over_common_den(terms, order):
@@ -175,9 +199,11 @@ def _over_common_den(terms, order):
     [lo, lo + W) covers p - q over every group's numerator, and the band has
     n = ((order - lo) // 2 + 1) * W slots, enough for total degree <= order.
 
-    Terms with the same numerator factors (the same Levi type) form a group
-    with denominator gden, the union of their denominators.  The group's
-    w-parts sum to one short list C(w) (``_group_cofactor``), which is laid
+    One pass groups the terms by numerator factors (their Levi type); a
+    group's denominator gden is the union of its members' denominators, and
+    common is the union of the groups' gden, those of groups that cancel
+    included.  The group's w-parts sum to one short list C(w), one cofactor
+    product per distinct denominator (``_group_cofactor``), which is laid
     out as a band column: the group's leaf, at the offset of C's lowest
     nonzero power.  What multiplies the leaf is a multiset of letters, band
     shifts with their sign: b * W + a - b with multiplicity e for each
@@ -191,19 +217,18 @@ def _over_common_den(terms, order):
     by at most 2^e and cutting the band never raises it, so bound, the sum
     over the items of l1(C) * 2^(sum of their multiplicities), bounds the
     l1 norm of every partial sum that ``_horner`` forms, cut or not."""
-    terms = [t for t in terms if 2 * t.shift <= order]
-    common = _common_den(terms)
     groups = {}
     for t in terms:
-        groups.setdefault(t.numfactors, []).append(t)
+        if 2 * t.shift <= order:
+            groups.setdefault(t.numfactors, []).append(t)
+    cofactors = {nf: _group_cofactor(group) for nf, group in groups.items()}
+    common = _common_den(gden for gden, _ in cofactors.values())
     lo = min((sum(e * min(a - b, 0) for a, b, e in nf) for nf in groups), default=0)
     W = max((sum(e * max(a - b, 0) for a, b, e in nf) for nf in groups),
             default=0) - lo + 1
     n = ((order - lo) // 2 + 1) * W
     items, bound = [], 0
-    for numfactors, group in groups.items():
-        gden = _common_den(group)
-        C = _group_cofactor(group, gden)
+    for numfactors, (gden, C) in cofactors.items():
         if not C:
             continue
         # C's leading zeros (the w^shift) only move the leaf's offset
@@ -309,7 +334,7 @@ def _add_at(total, part, B):
 def assemble_exact(terms) -> RatFun2:
     """Sum factored terms over the max-multiplicity common denominator; the
     order bounds every numerator times its cofactor, so nothing is cut."""
-    deg = _w_degree(_common_den(terms))
+    deg = _w_degree(_common_den(t.den for t in terms))
     common, lo, W, n, items, bound = _over_common_den(
         terms, 2 * deg + max(map(_num_degree, terms), default=0))
     B = _width(bound)
@@ -346,18 +371,31 @@ def _a_parts(m, nonab_exps, g):
     return tuple(numf), den
 
 
-def _levi_term(coef, m, nonab_exps, dim_u, walls, g):
-    """coef * a(L) * w^{(g-1) dim_u + sum r f} / prod (1 - w^r), where L has
-    dim Z(L) = m and non-abelian exponents nonab_exps, and walls lists the
-    pairs (r, f) = (2 rho^I(alpha^vee), <varpi_alpha(d)>)."""
+def _levi_parts(m, nonab_exps, rs, g):
+    """Numerator factors and denominator multiset of a(L) / prod (1 - w^r)
+    over the wall pairings r in rs."""
     numf, den = _a_parts(m, nonab_exps, g)
-    shift = Fraction((g - 1) * dim_u)
-    for r, f in walls:
+    for r in rs:
         den[r] += 1
-        shift += r * f
-    if shift.denominator != 1:
-        raise NonIntegralExponent("non-integer (uv)-exponent %s" % shift)
-    return FTerm(coef, int(shift), numf, den)
+    return numf, den
+
+
+def _exponent(x, D):
+    """The w-exponent x / D, which must be an integer."""
+    q, rem = divmod(x, D)
+    if rem:
+        raise NonIntegralExponent("non-integer (uv)-exponent %d/%d" % (x, D))
+    return q
+
+
+def _levi_term(coef, m, nonab_exps, dim_u, walls, g, D=1):
+    """coef * a(L) * w^{(g-1) dim_u + sum r n / D} / prod (1 - w^r), where L
+    has dim Z(L) = m and non-abelian exponents nonab_exps, and walls lists
+    the pairs (r, n) = (2 rho^I(alpha^vee), D <varpi_alpha(d)>), n an
+    integer."""
+    numf, den = _levi_parts(m, nonab_exps, [r for r, _ in walls], g)
+    return FTerm(coef, _exponent((g - 1) * dim_u * D + sum(r * n for r, n in walls), D),
+                 numf, den)
 
 
 def a_series_term(spec: GroupSpec, g) -> FTerm:
@@ -383,16 +421,34 @@ def hp_classifying(spec: GroupSpec) -> RatFun2:
 # ---------------------------------------------------------------------------
 
 
+def _templates(datum: RootDatum, g):
+    """One template (sign, (g - 1) dim U, numfactors, den, walls) per Levi
+    record, in the order of ``RootDatum.levis``: the parts of the record's
+    term that do not depend on the degree, den with one factor 1 - w^r per
+    wall (a, r) already in it.  Cached on the datum beside its records, per
+    genus; the terms built from a template share its numfactors and den."""
+    key = ("templates", g)
+    cached = datum._cache.get(key)
+    if cached is None:
+        cached = datum._cache[key] = tuple(
+            ((-1) ** len(L.I), (g - 1) * L.dim_u,
+             *_levi_parts(L.dim_z, L.exponents[L.dim_z:], [r for _, r in L.walls], g),
+             L.walls)
+            for L in datum.levis())
+    return cached
+
+
 def closed_terms(datum: RootDatum, fracs, g, coef=1, shift=0):
     """Factored terms of coef * w^shift times the closed formula for the
     given <varpi_a(d)> data, one per parabolic subset I, from the datum's
-    Levi records."""
-    terms = [_levi_term(coef * (-1) ** len(L.I), L.dim_z, L.exponents[L.dim_z:],
-                        L.dim_u, [(r, fracs[a]) for a, r in L.walls], g)
-             for L in datum.levis()]
-    for t in terms:
-        t.shift += shift
-    return terms
+    templates.  The fractions are put over one denominator D, so each
+    exponent is the integer quotient of (g - 1) dim U * D + sum r n_a by D."""
+    D = lcm(*(f.denominator for f in fracs))
+    nums = [f.numerator * (D // f.denominator) for f in fracs]
+    return [FTerm(sign * coef,
+                  shift + _exponent(base * D + sum(r * nums[a] for a, r in walls), D),
+                  numf, den)
+            for sign, base, numf, den, walls in _templates(datum, g)]
 
 
 def closed_ratfun(datum: RootDatum, fracs, g) -> RatFun2:
@@ -455,14 +511,15 @@ def _d_exps(m):
 
 
 def _chain_walls(comp):
-    """Walls between adjacent GL blocks, each with integral pairing."""
-    return [(comp[i] + comp[i + 1], 1) for i in range(len(comp) - 1)]
+    """Walls between adjacent GL blocks, each with integral pairing: (r, 2),
+    the pairing 1 as a numerator over 2."""
+    return [(comp[i] + comp[i + 1], 2) for i in range(len(comp) - 1)]
 
 
 def _gl_terms(r, d, g, abelian_drop=0):
     """Type A composition sum; abelian_drop=1 gives the SL_r normalization
     and, with d kept, the fixed-determinant one (one less abelian factor per
-    term)."""
+    term).  The walls carry <-p d / r> as numerators over r."""
     terms = []
     for comp in _compositions(r):
         l = len(comp)
@@ -470,18 +527,19 @@ def _gl_terms(r, d, g, abelian_drop=0):
         p = 0
         for i in range(l - 1):
             p += comp[i]
-            walls.append((comp[i] + comp[i + 1], frac_rep(Fraction(-p * d, r))))
+            walls.append((comp[i] + comp[i + 1], -p * d % r or r))
         terms.append(_levi_term((-1) ** (l - 1), l - abelian_drop, _gl_exps(comp),
-                                _e2(comp), walls, g))
+                                _e2(comp), walls, g, r))
     return terms
 
 
-def _bc_terms(r, fr, g, c):
-    """Composition sum for SO_{2r+1} (c=0, fr = <d/2>) and Sp_r (c=1, fr
+def _bc_terms(r, n, g, c):
+    """Composition sum for SO_{2r+1} (c=0, n = 2 <d/2>) and Sp_r (c=1, n
     unused).
 
     Both types have the same Levis and exponents; they differ only in the
-    pairings of the last simple root, which are shifted by c.
+    pairings of the last simple root, which are shifted by c.  The walls
+    carry their <varpi> as numerators over 2.
     """
     u_full = r * (r + 1) // 2
     terms = []
@@ -489,16 +547,16 @@ def _bc_terms(r, fr, g, c):
         l, m = len(comp), comp[-1]
         e2 = _e2(comp)
         # Levi GL_{r_1} x ... x GL_{r_l} (last simple root crossed)
-        last = (m + 1, 1) if c else (2 * m, fr)
+        last = (m + 1, 2) if c else (2 * m, n)
         terms.append(_levi_term((-1) ** l, l, _gl_exps(comp), e2 + u_full,
-                                _chain_walls(comp) + [last], g))
+                                _chain_walls(comp) + [last], g, 2))
         # Levi GL_{r_1} x ... x GL_{r_{l-1}} x SO_{2m+1} (or Sp_m)
         walls = _chain_walls(comp[:-1])
         if l > 1:
-            walls.append((comp[-2] + 2 * m + c, 1))
+            walls.append((comp[-2] + 2 * m + c, 2))
         terms.append(_levi_term((-1) ** (l - 1), l - 1,
                                 _gl_exps(comp[:-1]) + _bc_exps(m),
-                                e2 + u_full - m * (m + 1) // 2, walls, g))
+                                e2 + u_full - m * (m + 1) // 2, walls, g, 2))
     return terms
 
 
@@ -508,30 +566,30 @@ def _so_even_terms(r, d, g):
     Compositions with last part 1 index Levis GL_{r_1} x ... x GL_{r_{l-1}}
     x GL_1 (both fork roots crossed); compositions with last part >= 2 index
     both the two twisted all-GL Levis (hence the factor 2) and the Levis with
-    an SO_{2 r_l} tail.
+    an SO_{2 r_l} tail.  The walls carry their <varpi> as numerators over 2.
     """
-    fr = frac_rep(Fraction(d, 2))
+    n = d % 2 or 2
     u_full = r * (r - 1) // 2
     terms = []
     for comp in _compositions(r):
         l, m = len(comp), comp[-1]
         e2 = _e2(comp)
         if m == 1 and l >= 2:
-            walls = _chain_walls(comp[:-1]) + [(comp[-2] + 1, fr)] * 2
+            walls = _chain_walls(comp[:-1]) + [(comp[-2] + 1, n)] * 2
             terms.append(_levi_term((-1) ** l, l, _gl_exps(comp), e2 + u_full,
-                                    walls, g))
+                                    walls, g, 2))
         if m >= 2:
             # two conjugate all-GL Levis contribute identically
-            walls = _chain_walls(comp) + [(2 * (m - 1), fr)]
+            walls = _chain_walls(comp) + [(2 * (m - 1), n)]
             terms.append(_levi_term(2 * (-1) ** l, l, _gl_exps(comp),
-                                    e2 + u_full, walls, g))
+                                    e2 + u_full, walls, g, 2))
             # Levi GL_{r_1} x ... x GL_{r_{l-1}} x SO_{2m}
             walls = _chain_walls(comp[:-1])
             if l > 1:
-                walls.append((comp[-2] + 2 * m - 1, 1))
+                walls.append((comp[-2] + 2 * m - 1, 2))
             terms.append(_levi_term((-1) ** (l - 1), l - 1,
                                     _gl_exps(comp[:-1]) + _d_exps(m),
-                                    e2 + u_full - m * (m - 1) // 2, walls, g))
+                                    e2 + u_full - m * (m - 1) // 2, walls, g, 2))
     return terms
 
 
@@ -544,7 +602,7 @@ def _classical_terms(family, rank, d, g, allow_large_genus):
     if family == "SL":
         return _gl_terms(rank, 0, g, abelian_drop=1)
     if family == "SOodd":
-        return _bc_terms(rank, frac_rep(Fraction(d, 2)), g, 0)
+        return _bc_terms(rank, d % 2 or 2, g, 0)
     if family == "Sp":
         return _bc_terms(rank, None, g, 1)
     if family == "SOeven":

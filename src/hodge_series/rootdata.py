@@ -512,18 +512,23 @@ class RootDatum:
             cached = self._cache["cartan"] = _adjugate(self.cartan_matrix())
         return cached
 
+    def _fund_numerators(self, X):
+        """(det A, (det A * varpi_alpha(X))_alpha), all integers: writing
+        X = X_z + sum_j c_j alpha_j^vee, the Cartan-matrix system
+        A c = (alpha_i(X))_i gives det A * c = adj(A) (alpha_i(X))_i."""
+        det, adj = self._cartan_adj()
+        rhs = [_dot(a, X) for a in self.simple_roots]
+        return det, [_dot(row, rhs) for row in adj]
+
     def fund_weight_values(self, X):
         """(varpi_alpha(X))_alpha as Fractions, for a lattice point X.
 
         varpi_alpha vanishes on the center and pairs to delta with the simple
-        coroots, so the values are the coroot-basis coordinates of X after
-        removing its central component: writing X = X_z + sum_j c_j alpha_j^vee
-        gives the Cartan-matrix system A c = (alpha_i(X))_i, solved as
-        c = adj(A) (alpha_i(X))_i / det A.
+        coroots, so the values are the coroot-basis coordinates c of X after
+        removing its central component (``_fund_numerators``).
         """
-        det, adj = self._cartan_adj()
-        rhs = [_dot(a, X) for a in self.simple_roots]
-        return tuple(Fraction(_dot(row, rhs), det) for row in adj)
+        det, xs = self._fund_numerators(X)
+        return tuple(Fraction(x, det) for x in xs)
 
     def lift_degree(self, d):
         """Canonical lift of d in pi_1 G to the coweight lattice.
@@ -539,8 +544,11 @@ class RootDatum:
         return tuple(di * x for di, lift in zip(d, self._lifts) for x in lift)
 
     def fund_fracs(self, X):
-        """Tuple of <varpi_alpha(X)> in (0, 1]; the only way degrees enter."""
-        return tuple(frac_rep(c) for c in self.fund_weight_values(X))
+        """Tuple of <varpi_alpha(X)> in (0, 1]; the only way degrees enter.
+        Each is one Fraction of the numerators over det A > 0, reduced mod
+        det A."""
+        det, xs = self._fund_numerators(X)
+        return tuple(Fraction(x % det or det, det) for x in xs)
 
     def _projector(self, parabolic_indices):
         """(D, P): integers with D * project_to_center(I, X) = P X.

@@ -174,6 +174,14 @@ PINNED_OUTPUT = [
     ("SO12 d=1", 0, "a1c0c914db10bdfcf94eff9d69821c80e1695ac0f9e2a0adb09afb13e1e8327e",
      ["compute", "--group", "SO12", "--degree", "1", "--genus", "2",
       "--what", "semistable"]),
+    ("GL4 d=1 g=8 fixed-det chi-t", 0,
+     "f448e778f247e1ac665be175bc812fdfeec1a1040a7110ae61c3bc28fae16691",
+     ["specialize", "--group", "GL4", "--degree", "1", "--genus", "8",
+      "--what", "fixed-det", "--at", "chi-t"]),
+    # the plain stdout of every verify suite up to rank 4, 162 checks
+    ("verify all rank 4", 0, "428cb9e021fc9aeee2548e2a8ae2349908d96ce8977688d588b4c1584383de24",
+     ["verify", "--suite", "all", "--max-rank", "4", "--genus-list", "2,3",
+      "--order", "20"]),
 ]
 
 

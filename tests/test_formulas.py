@@ -9,6 +9,7 @@ under test.
 import sys
 from collections import Counter
 from dataclasses import replace
+from fractions import Fraction
 from itertools import repeat
 from operator import add, mul, sub
 
@@ -36,7 +37,6 @@ from hodge_series.formulas import (
     stack_poincare_series,
     to_polynomial,
     _band_sum,
-    _common_den,
     _gl_terms,
     _group_cofactor,
     _num_degree,
@@ -56,6 +56,7 @@ from hodge_series.ratfun import (
 )
 from hodge_series.rootdata import (
     GroupSpec,
+    NonIntegralExponent,
     build_root_system,
     degrees_of,
     good_case,
@@ -395,6 +396,22 @@ def test_assemble_series_past_the_exact_degree():
     _check_series([WIDE], 40)
 
 
+def _group_cofactor_reference(group, gden):
+    """C(w) of one group term by term: each coef * w^shift multiplied by
+    prod (1 - w^k)^m over gden - den, then summed, trimmed of trailing
+    zeros."""
+    C = []
+    for t in group:
+        s = [0] * t.shift + [t.coef]
+        for k, m in gden.items():
+            band_reference.times_binomial(s, k, m - t.den.get(k, 0), sub, None)
+        C += repeat(0, len(s) - len(C))
+        C[:len(s)] = map(add, C, s)
+    while C and not C[-1]:
+        C.pop()
+    return C
+
+
 def _over_common_den_reference(terms, order):
     """The band of ``_over_common_den`` group by group, as it was built
     before the Horner pass: each group's numerator expanded by shift-adds,
@@ -411,7 +428,7 @@ def _over_common_den_reference(terms, order):
     band = [0] * (((order - lo) // 2 + 1) * W)
     for numfactors, group in groups.items():
         gden = _union_den(group)
-        C = _group_cofactor(group, gden)
+        C = _group_cofactor_reference(group, gden)
         if not C:
             continue
         t0 = next(x for x, c in enumerate(C) if c)
@@ -433,7 +450,7 @@ def _over_common_den_reference(terms, order):
 
 def _exact_order(terms):
     """The order at which ``assemble_exact`` assembles terms."""
-    return (2 * _w_degree(_common_den(terms))
+    return (2 * _w_degree(_union_den(terms))
             + max(map(_num_degree, terms), default=0))
 
 
@@ -490,8 +507,8 @@ class TestHornerBand:
                   FTerm(-1, 0, ((1, 0, 1),), Counter())]
         past_end = [FTerm(1, 0, ((0, 1, 1),), Counter({2: 1})),
                     FTerm(-1, 0, ((0, 1, 1),), Counter())]
-        assert _group_cofactor(at_end, Counter({1: 1})) == [0, 1]
-        assert _group_cofactor(past_end, Counter({2: 1})) == [0, 0, 1]
+        assert _group_cofactor(at_end) == ({1: 1}, [0, 1])
+        assert _group_cofactor(past_end) == ({2: 1}, [0, 0, 1])
         for terms in (at_end, past_end, past_end + [NARROW], [NARROW] + past_end,
                       at_end + [NARROW] + past_end):
             _check_band(terms, (0, 1, 2, 3, 4))
@@ -557,9 +574,71 @@ class TestHornerBand:
                 got = _packed_band(terms, order)
                 assert got == _over_common_den_reference(terms, order)
             letters = (max(sum(e for _, _, e in t.numfactors) for t in terms)
-                       + sum(_common_den(terms).values()))
+                       + sum(_union_den(terms).values()))
             assert 1 <= depth[1] <= 1 + letters
         assert sys.getrecursionlimit() == limit
+
+
+@st.composite
+def cancelling_groups(draw):
+    """(group, whole): terms of one Levi type, some of them paired with an
+    exact negative (the same shift over an equal den, a new Counter, at
+    times without its zero multiplicities), and with whole every term so
+    paired; shuffled."""
+    nf = draw(numfactor_tuples())
+    pairs = draw(st.lists(fterms(nf), max_size=3))
+    whole = draw(st.booleans())
+    group = [] if whole else draw(st.lists(fterms(nf), max_size=5))
+    for t in pairs:
+        den = +t.den if draw(st.booleans()) else Counter(t.den)
+        group += [t, replace(t, coef=-t.coef, den=den)]
+    return draw(st.permutations(group)), whole
+
+
+class TestGroupCofactor:
+    """``_group_cofactor`` sums a group's terms per denominator and
+    multiplies each nonzero sum once; the term-by-term reference multiplies
+    every term."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(cancelling_groups())
+    @example(([FTerm(1, 2, ((1, 0, 1),), Counter({1: 1, 3: 2})),
+               FTerm(-1, 2, ((1, 0, 1),), Counter({3: 2, 1: 1}))], True))
+    def test_against_term_by_term(self, drawn):
+        group, whole = drawn
+        gden, C = _group_cofactor(group)
+        assert gden == _union_den(group)
+        assert C == _group_cofactor_reference(group, gden)
+        if whole:
+            assert C == []
+
+    def test_cancelled_denominator_stays_in_the_union(self):
+        """A denominator whose terms cancel adds nothing to C but still
+        counts in gden, and so in the common denominator of the sum."""
+        nf = ((1, 0, 1),)
+        group = [FTerm(3, 1, nf, Counter({1: 1})),
+                 FTerm(2, 0, nf, Counter({4: 1})), FTerm(-2, 0, nf, Counter({4: 1}))]
+        assert _group_cofactor(group) == ({1: 1, 4: 1}, [0, 3, 0, 0, 0, -3])
+        common, *_ = _over_common_den(group, 30)
+        assert common == {1: 1, 4: 1}
+        _check_exact(group)
+
+
+class TestNonIntegralExponent:
+    def test_closed_terms(self):
+        """SL2 with <varpi(d)> = 1/3: the term of I = {0} would have
+        exponent (g - 1) dim U + 2 * 1/3 = 1 + 2/3."""
+        datum = build_root_system(SL(2))
+        with pytest.raises(NonIntegralExponent):
+            closed_terms(datum, (Fraction(1, 3),), 2)
+        assert [t.shift for t in closed_terms(datum, (Fraction(1, 2),), 2)] == [0, 2]
+
+    def test_levi_term(self):
+        """A wall numerator n = 1 over D = 3: 1 * 3 + 2 * 1 = 5 is not a
+        multiple of 3; n = 3 gives the exponent 1 + 2 = 3."""
+        with pytest.raises(NonIntegralExponent):
+            formulas._levi_term(1, 1, (), 1, [(2, 1)], 2, 3)
+        assert formulas._levi_term(1, 1, (), 1, [(2, 3)], 2, 3).shift == 3
 
 
 @st.composite

@@ -3,18 +3,34 @@
 Every record is checked against a reference derivation by direct scans of
 the positive roots (the Levi sub-datum, the nilradical count and the
 nilradical pairings 2 rho^I(alpha^vee)), and the closed formula's terms are
-rebuilt from that reference, on every parabolic subset of each group.
+rebuilt from that reference, on every parabolic subset of each group, with
+their exponents summed in Fractions; the composition sums are checked
+against the same Fraction arithmetic.
 """
 
+from collections import Counter
+from fractions import Fraction
 from operator import mul
 
 import pytest
 
-from hodge_series.formulas import _levi_term, closed_terms
+from hodge_series.formulas import (
+    FTerm,
+    _bc_exps,
+    _bc_terms,
+    _compositions,
+    _d_exps,
+    _e2,
+    _gl_exps,
+    _gl_terms,
+    _so_even_terms,
+    closed_terms,
+)
 from hodge_series.rootdata import (
     RootDatum,
     build_root_system,
     degrees_of,
+    frac_rep,
     parse_group,
 )
 
@@ -73,13 +89,33 @@ def _check_records(datum, reference):
             datum.n, levi.dim_z, levi.exponent_list(), len(nil), rho)
 
 
+def _reference_term(coef, m, nonab_exps, dim_u, walls, g):
+    """coef * a(L) * w^{(g - 1) dim_u + sum r f} / prod (1 - w^r) for the
+    walls (r, f), f = <varpi_alpha(d)> a Fraction, with the exponent summed
+    in Fractions; a(L) from dim Z(L) = m and the non-abelian exponents."""
+    numf, den = [], Counter()
+    if m:
+        numf += [(1, 0, g * m), (0, 1, g * m)]
+        den[1] = m
+    for d in nonab_exps:
+        numf += [(d, d - 1, g), (d - 1, d, g)]
+        den[d - 1] += 1
+        den[d] += 1
+    shift = Fraction((g - 1) * dim_u)
+    for r, f in walls:
+        den[r] += 1
+        shift += r * f
+    assert shift.denominator == 1
+    return FTerm(coef, int(shift), tuple(numf), den)
+
+
 def _reference_closed_terms(datum, fracs, g):
     terms = []
     for I in _subsets(datum.num_simple):
         levi, nil, rho = _reference_skeleton(datum, I)
         m = levi.dim_z
-        terms.append(_levi_term((-1) ** len(I), m, levi.exponent_list()[m:],
-                                len(nil), [(rho[a], fracs[a]) for a in I], g))
+        terms.append(_reference_term((-1) ** len(I), m, levi.exponent_list()[m:],
+                                     len(nil), [(rho[a], fracs[a]) for a in I], g))
     return terms
 
 
@@ -107,17 +143,99 @@ def test_records_of_levis_match_reference(name):
 
 @pytest.mark.parametrize("name", GROUPS)
 def test_closed_terms_match_reference(name):
+    """The closed formula's integer exponents from the cached templates
+    against the scan reference, whose exponents are summed in Fractions: on
+    the group and on each of its Levis, at every degree and three genera."""
     datum = build_root_system(parse_group(name))
     for d in degrees_of(datum.spec):
         X = datum.lift_degree(d)
-        for g in (2, 3):
+        for g in (2, 3, 8):
             fracs = datum.fund_fracs(X)
             assert closed_terms(datum, fracs, g) == _reference_closed_terms(datum, fracs, g)
-        # the Levis' terms, as the recursion's right-hand side builds them
-        for L in datum.levis()[1:]:
-            fracs = L.datum.fund_fracs(X)
-            ref = _reference_sub_datum(datum, datum.complement(L.I))
-            assert closed_terms(L.datum, fracs, 2) == _reference_closed_terms(ref, fracs, 2)
+            # the Levis' terms, as the recursion's right-hand side builds them
+            for L in datum.levis()[1:]:
+                fracs = L.datum.fund_fracs(X)
+                ref = _reference_sub_datum(datum, datum.complement(L.I))
+                assert closed_terms(L.datum, fracs, g) == _reference_closed_terms(ref, fracs, g)
+
+
+def _reference_gl_terms(r, d, g, abelian_drop=0):
+    terms = []
+    for comp in _compositions(r):
+        l = len(comp)
+        walls = []
+        p = 0
+        for i in range(l - 1):
+            p += comp[i]
+            walls.append((comp[i] + comp[i + 1], frac_rep(Fraction(-p * d, r))))
+        terms.append(_reference_term((-1) ** (l - 1), l - abelian_drop, _gl_exps(comp),
+                                     _e2(comp), walls, g))
+    return terms
+
+
+def _chain(comp):
+    return [(comp[i] + comp[i + 1], 1) for i in range(len(comp) - 1)]
+
+
+def _reference_bc_terms(r, fr, g, c):
+    u_full = r * (r + 1) // 2
+    terms = []
+    for comp in _compositions(r):
+        l, m = len(comp), comp[-1]
+        e2 = _e2(comp)
+        last = (m + 1, 1) if c else (2 * m, fr)
+        terms.append(_reference_term((-1) ** l, l, _gl_exps(comp), e2 + u_full,
+                                     _chain(comp) + [last], g))
+        walls = _chain(comp[:-1])
+        if l > 1:
+            walls.append((comp[-2] + 2 * m + c, 1))
+        terms.append(_reference_term((-1) ** (l - 1), l - 1,
+                                     _gl_exps(comp[:-1]) + _bc_exps(m),
+                                     e2 + u_full - m * (m + 1) // 2, walls, g))
+    return terms
+
+
+def _reference_so_even_terms(r, d, g):
+    fr = frac_rep(Fraction(d, 2))
+    u_full = r * (r - 1) // 2
+    terms = []
+    for comp in _compositions(r):
+        l, m = len(comp), comp[-1]
+        e2 = _e2(comp)
+        if m == 1 and l >= 2:
+            walls = _chain(comp[:-1]) + [(comp[-2] + 1, fr)] * 2
+            terms.append(_reference_term((-1) ** l, l, _gl_exps(comp), e2 + u_full,
+                                         walls, g))
+        if m >= 2:
+            walls = _chain(comp) + [(2 * (m - 1), fr)]
+            terms.append(_reference_term(2 * (-1) ** l, l, _gl_exps(comp),
+                                         e2 + u_full, walls, g))
+            walls = _chain(comp[:-1])
+            if l > 1:
+                walls.append((comp[-2] + 2 * m - 1, 1))
+            terms.append(_reference_term((-1) ** (l - 1), l - 1,
+                                         _gl_exps(comp[:-1]) + _d_exps(m),
+                                         e2 + u_full - m * (m - 1) // 2, walls, g))
+    return terms
+
+
+@pytest.mark.parametrize("g", [2, 3, 8])
+def test_classical_terms_match_fraction_walls(g):
+    """The composition sums, whose walls carry integer numerators over r
+    (type A) or 2 (types B, C and D), against the same sums with walls
+    <x> = frac_rep(Fraction(...)) and exponents summed in Fractions, for
+    every rank <= 6 and every degree."""
+    for r in range(1, 7):
+        for d in range(r):
+            assert _gl_terms(r, d, g) == _reference_gl_terms(r, d, g)
+            assert (_gl_terms(r, d, g, abelian_drop=1)
+                    == _reference_gl_terms(r, d, g, abelian_drop=1))
+        assert _bc_terms(r, None, g, 1) == _reference_bc_terms(r, None, g, 1)
+        for d in (0, 1):
+            assert (_bc_terms(r, d % 2 or 2, g, 0)
+                    == _reference_bc_terms(r, frac_rep(Fraction(d, 2)), g, 0))
+            if r >= 2:
+                assert _so_even_terms(r, d, g) == _reference_so_even_terms(r, d, g)
 
 
 def test_levi_record_is_cached():

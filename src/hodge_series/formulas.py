@@ -25,7 +25,13 @@ raises ``NonIntegralExponent``.  ``closed_terms`` reads the rest of each
 term from a template per Levi record and genus (``_templates``): the sign,
 (g-1) dim U^I, the numerator factors of a(L^I) and its denominator with the
 walls' factors in it, built once from the root datum's cached Levi records
-(``RootDatum.levis``) and cached beside them.  Every denominator in sight
+(``RootDatum.levis``) and cached beside them.  The closed formula of a
+Levi L^I, which the recursion subtracts for every stratum with walls I,
+reads the same group records: its subset J of Delta - I has the template
+of the record of I u J, with (g-1) (dim U^{I u J} - dim U^I) and the wall
+pairings sums(I u J)[beta] - sums(I)[beta] for beta in J, keyed by
+beta's position in Delta - I, cached per genus and I; no Levi root datum
+is built.  Every denominator in sight
 is a product of factors (1 - (uv)^k), so terms are carried in factored form
 (a numerator product plus a multiset of w-exponents).  One pass serves the
 exact and the truncated sum.  A term's numerator is that of a(L^I), which
@@ -421,34 +427,48 @@ def hp_classifying(spec: GroupSpec) -> RatFun2:
 # ---------------------------------------------------------------------------
 
 
-def _templates(datum: RootDatum, g):
-    """One template (sign, (g - 1) dim U, numfactors, den, walls) per Levi
-    record, in the order of ``RootDatum.levis``: the parts of the record's
-    term that do not depend on the degree, den with one factor 1 - w^r per
-    wall (a, r) already in it.  Cached on the datum beside its records, per
-    genus; the terms built from a template share its numfactors and den."""
-    key = ("templates", g)
+def _templates(datum: RootDatum, g, I=()):
+    """One template (sign, (g - 1) dim U, numfactors, den, walls) per
+    parabolic subset J of the Levi L^I, J a subset of Delta - I in the
+    bitmask order of Delta - I: the parts of J's term in L^I's closed
+    formula that do not depend on the degree, den with one factor 1 - w^r
+    per wall (position, r) already in it.  Each is read off the group's own
+    records of I and I u J (``RootDatum.levis``): the Levi of J in L^I is
+    L^{I u J}, its nilradical in L^I has dim U(I u J) - dim U(I) roots, and
+    each beta in J has the wall pairing sums(I u J)[beta] - sums(I)[beta],
+    keyed by beta's position in Delta - I.  I = () gives G's own closed
+    formula.  Cached on the datum beside its records, per genus and I; the
+    terms built from a template share its numfactors and den."""
+    I = tuple(sorted(I))
+    key = ("templates", g, I)
     cached = datum._cache.get(key)
     if cached is None:
-        cached = datum._cache[key] = tuple(
-            ((-1) ** len(L.I), (g - 1) * L.dim_u,
-             *_levi_parts(L.dim_z, L.exponents[L.dim_z:], [r for _, r in L.walls], g),
-             L.walls)
-            for L in datum.levis())
+        levis, mask = datum.levis(), datum._mask(I)
+        top, keep = levis[mask], datum.complement(I)
+        out = []
+        for jmask in range(1 << len(keep)):
+            J = [(p, b) for p, b in enumerate(keep) if jmask >> p & 1]
+            L = levis[mask | sum(1 << b for _, b in J)]
+            walls = tuple((p, L.sums[b] - top.sums[b]) for p, b in J)
+            out.append(((-1) ** len(J), (g - 1) * (L.dim_u - top.dim_u),
+                        *_levi_parts(L.dim_z, L.exponents[L.dim_z:], [r for _, r in walls], g),
+                        walls))
+        cached = datum._cache[key] = tuple(out)
     return cached
 
 
-def closed_terms(datum: RootDatum, fracs, g, coef=1, shift=0):
-    """Factored terms of coef * w^shift times the closed formula for the
-    given <varpi_a(d)> data, one per parabolic subset I, from the datum's
-    templates.  The fractions are put over one denominator D, so each
-    exponent is the integer quotient of (g - 1) dim U * D + sum r n_a by D."""
+def closed_terms(datum: RootDatum, fracs, g, coef=1, shift=0, I=()):
+    """Factored terms of coef * w^shift times the closed formula of the
+    Levi L^I (I = () for the group) for the given <varpi_a(d)> data, one per
+    parabolic subset of L^I, from the datum's templates.  The fractions are
+    put over one denominator D, so each exponent is the integer quotient of
+    (g - 1) dim U * D + sum r n_a by D."""
     D = lcm(*(f.denominator for f in fracs))
     nums = [f.numerator * (D // f.denominator) for f in fracs]
     return [FTerm(sign * coef,
                   shift + _exponent(base * D + sum(r * nums[a] for a, r in walls), D),
                   numf, den)
-            for sign, base, numf, den, walls in _templates(datum, g)]
+            for sign, base, numf, den, walls in _templates(datum, g, I)]
 
 
 def closed_ratfun(datum: RootDatum, fracs, g) -> RatFun2:

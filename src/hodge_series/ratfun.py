@@ -29,23 +29,25 @@ operations: multiplying by u^a v^b is the slot shift b * W + a - b and by
 w^k = (uv)^k the shift k * W; neither wraps, so each factor (1 + u^a v^b)
 or (1 - w^k) is one C-level shift-add, X +- (X << shift * B)
 (``_times_binomial``).  Each column is a polynomial in w, and dividing it
-by 1 - w^k as a power series is doubling: X += X << step * B for
-step = k * W, 2 k * W, 4 k * W, ... while step is below the band's n
-slots, each pass cut to n slots (``_over_den``).  Cutting to n slots is the
-signed remainder of X modulo 2^(n * B) (``_cut``).  A band is encoded and
-decoded once per result, as 64-bit words through a memoryview: with
-2^(B - 1) added to every slot no slot borrows from the next, and flipping
-each slot's top bit turns c + 2^(B - 1) into the two's complement of c
-(``_pack``, ``_unband``; the zero band decodes nothing).
+by 1 - w^k as a power series is a running sum over the rows: the band is
+split once into one signed int per row, rows[j] += rows[j - k] bottom up
+for each factor copy, and the rows are joined again (``_over_den``).
+Cutting to n slots is the signed remainder of X modulo 2^(n * B)
+(``_cut``).  A band is encoded and decoded once per result, as 64-bit
+words through a memoryview: with 2^(B - 1) added to every slot no slot
+borrows from the next, and flipping each slot's top bit turns
+c + 2^(B - 1) into the two's complement of c (``_pack``, ``_unband``; the
+zero band decodes nothing).
 
-Only the cut and the decode read slots, and both are exact while every
-coefficient they read has |c| < 2^(B - 1).  B is chosen once per band from
-an a-priori bound on the l1 norm of every part of the band that a cut or
-the decode reads: a factor (1 +- x^s)^e at most multiplies the l1 norm by
-2^e, cutting never raises it, and dividing a band of R rows by
-prod (1 - w^k)^m as a truncated series multiplies it by at most the sum
-of the first R coefficients of the series 1 / prod (1 - w^k)^m, which are
-all non-negative (``_series_growth``), every partial quotient included.
+Only the cut, the row split and join, and the decode read slots, and all
+are exact while every coefficient they read has |c| < 2^(B - 1).  B is
+chosen once per band from an a-priori bound on the l1 norm of every part
+of the band that a cut, a join or the decode reads: a factor
+(1 +- x^s)^e at most multiplies the l1 norm by 2^e, cutting never raises
+it, and dividing a band of R rows by prod (1 - w^k)^m as a truncated
+series multiplies it by at most the sum of the first R coefficients of the
+series 1 / prod (1 - w^k)^m, which are all non-negative
+(``_series_growth``), every partial quotient included.
 
 The running sums serve ``RatFun2.expand``, ``BivarPoly.divide_exact`` and
 the truncated sums of ``formulas``; the shift-adds alone serve the exact
@@ -53,9 +55,10 @@ sums of ``formulas`` and the Jacobian product (1 + u)^g (1 + v)^g of its
 fixed-determinant self-check (``BivarPoly.mul_binomials``, on a band
 widened to fit).  Exact division certifies itself: with
 D = prod (1 - w^k)^m and K = sum k m, a column of degree < R is a multiple
-of D exactly when the top K of its R rows are zero after the passes, and
-the quotient is the rows below them.  Short polynomials in w alone (the
-expanded denominator, the cofactors of ``formulas``) stay integer lists.
+of D exactly when the top K of its R rows are zero after the running
+sums, and the quotient is the rows below them.  Short polynomials in w
+alone (the expanded denominator, the cofactors of ``formulas``) stay
+integer lists.
 """
 
 from __future__ import annotations
@@ -373,12 +376,18 @@ def _series_growth(wden, rows):
     wden, all of them non-negative, by running sums on that short w-list:
     dividing a band of rows rows by wden as a power series, cut to those
     rows, multiplies its l1 norm by at most this, at every cut on the way."""
-    s = [1] + [0] * (rows - 1)
+    return sum(_running_sums([1] + [0] * (rows - 1), wden))
+
+
+def _running_sums(rows, wden):
+    """The list rows, a power series in w, divided in place by
+    prod (1 - w^k)^m over wden and cut to its length: per factor copy,
+    rows[j] += rows[j - k] bottom up."""
     for k, m in wden.items():
         for _ in range(m):
-            for j in range(k, rows):
-                s[j] += s[j - k]
-    return sum(s)
+            for j in range(k, len(rows)):
+                rows[j] += rows[j - k]
+    return rows
 
 
 def _l1(coeffs):
@@ -417,21 +426,22 @@ def _times_den(s, factors):
 
 
 def _over_den(X, n, wden, W, B):
-    """The band X of n slots divided by prod (1 - w^k)^m over wden as a
-    power series along w = x^W, cut to n slots: per factor, doubling,
-    X += X << step * B for step = k * W, 2 k * W, 4 k * W, ... while
-    step < n, which multiplies X by the sum of w^(k t) over the t with
-    k t * W < n, then one cut.  Every shift is causal, so the slots below
-    the cut are those of the truncated quotient, and X grows to at most
-    3 n slots before it."""
-    for k, m in wden.items():
-        for _ in range(m):
-            step = k * W
-            while step < n:
-                X += X << step * B
-                step *= 2
-            X = _cut(X, n, B)
-    return X
+    """The band X of n = R * W slots divided by prod (1 - w^k)^m over wden
+    as a power series along w, cut to its R rows: X is split once into one
+    signed int per row, each factor copy is the running sum
+    rows[j] += rows[j - k] bottom up (``_running_sums``), and the rows are
+    joined again.  A row
+    is an exact polynomial evaluated at 2^B whatever its slots hold, so only
+    the split and the join read slots; with 2^(B - 1) added to every slot
+    no slot borrows from the next, and both go through little-endian
+    bytes."""
+    size, bias, row_bias = W * B // 8, _bias(n, B), _bias(W, B)
+    buf = (X + bias).to_bytes(n * B // 8, "little")
+    rows = [int.from_bytes(buf[i:i + size], "little") - row_bias
+            for i in range(0, len(buf), size)]
+    rows = _running_sums(rows, wden)
+    return int.from_bytes(b"".join((r + row_bias).to_bytes(size, "little") for r in rows),
+                          "little") - bias
 
 
 def _layout(terms, order=None):

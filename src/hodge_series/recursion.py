@@ -34,14 +34,25 @@ Hence 0 < s_a <= (maxCodim - (g-1) dim U^I) / w_a for every a in I, a box in
 s-space; its preimage under the affine bijection n -> s is a finite integer
 box in n-space that provably contains every admissible stratum.
 
-Everything is integer arithmetic.  The projection to the center of the Levi
-is an integer matrix P over a common denominator D (the Levi Cartan
-matrix's adjugate and determinant), so D mu, D s and D beta(mu) are integers
-linear in n; the box bounds come from the adjugate of the matrix M of
-n -> D s, with the box scaled by lcm(w_a).  Only mu's final entries are
-Fractions.  Everything that does not depend on the degree or the genus (P,
-the nilradical, w_a, M and its adjugate) is computed once per subset I and
-cached on the root datum.
+Everything is integer arithmetic, in s-space.  With K = Delta - I and det
+the determinant of the Levi block A_KK of the Cartan matrix A, the scaled
+walls det s are integers affine in n: det s = s0 + M n, where
+M = det A_II - A_IK adj(A_KK) A_KI is det times the Schur complement of the
+Levi block.  The box bounds come from the adjugate of M, with the box
+scaled by lcm(w_a).  A candidate is rejected when some det s_a <= 0;
+otherwise every nilradical root, a non-negative combination of simple
+roots holding some alpha_a with a in I, is positive, and
+codim * det = (g - 1) dim U^I * det + sum_a w_a det s_a.  Only the
+strata found are projected to the center of their Levi
+(``RootDatum.project_to_center``, from the same cached Levi block), and
+mu's entries are the only Fractions.  What does not depend on the degree
+or the genus (the Levi block's det and adjugate, A_IK adj, M and its
+adjugate, w_a) is computed once per subset I and cached on the root datum.
+
+A stratum's Levi terms are those of the closed formula of L^I, read off
+the group's own Levi records by the wall set I (``formulas.closed_terms``
+with I), with <varpi^{L^I}_beta(X)> from ``RootDatum.fund_fracs(X, I)``:
+the recursion builds no Levi root datum.
 
 The recursion passes maxCodim = order // 2: a stratum enters shifted by
 (uv)^{codim}, of total degree 2 codim, so strata with 2 codim > order
@@ -103,23 +114,23 @@ def codim(datum, mu, g):
 class _HNSetup:
     """Degree- and genus-independent integer data of the strata with walls I.
 
-    mu(X) = P X / D is the slope of the lift X = X0 + sum_a n_a alpha_a^vee,
-    and the nilradical roots take the values
-    beta_r(mu(X)) = (beta_r(P X0) + sum_a n_a step[r][a]) / D.  The rows
-    simple_rows of step (the walls alpha_a, a in I) form the matrix M of the
-    affine bijection n -> D s = M n + D s0, and adj = det * M^{-1}.  M is D
-    times the Schur complement of the Levi block in the Cartan matrix, so
-    det = D^|I| det A / det A_Levi > 0.
+    With K = keep = Delta - I, A the Cartan matrix and (det, adj) the
+    determinant and adjugate of its Levi block A_KK
+    (``RootDatum._cartan_block``), s = det * alpha_I(mu) is affine in the
+    lift X = X0 + sum_a n_a alpha_a^vee: s = s0 + M n with
+    s0 = det alpha_I(X0) - R alpha_K(X0), R = A_IK adj, and
+    M = det A_II - R A_KI, det times the Schur complement of the Levi block,
+    so det_m = det M = det^(|I| - 1) det A > 0 and adj_m = det_m M^-1.
+    weights holds w_a, the coefficient of alpha_a in 2 rho, for a in I.
     """
 
-    D: int
-    P: tuple
-    weights: tuple
-    nil_roots: tuple
-    step: tuple
-    simple_rows: tuple
+    keep: tuple
     det: int
-    adj: tuple
+    R: tuple
+    M: tuple
+    det_m: int
+    adj_m: tuple
+    weights: tuple
 
 
 def _hn_setup(datum, I) -> _HNSetup:
@@ -127,19 +138,19 @@ def _hn_setup(datum, I) -> _HNSetup:
     cached = datum._cache.get(("hn", I))
     if cached is not None:
         return cached
-    D, P = datum._projector(I)
-    nil_roots = datum.levi(I).nilradical
+    keep, det, adj = datum._cartan_block(I)
+    A = datum.cartan_matrix()
+    R = [[sum(A[a][k] * adj[i][j] for i, k in enumerate(keep)) for j in range(len(keep))]
+         for a in I]
+    M = [[det * A[a][b] - sum(r * A[k][b] for r, k in zip(row, keep)) for b in I]
+         for a, row in zip(I, R)]
+    det_m, adj_m = _adjugate(M)
     # w_a = coefficient of alpha_a in the sum of the nilradical roots, which
     # is its coefficient in 2 rho: the other positive roots lack alpha_a
     weights = tuple(sum(cf[a] for cf in datum.pos_coeffs) for a in I)
-    pcs = tuple(tuple(_dot(row, datum.simple_coroots[a]) for row in P)
-                for a in I)
-    step = tuple(tuple(_dot(form, pc) for pc in pcs) for form in nil_roots)
-    simple_rows = tuple(nil_roots.index(datum.simple_roots[a]) for a in I)
-    det, adj = _adjugate([step[r] for r in simple_rows])
-    cached = _HNSetup(D, P, weights, nil_roots, step, simple_rows, det,
-                      tuple(map(tuple, adj)))
-    datum._cache[("hn", I)] = cached
+    cached = datum._cache[("hn", I)] = _HNSetup(
+        keep, det, tuple(map(tuple, R)), tuple(map(tuple, M)), det_m,
+        tuple(map(tuple, adj_m)), weights)
     return cached
 
 
@@ -154,6 +165,7 @@ def enumerate_hn_types(spec: GroupSpec, d, g, max_codim):
         return []
     datum = build_root_system(spec)
     X0 = datum.lift_degree(d)
+    alpha0 = [_dot(a, X0) for a in datum.simple_roots]
     found = []
     for levi in datum.levis()[1:]:
         I = levi.I
@@ -161,50 +173,40 @@ def enumerate_hn_types(spec: GroupSpec, d, g, max_codim):
         if budget <= 0:
             continue
         hn = _hn_setup(datum, I)
-        D, step, simple_rows = hn.D, hn.step, hn.simple_rows
-        mu0 = [_dot(row, X0) for row in hn.P]
-        base = [_dot(form, mu0) for form in hn.nil_roots]
-        # box 0 <= s_a <= budget / w_a, as T = L (D s - D s0) with
+        det = hn.det
+        aK = [alpha0[k] for k in hn.keep]
+        s0 = [det * alpha0[a] - _dot(row, aK) for a, row in zip(I, hn.R)]
+        # box 0 < s_a <= det * budget / w_a, as T = L (s - s0) with
         # L = lcm(w_a); then n = adj(M) T / (L det M)
         L = lcm(*hn.weights)
-        t_lo = [-L * base[r] for r in simple_rows]
-        t_hi = [D * budget * (L // w) - L * base[r]
-                for w, r in zip(hn.weights, simple_rows)]
-        q = L * hn.det
+        t_lo = [-L * b for b in s0]
+        t_hi = [det * budget * (L // w) - L * b for w, b in zip(hn.weights, s0)]
+        q = L * hn.det_m
         ranges = []
-        for row in hn.adj:
+        for row in hn.adj_m:
             lo = sum(c * (l if c >= 0 else h) for c, l, h in zip(row, t_lo, t_hi))
             hi = sum(c * (h if c >= 0 else l) for c, l, h in zip(row, t_lo, t_hi))
             ranges.append(range(-(-lo // q), hi // q + 1))
-        gshift = (g - 1) * D
-        bound = max_codim * D
-        walls = [(base[r], step[r]) for r in simple_rows]
+        # codim * det = (g - 1) dim U * det + sum w_a s_a: every nilradical
+        # root is a non-negative combination of simple roots holding some
+        # alpha_a, a in I, so it is positive once the walls are
+        base = (g - 1) * levi.dim_u * det
+        bound = max_codim * det
         for n in itertools.product(*ranges):
-            if any(b + sum(map(mul, n, strow)) <= 0 for b, strow in walls):
+            s = [b + sum(map(mul, n, row)) for b, row in zip(s0, hn.M)]
+            if min(s) <= 0:
                 continue
-            vals = [b + sum(map(mul, n, strow)) for b, strow in zip(base, step)]
-            total = 0
-            ok = True
-            for v in vals:
-                # all nilradical values are positive once the walls are
-                if v > 0:
-                    total += v + gshift
-                    if total > bound:
-                        ok = False
-                        break
-            if not ok:
+            total = base + sum(map(mul, hn.weights, s))
+            if total > bound:
                 continue
-            if total % D:
+            if total % det:
                 raise NonIntegralCodim(
-                    "codimension %s/%s is not an integer" % (total, D))
-            c = total // D
+                    "codimension %s/%s is not an integer" % (total, det))
             X = list(X0)
             for na, a in zip(n, I):
-                cv = datum.simple_coroots[a]
-                for ci in range(datum.n):
-                    X[ci] += na * cv[ci]
-            mu = tuple(Fraction(_dot(row, X), D) for row in hn.P)
-            found.append(HNType(I, tuple(X), mu, c))
+                X = [x + na * c for x, c in zip(X, datum.simple_coroots[a])]
+            found.append(HNType(I, tuple(X), datum.project_to_center(I, X),
+                                total // det))
     found.sort(key=lambda t: (t.codim, t.I, t.delta_lift))
     return found
 
@@ -304,10 +306,10 @@ def recursion_rhs(spec: GroupSpec, d, g, order) -> TruncSeries2:
     """Full-stack series minus the shifted semistable Levi series of every
     nonsemistable stratum, to total degree <= order.
 
-    The Levi semistable series are produced by the closed formula applied to
-    the Levi root datum with the stratum's topological type, so agreement
-    with the closed formula for G simultaneously validates the formula on
-    all Levi subgroups.
+    The Levi semistable series are produced by the closed formula of the
+    Levi L^I, read off the group's records, with the stratum's topological
+    type, so agreement with the closed formula for G simultaneously
+    validates the formula on all Levi subgroups.
     """
     strata = enumerate_hn_types(spec, d, g, order // 2)
     return assemble_series(_rhs_terms(spec, g, strata, 1), order)
@@ -322,9 +324,8 @@ def _rhs_terms(spec, g, strata, sign):
     a.coef *= sign
     terms = [a]
     for hn in strata:
-        levi = datum.levi(hn.I).datum
-        terms += closed_terms(levi, levi.fund_fracs(hn.delta_lift), g,
-                              -sign, hn.codim)
+        terms += closed_terms(datum, datum.fund_fracs(hn.delta_lift, hn.I), g,
+                              -sign, hn.codim, hn.I)
     return terms
 
 

@@ -27,19 +27,22 @@ A root datum keeps one cached table of its positive roots: per root, its
 support as a bitmask of the simple roots, its height and its pairings with
 every simple coroot.  Each parabolic subset I has one cached ``LeviDatum``,
 ``RootDatum.levi(I)``, read off that table by whether a root's support meets
-I: the nilradical and its wall pairings from the roots that meet it, the
-exponents of L^I from the heights of the others.  The closed formula, the
-Levi projections and the HN enumeration read these records.  The Levi's own
-root datum is built only when a record's ``datum`` is read (the recursion
-does so for the strata it enumerates); a Levi of a Levi is one of the
+I: the nilradical and its pairings with every simple coroot, summed, from
+the roots that meet it, the exponents of L^I from the heights of the
+others.  The closed formula of G and of each Levi L^I, the Levi
+projections and the HN enumeration read these records, keyed by I, so no
+Levi root datum is built for them.  The Levi's own root datum is built
+only when a record's ``datum`` is read; a Levi of a Levi is one of the
 group's own Levis, built once per group.
 
 Linear algebra is fraction-free over Z: one Bareiss elimination gives the
 determinant and the adjugate of an integer matrix, so a solve is an integer
-matrix-vector product over one denominator.  The Cartan matrix's adjugate
-is cached on the datum, and the projection to the center of a Levi is an
-integer matrix over one denominator; invert_matrix is a rational front
-end that clears each row's denominators first.
+matrix-vector product over one denominator.  The determinant and adjugate
+of the Cartan matrix's Levi block are cached per subset I (I = () is the
+whole matrix); the fundamental weights of each Levi and the projection to
+its center, integer vectors over that determinant, read them;
+invert_matrix is a rational front end that clears each row's
+denominators first.
 
 Conventions: a subset I of simple-root indices labels the standard parabolic
 P^I whose Levi L^I has simple roots Delta \\ I; I = empty set gives L = G.
@@ -324,21 +327,23 @@ def _exponents(heights, dim_z):
 class LeviDatum:
     """The Levi L^I of the standard parabolic P^I of a root datum, read off
     the ambient datum's table of positive roots: dim Z(L^I), the exponents
-    of L^I, the forms of the nilradical roots, and walls = ((alpha,
-    2 rho^I(alpha^vee)) for alpha in I).  The Levi's own root datum (simple
-    roots Delta - I) is built on the first read of ``datum``."""
+    of L^I, the forms of the nilradical roots, and sums, the nilradical
+    roots' pairings summed against every simple coroot (zeros for I = ()),
+    so sums[alpha] = 2 rho^I(alpha^vee) for alpha in I (``rho_pairings``).
+    The Levi's own root datum (simple roots Delta - I) is built on the
+    first read of ``datum``."""
 
     I: tuple
     dim_z: int
     exponents: tuple
     nilradical: tuple
-    walls: tuple
+    sums: tuple
     ambient: RootDatum = field(repr=False, compare=False)
 
     datum = property(lambda self: self.ambient.sub_datum(self.ambient.complement(self.I)))
     rank = property(lambda self: self.ambient.n)
     dim_u = property(lambda self: len(self.nilradical))
-    rho_pairings = property(lambda self: dict(self.walls))
+    rho_pairings = property(lambda self: {a: self.sums[a] for a in self.I})
 
 
 class RootDatum:
@@ -452,8 +457,9 @@ class RootDatum:
     def levi(self, parabolic_indices):
         """The LeviDatum of the parabolic subset I, cached: one pass over the
         table of positive roots.  The nilradical is the roots whose support
-        meets I, the walls sum their pairings, and the exponents come from
-        the heights of the other roots, the roots of L^I."""
+        meets I, sums adds up their pairings with every simple coroot, and
+        the exponents come from the heights of the other roots, the roots
+        of L^I."""
         I = tuple(sorted(parabolic_indices))
         cached = self._cache.get(("levi", I))
         if cached is not None:
@@ -466,13 +472,12 @@ class RootDatum:
                 pairings.append(pairs)
             else:
                 heights.append(height)
-        sums = [sum(col) for col in zip(*pairings)]
-        walls = tuple((a, sums[a]) for a in I)
-        if any(r <= 0 for _, r in walls):
+        sums = tuple(map(sum, zip(*pairings))) or (0,) * self.num_simple
+        if any(sums[a] <= 0 for a in I):
             raise AssertionError("2 rho^I(alpha^vee) must be positive")
         dim_z = self.dim_z + len(I)
         cached = self._cache[("levi", I)] = LeviDatum(
-            I, dim_z, _exponents(heights, dim_z), tuple(nil), walls, self)
+            I, dim_z, _exponents(heights, dim_z), tuple(nil), sums, self)
         return cached
 
     def levis(self):
@@ -505,20 +510,28 @@ class RootDatum:
 
     # -- fundamental weights and projections -------------------------------------
 
-    def _cartan_adj(self):
-        """(det, adj) of the Cartan matrix, cached."""
-        cached = self._cache.get("cartan")
+    def _cartan_block(self, parabolic_indices=()):
+        """(keep, det, adj) of the Cartan matrix restricted to the simple
+        roots keep = Delta - I of the Levi L^I, cached per I; I = () gives
+        the whole Cartan matrix."""
+        I = tuple(sorted(parabolic_indices))
+        cached = self._cache.get(("cartan", I))
         if cached is None:
-            cached = self._cache["cartan"] = _adjugate(self.cartan_matrix())
+            self._mask(I)
+            keep = self.complement(I)
+            cartan = self.cartan_matrix()
+            cached = self._cache[("cartan", I)] = (
+                keep, *_adjugate([[cartan[i][j] for j in keep] for i in keep]))
         return cached
 
-    def _fund_numerators(self, X):
-        """(det A, (det A * varpi_alpha(X))_alpha), all integers: writing
-        X = X_z + sum_j c_j alpha_j^vee, the Cartan-matrix system
-        A c = (alpha_i(X))_i gives det A * c = adj(A) (alpha_i(X))_i."""
-        det, adj = self._cartan_adj()
-        rhs = [_dot(a, X) for a in self.simple_roots]
-        return det, [_dot(row, rhs) for row in adj]
+    def _fund_numerators(self, X, parabolic_indices=()):
+        """(keep, det, (det * varpi^{L^I}_beta(X))_beta), all integers, for
+        the Levi L^I and its simple roots beta in keep = Delta - I: writing
+        X = X_z + sum_b c_b beta_b^vee, the Levi Cartan system
+        A c = (beta(X))_beta gives det A * c = adj(A) (beta(X))_beta."""
+        keep, det, adj = self._cartan_block(parabolic_indices)
+        rhs = [_dot(self.simple_roots[b], X) for b in keep]
+        return keep, det, [_dot(row, rhs) for row in adj]
 
     def fund_weight_values(self, X):
         """(varpi_alpha(X))_alpha as Fractions, for a lattice point X.
@@ -527,7 +540,7 @@ class RootDatum:
         coroots, so the values are the coroot-basis coordinates c of X after
         removing its central component (``_fund_numerators``).
         """
-        det, xs = self._fund_numerators(X)
+        _, det, xs = self._fund_numerators(X)
         return tuple(Fraction(x, det) for x in xs)
 
     def lift_degree(self, d):
@@ -543,46 +556,28 @@ class RootDatum:
         d = validate_degree(d, self.spec)
         return tuple(di * x for di, lift in zip(d, self._lifts) for x in lift)
 
-    def fund_fracs(self, X):
+    def fund_fracs(self, X, parabolic_indices=()):
         """Tuple of <varpi_alpha(X)> in (0, 1]; the only way degrees enter.
         Each is one Fraction of the numerators over det A > 0, reduced mod
-        det A."""
-        det, xs = self._fund_numerators(X)
+        det A.  Given I, the values <varpi^{L^I}_beta(X)> of the Levi L^I
+        at its simple roots beta in Delta - I, equal to
+        ``levi(I).datum.fund_fracs(X)``."""
+        _, det, xs = self._fund_numerators(X, parabolic_indices)
         return tuple(Fraction(x % det or det, det) for x in xs)
-
-    def _projector(self, parabolic_indices):
-        """(D, P): integers with D * project_to_center(I, X) = P X.
-
-        With A the Cartan matrix of the Levi (simple roots beta not in I),
-        mu = X - sum_b c_b beta_b^vee where c = adj(A) (beta(X))_beta / det A,
-        so det A * mu = (det A * Id - sum_b beta_b^vee (adj(A) beta)_b) X.
-        D and P are det A and that matrix divided by their common content;
-        D > 0 because a Cartan matrix of finite type has det A > 0.  A is
-        read from the datum's own Cartan matrix, so no Levi datum is built.
-        """
-        self._mask(parabolic_indices)
-        keep = self.complement(parabolic_indices)
-        cartan = self.cartan_matrix()
-        det, adj = _adjugate([[cartan[i][j] for j in keep] for i in keep])
-        columns = list(zip(*(self.simple_roots[b] for b in keep)))
-        n = self.n
-        P = [[det * (i == j) for j in range(n)] for i in range(n)]
-        for b, adj_row in zip(keep, adj):
-            form = [_dot(adj_row, col) for col in columns]
-            for i, c in enumerate(self.simple_coroots[b]):
-                if c:
-                    P[i] = [x - c * f for x, f in zip(P[i], form)]
-        content = gcd(det, *(x for row in P for x in row))
-        return det // content, tuple(tuple(x // content for x in row) for row in P)
 
     def project_to_center(self, parabolic_indices, X):
         """Project X onto the center of the Levi L^I along the Levi coroots.
 
         Returns the unique mu with X - mu in Q-span{beta^vee : beta not in I}
-        and beta(mu) = 0 for those beta.
+        and beta(mu) = 0 for those beta: mu = X - sum_b c_b beta_b^vee with
+        det A * c from ``_fund_numerators``, A the Levi's Cartan matrix, so
+        det A * mu is an integer vector; det A > 0 for finite type.
         """
-        D, P = self._projector(parabolic_indices)
-        return tuple(Fraction(_dot(row, X), D) for row in P)
+        keep, det, cs = self._fund_numerators(X, parabolic_indices)
+        mu = [det * x for x in X]
+        for c, b in zip(cs, keep):
+            mu = [m - c * v for m, v in zip(mu, self.simple_coroots[b])]
+        return tuple(Fraction(m, det) for m in mu)
 
 
 # ---------------------------------------------------------------------------

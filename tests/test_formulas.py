@@ -12,6 +12,7 @@ from dataclasses import replace
 from fractions import Fraction
 from itertools import repeat
 from operator import add, mul, sub
+from unittest.mock import patch
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -662,6 +663,17 @@ class TestSlotWidth:
     def test_sums_against_the_list_band(self, terms, order):
         _check_band(terms, (order,))
         assert assemble_series(terms, order) == _series_reference(terms, order)
+
+    @pytest.mark.parametrize("B", [64, 128, 192])
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(big_fterms(), min_size=1, max_size=4), st.integers(0, 16))
+    @example([FTerm(-(1 << 126) - 1, 1, ((0, 1, 3),), Counter({2: 2, 1: 1}))], 12)
+    def test_series_at_forced_widths(self, B, terms, order):
+        """The truncated sum's running sums, one int per row, against the
+        list band with slots of at least 64, 128 and 192 bits."""
+        real = formulas._width
+        with patch.object(formulas, "_width", lambda bound: max(real(bound), B)):
+            assert assemble_series(terms, order) == _series_reference(terms, order)
 
     @pytest.mark.parametrize("coef,e,width,top", [
         ((1 << 61) + 1, 1, 64, 62), ((1 << 62) + 1, 2, 128, 64),

@@ -5,11 +5,14 @@ the positive roots (the Levi sub-datum, the nilradical count and the
 nilradical pairings 2 rho^I(alpha^vee)), and the closed formula's terms are
 rebuilt from that reference, on every parabolic subset of each group, with
 their exponents summed in Fractions; the composition sums are checked
-against the same Fraction arithmetic.
+against the same Fraction arithmetic.  Each Levi's closed formula read off
+the group's records by its wall set is checked against the Levi's own
+sub-datum.
 """
 
 from collections import Counter
 from fractions import Fraction
+from itertools import product
 from operator import mul
 
 import pytest
@@ -26,6 +29,7 @@ from hodge_series.formulas import (
     _so_even_terms,
     closed_terms,
 )
+from hodge_series.recursion import enumerate_hn_types, verify_recursion
 from hodge_series.rootdata import (
     RootDatum,
     build_root_system,
@@ -337,3 +341,66 @@ def test_malformed_index_sets_are_rejected_by_a_levi():
             with pytest.raises(ValueError):
                 method(bad)
     assert levi.sub_datum((1,)) is datum.sub_datum((2,))
+
+
+def _lifts(datum, X0, I, reach=2):
+    """X0 + sum over a in I of n_a alpha_a^vee, every |n_a| <= reach."""
+    for n in product(range(-reach, reach + 1), repeat=len(I)):
+        X = list(X0)
+        for na, a in zip(n, I):
+            X = [x + na * c for x, c in zip(X, datum.simple_coroots[a])]
+        yield tuple(X)
+
+
+@pytest.mark.parametrize("name", GROUPS)
+def test_levi_terms_from_group_records_match_sub_datum(name):
+    """A Levi's closed formula read off the group's own records by its wall
+    set I, with <varpi^{L^I}> from the group's Levi Cartan block, equals the
+    one computed on the Levi's own sub-datum: for every I, every lift
+    X0 + sum n_a alpha_a^vee with |n_a| <= 2, and g = 2, 3."""
+    datum = build_root_system(parse_group(name))
+    X0 = datum.lift_degree(degrees_of(datum.spec)[-1])
+    for L in datum.levis():
+        # 2 rho of the nilradical is a character of L^I: it pairs to zero
+        # with the Levi's simple coroots
+        assert all(L.sums[b] == 0 for b in datum.complement(L.I))
+        for X in _lifts(datum, X0, L.I):
+            fracs = datum.fund_fracs(X, L.I)
+            assert fracs == L.datum.fund_fracs(X)
+            for g in (2, 3):
+                assert (closed_terms(datum, fracs, g, I=L.I)
+                        == closed_terms(L.datum, fracs, g))
+
+
+def test_verify_recursion_builds_no_root_datum(monkeypatch):
+    """verify_recursion reads every stratum's Levi terms off the group's
+    records: on a fresh datum it builds no root datum at all, though it
+    reaches strata with one, two and three walls."""
+    build_root_system.cache_clear()
+    spec = parse_group("GL3xSO5")
+    build_root_system(spec)  # the fresh group datum, built before counting
+    built = []
+    init = RootDatum.__init__
+
+    def counting(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(RootDatum, "__init__", counting)
+    rep = verify_recursion(spec, (1, 0), 2, 30)
+    assert rep.match and rep.strata
+    assert {len(hn.I) for hn in enumerate_hn_types(spec, (1, 0), 2, 15)} == {1, 2, 3}
+    assert built == []
+
+
+def test_levi_keys_accept_any_iterable():
+    """The Levi Cartan block and the Levi templates are keyed by the sorted
+    tuple of I, so a list or an unsorted I reads the same cached entry."""
+    datum = build_root_system(parse_group("SO7"))
+    X = datum.lift_degree(1)
+    assert datum.fund_fracs(X, [0]) == datum.fund_fracs(X, (0,))
+    assert datum._cartan_block([2, 0]) is datum._cartan_block((0, 2))
+    fracs = datum.fund_fracs(X, (0, 2))
+    assert (closed_terms(datum, fracs, 2, I=[2, 0])
+            == closed_terms(datum, fracs, 2, I=(0, 2)))
+    assert datum.project_to_center([2, 0], X) == datum.project_to_center((0, 2), X)

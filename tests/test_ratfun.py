@@ -2,6 +2,7 @@
 
 from collections import Counter
 from fractions import Fraction
+from unittest.mock import patch
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -457,3 +458,45 @@ class TestSlotWidth:
     @example(BivarPoly({(0, 0): (1 << 126) + 1}), {1: 3}, 12)
     def test_expand(self, p, wden, order):
         assert RatFun2(p, wden).expand(order) == band_reference.expand(p.terms, wden, order)
+
+
+def width_at_least(module, B):
+    """Patch module._width to give slots of at least B bits."""
+    real = ratfun._width
+    return patch.object(module, "_width", lambda bound: max(real(bound), B))
+
+
+@pytest.mark.parametrize("B", [64, 128, 192])
+class TestRowDivision:
+    """The running sums of ``_over_den``, one int per row, against the list
+    band of ``band_reference`` with slots of at least 64, 128 and 192 bits:
+    the split into rows and the join read slots of every width."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(big_polys, wdens, wdens, st.integers(0, 12))
+    @example(BivarPoly({(0, 0): (1 << 62) + 1}), {3: 2}, {1: 2}, 12)
+    @example(BivarPoly({(2, 1): -(1 << 126) - 1, (0, 3): 1}), {1: 1}, {2: 3}, 9)
+    def test_against_the_list_band(self, B, p, other, wden, order):
+        a = p * den_poly(other)
+        with width_at_least(ratfun, B):
+            try:
+                expect = band_reference.divide_exact(a.terms, wden)
+            except NotDivisible:
+                with pytest.raises(NotDivisible):
+                    a.divide_exact(wden)
+            else:
+                assert a.divide_exact(wden).terms == expect
+            assert RatFun2(a, wden).expand(order) == band_reference.expand(a.terms, wden, order)
+
+    @pytest.mark.parametrize("terms,wden", [
+        ({(3, 3): 1}, {1: 1}),
+        ({(6, 4): (1 << 126) + 1, (2, 4): -1}, {2: 1}),
+        ({(4, 4): 7, (5, 4): -(1 << 62)}, {1: 1, 3: 1})])
+    def test_only_the_top_row_is_not_divisible(self, B, terms, wden):
+        """A numerator whose only nonzero row is the top one keeps it after
+        the running sums, and the top rows are the certificate."""
+        with width_at_least(ratfun, B):
+            with pytest.raises(NotDivisible):
+                BivarPoly(terms).divide_exact(wden)
+        with pytest.raises(NotDivisible):
+            band_reference.divide_exact(terms, wden)

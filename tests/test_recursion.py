@@ -2,17 +2,20 @@
 recursion identity between full-stack and semistable series."""
 
 import hashlib
+import itertools
 from dataclasses import replace
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from hodge_series import recursion
+from hodge_series import recursion, rootdata
 from hodge_series.formulas import (closed_series_for, hp_semistable_classical,
                                    hp_semistable_closed)
 from hodge_series.ratfun import BivarPoly, TruncSeries2
 from hodge_series.recursion import (
+    HNType,
     NonIntegralCodim,
     codim,
     enumerate_hn_types,
@@ -23,7 +26,8 @@ from hodge_series.recursion import (
     recursion_rhs,
     verify_recursion,
 )
-from hodge_series.rootdata import GroupSpec, build_root_system, degrees_of, parse_group
+from hodge_series.rootdata import (GroupSpec, _dot, build_root_system, degrees_of,
+                                   parse_group)
 
 GL = lambda r: GroupSpec((("GL", r),))
 
@@ -179,6 +183,117 @@ def test_set_up_is_cached_per_datum(monkeypatch):
     second = enumerate_hn_types(spec, (0, 1), 3, 14)
     assert second and second != first
     assert calls == []
+
+
+# -- the projector-based enumeration, kept as the reference ------------------
+
+
+def _reference_projector(datum, I):
+    """(D, P) with D * mu = P X the projection of X to the center of L^I:
+    det A * mu = (det A * Id - sum_b beta_b^vee (adj(A) beta)_b) X for the
+    Levi Cartan matrix A, over the content of D and P."""
+    keep = datum.complement(I)
+    cartan = datum.cartan_matrix()
+    det, adj = rootdata._adjugate([[cartan[i][j] for j in keep] for i in keep])
+    columns = list(zip(*(datum.simple_roots[b] for b in keep)))
+    n = datum.n
+    P = [[det * (i == j) for j in range(n)] for i in range(n)]
+    for b, adj_row in zip(keep, adj):
+        form = [_dot(adj_row, col) for col in columns]
+        for i, c in enumerate(datum.simple_coroots[b]):
+            if c:
+                P[i] = [x - c * f for x, f in zip(P[i], form)]
+    content = gcd(det, *(x for row in P for x in row))
+    return det // content, tuple(tuple(x // content for x in row) for row in P)
+
+
+def _reference_hn_setup(datum, I):
+    """(D, P, weights, nil_roots, step, simple_rows, det, adj): the step
+    matrix of every nilradical root's value D beta(mu) in n, its wall rows
+    M, and det M and adj M."""
+    D, P = _reference_projector(datum, I)
+    nil_roots = datum.levi(I).nilradical
+    weights = tuple(sum(cf[a] for cf in datum.pos_coeffs) for a in I)
+    pcs = tuple(tuple(_dot(row, datum.simple_coroots[a]) for row in P) for a in I)
+    step = tuple(tuple(_dot(form, pc) for pc in pcs) for form in nil_roots)
+    simple_rows = tuple(nil_roots.index(datum.simple_roots[a]) for a in I)
+    det, adj = rootdata._adjugate([step[r] for r in simple_rows])
+    return D, P, weights, nil_roots, step, simple_rows, det, adj
+
+
+def _reference_enumerate(spec, d, g, max_codim):
+    """The strata scanned through the projector P and every nilradical
+    root's value, with nothing cached."""
+    if max_codim < 0:
+        return []
+    datum = build_root_system(spec)
+    X0 = datum.lift_degree(d)
+    found = []
+    for levi in datum.levis()[1:]:
+        I = levi.I
+        budget = max_codim - (g - 1) * levi.dim_u
+        if budget <= 0:
+            continue
+        D, P, weights, nil_roots, step, simple_rows, det, adj = _reference_hn_setup(datum, I)
+        mu0 = [_dot(row, X0) for row in P]
+        base = [_dot(form, mu0) for form in nil_roots]
+        L = lcm(*weights)
+        t_lo = [-L * base[r] for r in simple_rows]
+        t_hi = [D * budget * (L // w) - L * base[r] for w, r in zip(weights, simple_rows)]
+        q = L * det
+        ranges = []
+        for row in adj:
+            lo = sum(c * (l if c >= 0 else h) for c, l, h in zip(row, t_lo, t_hi))
+            hi = sum(c * (h if c >= 0 else l) for c, l, h in zip(row, t_lo, t_hi))
+            ranges.append(range(-(-lo // q), hi // q + 1))
+        walls = [(base[r], step[r]) for r in simple_rows]
+        for n in itertools.product(*ranges):
+            if any(b + _dot(n, strow) <= 0 for b, strow in walls):
+                continue
+            vals = [b + _dot(n, strow) for b, strow in zip(base, step)]
+            total = sum(v + (g - 1) * D for v in vals if v > 0)
+            if total > max_codim * D:
+                continue
+            assert total % D == 0
+            X = list(X0)
+            for na, a in zip(n, I):
+                X = [x + na * c for x, c in zip(X, datum.simple_coroots[a])]
+            mu = tuple(Fraction(_dot(row, X), D) for row in P)
+            found.append(HNType(I, tuple(X), mu, total // D))
+    found.sort(key=lambda t: (t.codim, t.I, t.delta_lift))
+    return found
+
+
+# factor -> number of simple roots; products are drawn with at most 5
+REFERENCE_FACTORS = {"GL1": 0, "GL2": 1, "GL3": 2, "GL4": 3, "GL5": 4, "GL6": 5,
+                     "SL2": 1, "SL3": 2, "SL4": 3, "SO5": 2, "SO7": 3, "SO9": 4,
+                     "SO11": 5, "Sp1": 1, "Sp2": 2, "Sp3": 3, "Sp4": 4, "SO4": 2,
+                     "SO6": 3, "SO8": 4, "SO10": 5}
+
+
+@st.composite
+def small_products(draw):
+    names, room = [], 5
+    while True:
+        fits = sorted(n for n, k in REFERENCE_FACTORS.items() if k <= room)
+        names.append(draw(st.sampled_from(fits)))
+        room -= REFERENCE_FACTORS[names[-1]]
+        if len(names) == 3 or not draw(st.booleans()):
+            return parse_group("x".join(names))
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_products(), st.sampled_from((2, 3)), st.integers(0, 24))
+@example(parse_group("GL6"), 2, 24)
+@example(parse_group("GL3xSO5"), 2, 15)
+@example(parse_group("GL2xGL2xSp3"), 2, 24)
+def test_enumeration_matches_projector_reference(spec, g, max_codim):
+    """The s-space scan finds exactly the strata of the projector-based
+    scan, with the same lifts, slopes and codimensions, in the same order,
+    at every degree."""
+    for d in degrees_of(spec):
+        assert enumerate_hn_types(spec, d, g, max_codim) == _reference_enumerate(
+            spec, d, g, max_codim)
 
 
 class TestRecursion:

@@ -437,22 +437,35 @@ def _templates(datum: RootDatum, g, I=()):
     L^{I u J}, its nilradical in L^I has dim U(I u J) - dim U(I) roots, and
     each beta in J has the wall pairing sums(I u J)[beta] - sums(I)[beta],
     keyed by beta's position in Delta - I.  I = () gives G's own closed
-    formula.  Cached on the datum beside its records, per genus and I; the
-    terms built from a template share its numfactors and den."""
+    formula.  For I nonempty, J's template shares the numfactors of G's own
+    template of I u J, and its den is that one's with G's walls at I u J
+    replaced by these.  Cached on the datum beside its records, per genus
+    and I; the terms built from a template share its numfactors and den."""
     I = tuple(sorted(I))
     key = ("templates", g, I)
     cached = datum._cache.get(key)
     if cached is None:
         levis, mask = datum.levis(), datum._mask(I)
         top, keep = levis[mask], datum.complement(I)
+        own = _templates(datum, g) if I else None
         out = []
         for jmask in range(1 << len(keep)):
             J = [(p, b) for p, b in enumerate(keep) if jmask >> p & 1]
-            L = levis[mask | sum(1 << b for _, b in J)]
+            K = mask | sum(1 << b for _, b in J)
+            L = levis[K]
             walls = tuple((p, L.sums[b] - top.sums[b]) for p, b in J)
-            out.append(((-1) ** len(J), (g - 1) * (L.dim_u - top.dim_u),
-                        *_levi_parts(L.dim_z, L.exponents[L.dim_z:], [r for _, r in walls], g),
-                        walls))
+            if I:
+                # G's template of I u J, with G's walls there swapped for these
+                _, _, numf, den, gwalls = own[K]
+                den = dict(den)
+                for _, r in gwalls:
+                    den[r] -= 1
+                for _, r in walls:
+                    den[r] = den.get(r, 0) + 1
+                parts = numf, Counter({k: m for k, m in den.items() if m})
+            else:
+                parts = _levi_parts(L.dim_z, L.exponents[L.dim_z:], [r for _, r in walls], g)
+            out.append(((-1) ** len(J), (g - 1) * (L.dim_u - top.dim_u), *parts, walls))
         cached = datum._cache[key] = tuple(out)
     return cached
 

@@ -30,24 +30,28 @@ nilradical roots (w_a >= 1),
 
     codim = sum_a w_a s_a + (g - 1) dim U^I.
 
-Hence 0 < s_a <= (maxCodim - (g-1) dim U^I) / w_a for every a in I, a box in
-s-space; its preimage under the affine bijection n -> s is a finite integer
-box in n-space that provably contains every admissible stratum.
+Hence the strata with walls I and codim <= maxCodim are the lattice points
+s of the simplex {s_a > 0, sum_a w_a s_a <= maxCodim - (g-1) dim U^I}.
 
 Everything is integer arithmetic, in s-space.  With K = Delta - I and det
 the determinant of the Levi block A_KK of the Cartan matrix A, the scaled
 walls det s are integers affine in n: det s = s0 + M n, where
 M = det A_II - A_IK adj(A_KK) A_KI is det times the Schur complement of the
-Levi block.  The box bounds come from the adjugate of M, with the box
-scaled by lcm(w_a).  A candidate is rejected when some det s_a <= 0;
-otherwise every nilradical root, a non-negative combination of simple
-roots holding some alpha_a with a in I, is positive, and
-codim * det = (g - 1) dim U^I * det + sum_a w_a det s_a.  Only the
-strata found are projected to the center of their Levi
+Levi block.  The lattice M Z^I has the lower-triangular basis H = M U
+(``_hnf``: positive diagonal, U unimodular), so with n = U m the wall
+det s_a = s0_a + sum_{b <= a} H_ab m_b depends on m_1..m_a only, and the
+enumeration walks m one wall at a time (``_walk``): det s_a >= 1, and
+w_a det s_a is at most det times the budget less what the earlier walls
+took and the least the later ones need, sum_{b > a} w_b.  Every leaf is a
+stratum, with codim * det = (g - 1) dim U^I * det + sum_a w_a det s_a: every
+nilradical root, a non-negative combination of simple roots holding some
+alpha_a with a in I, is positive once the walls are.  So the walk visits
+the strata and the partial points above them, not the box around the
+simplex.  Only the strata found are projected to the center of their Levi
 (``RootDatum.project_to_center``, from the same cached Levi block), and
 mu's entries are the only Fractions.  What does not depend on the degree
-or the genus (the Levi block's det and adjugate, A_IK adj, M and its
-adjugate, w_a) is computed once per subset I and cached on the root datum.
+or the genus (the Levi block's det and adjugate, A_IK adj, H, U and w_a)
+is computed once per subset I and cached on the root datum.
 
 A stratum's Levi terms are those of the closed formula of L^I, read off
 the group's own Levi records by the wall set I (``formulas.closed_terms``
@@ -63,10 +67,8 @@ from __future__ import annotations
 
 import csv
 import io
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from operator import mul
 
 from .formulas import (_datum_fracs, a_series_term, assemble_series,
@@ -74,7 +76,6 @@ from .formulas import (_datum_fracs, a_series_term, assemble_series,
 from .ratfun import TruncSeries2
 from .rootdata import (
     GroupSpec,
-    _adjugate,
     _dot,
     build_root_system,
 )
@@ -119,18 +120,46 @@ class _HNSetup:
     (``RootDatum._cartan_block``), s = det * alpha_I(mu) is affine in the
     lift X = X0 + sum_a n_a alpha_a^vee: s = s0 + M n with
     s0 = det alpha_I(X0) - R alpha_K(X0), R = A_IK adj, and
-    M = det A_II - R A_KI, det times the Schur complement of the Levi block,
-    so det_m = det M = det^(|I| - 1) det A > 0 and adj_m = det_m M^-1.
-    weights holds w_a, the coefficient of alpha_a in 2 rho, for a in I.
+    M = det A_II - R A_KI, det times the Schur complement of the Levi block.
+    H = M U is its Hermite form (``_hnf``), lower-triangular with a positive
+    diagonal, and U is unimodular, so n = U m walks the same lattice with
+    s = s0 + H m.  weights holds w_a, the coefficient of alpha_a in 2 rho,
+    for a in I.
     """
 
     keep: tuple
     det: int
     R: tuple
-    M: tuple
-    det_m: int
-    adj_m: tuple
+    H: tuple
+    U: tuple
     weights: tuple
+
+
+def _hnf(rows):
+    """(H, U) with rows * U = H, H lower-triangular with a positive diagonal
+    and U unimodular, for a nonsingular square integer matrix.  Row by row,
+    each entry right of the diagonal is cleared against the diagonal by one
+    extended-gcd column operation of determinant 1, all in integers."""
+    k = len(rows)
+    H = [list(r) for r in rows]
+    U = [[int(i == j) for j in range(k)] for i in range(k)]
+    for i in range(k):
+        for j in range(i + 1, k):
+            a, b = H[i][i], H[i][j]
+            if not b:
+                continue
+            # x a + y b = gcd(a, b), by the extended Euclidean algorithm
+            x, y, x1, y1, r, r1 = 1, 0, 0, 1, a, b
+            while r1:
+                t = r // r1
+                x, y, x1, y1, r, r1 = x1, y1, x - t * x1, y - t * y1, r1, r - t * r1
+            p, q = a // r, b // r
+            for row in H + U:
+                row[i], row[j] = x * row[i] + y * row[j], p * row[j] - q * row[i]
+        if H[i][i] < 0:
+            for row in H + U:
+                row[i] = -row[i]
+    return H, U
 
 
 def _hn_setup(datum, I) -> _HNSetup:
@@ -139,19 +168,36 @@ def _hn_setup(datum, I) -> _HNSetup:
     if cached is not None:
         return cached
     keep, det, adj = datum._cartan_block(I)
-    A = datum.cartan_matrix()
+    A = datum._cartan_rows()
     R = [[sum(A[a][k] * adj[i][j] for i, k in enumerate(keep)) for j in range(len(keep))]
          for a in I]
     M = [[det * A[a][b] - sum(r * A[k][b] for r, k in zip(row, keep)) for b in I]
          for a, row in zip(I, R)]
-    det_m, adj_m = _adjugate(M)
+    H, U = _hnf(M)
     # w_a = coefficient of alpha_a in the sum of the nilradical roots, which
     # is its coefficient in 2 rho: the other positive roots lack alpha_a
     weights = tuple(sum(cf[a] for cf in datum.pos_coeffs) for a in I)
     cached = datum._cache[("hn", I)] = _HNSetup(
-        keep, det, tuple(map(tuple, R)), tuple(map(tuple, M)), det_m,
-        tuple(map(tuple, adj_m)), weights)
+        keep, det, tuple(map(tuple, R)), tuple(map(tuple, H)),
+        tuple(map(tuple, U)), weights)
     return cached
+
+
+def _walk(s0, H, weights, room, m=()):
+    """Every integer m with s = s0 + H m >= 1 and sum_a w_a s_a <= room,
+    as (m, room - sum_a w_a s_a), for H lower-triangular with a positive
+    diagonal.  s_a depends on m_1..m_a only, so m_a is drawn, after
+    m_1..m_{a-1}, from the interval 1 <= s_a, w_a s_a <= the room left less
+    sum_{b > a} w_b (the least the later walls take): no point outside the
+    simplex is visited."""
+    a = len(m)
+    if a == len(s0):
+        yield m, room
+        return
+    row, w = H[a], weights[a]
+    c, h = s0[a] + sum(map(mul, row, m)), row[a]
+    for x in range(-((c - 1) // h), (room - sum(weights[a + 1:]) - w * c) // (w * h) + 1):
+        yield from _walk(s0, H, weights, room - w * (c + h * x), m + (x,))
 
 
 def enumerate_hn_types(spec: GroupSpec, d, g, max_codim):
@@ -176,34 +222,16 @@ def enumerate_hn_types(spec: GroupSpec, d, g, max_codim):
         det = hn.det
         aK = [alpha0[k] for k in hn.keep]
         s0 = [det * alpha0[a] - _dot(row, aK) for a, row in zip(I, hn.R)]
-        # box 0 < s_a <= det * budget / w_a, as T = L (s - s0) with
-        # L = lcm(w_a); then n = adj(M) T / (L det M)
-        L = lcm(*hn.weights)
-        t_lo = [-L * b for b in s0]
-        t_hi = [det * budget * (L // w) - L * b for w, b in zip(hn.weights, s0)]
-        q = L * hn.det_m
-        ranges = []
-        for row in hn.adj_m:
-            lo = sum(c * (l if c >= 0 else h) for c, l, h in zip(row, t_lo, t_hi))
-            hi = sum(c * (h if c >= 0 else l) for c, l, h in zip(row, t_lo, t_hi))
-            ranges.append(range(-(-lo // q), hi // q + 1))
-        # codim * det = (g - 1) dim U * det + sum w_a s_a: every nilradical
-        # root is a non-negative combination of simple roots holding some
-        # alpha_a, a in I, so it is positive once the walls are
-        base = (g - 1) * levi.dim_u * det
-        bound = max_codim * det
-        for n in itertools.product(*ranges):
-            s = [b + sum(map(mul, n, row)) for b, row in zip(s0, hn.M)]
-            if min(s) <= 0:
-                continue
-            total = base + sum(map(mul, hn.weights, s))
-            if total > bound:
-                continue
+        # codim * det = (g - 1) dim U * det + sum w_a s_a = max_codim * det
+        # less the room the walk leaves
+        for m, room in _walk(s0, hn.H, hn.weights, det * budget):
+            total = max_codim * det - room
             if total % det:
                 raise NonIntegralCodim(
                     "codimension %s/%s is not an integer" % (total, det))
             X = list(X0)
-            for na, a in zip(n, I):
+            for row, a in zip(hn.U, I):
+                na = _dot(row, m)
                 X = [x + na * c for x, c in zip(X, datum.simple_coroots[a])]
             found.append(HNType(I, tuple(X), datum.project_to_center(I, X),
                                 total // det))

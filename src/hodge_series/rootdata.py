@@ -37,9 +37,9 @@ group's own Levis, built once per group.
 
 Linear algebra is fraction-free over Z: one Bareiss elimination gives the
 determinant and the adjugate of an integer matrix, so a solve is an integer
-matrix-vector product over one denominator.  The determinant and adjugate
-of the Cartan matrix's Levi block are cached per subset I (I = () is the
-whole matrix); the fundamental weights of each Levi and the projection to
+matrix-vector product over one denominator.  The Cartan matrix's rows
+are cached once per datum, and the determinant and adjugate of its Levi
+block per subset I (I = () is the whole matrix); the fundamental weights of each Levi and the projection to
 its center, integer vectors over that determinant, read them;
 invert_matrix is a rational front end that clears each row's
 denominators first.
@@ -380,9 +380,18 @@ class RootDatum:
         return self.n - len(self.simple_roots)
 
     def cartan_matrix(self):
-        """A[i][j] = <alpha_i, alpha_j^vee>."""
-        return [[_dot(a, cv) for cv in self.simple_coroots]
-                for a in self.simple_roots]
+        """A[i][j] = <alpha_i, alpha_j^vee>, as a new list of lists."""
+        return [list(row) for row in self._cartan_rows()]
+
+    def _cartan_rows(self):
+        """The rows of the Cartan matrix as tuples, cached: what the Levi
+        blocks and the HN set-up read."""
+        cached = self._cache.get("cartan_rows")
+        if cached is None:
+            cached = self._cache["cartan_rows"] = tuple(
+                tuple(_dot(a, cv) for cv in self.simple_coroots)
+                for a in self.simple_roots)
+        return cached
 
     def _roots(self):
         """The table of positive roots, cached: one row (support, height,
@@ -519,7 +528,7 @@ class RootDatum:
         if cached is None:
             self._mask(I)
             keep = self.complement(I)
-            cartan = self.cartan_matrix()
+            cartan = self._cartan_rows()
             cached = self._cache[("cartan", I)] = (
                 keep, *_adjugate([[cartan[i][j] for j in keep] for i in keep]))
         return cached

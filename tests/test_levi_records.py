@@ -17,6 +17,7 @@ from operator import mul
 
 import pytest
 
+from hodge_series import formulas
 from hodge_series.formulas import (
     FTerm,
     _bc_exps,
@@ -27,6 +28,7 @@ from hodge_series.formulas import (
     _gl_exps,
     _gl_terms,
     _so_even_terms,
+    _templates,
     closed_terms,
 )
 from hodge_series.recursion import enumerate_hn_types, verify_recursion
@@ -404,3 +406,48 @@ def test_levi_keys_accept_any_iterable():
     assert (closed_terms(datum, fracs, 2, I=[2, 0])
             == closed_terms(datum, fracs, 2, I=(0, 2)))
     assert datum.project_to_center([2, 0], X) == datum.project_to_center((0, 2), X)
+
+
+def test_levi_templates_share_the_group_numerators(monkeypatch):
+    """The template of J in L^I shares the numerator tuple of the group's
+    own template of I u J, so L^I's templates compute no a(L) parts, and
+    its den is that template's with G's walls at I u J swapped for the
+    walls of J in L^I."""
+    build_root_system.cache_clear()
+    datum = build_root_system(parse_group("GL3xSO5"))
+    own = _templates(datum, 2)
+    calls = []
+    real = formulas._a_parts
+    monkeypatch.setattr(formulas, "_a_parts", lambda *a: calls.append(a) or real(*a))
+    for L in datum.levis()[1:]:
+        mask = sum(1 << a for a in L.I)
+        keep = datum.complement(L.I)
+        for jmask, (_, _, numf, den, walls) in enumerate(_templates(datum, 2, L.I)):
+            K = mask | sum(1 << b for p, b in enumerate(keep) if jmask >> p & 1)
+            assert numf is own[K][2]
+            assert den + Counter(r for _, r in own[K][4]) == own[K][3] + Counter(
+                r for _, r in walls)
+    assert calls == []
+
+
+def _cartan_reads(spec, d, mutate):
+    """What a fresh datum of spec reads off its Cartan rows, after the list
+    that cartan_matrix() returned first was overwritten when mutate is set."""
+    build_root_system.cache_clear()
+    datum = build_root_system(spec)
+    A = datum.cartan_matrix()
+    if mutate:
+        for row in A:
+            row[:] = [7] * len(row)
+        A.append([0])
+    X = datum.lift_degree(d)
+    return (datum.fund_fracs(X), datum.fund_fracs(X, (1,)), datum._cartan_block((0, 2)),
+            enumerate_hn_types(spec, d, 2, 12), datum.cartan_matrix())
+
+
+def test_cartan_rows_are_not_shared_with_callers():
+    """cartan_matrix() returns a new list of lists: overwriting it leaves
+    the cached rows, and so fund_fracs, the Levi blocks and the HN
+    enumeration, as they are."""
+    spec = parse_group("GL2xSO5")
+    assert _cartan_reads(spec, (1, 1), True) == _cartan_reads(spec, (1, 1), False)

@@ -8,7 +8,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from hodge_series import recursion, rootdata
 from hodge_series.formulas import (closed_series_for, hp_semistable_classical,
@@ -167,18 +167,22 @@ def test_set_up_is_cached_per_datum(monkeypatch):
     from hodge_series import recursion, rootdata
 
     calls = []
-    real = rootdata._adjugate
 
-    def counting(rows):
-        calls.append(len(rows))
-        return real(rows)
+    def counting(module, name):
+        real = getattr(module, name)
 
-    monkeypatch.setattr(rootdata, "_adjugate", counting)
-    monkeypatch.setattr(recursion, "_adjugate", counting)
+        def count(rows):
+            calls.append((name, len(rows)))
+            return real(rows)
+
+        monkeypatch.setattr(module, name, count)
+
+    counting(rootdata, "_adjugate")
+    counting(recursion, "_hnf")
     build_root_system.cache_clear()
     spec = parse_group("GL2xSO5")
     first = enumerate_hn_types(spec, (1, 1), 2, 12)
-    assert first and calls
+    assert first and {name for name, _ in calls} == {"_adjugate", "_hnf"}
     calls.clear()
     second = enumerate_hn_types(spec, (0, 1), 3, 14)
     assert second and second != first
@@ -287,6 +291,9 @@ def small_products(draw):
 @example(parse_group("GL6"), 2, 24)
 @example(parse_group("GL3xSO5"), 2, 15)
 @example(parse_group("GL2xGL2xSp3"), 2, 24)
+# GL5 at max_codim 20 held 1006 box points for 21 strata at degree 2
+@example(parse_group("GL5"), 2, 20)
+@example(parse_group("GL2xGL2xSp3"), 2, 36)
 def test_enumeration_matches_projector_reference(spec, g, max_codim):
     """The s-space scan finds exactly the strata of the projector-based
     scan, with the same lifts, slopes and codimensions, in the same order,
@@ -294,6 +301,28 @@ def test_enumeration_matches_projector_reference(spec, g, max_codim):
     for d in degrees_of(spec):
         assert enumerate_hn_types(spec, d, g, max_codim) == _reference_enumerate(
             spec, d, g, max_codim)
+
+
+@st.composite
+def nonsingular_matrices(draw):
+    k = draw(st.integers(1, 5))
+    rows = draw(st.lists(st.lists(st.integers(-6, 6), min_size=k, max_size=k),
+                         min_size=k, max_size=k))
+    assume(rootdata._adjugate(rows)[0])
+    return rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(nonsingular_matrices())
+def test_hermite_form(rows):
+    """M U = H with H lower-triangular, its diagonal positive, and U
+    unimodular, so m -> U m is a bijection of Z^k and H m walks M Z^k."""
+    H, U = recursion._hnf(rows)
+    k = len(rows)
+    assert all(H[i][j] == 0 for i in range(k) for j in range(i + 1, k))
+    assert all(H[i][i] > 0 for i in range(k))
+    assert [[_dot(row, col) for col in zip(*U)] for row in rows] == H
+    assert abs(rootdata._adjugate(U)[0]) == 1
 
 
 class TestRecursion:

@@ -1,8 +1,11 @@
 """Command-line interface: compute series, verify identities, specialize.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 formula
-precondition failure.  All numeric output is exact; big integers are printed
-as decimal strings in JSON.  Identical invocations print identical bytes.
+precondition failure.  A certificate that fails while a result is built
+(``CERTIFICATE_FAILURES``) is a verification failure: ``compute`` and
+``specialize`` exit 1 with one line on stderr, and ``verify`` marks the
+check FAIL and runs the rest.  All numeric output is exact; big integers
+are printed as decimal strings in JSON.  Identical invocations print identical bytes.
 Each command returns its exit code with its text, which main prints, so a
 reader closing the pipe early changes neither.
 """
@@ -17,15 +20,19 @@ from math import gcd
 from time import perf_counter
 
 from . import formulas, recursion
-from .formulas import NotCoprime, NotGoodCase
-from .ratfun import (BivarPoly, RatFun1, RatFun2, UniPoly,
-                     ZeroDenominatorAfterSubstitution)
+from .formulas import FactorizationFailed, NotCoprime, NotGoodCase
+from .ratfun import (BivarPoly, NotPolynomialWithinBound, RatFun1, RatFun2,
+                     UniPoly, ZeroDenominatorAfterSubstitution)
 from .rootdata import (GroupSpec, build_root_system, degrees_of, good_case,
                        parse_degree, parse_group)
 
 
 class UsageError(ValueError):
     pass
+
+
+#: a certified result whose certificate failed
+CERTIFICATE_FAILURES = (FactorizationFailed, NotPolynomialWithinBound)
 
 
 def _parse_spec_degree(args, need_degree=True):
@@ -69,10 +76,7 @@ def _compute_object(args):
         bound = 2 * ((g - 1) * dim_g + datum.dim_z)
         return spec, d, formulas.to_polynomial(ms, bound)
     if args.what == "fixed-det":
-        r, dd = _single_gl(spec, d)
-        fd = formulas.hp_moduli_fixed_det(r, dd, g)
-        bound = 2 * (g - 1) * (r * r - 1)
-        return spec, d, formulas.to_polynomial(fd, bound)
+        return spec, d, formulas.hp_moduli_fixed_det(*_single_gl(spec, d), g)
     raise UsageError("unknown --what %r" % (args.what,))
 
 
@@ -211,10 +215,9 @@ def _corollary_checks(max_rank, genus_list):
     checks = []
     polys = {}  # (r, d, g) -> fixed-det polynomial, shared by chi and eu
 
-    def fixed_det(r, d, g, bound):
+    def fixed_det(r, d, g):
         if (r, d, g) not in polys:
-            polys[r, d, g] = formulas.to_polynomial(
-                formulas.hp_moduli_fixed_det(r, d, g), bound)
+            polys[r, d, g] = formulas.hp_moduli_fixed_det(r, d, g)
         return polys[r, d, g]
 
     for r in range(2, max_rank + 1):
@@ -222,15 +225,14 @@ def _corollary_checks(max_rank, genus_list):
             if gcd(r, d) != 1:
                 continue
             for g in genus_list:
-                bound = 2 * (g - 1) * (r * r - 1)
 
-                def chi(r=r, d=d, g=g, bound=bound):
-                    p = fixed_det(r, d, g, bound)
+                def chi(r=r, d=d, g=g):
+                    p = fixed_det(r, d, g)
                     return formulas.specialize(p, "chi_t") == \
                         formulas.chi_t_fixed_det_formula(r, g)
 
-                def eu(r=r, d=d, g=g, bound=bound):
-                    p = fixed_det(r, d, g, bound)
+                def eu(r=r, d=d, g=g):
+                    p = fixed_det(r, d, g)
                     return formulas.specialize(p, "euler") == 0 and \
                         formulas.specialize(p, "signature") == 0
 
@@ -266,11 +268,15 @@ def _run_checks(checks):
     """(pass, extra JSON fields) per check; the fields include wall_s, the
     wall seconds of the check's own call.  Work cached by an earlier check
     (root data, Levi tables, the corollaries' shared fixed-det
-    polynomial) is charged to the check that first did it."""
+    polynomial) is charged to the check that first did it.  A check whose
+    certificate fails on the way fails, with the reason as its error."""
     outcomes = []
     for _, fn in checks:
         start = perf_counter()
-        ok, extra = _outcome(fn())
+        try:
+            ok, extra = _outcome(fn())
+        except CERTIFICATE_FAILURES as exc:
+            ok, extra = False, {"error": str(exc)}
         extra["wall_s"] = perf_counter() - start
         outcomes.append((ok, extra))
     return outcomes
@@ -392,6 +398,9 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print("usage error: %s" % exc, file=sys.stderr)
         return 2
+    except CERTIFICATE_FAILURES as exc:
+        print("verification failed: %s" % exc, file=sys.stderr)
+        return 1
     except (NotGoodCase, NotCoprime, ValueError,
             ZeroDenominatorAfterSubstitution) as exc:
         print("precondition failed: %s" % exc, file=sys.stderr)

@@ -75,6 +75,17 @@ same terms (2 shift > order).  Equal terms of the two sides fall in one
 group and cancel in its C(w), in integers, before the band; equal terms
 whose factor tuples are ordered differently meet on the band and cancel
 there.
+
+The fixed-determinant polynomial is certified on bands that are never
+decoded but once (``hp_moduli_fixed_det``).  The type A composition sum
+with one abelian factor less per term is summed on its own layout; the
+GL_r closed formula is laid out on a span of p - q and an order wide
+enough for the first times the Jacobian factor (1 + u)^g (1 + v)^g
+(``_span``, ``_exact_order`` and the span argument of
+``_over_common_den``).  The first band, moved onto that layout row by row
+in bytes (``ratfun._widen``) and lifted by 2g shift-adds, is compared with
+the closed formula's band as an int; the first band itself is then divided
+exactly by its denominator and decoded once (``ratfun._exact_quotient``).
 """
 
 from __future__ import annotations
@@ -86,10 +97,14 @@ from math import gcd, lcm
 from operator import add, itemgetter, sub
 
 from .ratfun import (
+    BivarPoly,
+    NotDivisible,
+    NotPolynomialWithinBound,
     RatFun1,
     RatFun2,
     TruncSeries2,
     UniPoly,
+    _exact_quotient,
     _l1,
     _over_den,
     _pack,
@@ -99,6 +114,7 @@ from .ratfun import (
     _times_den,
     _unband,
     _w_degree,
+    _widen,
     _width,
     to_polynomial,
 )
@@ -121,6 +137,11 @@ class NotGoodCase(ValueError):
 
 class NotCoprime(ValueError):
     """Fixed-determinant series requires coprime rank and degree."""
+
+
+class FactorizationFailed(AssertionError):
+    """The fixed-determinant series times the Jacobian series is not the
+    GL_r semistable stack series."""
 
 
 def _check_genus(g, allow_large_genus=False):
@@ -197,12 +218,29 @@ def _group_cofactor(group):
     return gden, C
 
 
-def _over_common_den(terms, order):
+def _exact_order(terms):
+    """The order at which the sum of terms over their common denominator
+    cuts nothing: twice the denominator's w-degree plus the largest
+    numerator degree."""
+    return (2 * _w_degree(_common_den(t.den for t in terms))
+            + max(map(_num_degree, terms), default=0))
+
+
+def _span(numfactors):
+    """(lo, hi), the range of p - q over the products prod (1 + u^a v^b)^e
+    of the given numerator factor tuples."""
+    nfs = set(numfactors)
+    return (min((sum(e * min(a - b, 0) for a, b, e in nf) for nf in nfs), default=0),
+            max((sum(e * max(a - b, 0) for a, b, e in nf) for nf in nfs), default=0))
+
+
+def _over_common_den(terms, order, span=None):
     """Numerators times their cofactors over the common denominator, laid
     out for one band (layout in :mod:`hodge_series.ratfun`); terms with
     2 * shift > order are skipped.
 
-    [lo, lo + W) covers p - q over every group's numerator, and the band has
+    [lo, lo + W) is the span (lo, hi) of p - q given, which must cover every
+    group's numerator, or else their own span (``_span``); the band has
     n = ((order - lo) // 2 + 1) * W slots, enough for total degree <= order.
 
     One pass groups the terms by numerator factors (their Levi type); a
@@ -229,9 +267,8 @@ def _over_common_den(terms, order):
             groups.setdefault(t.numfactors, []).append(t)
     cofactors = {nf: _group_cofactor(group) for nf, group in groups.items()}
     common = _common_den(gden for gden, _ in cofactors.values())
-    lo = min((sum(e * min(a - b, 0) for a, b, e in nf) for nf in groups), default=0)
-    W = max((sum(e * max(a - b, 0) for a, b, e in nf) for nf in groups),
-            default=0) - lo + 1
+    lo, hi = span or _span(groups)
+    W = hi - lo + 1
     n = ((order - lo) // 2 + 1) * W
     items, bound = [], 0
     for numfactors, (gden, C) in cofactors.items():
@@ -340,9 +377,7 @@ def _add_at(total, part, B):
 def assemble_exact(terms) -> RatFun2:
     """Sum factored terms over the max-multiplicity common denominator; the
     order bounds every numerator times its cofactor, so nothing is cut."""
-    deg = _w_degree(_common_den(t.den for t in terms))
-    common, lo, W, n, items, bound = _over_common_den(
-        terms, 2 * deg + max(map(_num_degree, terms), default=0))
+    common, lo, W, n, items, bound = _over_common_den(terms, _exact_order(terms))
     B = _width(bound)
     return RatFun2(_poly(_unband(_band_sum(items, n, W, B), n, lo, W, B)), common)
 
@@ -678,21 +713,52 @@ def hp_moduli_space(spec: GroupSpec, d, g, allow_large_genus=False) -> RatFun2:
                            for t in closed_terms(datum, fracs, g)])
 
 
-def hp_moduli_fixed_det(r, d, g, allow_large_genus=False) -> RatFun2:
-    """Series of the moduli space of semistable bundles with fixed
-    determinant, rank r, degree d, gcd(r, d) = 1."""
+def hp_moduli_fixed_det(r, d, g, allow_large_genus=False) -> BivarPoly:
+    """The polynomial of the moduli space of semistable bundles with fixed
+    determinant, rank r, degree d, gcd(r, d) = 1, certified twice.
+
+    By Harder-Narasimhan, (1 + u)^g (1 + v)^g / (1 - uv) times the
+    fixed-determinant series (the type A composition sum with one abelian
+    factor less per term) is the GL_r semistable stack series (its closed
+    formula).  The fixed-determinant sum F is summed on its own layout
+    [flo, flo + fW).  The stack sum S is laid out on [lo, lo + W), which
+    spans S's numerators and F's widened by g columns on each side, room
+    for the lift, in rows that reach the larger of S's exact order and
+    F's plus 2g.  One slot width holds every band formed here: F, F
+    lifted, S and F divided.  The first certificate: the denominators
+    differ by one factor 1 - uv, and F, moved onto S's layout
+    (``ratfun._widen``) and lifted by the 2g shift-adds of
+    (1 + u)^g (1 + v)^g, equals S as an int, else FactorizationFailed.  The
+    second: F divides exactly by its denominator (``ratfun._exact_quotient``,
+    the one decode) into a polynomial of total degree at most twice the
+    dimension (g - 1)(r^2 - 1), else NotPolynomialWithinBound."""
     _check_genus(g, allow_large_genus)
     if gcd(r, d) != 1:
         raise NotCoprime("need gcd(r, d) = 1, got (%d, %d)" % (r, d))
-    result = assemble_exact(_gl_terms(r, d, g, abelian_drop=1))
-    # the Jacobian series (1+u)^g (1+v)^g times the result, over 1 - uv, must
-    # be the semistable stack series: the same denominator multiset, then the
-    # same numerator
-    stack = hp_semistable_closed(GroupSpec((("GL", r),)), (d,), g, allow_large_genus)
-    lifted = result.num.mul_binomials(((1, 0, g), (0, 1, g)))
-    if result.wden + Counter({1: 1}) != stack.wden or lifted != stack.num:
-        raise AssertionError("fixed-determinant factorization failed")
-    return result
+    terms = _gl_terms(r, d, g, abelian_drop=1)
+    stack = closed_terms(*_datum_fracs(GroupSpec((("GL", r),)), (d,)), g)
+    order = _exact_order(terms)
+    common, flo, fW, fn, items, bound = _over_common_den(terms, order)
+    slo, shi = _span(t.numfactors for t in stack)
+    span = min(flo - g, slo), max(flo + fW - 1 + g, shi)
+    scommon, lo, W, n, sitems, sbound = _over_common_den(
+        stack, max(order + 2 * g, _exact_order(stack)), span)
+    rows = fn // fW
+    B = _width(max(bound << 2 * g, sbound, bound * _series_growth(common, rows)))
+    F = _band_sum(items, fn, fW, B)
+    lifted = _widen(F, rows, fW, flo - lo, W, B)
+    lifted = _times_binomial(_times_binomial(lifted, 1, g, add, n, B), W - 1, g, add, n, B)
+    if {**common, 1: common.get(1, 0) + 1} != scommon or lifted != _band_sum(sitems, n, W, B):
+        raise FactorizationFailed(
+            "the Jacobian times the fixed-determinant series is not the GL%d stack series" % r)
+    top = 2 * (g - 1) * (r * r - 1)
+    try:
+        p = _exact_quotient(F, rows, flo, fW, common, B)
+    except NotDivisible:
+        p = None
+    if p is None or p.total_degree() > top:
+        raise NotPolynomialWithinBound("not a polynomial of total degree <= %d" % top)
+    return p
 
 
 def specialize(x, kind):
@@ -739,7 +805,7 @@ def chi_t_fixed_det_formula(r, g) -> UniPoly:
 
 
 __all__ = [
-    "FTerm", "GENUS_CAP", "NotCoprime", "NotGoodCase",
+    "FTerm", "FactorizationFailed", "GENUS_CAP", "NotCoprime", "NotGoodCase",
     "a_series", "assemble_exact", "assemble_series",
     "chi_t_fixed_det_formula", "classical_difference_terms", "closed_ratfun",
     "closed_series_for", "closed_terms", "hp_classifying", "hp_moduli_fixed_det",

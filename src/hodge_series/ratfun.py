@@ -49,15 +49,19 @@ series multiplies it by at most the sum of the first R coefficients of the
 series 1 / prod (1 - w^k)^m, which are all non-negative
 (``_series_growth``), every partial quotient included.
 
-The running sums serve ``RatFun2.expand``, ``BivarPoly.divide_exact`` and
-the truncated sums of ``formulas``; the shift-adds alone serve the exact
-sums of ``formulas`` and the Jacobian product (1 + u)^g (1 + v)^g of its
-fixed-determinant self-check (``BivarPoly.mul_binomials``, on a band
-widened to fit).  Exact division certifies itself: with
-D = prod (1 - w^k)^m and K = sum k m, a column of degree < R is a multiple
-of D exactly when the top K of its R rows are zero after the running
-sums, and the quotient is the rows below them.  Short polynomials in w
-alone (the expanded denominator, the cofactors of ``formulas``) stay
+The running sums serve ``RatFun2.expand``, exact division and the
+truncated sums of ``formulas``; the shift-adds alone serve the exact sums
+of ``formulas`` and the Jacobian lift (1 + u)^g (1 + v)^g of its
+fixed-determinant certificate, on a band laid out again wide enough for it
+(``_widen``, which moves each row in bytes and decodes nothing).
+Exact division certifies itself: with D = prod (1 - w^k)^m and
+K = sum k m, a column of degree < R is a multiple of D exactly when the
+top K of its R rows are zero after the running sums, and the quotient is
+the rows below them, cut and decoded once (``_exact_quotient``).
+``BivarPoly.divide_exact`` packs a polynomial's terms for it; the
+fixed-determinant path of ``formulas`` hands it the band its sum was built
+on, so that band is never decoded before the division.  Short polynomials
+in w alone (the expanded denominator, the cofactors of ``formulas``) stay
 integer lists.
 """
 
@@ -214,25 +218,6 @@ class BivarPoly:
                     del res[key]
         return _poly(res)
 
-    def mul_binomials(self, factors):
-        """self * prod (1 + u^a v^b)^e over the (a, b, e) triples of factors,
-        on one band: self's band is widened once by sum e |a - b| columns,
-        so that no factor's shift b * W + a - b wraps, and each factor is
-        then e shift-adds (module docstring).  The product's l1 norm is at
-        most that of self times 2^(sum e), which sets the slot width."""
-        terms, lo, W, rows = _layout(self.terms)
-        lo -= sum(e * max(b - a, 0) for a, b, e in factors)
-        W += sum(e * abs(a - b) for a, b, e in factors)
-        B = _width(_l1(terms.values()) << sum(e for _, _, e in factors))
-        n = rows * W
-        X = _band(terms, lo, W, n, B)
-        for a, b, e in factors:
-            shift = b * W + a - b
-            for _ in range(e):
-                X += X << shift * B
-            n += shift * e
-        return _poly(_unband(X, n, lo, W, B))
-
     def __pow__(self, e):
         if e < 0:
             raise ValueError("negative power of a polynomial")
@@ -250,19 +235,12 @@ class BivarPoly:
 
     def divide_exact(self, wden):
         """Return q with self == q * prod (1 - (uv)^k)^m over wden = {k: m},
-        else raise NotDivisible.  The running sums on the band leave its top
-        sum k m rows zero exactly when the division is exact, and the
-        quotient is the rows below them (module docstring)."""
+        else raise NotDivisible: the exact division of self's band
+        (``_exact_quotient``)."""
         wden = _wden(wden)
         terms, lo, W, rows = _layout(self.terms)
-        n = rows * W
         B = _width(_l1(terms.values()) * _series_growth(wden, rows))
-        X = _over_den(_band(terms, lo, W, n, B), n, wden, W, B)
-        cut = max(rows - _w_degree(wden), 0) * W
-        q = _cut(X, cut, B)
-        if q != X:
-            raise NotDivisible("not a multiple of the denominator")
-        return _poly(_unband(q, cut, lo, W, B))
+        return _exact_quotient(_band(terms, lo, W, rows * W, B), rows, lo, W, wden, B)
 
     # -- substitution ------------------------------------------------------
 
@@ -442,6 +420,35 @@ def _over_den(X, n, wden, W, B):
     rows = _running_sums(rows, wden)
     return int.from_bytes(b"".join((r + row_bias).to_bytes(size, "little") for r in rows),
                           "little") - bias
+
+
+def _widen(X, rows, W, at, W2, B):
+    """The band X of rows rows of W slots laid out again in rows of W2 slots:
+    what sat in column c of a row sits in column at + c, and the other
+    W2 - W columns are zero.  As in ``_over_den``, with 2^(B - 1) added to
+    every slot no slot borrows from the next, and the rows are cut and
+    joined as little-endian bytes."""
+    size, zero = W * B // 8, bytes(B // 8 - 1) + b"\x80"
+    pre, post = zero * at, zero * (W2 - W - at)
+    buf = (X + _bias(rows * W, B)).to_bytes(rows * size, "little")
+    return int.from_bytes(b"".join([pre + buf[i:i + size] + post
+                                    for i in range(0, len(buf), size)]),
+                          "little") - _bias(rows * W2, B)
+
+
+def _exact_quotient(X, rows, lo, W, wden, B):
+    """The quotient of the band X of rows * W slots, laid out on
+    [lo, lo + W), by prod (1 - w^k)^m over wden, decoded, else NotDivisible.
+    Every column has w-degree < rows, so after the running sums its top
+    K = sum k m rows are zero exactly when the column is a multiple of the
+    denominator, and the quotient is the rows below them: one cut and one
+    decode.  B must hold the running sums (``_series_growth``)."""
+    X = _over_den(X, rows * W, wden, W, B)
+    cut = max(rows - _w_degree(wden), 0) * W
+    q = _cut(X, cut, B)
+    if q != X:
+        raise NotDivisible("not a multiple of the denominator")
+    return _poly(_unband(q, cut, lo, W, B))
 
 
 def _layout(terms, order=None):

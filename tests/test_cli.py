@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -447,3 +448,68 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", *argv)
         assert code == 2
         assert "PASS" not in out
+
+
+class TestCertificateFailure:
+    """A fixed-determinant polynomial whose certificate fails is a
+    verification failure (exit 1), never a traceback: ``compute`` and
+    ``specialize`` print one line on stderr, ``verify`` marks the check FAIL
+    and runs the rest."""
+
+    @staticmethod
+    def wrong_stack_term(monkeypatch):
+        """Add 1 to the GL3 d=2 stack term list that the fixed-determinant
+        certificate builds; every other closed formula stays right."""
+        from hodge_series import formulas
+        from hodge_series.formulas import FTerm
+        from hodge_series.rootdata import GroupSpec
+
+        real = formulas.closed_terms
+        _, target = formulas._datum_fracs(GroupSpec((("GL", 3),)), (2,))
+
+        def closed(datum, fracs, *args, **kwargs):
+            terms = real(datum, fracs, *args, **kwargs)
+            if list(fracs) == list(target):
+                terms = terms + [FTerm(1, 0, (), Counter())]
+            return terms
+
+        monkeypatch.setattr(formulas, "closed_terms", closed)
+
+    @pytest.mark.parametrize("argv", [
+        ["compute", "--what", "fixed-det"],
+        ["compute", "--what", "fixed-det", "--format", "json"],
+        ["specialize", "--what", "fixed-det", "--at", "chi-t"]])
+    def test_compute_and_specialize_exit_1(self, capsys, monkeypatch, argv):
+        self.wrong_stack_term(monkeypatch)
+        code, out, err = run(capsys, *argv, "--group", "GL3", "--degree", "2",
+                             "--genus", "2")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("verification failed: ")
+        assert len(err.splitlines()) == 1
+
+    def test_verify_fails_the_check_and_runs_the_rest(self, capsys, monkeypatch):
+        self.wrong_stack_term(monkeypatch)
+        code, out, err = run(capsys, "verify", "--suite", "corollaries",
+                             "--max-rank", "3", "--genus-list", "2")
+        assert code == 1
+        assert err == ""
+        lines = out.splitlines()
+        assert [ln for ln in lines if not ln.startswith("PASS ")] == [
+            "FAIL chi_t fixed-det GL3 d=2 g=2",
+            "FAIL euler+signature GL3 d=2 g=2",
+            "6/8 checks passed"]
+
+    def test_verify_json_carries_the_reason(self, capsys, monkeypatch):
+        self.wrong_stack_term(monkeypatch)
+        code, out, _ = run(capsys, "verify", "--suite", "corollaries",
+                           "--max-rank", "3", "--genus-list", "2",
+                           "--format", "json")
+        assert code == 1
+        obj = json.loads(out)
+        assert obj["all_pass"] is False
+        failed = [c for c in obj["checks"] if not c["pass"]]
+        assert [c["name"] for c in failed] == ["chi_t fixed-det GL3 d=2 g=2",
+                                               "euler+signature GL3 d=2 g=2"]
+        assert all("GL3 stack series" in c["error"] for c in failed)
+        assert all("error" not in c for c in obj["checks"] if c["pass"])

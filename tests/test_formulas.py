@@ -11,6 +11,7 @@ from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from itertools import repeat
+from math import gcd
 from operator import add, mul, sub
 from unittest.mock import patch
 
@@ -20,6 +21,7 @@ from hypothesis import example, given, settings, strategies as st
 import band_reference
 from hodge_series import formulas, ratfun
 from hodge_series.formulas import (
+    FactorizationFailed,
     FTerm,
     NotCoprime,
     NotGoodCase,
@@ -45,6 +47,8 @@ from hodge_series.formulas import (
 )
 from hodge_series.ratfun import (
     BivarPoly,
+    NotDivisible,
+    NotPolynomialWithinBound,
     RatFun1,
     RatFun2,
     TruncSeries2,
@@ -806,7 +810,7 @@ class TestFixedDet:
 
     @pytest.mark.parametrize("g", [2, 3, 4, 5])
     def test_rank2(self, g):
-        assert hp_moduli_fixed_det(2, 1, g).rat_eq(self.rank2_reference(g))
+        assert hp_moduli_fixed_det(2, 1, g) == self.rank2_reference(g)
 
     def test_rank2_g2_expansion(self):
         # (1+u^2 v)(1+u v^2) + uv(1+u)(1+v), cross-checked at u=v=t against
@@ -821,27 +825,113 @@ class TestFixedDet:
             hp_moduli_fixed_det(2, 0, 2)
 
     def test_self_check_runs_on_every_call(self, monkeypatch):
-        from hodge_series import formulas, ratfun
-
+        """Every call builds the GL_r stack term list once, and a wrong stack
+        term (the series plus 1, over the same denominator) fails the
+        numerator comparison."""
         stacks = []
+        real = formulas.closed_terms
 
         def closed(*args, **kwargs):
             stacks.append(args)
-            return hp_semistable_closed(*args, **kwargs)
+            return real(*args, **kwargs)
 
-        monkeypatch.setattr(formulas, "hp_semistable_closed", closed)
+        monkeypatch.setattr(formulas, "closed_terms", closed)
         hp_moduli_fixed_det(2, 1, 2)
         hp_moduli_fixed_det(2, 1, 2)
         assert len(stacks) == 2
-        # a wrong stack series makes the self-check fail
-        monkeypatch.setattr(formulas, "hp_semistable_closed",
-                            lambda *args, **kwargs: closed(*args, **kwargs) + 1)
-        with pytest.raises(AssertionError):
+        monkeypatch.setattr(formulas, "closed_terms", lambda *args, **kwargs:
+                            closed(*args, **kwargs) + [FTerm(1, 0, (), Counter())])
+        with pytest.raises(FactorizationFailed):
             hp_moduli_fixed_det(2, 1, 2)
+        assert len(stacks) == 3
+
+    def test_denominator_multiset_certificate(self, monkeypatch):
+        """A stack sum whose numerator band is right but whose denominator
+        multiset has one factor too many fails the certificate."""
+        real = formulas._over_common_den
+        seen = []
+
+        def over(terms, order, span=None):
+            common, *rest = real(terms, order, span)
+            seen.append(common)
+            if len(seen) == 2:   # the stack sum, laid out second
+                common = {**common, 7: common.get(7, 0) + 1}
+            return (common, *rest)
+
+        monkeypatch.setattr(formulas, "_over_common_den", over)
+        with pytest.raises(FactorizationFailed):
+            hp_moduli_fixed_det(3, 1, 2)
+        assert len(seen) == 2
+
+    @staticmethod
+    def broken_pair(monkeypatch, extra):
+        """Add the term extra to the fixed-determinant sum and its Jacobian
+        lift, (1 + u)^g (1 + v)^g / (1 - uv) times it, to the stack sum, so
+        that the factorization certificate still holds; returns the list of
+        exceptions that ``_exact_quotient`` raised."""
+        gl_terms, closed = formulas._gl_terms, formulas.closed_terms
+        g = 2
+        lift = FTerm(extra.coef, extra.shift,
+                     extra.numfactors + ((1, 0, g), (0, 1, g)),
+                     extra.den + Counter({1: 1}))
+        monkeypatch.setattr(formulas, "_gl_terms",
+                            lambda *a, **k: gl_terms(*a, **k) + [extra])
+        monkeypatch.setattr(formulas, "closed_terms",
+                            lambda *a, **k: closed(*a, **k) + [lift])
+        raised = []
+        quotient = formulas._exact_quotient
+
+        def spy(*args):
+            try:
+                return quotient(*args)
+            except NotDivisible as exc:
+                raised.append(exc)
+                raise
+
+        monkeypatch.setattr(formulas, "_exact_quotient", spy)
+        return raised
+
+    def test_division_certificate_not_a_multiple(self, monkeypatch):
+        """Plus 1 / (1 - w): the numerator is no multiple of the
+        denominator, and the shared exact division says so."""
+        raised = self.broken_pair(monkeypatch, FTerm(1, 0, (), Counter({1: 1})))
+        with pytest.raises(NotPolynomialWithinBound):
+            hp_moduli_fixed_det(2, 1, 2)
+        assert len(raised) == 1
+
+    def test_division_certificate_degree_bound(self, monkeypatch):
+        """Plus w^4: the division is exact, but the quotient's total degree
+        8 is above the bound 2 (g - 1)(r^2 - 1) = 6."""
+        raised = self.broken_pair(monkeypatch, FTerm(1, 4, (), Counter()))
+        with pytest.raises(NotPolynomialWithinBound):
+            hp_moduli_fixed_det(2, 1, 2)
+        assert raised == []
+
+    @staticmethod
+    def old_route(r, d, g):
+        """The fixed-determinant polynomial as it was computed before the
+        shared band: the composition sum assembled on its own, its
+        numerator lifted by the Jacobian factor and compared with the GL_r
+        closed formula, then divided exactly by its denominator."""
+        fd = assemble_exact(_gl_terms(r, d, g, abelian_drop=1))
+        stack = hp_semistable_closed(GL(r), (d,), g)
+        assert fd.wden + Counter({1: 1}) == stack.wden
+        assert band_reference.mul_binomials(fd.num.terms, ((1, 0, g), (0, 1, g))) \
+            == stack.num.terms
+        q = fd.num.divide_exact(fd.wden)
+        assert q.total_degree() <= 2 * (g - 1) * (r * r - 1)
+        return q.terms
+
+    @pytest.mark.parametrize("r,d,g", [
+        (r, d, g) for r in range(1, 6)
+        for d in [d for d in range(1, r + 1) if gcd(r, d) == 1] + [-1, r + 1]
+        for g in (2, 3, 4)] + [(4, 1, 8), (4, 3, 8)])
+    def test_matches_the_old_route(self, r, d, g):
+        assert hp_moduli_fixed_det(r, d, g).terms == self.old_route(r, d, g)
 
     def test_large_genus_opt_in(self):
-        assert hp_moduli_fixed_det(2, 1, 9, allow_large_genus=True).rat_eq(
-            self.rank2_reference(9))
+        assert hp_moduli_fixed_det(2, 1, 9, allow_large_genus=True) == \
+            self.rank2_reference(9)
 
     @pytest.mark.parametrize("r,d,g", [(2, 1, 2), (2, 1, 3), (3, 1, 2), (3, 2, 2)])
     def test_polynomial_with_dimension_bound(self, r, d, g):

@@ -2,6 +2,7 @@
 
 from collections import Counter
 from fractions import Fraction
+from operator import add
 from unittest.mock import patch
 
 import pytest
@@ -21,6 +22,16 @@ from hodge_series.ratfun import (
     UniPoly,
     RatFun1,
     ZeroDenominatorAfterSubstitution,
+    _band,
+    _exact_quotient,
+    _l1,
+    _layout,
+    _series_growth,
+    _times_binomial,
+    _unband,
+    _wden,
+    _widen,
+    _width,
     to_polynomial,
 )
 
@@ -313,6 +324,25 @@ def test_ring_axioms(a, b, c):
     assert a * (b + c) == a * b + a * c
 
 
+def band_lift(p, factors):
+    """p * prod (1 + u^a v^b)^e over the (a, b, e) triples of factors, as the
+    fixed-determinant certificate lifts its band by the Jacobian factor:
+    p's band moved onto one wider by sum e |a - b| columns (``_widen``), in
+    sum e b more rows, so that no shift b * W + a - b wraps, then e
+    ``_times_binomial`` shift-adds per factor, cut at the band's end.  The
+    product's l1 norm is at most p's times 2^(sum e), which sets the slot
+    width."""
+    terms, lo, W, rows = _layout(p.terms)
+    left = sum(e * max(b - a, 0) for a, b, e in factors)
+    W2 = W + sum(e * abs(a - b) for a, b, e in factors)
+    n = (rows + sum(e * b for _, b, e in factors)) * W2
+    B = _width(_l1(terms.values()) << sum(e for _, _, e in factors))
+    X = _widen(_band(terms, lo, W, rows * W, B), rows, W, left, W2, B)
+    for a, b, e in factors:
+        X = _times_binomial(X, b * W2 + a - b, e, add, n, B)
+    return _unband(X, n, lo - left, W2, B)
+
+
 binomial_factors = st.lists(
     st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3)), max_size=3)
 
@@ -326,11 +356,12 @@ binomial_factors = st.lists(
 @example(1 + U + V, [(1, 2, 0), (2, 0, 0)])           # e = 0 only
 @example(U ** 2, [])
 def test_mul_binomials_is_the_product(p, factors):
-    """p * prod (1 + u^a v^b)^e on one widened band equals the plain product."""
+    """p * prod (1 + u^a v^b)^e lifted in band (``band_lift``) equals the
+    plain product."""
     expected = p
     for a, b, e in factors:
         expected = expected * (1 + BivarPoly.monomial(a, b)) ** e
-    assert p.mul_binomials(factors) == expected
+    assert BivarPoly(band_lift(p, factors)) == expected
 
 
 wdens = st.dictionaries(st.integers(1, 4), st.integers(0, 3), max_size=3)
@@ -437,7 +468,18 @@ class TestSlotWidth:
     @example(BivarPoly({(0, 0): (1 << 62) + 1}), [(1, 0, 2)])
     @example(BivarPoly({(1, 2): -(1 << 126) - 1}), [(0, 1, 1), (2, 0, 1)])
     def test_mul_binomials(self, p, factors):
-        assert p.mul_binomials(factors).terms == band_reference.mul_binomials(p.terms, factors)
+        assert band_lift(p, factors) == band_reference.mul_binomials(p.terms, factors)
+
+    @settings(max_examples=60, deadline=None)
+    @given(big_polys, st.integers(0, 3), st.integers(0, 3))
+    @example(BivarPoly({(0, 0): -(1 << 126) - 1, (0, 1): 1}), 1, 2)
+    def test_widen(self, p, left, right):
+        """A band moved onto a wider layout is the band of the same terms
+        packed on that layout."""
+        terms, lo, W, rows = _layout(p.terms)
+        B, W2 = _width(_l1(terms.values())), W + left + right
+        X = _widen(_band(terms, lo, W, rows * W, B), rows, W, left, W2, B)
+        assert X == _band(terms, lo - left, W2, rows * W2, B)
 
     @settings(max_examples=60, deadline=None)
     @given(big_polys, wdens, wdens)
@@ -500,3 +542,28 @@ class TestRowDivision:
                 BivarPoly(terms).divide_exact(wden)
         with pytest.raises(NotDivisible):
             band_reference.divide_exact(terms, wden)
+
+
+class TestExactQuotient:
+    """``_exact_quotient``, the band-level exact division that
+    ``BivarPoly.divide_exact`` and the fixed-determinant path share."""
+
+    def quotient(self, a, wden, rows_extra=0):
+        """a's band with rows_extra zero rows on top, divided by wden."""
+        wden = _wden(wden)
+        terms, lo, W, rows = _layout(a.terms)
+        rows += rows_extra
+        B = _width(_l1(terms.values()) * _series_growth(wden, rows))
+        return _exact_quotient(_band(terms, lo, W, rows * W, B), rows, lo, W, wden, B)
+
+    @settings(max_examples=40, deadline=None)
+    @given(small_polys, wdens, st.integers(0, 3))
+    def test_round_trip_with_spare_rows(self, a, wden, extra):
+        """Zero rows above the numerator, as on a band laid out for a wider
+        sum, change neither the quotient nor the certificate."""
+        assert self.quotient(a * den_poly(wden), wden, extra) == a
+
+    @pytest.mark.parametrize("extra", [0, 2])
+    def test_not_a_multiple(self, extra):
+        with pytest.raises(NotDivisible):
+            self.quotient((1 - W) * (1 + U) + W ** 3, {1: 1}, extra)

@@ -76,16 +76,14 @@ group and cancel in its C(w), in integers, before the band; equal terms
 whose factor tuples are ordered differently meet on the band and cancel
 there.
 
-The fixed-determinant polynomial is certified on bands that are never
-decoded but once (``hp_moduli_fixed_det``).  The type A composition sum
-with one abelian factor less per term is summed on its own layout; the
-GL_r closed formula is laid out on a span of p - q and an order wide
-enough for the first times the Jacobian factor (1 + u)^g (1 + v)^g
-(``_span``, ``_exact_order`` and the span argument of
-``_over_common_den``).  The first band, moved onto that layout row by row
-in bytes (``ratfun._widen``) and lifted by 2g shift-adds, is compared with
-the closed formula's band as an int; the first band itself is then divided
-exactly by its denominator and decoded once (``ratfun._exact_quotient``).
+The fixed-determinant polynomial is certified the same way
+(``hp_moduli_fixed_det``).  The type A composition sum with one abelian
+factor less per term, each term times the Jacobian factor
+(1 + u)^g (1 + v)^g / (1 - uv), is the GL_r composition sum term for term,
+so the GL_r closed formula's terms minus the lifted terms are one
+difference sum, which must vanish; its equal terms cancel in their groups'
+cofactors.  The first sum itself is then divided exactly by its
+denominator on its own band and decoded once (``ratfun._exact_quotient``).
 """
 
 from __future__ import annotations
@@ -114,7 +112,6 @@ from .ratfun import (
     _times_den,
     _unband,
     _w_degree,
-    _widen,
     _width,
     to_polynomial,
 )
@@ -226,21 +223,12 @@ def _exact_order(terms):
             + max(map(_num_degree, terms), default=0))
 
 
-def _span(numfactors):
-    """(lo, hi), the range of p - q over the products prod (1 + u^a v^b)^e
-    of the given numerator factor tuples."""
-    nfs = set(numfactors)
-    return (min((sum(e * min(a - b, 0) for a, b, e in nf) for nf in nfs), default=0),
-            max((sum(e * max(a - b, 0) for a, b, e in nf) for nf in nfs), default=0))
-
-
-def _over_common_den(terms, order, span=None):
+def _over_common_den(terms, order):
     """Numerators times their cofactors over the common denominator, laid
     out for one band (layout in :mod:`hodge_series.ratfun`); terms with
     2 * shift > order are skipped.
 
-    [lo, lo + W) is the span (lo, hi) of p - q given, which must cover every
-    group's numerator, or else their own span (``_span``); the band has
+    [lo, lo + W) covers p - q over every group's numerator, and the band has
     n = ((order - lo) // 2 + 1) * W slots, enough for total degree <= order.
 
     One pass groups the terms by numerator factors (their Levi type); a
@@ -267,8 +255,9 @@ def _over_common_den(terms, order, span=None):
             groups.setdefault(t.numfactors, []).append(t)
     cofactors = {nf: _group_cofactor(group) for nf, group in groups.items()}
     common = _common_den(gden for gden, _ in cofactors.values())
-    lo, hi = span or _span(groups)
-    W = hi - lo + 1
+    lo = min((sum(e * min(a - b, 0) for a, b, e in nf) for nf in groups), default=0)
+    W = max((sum(e * max(a - b, 0) for a, b, e in nf) for nf in groups),
+            default=0) - lo + 1
     n = ((order - lo) // 2 + 1) * W
     items, bound = [], 0
     for numfactors, (gden, C) in cofactors.items():
@@ -713,52 +702,61 @@ def hp_moduli_space(spec: GroupSpec, d, g, allow_large_genus=False) -> RatFun2:
                            for t in closed_terms(datum, fracs, g)])
 
 
+def _jacobian_lift(t, g, coef=1):
+    """coef times the term t times (1 + u)^g (1 + v)^g / (1 - uv), the
+    series of the Jacobian: a term of a(L) with dim Z(L) = m becomes the
+    term of a(L) with one abelian factor more, written as ``_a_parts``
+    writes it.  Its pair (1 + u)^{g m} (1 + v)^{g m} leads the numerator
+    factors (a non-abelian factor has u-degree at least 2) and becomes the
+    pair of exponent g (m + 1), prepended when m = 0; the denominator gains
+    one 1 - uv."""
+    nf = t.numfactors
+    e = g
+    if nf and nf[0][:2] == (1, 0):
+        e += nf[0][2]
+        nf = nf[2:]
+    den = Counter(t.den)
+    den[1] += 1
+    return FTerm(coef * t.coef, t.shift, ((1, 0, e), (0, 1, e)) + nf, den)
+
+
 def hp_moduli_fixed_det(r, d, g, allow_large_genus=False) -> BivarPoly:
     """The polynomial of the moduli space of semistable bundles with fixed
     determinant, rank r, degree d, gcd(r, d) = 1, certified twice.
 
     By Harder-Narasimhan, (1 + u)^g (1 + v)^g / (1 - uv) times the
-    fixed-determinant series (the type A composition sum with one abelian
-    factor less per term) is the GL_r semistable stack series (its closed
-    formula).  The fixed-determinant sum F is summed on its own layout
-    [flo, flo + fW).  The stack sum S is laid out on [lo, lo + W), which
-    spans S's numerators and F's widened by g columns on each side, room
-    for the lift, in rows that reach the larger of S's exact order and
-    F's plus 2g.  One slot width holds every band formed here: F, F
-    lifted, S and F divided.  The first certificate: the denominators
-    differ by one factor 1 - uv, and F, moved onto S's layout
-    (``ratfun._widen``) and lifted by the 2g shift-adds of
-    (1 + u)^g (1 + v)^g, equals S as an int, else FactorizationFailed.  The
-    second: F divides exactly by its denominator (``ratfun._exact_quotient``,
-    the one decode) into a polynomial of total degree at most twice the
-    dimension (g - 1)(r^2 - 1), else NotPolynomialWithinBound."""
+    fixed-determinant series F (the type A composition sum with one abelian
+    factor less per term) is the GL_r semistable stack series S (its closed
+    formula).  The first certificate is one difference sum: the closed
+    formula's terms minus F's own terms, each lifted by the Jacobian factor
+    (``_jacobian_lift``).  The sum is linear, so its band, summed over the
+    common denominator to an order that cuts nothing, is zero exactly when
+    the identity holds, else FactorizationFailed.  A lifted term of F is the
+    term of the GL_r composition sum, and equal terms of the two sides
+    cancel in integers in their group's cofactor, so up to GL4 no band is
+    formed at all.  The second: F, summed on its own band, divides exactly
+    by its denominator (``ratfun._exact_quotient``, the one decode) into a
+    polynomial of total degree at most twice the dimension
+    (g - 1)(r^2 - 1), else NotPolynomialWithinBound."""
     _check_genus(g, allow_large_genus)
     if gcd(r, d) != 1:
         raise NotCoprime("need gcd(r, d) = 1, got (%d, %d)" % (r, d))
     terms = _gl_terms(r, d, g, abelian_drop=1)
-    stack = closed_terms(*_datum_fracs(GroupSpec((("GL", r),)), (d,)), g)
-    order = _exact_order(terms)
-    common, flo, fW, fn, items, bound = _over_common_den(terms, order)
-    slo, shi = _span(t.numfactors for t in stack)
-    span = min(flo - g, slo), max(flo + fW - 1 + g, shi)
-    scommon, lo, W, n, sitems, sbound = _over_common_den(
-        stack, max(order + 2 * g, _exact_order(stack)), span)
-    rows = fn // fW
-    B = _width(max(bound << 2 * g, sbound, bound * _series_growth(common, rows)))
-    F = _band_sum(items, fn, fW, B)
-    lifted = _widen(F, rows, fW, flo - lo, W, B)
-    lifted = _times_binomial(_times_binomial(lifted, 1, g, add, n, B), W - 1, g, add, n, B)
-    if {**common, 1: common.get(1, 0) + 1} != scommon or lifted != _band_sum(sitems, n, W, B):
+    diff = closed_terms(*_datum_fracs(GroupSpec((("GL", r),)), (d,)), g) + [
+        _jacobian_lift(t, g, -1) for t in terms]
+    _, _, W, n, items, bound = _over_common_den(diff, _exact_order(diff))
+    if _band_sum(items, n, W, _width(bound)):
         raise FactorizationFailed(
             "the Jacobian times the fixed-determinant series is not the GL%d stack series" % r)
+    common, lo, W, n, items, bound = _over_common_den(terms, _exact_order(terms))
+    rows = n // W
+    B = _width(bound * _series_growth(common, rows))
     top = 2 * (g - 1) * (r * r - 1)
     try:
-        p = _exact_quotient(F, rows, flo, fW, common, B)
+        return _exact_quotient(_band_sum(items, n, W, B), rows, lo, W, common, B, top)
     except NotDivisible:
-        p = None
-    if p is None or p.total_degree() > top:
-        raise NotPolynomialWithinBound("not a polynomial of total degree <= %d" % top)
-    return p
+        raise NotPolynomialWithinBound(
+            "not a polynomial of total degree <= %d" % top) from None
 
 
 def specialize(x, kind):

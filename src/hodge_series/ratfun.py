@@ -51,13 +51,12 @@ series 1 / prod (1 - w^k)^m, which are all non-negative
 
 The running sums serve ``RatFun2.expand``, exact division and the
 truncated sums of ``formulas``; the shift-adds alone serve the exact sums
-of ``formulas`` and the Jacobian lift (1 + u)^g (1 + v)^g of its
-fixed-determinant certificate, on a band laid out again wide enough for it
-(``_widen``, which moves each row in bytes and decodes nothing).
-Exact division certifies itself: with D = prod (1 - w^k)^m and
-K = sum k m, a column of degree < R is a multiple of D exactly when the
-top K of its R rows are zero after the running sums, and the quotient is
-the rows below them, cut and decoded once (``_exact_quotient``).
+of ``formulas``.  Exact division certifies itself: with
+D = prod (1 - w^k)^m and K = sum k m, a column of degree < R is a multiple
+of D exactly when the top K of its R rows are zero after the running sums,
+and the quotient is the rows below them, cut and decoded once
+(``_exact_quotient``).  Given a total degree bound, the rows that hold only
+degrees above it must be zero as well and are not decoded.
 ``BivarPoly.divide_exact`` packs a polynomial's terms for it; the
 fixed-determinant path of ``formulas`` hands it the band its sum was built
 on, so that band is never decoded before the division.  Short polynomials
@@ -233,14 +232,15 @@ class BivarPoly:
 
     # -- division ----------------------------------------------------------
 
-    def divide_exact(self, wden):
+    def divide_exact(self, wden, top=None):
         """Return q with self == q * prod (1 - (uv)^k)^m over wden = {k: m},
-        else raise NotDivisible: the exact division of self's band
+        else raise NotDivisible; given top, q must have total degree <= top,
+        else NotPolynomialWithinBound: the exact division of self's band
         (``_exact_quotient``)."""
         wden = _wden(wden)
         terms, lo, W, rows = _layout(self.terms)
         B = _width(_l1(terms.values()) * _series_growth(wden, rows))
-        return _exact_quotient(_band(terms, lo, W, rows * W, B), rows, lo, W, wden, B)
+        return _exact_quotient(_band(terms, lo, W, rows * W, B), rows, lo, W, wden, B, top)
 
     # -- substitution ------------------------------------------------------
 
@@ -422,33 +422,29 @@ def _over_den(X, n, wden, W, B):
                           "little") - bias
 
 
-def _widen(X, rows, W, at, W2, B):
-    """The band X of rows rows of W slots laid out again in rows of W2 slots:
-    what sat in column c of a row sits in column at + c, and the other
-    W2 - W columns are zero.  As in ``_over_den``, with 2^(B - 1) added to
-    every slot no slot borrows from the next, and the rows are cut and
-    joined as little-endian bytes."""
-    size, zero = W * B // 8, bytes(B // 8 - 1) + b"\x80"
-    pre, post = zero * at, zero * (W2 - W - at)
-    buf = (X + _bias(rows * W, B)).to_bytes(rows * size, "little")
-    return int.from_bytes(b"".join([pre + buf[i:i + size] + post
-                                    for i in range(0, len(buf), size)]),
-                          "little") - _bias(rows * W2, B)
-
-
-def _exact_quotient(X, rows, lo, W, wden, B):
+def _exact_quotient(X, rows, lo, W, wden, B, top=None):
     """The quotient of the band X of rows * W slots, laid out on
     [lo, lo + W), by prod (1 - w^k)^m over wden, decoded, else NotDivisible.
     Every column has w-degree < rows, so after the running sums its top
     K = sum k m rows are zero exactly when the column is a multiple of the
-    denominator, and the quotient is the rows below them: one cut and one
-    decode.  B must hold the running sums (``_series_growth``)."""
+    denominator, and the quotient is the rows below them.  Given top, the
+    quotient must also have total degree <= top, else
+    NotPolynomialWithinBound: row j holds total degrees >= 2 j + lo only,
+    so the rows from (top - lo) // 2 + 1 on must be zero too, and only the
+    rows below them are decoded.  B must hold the running sums
+    (``_series_growth``)."""
     X = _over_den(X, rows * W, wden, W, B)
     cut = max(rows - _w_degree(wden), 0) * W
     q = _cut(X, cut, B)
     if q != X:
         raise NotDivisible("not a multiple of the denominator")
-    return _poly(_unband(q, cut, lo, W, B))
+    if top is None:
+        return _poly(_unband(q, cut, lo, W, B))
+    cut = min(cut, max((top - lo) // 2 + 1, 0) * W)
+    p = _poly(_unband(q, cut, lo, W, B)) if _cut(q, cut, B) == q else None
+    if p is None or p.total_degree() > top:
+        raise NotPolynomialWithinBound("not a polynomial of total degree <= %d" % top)
+    return p
 
 
 def _layout(terms, order=None):
@@ -717,13 +713,10 @@ def to_polynomial(r, degree_bound):
         raise ValueError("negative degree bound")
     r = _coerce_rat(r)
     try:
-        p = r.num.divide_exact(r.wden)
-        if p.total_degree() <= degree_bound:
-            return p
+        return r.num.divide_exact(r.wden, degree_bound)
     except NotDivisible:
-        pass
-    raise NotPolynomialWithinBound(
-        "not a polynomial of total degree <= %d" % degree_bound)
+        raise NotPolynomialWithinBound(
+            "not a polynomial of total degree <= %d" % degree_bound) from None
 
 
 # ---------------------------------------------------------------------------

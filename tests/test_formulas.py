@@ -846,22 +846,77 @@ class TestFixedDet:
         assert len(stacks) == 3
 
     def test_denominator_multiset_certificate(self, monkeypatch):
-        """A stack sum whose numerator band is right but whose denominator
-        multiset has one factor too many fails the certificate."""
-        real = formulas._over_common_den
-        seen = []
-
-        def over(terms, order, span=None):
-            common, *rest = real(terms, order, span)
-            seen.append(common)
-            if len(seen) == 2:   # the stack sum, laid out second
-                common = {**common, 7: common.get(7, 0) + 1}
-            return (common, *rest)
-
-        monkeypatch.setattr(formulas, "_over_common_den", over)
+        """A stack sum whose numerators are right but whose every term has
+        one denominator factor 1 - w^7 too many fails the certificate."""
+        real = formulas.closed_terms
+        monkeypatch.setattr(formulas, "closed_terms", lambda *args, **kwargs: [
+            replace(t, den=t.den + Counter({7: 1})) for t in real(*args, **kwargs)])
         with pytest.raises(FactorizationFailed):
             hp_moduli_fixed_det(3, 1, 2)
-        assert len(seen) == 2
+
+    @pytest.mark.parametrize("r", range(1, 7))
+    def test_lift_is_the_gl_composition_sum(self, r):
+        """Each fixed-determinant term times the Jacobian factor is the GL_r
+        composition sum's term: coefficient, shift, the numerator factors
+        in their order and the denominator."""
+        for d in [d for d in range(-1, r + 2) if gcd(r, d) == 1]:
+            for g in (2, 3, 8):
+                lifted = [formulas._jacobian_lift(t, g)
+                          for t in _gl_terms(r, d, g, abelian_drop=1)]
+                assert lifted == _gl_terms(r, d, g), (r, d, g)
+
+    @staticmethod
+    def bands(monkeypatch):
+        """The (n, W, band) of every band ``_band_sum`` forms, one with
+        items to sum."""
+        formed = []
+        real = formulas._band_sum
+
+        def spy(items, n, W, B):
+            X = real(items, n, W, B)
+            if items:
+                formed.append((n, W, X))
+            return X
+
+        monkeypatch.setattr(formulas, "_band_sum", spy)
+        return formed
+
+    @pytest.mark.parametrize("r,d,g", [
+        (r, d, g) for r in (2, 3, 4) for d in range(-1, r + 2) if gcd(r, d) == 1
+        for g in (2, 3, 8)])
+    def test_one_band_per_call(self, monkeypatch, r, d, g):
+        """Up to GL4 every lifted term of the difference sum cancels a
+        closed-formula term in its group's cofactor, so the one band formed
+        is the fixed-determinant sum's, the one divided."""
+        formed = self.bands(monkeypatch)
+        hp_moduli_fixed_det(r, d, g)
+        terms = _gl_terms(r, d, g, abelian_drop=1)
+        _, _, W, n, _, _ = _over_common_den(terms, formulas._exact_order(terms))
+        assert [(n_, W_) for n_, W_, _ in formed] == [(n, W)]
+
+    def test_gl5_difference_reaches_the_band(self, monkeypatch):
+        """GL5 d=2 g=3: the compositions whose exponents _gl_terms writes
+        unsorted meet their closed-formula terms only on the band, where
+        the difference sum is zero; the result is the old route's."""
+        formed = self.bands(monkeypatch)
+        p = hp_moduli_fixed_det(5, 2, 3)
+        assert len(formed) == 2 and formed[0][2] == 0
+        assert p.terms == self.old_route(5, 2, 3)
+
+    def test_quotient_decodes_only_rows_within_the_bound(self, monkeypatch):
+        """GL4 d=1 g=8: of the quotient's rows, only those that can hold a
+        total degree <= 2 (g - 1)(r^2 - 1) = 210 are decoded."""
+        decoded = []
+        real = ratfun._unband
+
+        def spy(X, n, lo, W, B):
+            decoded.append((n, lo, W))
+            return real(X, n, lo, W, B)
+
+        monkeypatch.setattr(ratfun, "_unband", spy)
+        hp_moduli_fixed_det(4, 1, 8)
+        ((n, lo, W),) = decoded
+        assert n // W == (210 - lo) // 2 + 1 and lo < 0
 
     @staticmethod
     def broken_pair(monkeypatch, extra):
@@ -898,6 +953,17 @@ class TestFixedDet:
         with pytest.raises(NotPolynomialWithinBound):
             hp_moduli_fixed_det(2, 1, 2)
         assert len(raised) == 1
+
+    def test_division_certificate_rows_above_the_bound(self, monkeypatch):
+        """Plus w^10: the division is exact, but the quotient has a nonzero
+        row above those that can hold total degree <= 6, and no row is
+        decoded."""
+        raised = self.broken_pair(monkeypatch, FTerm(1, 10, (), Counter()))
+        decoded = []
+        monkeypatch.setattr(ratfun, "_unband", lambda *args: decoded.append(args))
+        with pytest.raises(NotPolynomialWithinBound):
+            hp_moduli_fixed_det(2, 1, 2)
+        assert raised == [] and decoded == []
 
     def test_division_certificate_degree_bound(self, monkeypatch):
         """Plus w^4: the division is exact, but the quotient's total degree

@@ -30,7 +30,6 @@ from hodge_series.ratfun import (
     _times_binomial,
     _unband,
     _wden,
-    _widen,
     _width,
     to_polynomial,
 )
@@ -325,22 +324,21 @@ def test_ring_axioms(a, b, c):
 
 
 def band_lift(p, factors):
-    """p * prod (1 + u^a v^b)^e over the (a, b, e) triples of factors, as the
-    fixed-determinant certificate lifts its band by the Jacobian factor:
-    p's band moved onto one wider by sum e |a - b| columns (``_widen``), in
-    sum e b more rows, so that no shift b * W + a - b wraps, then e
-    ``_times_binomial`` shift-adds per factor, cut at the band's end.  The
-    product's l1 norm is at most p's times 2^(sum e), which sets the slot
-    width."""
+    """p * prod (1 + u^a v^b)^e over the (a, b, e) triples of factors,
+    lifted in band: p's terms packed on a band wider by sum e |a - b|
+    columns, in sum e b more rows, so that no shift b * W + a - b wraps,
+    then e ``_times_binomial`` shift-adds per factor, cut at the band's end.
+    The product's l1 norm is at most p's times 2^(sum e), which sets the
+    slot width."""
     terms, lo, W, rows = _layout(p.terms)
-    left = sum(e * max(b - a, 0) for a, b, e in factors)
-    W2 = W + sum(e * abs(a - b) for a, b, e in factors)
-    n = (rows + sum(e * b for _, b, e in factors)) * W2
+    lo -= sum(e * max(b - a, 0) for a, b, e in factors)
+    W += sum(e * abs(a - b) for a, b, e in factors)
+    n = (rows + sum(e * b for _, b, e in factors)) * W
     B = _width(_l1(terms.values()) << sum(e for _, _, e in factors))
-    X = _widen(_band(terms, lo, W, rows * W, B), rows, W, left, W2, B)
+    X = _band(terms, lo, W, n, B)
     for a, b, e in factors:
-        X = _times_binomial(X, b * W2 + a - b, e, add, n, B)
-    return _unband(X, n, lo - left, W2, B)
+        X = _times_binomial(X, b * W + a - b, e, add, n, B)
+    return _unband(X, n, lo, W, B)
 
 
 binomial_factors = st.lists(
@@ -471,17 +469,6 @@ class TestSlotWidth:
         assert band_lift(p, factors) == band_reference.mul_binomials(p.terms, factors)
 
     @settings(max_examples=60, deadline=None)
-    @given(big_polys, st.integers(0, 3), st.integers(0, 3))
-    @example(BivarPoly({(0, 0): -(1 << 126) - 1, (0, 1): 1}), 1, 2)
-    def test_widen(self, p, left, right):
-        """A band moved onto a wider layout is the band of the same terms
-        packed on that layout."""
-        terms, lo, W, rows = _layout(p.terms)
-        B, W2 = _width(_l1(terms.values())), W + left + right
-        X = _widen(_band(terms, lo, W, rows * W, B), rows, W, left, W2, B)
-        assert X == _band(terms, lo - left, W2, rows * W2, B)
-
-    @settings(max_examples=60, deadline=None)
     @given(big_polys, wdens, wdens)
     @example(BivarPoly({(0, 0): (1 << 62) + 1}), {}, {1: 2})
     @example(BivarPoly({(0, 0): 1 << 60}), {12: 2}, {1: 2})  # quotient 1.5 * 2^63
@@ -548,13 +535,14 @@ class TestExactQuotient:
     """``_exact_quotient``, the band-level exact division that
     ``BivarPoly.divide_exact`` and the fixed-determinant path share."""
 
-    def quotient(self, a, wden, rows_extra=0):
-        """a's band with rows_extra zero rows on top, divided by wden."""
+    def quotient(self, a, wden, rows_extra=0, top=None):
+        """a's band with rows_extra zero rows on top, divided by wden, under
+        the total degree bound top if one is given."""
         wden = _wden(wden)
         terms, lo, W, rows = _layout(a.terms)
         rows += rows_extra
         B = _width(_l1(terms.values()) * _series_growth(wden, rows))
-        return _exact_quotient(_band(terms, lo, W, rows * W, B), rows, lo, W, wden, B)
+        return _exact_quotient(_band(terms, lo, W, rows * W, B), rows, lo, W, wden, B, top)
 
     @settings(max_examples=40, deadline=None)
     @given(small_polys, wdens, st.integers(0, 3))
@@ -567,3 +555,34 @@ class TestExactQuotient:
     def test_not_a_multiple(self, extra):
         with pytest.raises(NotDivisible):
             self.quotient((1 - W) * (1 + U) + W ** 3, {1: 1}, extra)
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_polys, wdens, st.integers(0, 3), st.integers(-1, 8))
+    def test_degree_bound(self, a, wden, extra, top):
+        """Given a total degree bound, the quotient comes back exactly when
+        its total degree is within it, else NotPolynomialWithinBound."""
+        num = a * den_poly(wden)
+        if a.total_degree() <= top:
+            assert self.quotient(num, wden, extra, top) == a
+        else:
+            with pytest.raises(NotPolynomialWithinBound):
+                self.quotient(num, wden, extra, top)
+
+    def test_rows_above_the_bound_are_not_decoded(self, monkeypatch):
+        """Row j holds total degrees >= 2 j + lo only, so under the bound
+        top the rows from (top - lo) // 2 + 1 on must be zero and are not
+        decoded: 1 + u^3 + w^3, on rows 0..3 of 7 quotient rows."""
+        decoded = []
+        real = ratfun._unband
+
+        def spy(X, n, lo, W, B):
+            decoded.append(n // W)
+            return real(X, n, lo, W, B)
+
+        monkeypatch.setattr(ratfun, "_unband", spy)
+        a = 1 + U ** 3 + W ** 3
+        assert self.quotient(a * (1 - W), {1: 1}, 3, 6) == a
+        assert decoded == [4]
+        with pytest.raises(NotPolynomialWithinBound):
+            self.quotient(a * (1 - W), {1: 1}, 3, 5)
+        assert decoded == [4]

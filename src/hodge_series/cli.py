@@ -16,6 +16,7 @@ import argparse
 import json
 import os
 import sys
+from functools import lru_cache
 from math import gcd
 from time import perf_counter
 
@@ -343,7 +344,11 @@ def cmd_verify(args):
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
 def build_parser():
+    """The argument parser, built on the first call and shared by every
+    later one: main parses each argv with it, and parsing leaves it as it
+    was."""
     parser = argparse.ArgumentParser(
         prog="hodge-series",
         description="Exact two-variable series for moduli of principal "

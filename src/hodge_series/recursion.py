@@ -51,7 +51,11 @@ simplex.  Only the strata found are projected to the center of their Levi
 (``RootDatum.project_to_center``, from the same cached Levi block), and
 mu's entries are the only Fractions.  What does not depend on the degree
 or the genus (the Levi block's det and adjugate, A_IK adj, H, U and w_a)
-is computed once per subset I and cached on the root datum.
+is computed once per subset I and cached on the root datum.  Since every
+det s_a >= 1, a stratum with walls I needs det * budget >= sum_a w_a; a
+wall set without that room is skipped before its set-up (``_hn_setup``),
+with det read off the cached Levi block and w_a off the datum's cached
+coefficients of 2 rho.
 
 A stratum's Levi terms are those of the closed formula of L^I, read off
 the group's own Levi records by the wall set I (``formulas.closed_terms``
@@ -174,12 +178,20 @@ def _hn_setup(datum, I) -> _HNSetup:
     M = [[det * A[a][b] - sum(r * A[k][b] for r, k in zip(row, keep)) for b in I]
          for a, row in zip(I, R)]
     H, U = _hnf(M)
-    # w_a = coefficient of alpha_a in the sum of the nilradical roots, which
-    # is its coefficient in 2 rho: the other positive roots lack alpha_a
-    weights = tuple(sum(cf[a] for cf in datum.pos_coeffs) for a in I)
+    w = _two_rho_coeffs(datum)
     cached = datum._cache[("hn", I)] = _HNSetup(
         keep, det, tuple(map(tuple, R)), tuple(map(tuple, H)),
-        tuple(map(tuple, U)), weights)
+        tuple(map(tuple, U)), tuple(w[a] for a in I))
+    return cached
+
+
+def _two_rho_coeffs(datum):
+    """The coefficient of each simple root alpha_a in 2 rho, cached on the
+    datum.  For a in I it is w_a, the coefficient of alpha_a in the sum of
+    the nilradical roots of I: the other positive roots lack alpha_a."""
+    cached = datum._cache.get("two_rho")
+    if cached is None:
+        cached = datum._cache["two_rho"] = tuple(map(sum, zip(*datum.pos_coeffs)))
     return cached
 
 
@@ -212,11 +224,16 @@ def enumerate_hn_types(spec: GroupSpec, d, g, max_codim):
     datum = build_root_system(spec)
     X0 = datum.lift_degree(d)
     alpha0 = [_dot(a, X0) for a in datum.simple_roots]
+    w = _two_rho_coeffs(datum)
     found = []
     for levi in datum.levis()[1:]:
         I = levi.I
         budget = max_codim - (g - 1) * levi.dim_u
         if budget <= 0:
+            continue
+        # every s_a >= 1, so a stratum needs det * budget >= sum_a w_a: a
+        # wall set without that room holds none and gets no set-up
+        if datum._cartan_block(I)[1] * budget < sum(w[a] for a in I):
             continue
         hn = _hn_setup(datum, I)
         det = hn.det

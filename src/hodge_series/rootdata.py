@@ -25,11 +25,14 @@ and fundamental-weight evaluations mod Z -- are done uniformly here.
 
 A root datum keeps one cached table of its positive roots: per root, its
 support as a bitmask of the simple roots, its height and its pairings with
-every simple coroot.  Each parabolic subset I has one cached ``LeviDatum``,
-``RootDatum.levi(I)``, read off that table by whether a root's support meets
-I: the nilradical and its pairings with every simple coroot, summed, from
-the roots that meet it, the exponents of L^I from the heights of the
-others.  The closed formula of G and of each Levi L^I, the Levi
+every simple coroot.  L^I is the product of the connected components of
+Delta - I in the Dynkin graph, so one record per component, from one pass
+over that table (its exponents, its number of positive roots and their
+pairings with every simple coroot, summed), gives every Levi record: each
+parabolic subset I has one cached ``LeviDatum``, ``RootDatum.levi(I)``,
+summed from the records of its components (``RootDatum.levis``), and a
+path of r nodes has r (r + 1) / 2 components against 2^r subsets.  The
+closed formula of G and of each Levi L^I, the Levi
 projections and the HN enumeration read these records, keyed by I, so no
 Levi root datum is built for them.  The Levi's own root datum is built
 only when a record's ``datum`` is read; a Levi of a Levi is one of the
@@ -56,7 +59,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from operator import mul
+from operator import add, mul
 
 FAMILIES = ("GL", "SL", "SOodd", "Sp", "SOeven")
 
@@ -325,25 +328,34 @@ def _exponents(heights, dim_z):
 
 @dataclass(frozen=True)
 class LeviDatum:
-    """The Levi L^I of the standard parabolic P^I of a root datum, read off
-    the ambient datum's table of positive roots: dim Z(L^I), the exponents
-    of L^I, the forms of the nilradical roots, and sums, the nilradical
-    roots' pairings summed against every simple coroot (zeros for I = ()),
-    so sums[alpha] = 2 rho^I(alpha^vee) for alpha in I (``rho_pairings``).
-    The Levi's own root datum (simple roots Delta - I) is built on the
-    first read of ``datum``."""
+    """The Levi L^I of the standard parabolic P^I of a root datum, summed
+    from the records of the connected components of Delta - I
+    (``RootDatum._component``): dim Z(L^I), the exponents of L^I, dim U^I
+    and sums, the nilradical roots' pairings summed against every simple
+    coroot, zero off I, so sums[alpha] = 2 rho^I(alpha^vee) for alpha in I
+    (``rho_pairings``).  The nilradical's forms are scanned off the
+    ambient table on each read of ``nilradical``, and the Levi's own root
+    datum (simple roots Delta - I) is built on the first read of
+    ``datum``."""
 
     I: tuple
     dim_z: int
     exponents: tuple
-    nilradical: tuple
+    dim_u: int
     sums: tuple
     ambient: RootDatum = field(repr=False, compare=False)
 
     datum = property(lambda self: self.ambient.sub_datum(self.ambient.complement(self.I)))
     rank = property(lambda self: self.ambient.n)
-    dim_u = property(lambda self: len(self.nilradical))
     rho_pairings = property(lambda self: {a: self.sums[a] for a in self.I})
+
+    @property
+    def nilradical(self):
+        """The forms of the positive roots whose support meets I, in the
+        order of pos_roots."""
+        mask = self.ambient._mask(self.I)
+        return tuple(form for form, (support, _, _) in
+                     zip(self.ambient.pos_roots, self.ambient._roots()) if support & mask)
 
 
 class RootDatum:
@@ -463,41 +475,70 @@ class RootDatum:
 
     # -- parabolic subsets --------------------------------------------------------
 
-    def levi(self, parabolic_indices):
-        """The LeviDatum of the parabolic subset I, cached: one pass over the
-        table of positive roots.  The nilradical is the roots whose support
-        meets I, sums adds up their pairings with every simple coroot, and
-        the exponents come from the heights of the other roots, the roots
-        of L^I."""
-        I = tuple(sorted(parabolic_indices))
-        cached = self._cache.get(("levi", I))
-        if cached is not None:
-            return cached
-        mask = self._mask(I)
-        nil, pairings, heights = [], [], []
-        for form, (support, height, pairs) in zip(self.pos_roots, self._roots()):
-            if support & mask:
-                nil.append(form)
-                pairings.append(pairs)
-            else:
-                heights.append(height)
-        sums = tuple(map(sum, zip(*pairings))) or (0,) * self.num_simple
-        if any(sums[a] <= 0 for a in I):
-            raise AssertionError("2 rho^I(alpha^vee) must be positive")
-        dim_z = self.dim_z + len(I)
-        cached = self._cache[("levi", I)] = LeviDatum(
-            I, dim_z, _exponents(heights, dim_z), tuple(nil), sums, self)
+    def _component(self, mask):
+        """(non-abelian exponents, |Phi+_C|, pairings) of the connected
+        component C of the Dynkin graph given by its bitmask, cached: one
+        pass over the table of positive roots, keeping the roots whose
+        support lies in C, the positive roots of C.  The pairings are their
+        sums against every simple coroot."""
+        cached = self._cache.get(("component", mask))
+        if cached is None:
+            heights, pairings = [], []
+            for support, height, pairs in self._roots():
+                if not support & ~mask:
+                    heights.append(height)
+                    pairings.append(pairs)
+            cached = self._cache[("component", mask)] = (
+                _exponents(heights, 0), len(heights), tuple(map(sum, zip(*pairings))))
         return cached
+
+    def levi(self, parabolic_indices):
+        """The LeviDatum of the parabolic subset I: ``levis()[mask(I)]``."""
+        return self.levis()[self._mask(parabolic_indices)]
 
     def levis(self):
         """The LeviDatum of every parabolic subset, in bitmask order of I
-        (I = () first), cached."""
+        (I = () first), cached.
+
+        L^I is the product of the connected components C of Delta - I in
+        the Dynkin graph (A_ij != 0, i != j), so its record is a sum over
+        their records (``_component``): dim Z ones and then the sorted
+        union of the components' exponents, dim U = |Phi+| - sum |Phi+_C|,
+        and sums[b] = 2 - sum_C pairings_C[b] for b in I (the positive
+        roots pair to 2 rho(alpha_b^vee) = 2), zero for b not in I.  The
+        running sums are kept per simple-root set K = Delta - I: K's is
+        that of its lowest node's component C plus that of K - C."""
         cached = self._cache.get("levis")
         if cached is None:
-            k = self.num_simple
-            cached = self._cache["levis"] = tuple(
-                self.levi(tuple(i for i in range(k) if (mask >> i) & 1))
-                for mask in range(1 << k))
+            k, npos = self.num_simple, len(self.pos_roots)
+            cartan = self._cartan_rows()
+            nbrs = [sum(1 << j for j, x in enumerate(row) if x and j != i)
+                    for i, row in enumerate(cartan)]
+            parts = [((), 0, (0,) * k)]  # per K: exponents, |Phi+_L|, pairings
+            for keep in range(1, 1 << k):
+                comp = grow = keep & -keep
+                while grow:
+                    reach = 0
+                    while grow:
+                        low = grow & -grow
+                        reach |= nbrs[low.bit_length() - 1]
+                        grow ^= low
+                    grow = reach & keep & ~comp
+                    comp |= grow
+                exps, count, pairs = self._component(comp)
+                rexps, rcount, rpairs = parts[keep & ~comp]
+                parts.append((tuple(sorted(exps + rexps)), count + rcount,
+                              tuple(map(add, pairs, rpairs))))
+            full, out = (1 << k) - 1, []
+            for mask in range(1 << k):
+                I = tuple(i for i in range(k) if mask >> i & 1)
+                exps, count, pairs = parts[full & ~mask]
+                sums = tuple(2 - p if mask >> b & 1 else 0 for b, p in enumerate(pairs))
+                if any(sums[a] <= 0 for a in I):
+                    raise AssertionError("2 rho^I(alpha^vee) must be positive")
+                dim_z = self.dim_z + len(I)
+                out.append(LeviDatum(I, dim_z, (1,) * dim_z + exps, npos - count, sums, self))
+            cached = self._cache["levis"] = tuple(out)
         return cached
 
     def two_rho_pairings(self, parabolic_indices):

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from hodge_series.cli import main
+from hodge_series.cli import build_parser, main
 from hodge_series.formulas import chi_t_fixed_det_formula
 
 
@@ -208,6 +208,25 @@ def test_closed_pipe_keeps_exit_code_and_stderr_quiet():
     err = proc.stderr.read()
     assert proc.wait(timeout=120) == 0
     assert err == b""
+
+
+def test_one_parser_serves_every_call(capsys):
+    """main builds its parser once per process: a usage error, a valid
+    compute and the usage error again, run in one process, print what three
+    fresh processes print and exit with the same codes."""
+    calls = [("compute", "--group", "GL2", "--what", "nonsense"),
+             ("compute", "--group", "GL2", "--degree", "1", "--what", "semistable"),
+             ("compute", "--group", "GL2", "--what", "nonsense")]
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    fresh = []
+    for argv in calls:
+        proc = subprocess.run([sys.executable, "-m", "hodge_series.cli", *argv],
+                              env=env, capture_output=True, text=True, timeout=120)
+        fresh.append((proc.returncode, proc.stdout, proc.stderr))
+    build_parser.cache_clear()
+    assert [run(capsys, *argv) for argv in calls] == fresh
+    assert fresh[0][0] == 2 and fresh[1][0] == 0
+    assert build_parser.cache_info().misses == 1
 
 
 class TestSpecialize:

@@ -282,12 +282,28 @@ def test_full_levi_is_the_datum_itself(name):
         assert L.datum.sub_datum(range(L.datum.num_simple)) is L.datum
 
 
-@pytest.mark.parametrize("name", ["GL8", "Sp6", "SO12"])
+@pytest.mark.parametrize("name", ["GL8", "Sp6", "SO12", "GL10"])
 def test_records_match_reference_at_benchmark_ranks(name):
-    """The records read off the table of positive roots agree with the scan
-    reference on the groups and ranks of the benchmark's closed formula."""
+    """The records summed from the Dynkin components agree with the scan
+    reference on the groups and ranks of the benchmark's closed formula,
+    and on GL10."""
     datum = build_root_system(parse_group(name))
     _check_records(datum, datum)
+
+
+def test_levis_scan_the_roots_once_per_component(monkeypatch):
+    """levis() of GL8 scans the table of positive roots once per connected
+    component it meets, the 7 * 8 / 2 = 28 intervals of the A7 diagram,
+    not once per parabolic subset (128)."""
+    datum = build_root_system.__wrapped__(parse_group("GL8"))  # a fresh datum
+    datum._roots()
+    scans = []
+    roots = RootDatum._roots
+    monkeypatch.setattr(RootDatum, "_roots", lambda self: scans.append(self) or roots(self))
+    datum.levis()
+    assert scans == [datum] * 28
+    intervals = {(1 << j) - (1 << i) for i in range(7) for j in range(i + 1, 8)}
+    assert {key[1] for key in datum._cache if key[0] == "component"} == intervals
 
 
 @pytest.mark.parametrize("name", ["GL8", "Sp6", "SO12"])

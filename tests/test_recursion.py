@@ -303,6 +303,49 @@ def test_enumeration_matches_projector_reference(spec, g, max_codim):
             spec, d, g, max_codim)
 
 
+def _set_ups(datum):
+    return {key[1] for key in datum._cache if isinstance(key, tuple) and key[0] == "hn"}
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_products(), st.sampled_from((2, 3)), st.integers(0, 24))
+@example(parse_group("GL6"), 2, 24)
+@example(parse_group("GL2xGL2xSp3"), 2, 36)
+def test_skipped_wall_sets_hold_no_stratum(spec, g, max_codim):
+    """A wall set with budget that the enumeration gives no set-up, since
+    det * budget < sum_a w_a, walks empty under its full set-up at every
+    degree."""
+    build_root_system.cache_clear()
+    datum = build_root_system(spec)
+    enumerate_hn_types(spec, degrees_of(spec)[0], g, max_codim)
+    built = _set_ups(datum)
+    for levi in datum.levis()[1:]:
+        budget = max_codim - (g - 1) * levi.dim_u
+        if budget <= 0 or levi.I in built:
+            continue
+        hn = recursion._hn_setup(datum, levi.I)
+        for d in degrees_of(spec):
+            alpha0 = [_dot(a, datum.lift_degree(d)) for a in datum.simple_roots]
+            aK = [alpha0[k] for k in hn.keep]
+            s0 = [hn.det * alpha0[a] - _dot(row, aK) for a, row in zip(levi.I, hn.R)]
+            assert not list(recursion._walk(s0, hn.H, hn.weights, hn.det * budget))
+
+
+def test_set_ups_only_for_wall_sets_with_room():
+    """verify_recursion at g = 2 on GL6 d=3 N=30, GL5 d=2 N=40, SO10 d=1 N=30
+    and GL3xSO5 d=(1,0) N=30 builds 15, 14, 4 and 14 HN set-ups: one per
+    wall set with det * budget >= sum_a w_a (30, 15, 8 and 15 have
+    budget)."""
+    build_root_system.cache_clear()
+    counts = []
+    for name, d, order in [("GL6", (3,), 30), ("GL5", (2,), 40), ("SO10", (1,), 30),
+                           ("GL3xSO5", (1, 0), 30)]:
+        spec = parse_group(name)
+        assert verify_recursion(spec, d, 2, order).match
+        counts.append(len(_set_ups(build_root_system(spec))))
+    assert counts == [15, 14, 4, 14]
+
+
 @st.composite
 def nonsingular_matrices(draw):
     k = draw(st.integers(1, 5))

@@ -283,12 +283,17 @@ def _run_checks(checks):
     return outcomes
 
 
+#: genus cap of the command line; coefficient sizes grow binomially in g
+GENUS_CAP = 8
+
+
 def _check_genera(genera, flag):
-    """Reject a genus outside 2..GENUS_CAP, the formulas' default range."""
+    """Reject a genus outside 2..GENUS_CAP.  The library takes any g >= 2;
+    the cap keeps command-line runs short."""
     for g in genera:
-        if not 2 <= g <= formulas.GENUS_CAP:
+        if not 2 <= g <= GENUS_CAP:
             raise UsageError("%s: genus %d is outside 2..%d"
-                             % (flag, g, formulas.GENUS_CAP))
+                             % (flag, g, GENUS_CAP))
 
 
 def _parse_genus_list(text):

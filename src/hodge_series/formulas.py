@@ -24,14 +24,16 @@ of (g-1) dim U^I * D + sum 2 rho^I(a^vee) n_a by D, and a nonzero remainder
 raises ``NonIntegralExponent``.  ``closed_terms`` reads the rest of each
 term from a template per Levi record and genus (``_templates``): the sign,
 (g-1) dim U^I, the numerator factors of a(L^I) and its denominator with the
-walls' factors in it, built once from the root datum's cached Levi records
+walls' factors in it, built from the root datum's cached Levi records
 (``RootDatum.levis``) and cached beside them.  The closed formula of a
 Levi L^I, which the recursion subtracts for every stratum with walls I,
 reads the same group records: its subset J of Delta - I has the template
 of the record of I u J, with (g-1) (dim U^{I u J} - dim U^I) and the wall
 pairings sums(I u J)[beta] - sums(I)[beta] for beta in J, keyed by
 beta's position in Delta - I, cached per genus and I; no Levi root datum
-is built.  Every denominator in sight
+is built.  The parts of a(L) depend only on dim Z(L) and the exponents of
+L, so every template reads them from one table per datum and genus, built
+once per Levi type.  Every denominator in sight
 is a product of factors (1 - (uv)^k), so terms are carried in factored form
 (a numerator product plus a multiset of w-exponents).  One pass serves the
 exact and the truncated sum.  A term's numerator is that of a(L^I), which
@@ -64,7 +66,7 @@ exponents written out by hand per type instead of read from the root datum;
 their walls carry <varpi> as integer numerators over r (type A) or over 2
 (types B, C and D).  They build every factored term through ``_levi_term``,
 which turns (sign, Levi, dim U, walls, D) into an ``FTerm`` from the same
-parts as a template (``_levi_parts``, ``_exponent``).
+parts as a template (``_a_parts``, ``_exponent``).
 
 Both sums are linear in their terms, so two sums are compared as one: the
 terms of one side and those of the other with coef negated
@@ -124,10 +126,6 @@ from .rootdata import (
     validate_degree,
 )
 
-#: genus cap; coefficient sizes grow binomially in g
-GENUS_CAP = 8
-
-
 class NotGoodCase(ValueError):
     """Moduli-space series requested for a degree with strictly semistables."""
 
@@ -141,13 +139,9 @@ class FactorizationFailed(AssertionError):
     GL_r semistable stack series."""
 
 
-def _check_genus(g, allow_large_genus=False):
+def _check_genus(g):
     if g < 2:
         raise ValueError("genus must be at least 2")
-    if g > GENUS_CAP and not allow_large_genus:
-        raise ValueError(
-            "genus %d exceeds the default cap %d; pass allow_large_genus=True"
-            % (g, GENUS_CAP))
 
 
 # ---------------------------------------------------------------------------
@@ -401,15 +395,6 @@ def _a_parts(m, nonab_exps, g):
     return tuple(numf), den
 
 
-def _levi_parts(m, nonab_exps, rs, g):
-    """Numerator factors and denominator multiset of a(L) / prod (1 - w^r)
-    over the wall pairings r in rs."""
-    numf, den = _a_parts(m, nonab_exps, g)
-    for r in rs:
-        den[r] += 1
-    return numf, den
-
-
 def _exponent(x, D):
     """The w-exponent x / D, which must be an integer."""
     q, rem = divmod(x, D)
@@ -423,7 +408,9 @@ def _levi_term(coef, m, nonab_exps, dim_u, walls, g, D=1):
     has dim Z(L) = m and non-abelian exponents nonab_exps, and walls lists
     the pairs (r, n) = (2 rho^I(alpha^vee), D <varpi_alpha(d)>), n an
     integer."""
-    numf, den = _levi_parts(m, nonab_exps, [r for r, _ in walls], g)
+    numf, den = _a_parts(m, nonab_exps, g)
+    for r, _ in walls:
+        den[r] += 1
     return FTerm(coef, _exponent((g - 1) * dim_u * D + sum(r * n for r, n in walls), D),
                  numf, den)
 
@@ -434,9 +421,9 @@ def a_series_term(spec: GroupSpec, g) -> FTerm:
     return _levi_term(1, m, datum.exponent_list()[m:], 0, (), g)
 
 
-def a_series(spec: GroupSpec, g, allow_large_genus=False) -> RatFun2:
+def a_series(spec: GroupSpec, g) -> RatFun2:
     """Series of the stack of all G-bundles of a fixed degree (any degree)."""
-    _check_genus(g, allow_large_genus)
+    _check_genus(g)
     return assemble_exact([a_series_term(spec, g)])
 
 
@@ -461,35 +448,32 @@ def _templates(datum: RootDatum, g, I=()):
     L^{I u J}, its nilradical in L^I has dim U(I u J) - dim U(I) roots, and
     each beta in J has the wall pairing sums(I u J)[beta] - sums(I)[beta],
     keyed by beta's position in Delta - I.  I = () gives G's own closed
-    formula.  For I nonempty, J's template shares the numfactors of G's own
-    template of I u J, and its den is that one's with G's walls at I u J
-    replaced by these.  Cached on the datum beside its records, per genus
-    and I; the terms built from a template share its numfactors and den."""
+    formula.  The numfactors and base den of a(L^{I u J}) come from one
+    table per datum and genus, keyed by Levi type (dim Z, exponents), so
+    ``_a_parts`` runs once per type and every template of that type, for
+    any I, shares its numfactors.  Cached on the datum beside its records,
+    per genus and I; the terms built from a template share its numfactors
+    and den."""
     I = tuple(sorted(I))
     key = ("templates", g, I)
     cached = datum._cache.get(key)
     if cached is None:
         levis, mask = datum.levis(), datum._mask(I)
         top, keep = levis[mask], datum.complement(I)
-        own = _templates(datum, g) if I else None
+        a = datum._cache.setdefault(("a", g), {})
         out = []
         for jmask in range(1 << len(keep)):
             J = [(p, b) for p, b in enumerate(keep) if jmask >> p & 1]
-            K = mask | sum(1 << b for _, b in J)
-            L = levis[K]
+            L = levis[mask | sum(1 << b for _, b in J)]
+            kind = L.dim_z, L.exponents
+            if kind not in a:
+                a[kind] = _a_parts(L.dim_z, L.exponents[L.dim_z:], g)
+            numf, den = a[kind]
+            den = den.copy()
             walls = tuple((p, L.sums[b] - top.sums[b]) for p, b in J)
-            if I:
-                # G's template of I u J, with G's walls there swapped for these
-                _, _, numf, den, gwalls = own[K]
-                den = dict(den)
-                for _, r in gwalls:
-                    den[r] -= 1
-                for _, r in walls:
-                    den[r] = den.get(r, 0) + 1
-                parts = numf, Counter({k: m for k, m in den.items() if m})
-            else:
-                parts = _levi_parts(L.dim_z, L.exponents[L.dim_z:], [r for _, r in walls], g)
-            out.append(((-1) ** len(J), (g - 1) * (L.dim_u - top.dim_u), *parts, walls))
+            for _, r in walls:
+                den[r] += 1
+            out.append(((-1) ** len(J), (g - 1) * (L.dim_u - top.dim_u), numf, den, walls))
         cached = datum._cache[key] = tuple(out)
     return cached
 
@@ -522,9 +506,9 @@ def _datum_fracs(spec, d):
     return datum, datum.fund_fracs(datum.lift_degree(d))
 
 
-def hp_semistable_closed(spec: GroupSpec, d, g, allow_large_genus=False) -> RatFun2:
+def hp_semistable_closed(spec: GroupSpec, d, g) -> RatFun2:
     """Closed formula for the series of the semistable stack of degree d."""
-    _check_genus(g, allow_large_genus)
+    _check_genus(g)
     return closed_ratfun(*_datum_fracs(spec, d), g)
 
 
@@ -650,10 +634,10 @@ def _so_even_terms(r, d, g):
     return terms
 
 
-def _classical_terms(family, rank, d, g, allow_large_genus):
-    _check_genus(g, allow_large_genus)
+def _classical_terms(family, rank, d, g):
+    _check_genus(g)
     spec = GroupSpec(((family, rank),))
-    (d,) = validate_degree(d if isinstance(d, tuple) else (d,), spec)
+    (d,) = validate_degree(d, spec)
     if family == "GL":
         return _gl_terms(rank, d, g)
     if family == "SL":
@@ -667,16 +651,16 @@ def _classical_terms(family, rank, d, g, allow_large_genus):
     raise ValueError("unknown family %r" % (family,))
 
 
-def hp_semistable_classical(family, rank, d, g, allow_large_genus=False) -> RatFun2:
+def hp_semistable_classical(family, rank, d, g) -> RatFun2:
     """The type-specific composition sum for a single classical factor."""
-    return assemble_exact(_classical_terms(family, rank, d, g, allow_large_genus))
+    return assemble_exact(_classical_terms(family, rank, d, g))
 
 
 def classical_difference_terms(family, rank, d: int, g):
     """The composition sum's factored terms followed by the closed formula's
     with coef negated: one list, whose exact sum (or truncated sum, to any
     order) is zero exactly when the two sides agree."""
-    terms = _classical_terms(family, rank, d, g, False)
+    terms = _classical_terms(family, rank, d, g)
     datum, fracs = _datum_fracs(GroupSpec(((family, rank),)), (d,))
     return terms + closed_terms(datum, fracs, g, -1)
 
@@ -686,14 +670,14 @@ def classical_difference_terms(family, rank, d: int, g):
 # ---------------------------------------------------------------------------
 
 
-def hp_moduli_space(spec: GroupSpec, d, g, allow_large_genus=False) -> RatFun2:
+def hp_moduli_space(spec: GroupSpec, d, g) -> RatFun2:
     """(1-uv)^m times the semistable-stack series, m = dim Z_G, good case only.
 
     Each closed-formula term has (1-uv)^{dim Z(L^I)}, dim Z(L^I) >= m, in its
     denominator, so the factor is dropped from every term's denominator
     before the sum: the cofactors over the common denominator, and with them
     the numerator, are those of the stack series."""
-    _check_genus(g, allow_large_genus)
+    _check_genus(g)
     d = validate_degree(d, spec)
     if not good_case(spec, d):
         raise NotGoodCase("degree %s admits strictly semistable bundles" % (d,))
@@ -720,7 +704,7 @@ def _jacobian_lift(t, g, coef=1):
     return FTerm(coef * t.coef, t.shift, ((1, 0, e), (0, 1, e)) + nf, den)
 
 
-def hp_moduli_fixed_det(r, d, g, allow_large_genus=False) -> BivarPoly:
+def hp_moduli_fixed_det(r, d, g) -> BivarPoly:
     """The polynomial of the moduli space of semistable bundles with fixed
     determinant, rank r, degree d, gcd(r, d) = 1, certified twice.
 
@@ -729,23 +713,22 @@ def hp_moduli_fixed_det(r, d, g, allow_large_genus=False) -> BivarPoly:
     factor less per term) is the GL_r semistable stack series S (its closed
     formula).  The first certificate is one difference sum: the closed
     formula's terms minus F's own terms, each lifted by the Jacobian factor
-    (``_jacobian_lift``).  The sum is linear, so its band, summed over the
-    common denominator to an order that cuts nothing, is zero exactly when
-    the identity holds, else FactorizationFailed.  A lifted term of F is the
-    term of the GL_r composition sum, and equal terms of the two sides
-    cancel in integers in their group's cofactor, so up to GL4 no band is
-    formed at all.  The second: F, summed on its own band, divides exactly
-    by its denominator (``ratfun._exact_quotient``, the one decode) into a
-    polynomial of total degree at most twice the dimension
-    (g - 1)(r^2 - 1), else NotPolynomialWithinBound."""
-    _check_genus(g, allow_large_genus)
+    (``_jacobian_lift``).  The sum is linear, so its exact sum
+    (``assemble_exact``) is zero exactly when the identity holds, else
+    FactorizationFailed.  A lifted term of F is the term of the GL_r
+    composition sum, and equal terms of the two sides cancel in integers in
+    their group's cofactor, so up to GL4 no band is formed at all.  The
+    second: F, summed on its own band, divides exactly by its denominator
+    (``ratfun._exact_quotient``, the one decode) into a polynomial of total
+    degree at most twice the dimension (g - 1)(r^2 - 1), else
+    NotPolynomialWithinBound."""
+    _check_genus(g)
     if gcd(r, d) != 1:
         raise NotCoprime("need gcd(r, d) = 1, got (%d, %d)" % (r, d))
     terms = _gl_terms(r, d, g, abelian_drop=1)
     diff = closed_terms(*_datum_fracs(GroupSpec((("GL", r),)), (d,)), g) + [
         _jacobian_lift(t, g, -1) for t in terms]
-    _, _, W, n, items, bound = _over_common_den(diff, _exact_order(diff))
-    if _band_sum(items, n, W, _width(bound)):
+    if not assemble_exact(diff).num.is_zero():
         raise FactorizationFailed(
             "the Jacobian times the fixed-determinant series is not the GL%d stack series" % r)
     common, lo, W, n, items, bound = _over_common_den(terms, _exact_order(terms))
@@ -803,7 +786,7 @@ def chi_t_fixed_det_formula(r, g) -> UniPoly:
 
 
 __all__ = [
-    "FTerm", "FactorizationFailed", "GENUS_CAP", "NotCoprime", "NotGoodCase",
+    "FTerm", "FactorizationFailed", "NotCoprime", "NotGoodCase",
     "a_series", "assemble_exact", "assemble_series",
     "chi_t_fixed_det_formula", "classical_difference_terms", "closed_ratfun",
     "closed_series_for", "closed_terms", "hp_classifying", "hp_moduli_fixed_det",

@@ -128,7 +128,7 @@ def test_criterion_3_rank5_type_a_series():
         degrees = range(5) if family == "GL" else (0,)
         for d in degrees:
             for g in (2, 3):
-                s_cl = assemble_series(_classical_terms(family, 5, d, g, False), 24)
+                s_cl = assemble_series(_classical_terms(family, 5, d, g), 24)
                 s_co = closed_series_for(
                     *_datum_fracs(GroupSpec(((family, 5),)), (d,)), g, 24)
                 assert s_cl == s_co, (family, d, g)

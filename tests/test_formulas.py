@@ -111,9 +111,7 @@ class TestStackSeries:
     def test_genus_validation(self):
         with pytest.raises(ValueError):
             a_series(GL(1), 1)
-        with pytest.raises(ValueError):
-            a_series(GL(1), 9)
-        a_series(GL(1), 9, allow_large_genus=True)
+        assert a_series(GL(1), 9) == abelian(9)
 
 
 class TestClosedRank2:
@@ -163,7 +161,7 @@ class TestClassicalVsClosed:
         assert hp_semistable_classical("SL", 2, 0, g).rat_eq(head - tail)
 
     def test_series_mode_agrees(self):
-        s1 = assemble_series(formulas._classical_terms("GL", 3, 1, 2, False), 12)
+        s1 = assemble_series(formulas._classical_terms("GL", 3, 1, 2), 12)
         s2 = hp_semistable_closed(GL(3), (1,), 2).expand(12)
         assert s1 == s2
 
@@ -175,7 +173,7 @@ class TestClassicalVsClosed:
         # exact cross-multiplication would be wasteful here; order-24
         # series equality is asserted instead
         g = 2
-        s_cl = assemble_series(formulas._classical_terms(family, rank, d, g, False), 24)
+        s_cl = assemble_series(formulas._classical_terms(family, rank, d, g), 24)
         s_co = closed_series_for(
             *formulas._datum_fracs(GroupSpec(((family, rank),)), (d,)), g, 24)
         assert s_cl == s_co
@@ -753,7 +751,7 @@ class TestDifferenceSum:
         """The composition sum's terms, then the closed formula's negated;
         their sum is zero, and dropping either side's last term breaks it."""
         spec = GroupSpec(((family, rank),))
-        classical = formulas._classical_terms(family, rank, d, g, False)
+        classical = formulas._classical_terms(family, rank, d, g)
         closed = closed_terms(*formulas._datum_fracs(spec, (d,)), g)
         terms = formulas.classical_difference_terms(family, rank, d, g)
         assert terms == classical + _negated(closed)
@@ -996,7 +994,7 @@ class TestFixedDet:
         assert hp_moduli_fixed_det(r, d, g).terms == self.old_route(r, d, g)
 
     def test_large_genus_opt_in(self):
-        assert hp_moduli_fixed_det(2, 1, 9, allow_large_genus=True) == \
+        assert hp_moduli_fixed_det(2, 1, 9) == \
             self.rank2_reference(9)
 
     @pytest.mark.parametrize("r,d,g", [(2, 1, 2), (2, 1, 3), (3, 1, 2), (3, 2, 2)])

@@ -424,11 +424,26 @@ def test_levi_keys_accept_any_iterable():
     assert datum.project_to_center([2, 0], X) == datum.project_to_center((0, 2), X)
 
 
+@pytest.mark.parametrize("name", ["GL8", "Sp6", "SO12", "GL3xSO5"])
+def test_a_parts_run_once_per_levi_type(monkeypatch, name):
+    """The group's templates compute the parts of a(L) once per Levi type
+    (dim Z, exponents), not once per parabolic subset."""
+    build_root_system.cache_clear()
+    datum = build_root_system(parse_group(name))
+    calls = []
+    real = formulas._a_parts
+    monkeypatch.setattr(formulas, "_a_parts", lambda *a: calls.append(a) or real(*a))
+    _templates(datum, 2)
+    assert len(calls) == len({(L.dim_z, L.exponents) for L in datum.levis()})
+
+
 def test_levi_templates_share_the_group_numerators(monkeypatch):
-    """The template of J in L^I shares the numerator tuple of the group's
-    own template of I u J, so L^I's templates compute no a(L) parts, and
-    its den is that template's with G's walls at I u J swapped for the
-    walls of J in L^I."""
+    """Every template reads the parts of a(L^{I u J}) from the datum's one
+    table per genus, keyed by Levi type, so the template of J in L^I shares
+    the numerator tuple of the group's own template of I u J, L^I's
+    templates compute no a(L) parts once the group's are built, and the two
+    dens differ only in their walls: G's at I u J against those of J in
+    L^I."""
     build_root_system.cache_clear()
     datum = build_root_system(parse_group("GL3xSO5"))
     own = _templates(datum, 2)

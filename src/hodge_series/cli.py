@@ -1,8 +1,9 @@
 """Command-line interface: compute series, verify identities, specialize.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 formula
-precondition failure.  A certificate that fails while a result is built
-(``CERTIFICATE_FAILURES``) is a verification failure: ``compute`` and
+precondition failure.  A certificate that fails while a result is built,
+or an exponent or codimension that comes out non-integral
+(``CERTIFICATE_FAILURES``), is a verification failure: ``compute`` and
 ``specialize`` exit 1 with one line on stderr, and ``verify`` marks the
 check FAIL and runs the rest.  All numeric output is exact; big integers
 are printed as decimal strings in JSON.  Identical invocations print identical bytes.
@@ -24,16 +25,19 @@ from . import formulas, recursion
 from .formulas import FactorizationFailed, NotCoprime, NotGoodCase
 from .ratfun import (BivarPoly, NotPolynomialWithinBound, RatFun1, RatFun2,
                      UniPoly, ZeroDenominatorAfterSubstitution)
-from .rootdata import (GroupSpec, build_root_system, degrees_of, good_case,
-                       parse_degree, parse_group)
+from .recursion import NonIntegralCodim
+from .rootdata import (GroupSpec, NonIntegralExponent, build_root_system,
+                       degrees_of, good_case, parse_degree, parse_group)
 
 
 class UsageError(ValueError):
     pass
 
 
-#: a certified result whose certificate failed
-CERTIFICATE_FAILURES = (FactorizationFailed, NotPolynomialWithinBound)
+#: a certified result whose certificate failed, or a w-exponent or
+#: stratum codimension that must be an integer and is not
+CERTIFICATE_FAILURES = (FactorizationFailed, NotPolynomialWithinBound,
+                        NonIntegralExponent, NonIntegralCodim)
 
 
 def _parse_spec_degree(args, need_degree=True):

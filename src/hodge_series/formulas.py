@@ -90,7 +90,6 @@ denominator on its own band and decoded once (``ratfun._exact_quotient``).
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, replace
 from itertools import repeat
 from math import gcd, lcm
@@ -156,7 +155,7 @@ class FTerm:
     coef: int
     shift: int
     numfactors: tuple   # of (a, b, e)
-    den: Counter        # w-exponent -> multiplicity
+    den: dict           # w-exponent k -> multiplicity m >= 1 of 1 - w^k
 
 
 def _num_degree(term):
@@ -384,14 +383,14 @@ def _a_parts(m, nonab_exps, g):
     """Numerator factors and denominator multiset of a(L), from dim Z(L) = m
     and the exponents of L after its m leading ones."""
     numf = []
-    den = Counter()
+    den = {}
     if m:
         numf += [(1, 0, g * m), (0, 1, g * m)]
         den[1] = m
     for d in nonab_exps:
         numf += [(d, d - 1, g), (d - 1, d, g)]
-        den[d - 1] += 1
-        den[d] += 1
+        den[d - 1] = den.get(d - 1, 0) + 1
+        den[d] = den.get(d, 0) + 1
     return tuple(numf), den
 
 
@@ -410,7 +409,7 @@ def _levi_term(coef, m, nonab_exps, dim_u, walls, g, D=1):
     integer."""
     numf, den = _a_parts(m, nonab_exps, g)
     for r, _ in walls:
-        den[r] += 1
+        den[r] = den.get(r, 0) + 1
     return FTerm(coef, _exponent((g - 1) * dim_u * D + sum(r * n for r, n in walls), D),
                  numf, den)
 
@@ -430,7 +429,7 @@ def a_series(spec: GroupSpec, g) -> RatFun2:
 def hp_classifying(spec: GroupSpec) -> RatFun2:
     """Series of the classifying stack: 1 / prod_k (1 - (uv)^{d_k})."""
     exps = build_root_system(spec).exponent_list()
-    return assemble_exact([FTerm(1, 0, (), Counter(exps))])
+    return assemble_exact([FTerm(1, 0, (), {k: exps.count(k) for k in exps})])
 
 
 # ---------------------------------------------------------------------------
@@ -472,7 +471,7 @@ def _templates(datum: RootDatum, g, I=()):
             den = den.copy()
             walls = tuple((p, L.sums[b] - top.sums[b]) for p, b in J)
             for _, r in walls:
-                den[r] += 1
+                den[r] = den.get(r, 0) + 1
             out.append(((-1) ** len(J), (g - 1) * (L.dim_u - top.dim_u), numf, den, walls))
         cached = datum._cache[key] = tuple(out)
     return cached
@@ -682,8 +681,11 @@ def hp_moduli_space(spec: GroupSpec, d, g) -> RatFun2:
     if not good_case(spec, d):
         raise NotGoodCase("degree %s admits strictly semistable bundles" % (d,))
     datum, fracs = _datum_fracs(spec, d)
-    return assemble_exact([replace(t, den=t.den - Counter({1: datum.dim_z}))
-                           for t in closed_terms(datum, fracs, g)])
+    z = datum.dim_z
+    return assemble_exact([
+        replace(t, den={k: m - z if k == 1 else m for k, m in t.den.items()
+                        if k != 1 or m > z})
+        for t in closed_terms(datum, fracs, g)])
 
 
 def _jacobian_lift(t, g, coef=1):
@@ -699,8 +701,8 @@ def _jacobian_lift(t, g, coef=1):
     if nf and nf[0][:2] == (1, 0):
         e += nf[0][2]
         nf = nf[2:]
-    den = Counter(t.den)
-    den[1] += 1
+    den = t.den.copy()
+    den[1] = den.get(1, 0) + 1
     return FTerm(coef * t.coef, t.shift, ((1, 0, e), (0, 1, e)) + nf, den)
 
 

@@ -47,9 +47,11 @@ stratum, with codim * det = (g - 1) dim U^I * det + sum_a w_a det s_a: every
 nilradical root, a non-negative combination of simple roots holding some
 alpha_a with a in I, is positive once the walls are.  So the walk visits
 the strata and the partial points above them, not the box around the
-simplex.  Only the strata found are projected to the center of their Levi
-(``RootDatum.project_to_center``, from the same cached Levi block), and
-mu's entries are the only Fractions.  What does not depend on the degree
+simplex.  A stratum found is kept as (I, lift, codim): its slope mu is
+projected to the center of its Levi (``RootDatum.project_to_center``, from
+the same cached Levi block) only when it is read, and mu's entries are the
+only Fractions.  The recursion check reads I, the lift and codim alone, so
+it projects nothing.  What does not depend on the degree
 or the genus (the Levi block's det and adjugate, A_IK adj, H, U and w_a)
 is computed once per subset I and cached on the root datum.  Since every
 det s_a >= 1, a stratum with walls I needs det * budget >= sum_a w_a; a
@@ -71,8 +73,9 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from operator import mul
 
 from .formulas import (_datum_fracs, a_series_term, assemble_series,
@@ -80,6 +83,7 @@ from .formulas import (_datum_fracs, a_series_term, assemble_series,
 from .ratfun import TruncSeries2
 from .rootdata import (
     GroupSpec,
+    RootDatum,
     _dot,
     build_root_system,
 )
@@ -91,12 +95,19 @@ class NonIntegralCodim(ArithmeticError):
 
 @dataclass(frozen=True)
 class HNType:
-    """One nonsemistable stratum: walls I, a lift of delta, slope mu, codim."""
+    """One nonsemistable stratum: walls I, a lift of delta and codim, on the
+    root datum of its group.  The slope mu is projected from the lift on
+    its first read and kept; the datum takes no part in comparison."""
 
     I: tuple
     delta_lift: tuple
-    mu: tuple
     codim: int
+    datum: RootDatum = field(compare=False, repr=False)
+
+    @cached_property
+    def mu(self):
+        """The projection of delta_lift to the center of L^I, as Fractions."""
+        return self.datum.project_to_center(self.I, self.delta_lift)
 
 
 def codim(datum, mu, g):
@@ -250,8 +261,7 @@ def enumerate_hn_types(spec: GroupSpec, d, g, max_codim):
             for row, a in zip(hn.U, I):
                 na = _dot(row, m)
                 X = [x + na * c for x, c in zip(X, datum.simple_coroots[a])]
-            found.append(HNType(I, tuple(X), datum.project_to_center(I, X),
-                                total // det))
+            found.append(HNType(I, tuple(X), total // det, datum))
     found.sort(key=lambda t: (t.codim, t.I, t.delta_lift))
     return found
 

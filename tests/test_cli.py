@@ -532,3 +532,76 @@ class TestCertificateFailure:
                                                "euler+signature GL3 d=2 g=2"]
         assert all("GL3 stack series" in c["error"] for c in failed)
         assert all("error" not in c for c in obj["checks"] if c["pass"])
+
+
+class TestNonIntegral:
+    """A w-exponent or a stratum codimension that comes out non-integral is
+    a verification failure too (exit 1), never a traceback: ``verify`` marks
+    the check FAIL with its error and runs the rest, ``compute`` and
+    ``specialize`` print one line on stderr."""
+
+    @staticmethod
+    def non_integral_gl2_codim(monkeypatch):
+        """Make the HN enumeration of GL2, and of no other group, raise."""
+        from hodge_series import recursion
+        from hodge_series.recursion import NonIntegralCodim
+        from hodge_series.rootdata import GroupSpec
+
+        real = recursion.enumerate_hn_types
+
+        def enumerate_hn_types(spec, *args):
+            if spec == GroupSpec((("GL", 2),)):
+                raise NonIntegralCodim("codimension 7/2 is not an integer")
+            return real(spec, *args)
+
+        monkeypatch.setattr(recursion, "enumerate_hn_types", enumerate_hn_types)
+
+    @staticmethod
+    def non_integral_exponent(monkeypatch):
+        from hodge_series import formulas
+        from hodge_series.rootdata import NonIntegralExponent
+
+        def exponent(x, D):
+            raise NonIntegralExponent("non-integer (uv)-exponent %d/%d" % (x, D))
+
+        monkeypatch.setattr(formulas, "_exponent", exponent)
+
+    def test_verify_fails_the_check_and_runs_the_rest(self, capsys, monkeypatch):
+        self.non_integral_gl2_codim(monkeypatch)
+        code, out, err = run(capsys, "verify", "--suite", "recursion",
+                             "--max-rank", "2", "--genus-list", "2")
+        assert code == 1
+        assert err == ""
+        lines = out.splitlines()
+        assert [ln for ln in lines if not ln.startswith("PASS ")] == [
+            "FAIL recursion GL2 d=(0,) g=2 N=20",
+            "FAIL recursion GL2 d=(1,) g=2 N=20",
+            "10/12 checks passed"]
+
+    def test_verify_json_carries_the_error(self, capsys, monkeypatch):
+        self.non_integral_gl2_codim(monkeypatch)
+        code, out, _ = run(capsys, "verify", "--suite", "recursion",
+                           "--max-rank", "2", "--genus-list", "2",
+                           "--format", "json")
+        assert code == 1
+        obj = json.loads(out)
+        assert obj["all_pass"] is False
+        failed = [c for c in obj["checks"] if not c["pass"]]
+        assert [c["name"] for c in failed] == ["recursion GL2 d=(0,) g=2 N=20",
+                                               "recursion GL2 d=(1,) g=2 N=20"]
+        assert all(c["error"] == "codimension 7/2 is not an integer"
+                   for c in failed)
+        assert all("error" not in c for c in obj["checks"] if c["pass"])
+
+    @pytest.mark.parametrize("argv", [
+        ["compute", "--what", "semistable"],
+        ["compute", "--what", "moduli", "--format", "json"],
+        ["specialize", "--what", "stack", "--at", "poincare"]])
+    def test_compute_and_specialize_exit_1(self, capsys, monkeypatch, argv):
+        self.non_integral_exponent(monkeypatch)
+        code, out, err = run(capsys, *argv, "--group", "GL3", "--degree", "1",
+                             "--genus", "2")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("verification failed: non-integer (uv)-exponent")
+        assert len(err.splitlines()) == 1

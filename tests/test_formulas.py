@@ -249,7 +249,7 @@ def _product_sum(terms):
     common = _union_den(terms)
     total = BivarPoly()
     for t in terms:
-        total = total + _num_poly(t) * _den_product(common - t.den)
+        total = total + _num_poly(t) * _den_product(common - Counter(t.den))
     return RatFun2(total, common)
 
 
@@ -315,6 +315,44 @@ def test_assemble_series_closed_terms(name):
     for d in degrees_of(spec):
         terms = closed_terms(datum, datum.fund_fracs(datum.lift_degree(d)), 2)
         _check_series(terms, 16)
+
+
+def _plain_dens(terms):
+    """True when every den is a plain dict {k: m}, k >= 1 and m >= 1."""
+    return all(type(t.den) is dict and all(type(k) is int and k >= 1 and type(m) is int
+                                           and m >= 1 for k, m in t.den.items())
+               for t in terms)
+
+
+@pytest.mark.parametrize("name", ["GL1", "GL4", "SL3", "Sp3", "SO7", "SO8", "GL2xSO5"])
+def test_term_denominators_are_plain_dicts(monkeypatch, name):
+    """Every factored term the package builds carries its denominator as a
+    plain dict of w-exponents with positive multiplicities: the closed
+    formula (of the group and of each Levi), the composition sums, the
+    Jacobian lift and the moduli-space terms with the center's factor
+    dropped."""
+    spec = parse_group(name)
+    datum = build_root_system(spec)
+    moduli = []
+    real = formulas.assemble_exact
+    monkeypatch.setattr(formulas, "assemble_exact",
+                        lambda terms: moduli.append(terms) or real(terms))
+    for d in degrees_of(spec):
+        fracs = datum.fund_fracs(datum.lift_degree(d))
+        assert _plain_dens(closed_terms(datum, fracs, 2))
+        for L in datum.levis()[1:]:
+            assert _plain_dens(closed_terms(datum, datum.fund_fracs(
+                datum.lift_degree(d), L.I), 3, -1, 5, L.I))
+        if good_case(spec, d):
+            hp_moduli_space(spec, d, 2)
+    assert all(map(_plain_dens, moduli))
+    if len(spec.factors) == 1:
+        (family, rank), = spec.factors
+        for (d,) in degrees_of(spec):
+            terms = formulas._classical_terms(family, rank, d, 2)
+            assert _plain_dens(terms)
+            assert _plain_dens([formulas._jacobian_lift(t, 2) for t in terms])
+    assert _plain_dens([formulas.a_series_term(spec, 2)])
 
 
 @settings(max_examples=60, deadline=None)
@@ -848,7 +886,7 @@ class TestFixedDet:
         one denominator factor 1 - w^7 too many fails the certificate."""
         real = formulas.closed_terms
         monkeypatch.setattr(formulas, "closed_terms", lambda *args, **kwargs: [
-            replace(t, den=t.den + Counter({7: 1})) for t in real(*args, **kwargs)])
+            replace(t, den=Counter(t.den) + Counter({7: 1})) for t in real(*args, **kwargs)])
         with pytest.raises(FactorizationFailed):
             hp_moduli_fixed_det(3, 1, 2)
 

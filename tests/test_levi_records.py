@@ -456,8 +456,8 @@ def test_levi_templates_share_the_group_numerators(monkeypatch):
         for jmask, (_, _, numf, den, walls) in enumerate(_templates(datum, 2, L.I)):
             K = mask | sum(1 << b for p, b in enumerate(keep) if jmask >> p & 1)
             assert numf is own[K][2]
-            assert den + Counter(r for _, r in own[K][4]) == own[K][3] + Counter(
-                r for _, r in walls)
+            assert Counter(den) + Counter(r for _, r in own[K][4]) == Counter(
+                own[K][3]) + Counter(r for _, r in walls)
     assert calls == []
 
 

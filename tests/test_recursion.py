@@ -227,7 +227,7 @@ def _reference_hn_setup(datum, I):
 
 def _reference_enumerate(spec, d, g, max_codim):
     """The strata scanned through the projector P and every nilradical
-    root's value, with nothing cached."""
+    root's value, with nothing cached, as (I, delta_lift, mu, codim)."""
     if max_codim < 0:
         return []
     datum = build_root_system(spec)
@@ -263,8 +263,8 @@ def _reference_enumerate(spec, d, g, max_codim):
             for na, a in zip(n, I):
                 X = [x + na * c for x, c in zip(X, datum.simple_coroots[a])]
             mu = tuple(Fraction(_dot(row, X), D) for row in P)
-            found.append(HNType(I, tuple(X), mu, total // D))
-    found.sort(key=lambda t: (t.codim, t.I, t.delta_lift))
+            found.append((I, tuple(X), mu, total // D))
+    found.sort(key=lambda t: (t[3], t[0], t[1]))
     return found
 
 
@@ -299,8 +299,9 @@ def test_enumeration_matches_projector_reference(spec, g, max_codim):
     scan, with the same lifts, slopes and codimensions, in the same order,
     at every degree."""
     for d in degrees_of(spec):
-        assert enumerate_hn_types(spec, d, g, max_codim) == _reference_enumerate(
-            spec, d, g, max_codim)
+        assert [(t.I, t.delta_lift, t.mu, t.codim)
+                for t in enumerate_hn_types(spec, d, g, max_codim)] == \
+            _reference_enumerate(spec, d, g, max_codim)
 
 
 def _set_ups(datum):
@@ -344,6 +345,47 @@ def test_set_ups_only_for_wall_sets_with_room():
         assert verify_recursion(spec, d, 2, order).match
         counts.append(len(_set_ups(build_root_system(spec))))
     assert counts == [15, 14, 4, 14]
+
+
+@pytest.mark.parametrize("name, d, order", [("GL5", (2,), 40),
+                                            ("GL3xSO5", (2, 1), 30)])
+def test_recursion_check_projects_no_slope(monkeypatch, name, d, order):
+    """The recursion check reads each stratum's walls, lift and codim, never
+    its slope: with the projection to the center made to raise, it still
+    passes and counts the same strata."""
+    spec = parse_group(name)
+    expect = verify_recursion(spec, d, 2, order)
+    assert expect.match and expect.strata
+
+    def project(*args):
+        raise AssertionError("project_to_center called")
+
+    monkeypatch.setattr(rootdata.RootDatum, "project_to_center", project)
+    build_root_system.cache_clear()
+    assert verify_recursion(spec, d, 2, order) == expect
+
+
+def test_slope_is_projected_once_on_first_read(monkeypatch):
+    """HNType.mu is project_to_center of its walls and lift, computed on
+    the first read, not by the enumeration, and kept for later reads."""
+    real = rootdata.RootDatum.project_to_center
+    calls = []
+
+    def project(self, I, X):
+        calls.append((I, X))
+        return real(self, I, X)
+
+    monkeypatch.setattr(rootdata.RootDatum, "project_to_center", project)
+    spec = parse_group("GL3xSO5")
+    datum = build_root_system(spec)
+    strata = enumerate_hn_types(spec, (2, 1), 2, 15)
+    assert strata and calls == []
+    first = strata[0]
+    assert first == HNType(first.I, first.delta_lift, first.codim, None)
+    for t in strata:
+        assert t.mu == real(datum, t.I, t.delta_lift)
+        assert t.mu is t.mu
+    assert calls == [(t.I, t.delta_lift) for t in strata]
 
 
 @st.composite

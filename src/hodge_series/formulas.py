@@ -18,22 +18,24 @@ where a(L) is the degree-independent series of the stack of all L-bundles,
                                  / ((1-(uv)^{d_k-1}) (1-(uv)^{d_k})),
 
 with d_k the exponents of L.  Every exponent of w = uv in a term is an
-integer, and it is computed in integers: the fractions <varpi_a(d)> are put
-over one common denominator D, so the exponent of subset I is the quotient
-of (g-1) dim U^I * D + sum 2 rho^I(a^vee) n_a by D, and a nonzero remainder
-raises ``NonIntegralExponent``.  ``closed_terms`` reads the rest of each
-term from a template per Levi record and genus (``_templates``): the sign,
-(g-1) dim U^I, the numerator factors of a(L^I) and its denominator with the
-walls' factors in it, built from the root datum's cached Levi records
-(``RootDatum.levis``) and cached beside them.  The closed formula of a
-Levi L^I, which the recursion subtracts for every stratum with walls I,
-reads the same group records: its subset J of Delta - I has the template
-of the record of I u J, with (g-1) (dim U^{I u J} - dim U^I) and the wall
-pairings sums(I u J)[beta] - sums(I)[beta] for beta in J, keyed by
-beta's position in Delta - I, cached per genus and I; no Levi root datum
-is built.  The parts of a(L) depend only on dim Z(L) and the exponents of
-L, so every template reads them from one table per datum and genus, built
-once per Levi type.  Every denominator in sight
+integer, and it is computed in integers: the root datum hands over the
+degree as integers (D, n_a), <varpi_a(d)> = n_a / D with D the determinant
+of the Cartan block (``RootDatum.fund_residues``), so the exponent of subset
+I is the quotient of (g-1) dim U^I * D + sum 2 rho^I(a^vee) n_a by D, a
+nonzero remainder raises ``NonIntegralExponent``, and no Fraction is built
+between the degree's lift and the band.  ``closed_terms`` reads the rest of
+each term from a template per Levi record and genus (``_templates``): the
+sign, (g-1) dim U^I, the numerator factors of a(L^I) and its denominator
+with the walls' factors in it, built from the root datum's cached Levi
+records (``RootDatum.levis``) and cached beside them.  The closed formula of
+a Levi L^I, which the recursion subtracts for every stratum with walls I,
+reads the same group records: its subset J of Delta - I has the template of
+the record of I u J, with (g-1) (dim U^{I u J} - dim U^I) and the wall
+pairings sums(I u J)[beta] - sums(I)[beta] for beta in J, keyed by beta's
+position in Delta - I, cached per genus and I; no Levi root datum is built.
+The parts of a(L) depend only on dim Z(L) and the exponents of L, so every
+template reads them from one table per datum and genus, built once per Levi
+type.  Every denominator in sight
 is a product of factors (1 - (uv)^k), so terms are carried in factored form
 (a numerator product plus a multiset of w-exponents).  One pass serves the
 exact and the truncated sum.  A term's numerator is that of a(L^I), which
@@ -56,7 +58,10 @@ hold it.  The slot width B is fixed before the first pass, from a bound on
 every partial sum: a letter (1 +- x^s)^e at most multiplies the l1 norm by
 2^e, so sum over the groups of l1(C) * 2^(their letters' total
 multiplicity) bounds them all.  The exact sum keeps the common denominator
-as its multiset; the truncated sum divides by it once, as running sums
+as its multiset, and its order, the largest total degree of a group's
+term over the common denominator, is read off the groups in the same pass,
+so its band cuts nothing and stops at the top of the highest term; the
+truncated sum divides by the common denominator once, as running sums
 along w, in slots widened beforehand for that division.  No gcd is ever
 computed.
 
@@ -66,7 +71,9 @@ exponents written out by hand per type instead of read from the root datum;
 their walls carry <varpi> as integer numerators over r (type A) or over 2
 (types B, C and D).  They build every factored term through ``_levi_term``,
 which turns (sign, Levi, dim U, walls, D) into an ``FTerm`` from the same
-parts as a template (``_a_parts``, ``_exponent``).
+parts as a template (``_a_parts``, ``_exponent``); each sum reads the parts
+of a(L) from its own table, keyed by (dim Z, exponents), so ``_a_parts``
+runs once per Levi type in a call.
 
 Both sums are linear in their terms, so two sums are compared as one: the
 terms of one side and those of the other with coef negated
@@ -92,7 +99,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from itertools import repeat
-from math import gcd, lcm
+from math import gcd
 from operator import add, itemgetter, sub
 
 from .ratfun import (
@@ -158,10 +165,6 @@ class FTerm:
     den: dict           # w-exponent k -> multiplicity m >= 1 of 1 - w^k
 
 
-def _num_degree(term):
-    return 2 * term.shift + sum(e * (a + b) for a, b, e in term.numfactors)
-
-
 def _common_den(dens):
     """Max-multiplicity common denominator of the given denominators, as a
     dict w-exponent -> multiplicity, positive multiplicities only."""
@@ -208,21 +211,10 @@ def _group_cofactor(group):
     return gden, C
 
 
-def _exact_order(terms):
-    """The order at which the sum of terms over their common denominator
-    cuts nothing: twice the denominator's w-degree plus the largest
-    numerator degree."""
-    return (2 * _w_degree(_common_den(t.den for t in terms))
-            + max(map(_num_degree, terms), default=0))
-
-
-def _over_common_den(terms, order):
+def _over_common_den(terms, order=None):
     """Numerators times their cofactors over the common denominator, laid
-    out for one band (layout in :mod:`hodge_series.ratfun`); terms with
-    2 * shift > order are skipped.
-
-    [lo, lo + W) covers p - q over every group's numerator, and the band has
-    n = ((order - lo) // 2 + 1) * W slots, enough for total degree <= order.
+    out for one band (layout in :mod:`hodge_series.ratfun`); given an order,
+    terms with 2 * shift > order are skipped.
 
     One pass groups the terms by numerator factors (their Levi type); a
     group's denominator gden is the union of its members' denominators, and
@@ -233,8 +225,18 @@ def _over_common_den(terms, order):
     nonzero power.  What multiplies the leaf is a multiset of letters, band
     shifts with their sign: b * W + a - b with multiplicity e for each
     numerator factor (1 + u^a v^b)^e, and k * W with multiplicity m for
-    each factor (1 - w^k)^m of common - gden.  A group whose leaf starts at
-    or past the band's end adds nothing to it.
+    each factor (1 - w^k)^m of common - gden.  A group whose C cancels adds
+    nothing and is dropped; so is one whose leaf starts at or past the
+    band's end.
+
+    [lo, lo + W) covers p - q over the numerators of the groups kept, read
+    in one loop over each group's numerator factors together with their
+    total degree.  Without an order the sum is exact: its order is the
+    largest total degree of a group's term over the common denominator,
+    deg(numerator factors) + 2 (wdeg(common) - wdeg(gden) + deg C), which
+    that term reaches, so nothing is cut, and every column of the band has
+    w-degree below its row count (``ratfun._exact_quotient``).  The band has
+    n = ((order - lo) // 2 + 1) * W slots, enough for total degree <= order.
 
     Returns (common, lo, W, n, items, bound), an item (letters, off, column)
     for each group, column the nonzero part of C from its lowest power on;
@@ -244,18 +246,32 @@ def _over_common_den(terms, order):
     l1 norm of every partial sum that ``_horner`` forms, cut or not."""
     groups = {}
     for t in terms:
-        if 2 * t.shift <= order:
+        if order is None or 2 * t.shift <= order:
             groups.setdefault(t.numfactors, []).append(t)
-    cofactors = {nf: _group_cofactor(group) for nf, group in groups.items()}
-    common = _common_den(gden for gden, _ in cofactors.values())
-    lo = min((sum(e * min(a - b, 0) for a, b, e in nf) for nf in groups), default=0)
-    W = max((sum(e * max(a - b, 0) for a, b, e in nf) for nf in groups),
-            default=0) - lo + 1
-    n = ((order - lo) // 2 + 1) * W
-    items, bound = [], 0
-    for numfactors, (gden, C) in cofactors.items():
+    cofactors = [(nf, *_group_cofactor(group)) for nf, group in groups.items()]
+    common = _common_den(gden for _, gden, _ in cofactors)
+    wcommon = _w_degree(common)
+    lo = hi = top = 0
+    kept = []
+    for numfactors, gden, C in cofactors:
         if not C:
             continue
+        low = high = deg = 0
+        for a, b, e in numfactors:
+            if a < b:
+                low += e * (a - b)
+            else:
+                high += e * (a - b)
+            deg += e * (a + b)
+        lo, hi = min(lo, low), max(hi, high)
+        top = max(top, deg + 2 * (wcommon - _w_degree(gden) + len(C) - 1))
+        kept.append((numfactors, gden, C))
+    if order is None:
+        order = top
+    W = hi - lo + 1
+    n = ((order - lo) // 2 + 1) * W
+    items, bound = [], 0
+    for numfactors, gden, C in kept:
         # C's leading zeros (the w^shift) only move the leaf's offset
         t0 = next(x for x, c in enumerate(C) if c)
         off = t0 * W - lo
@@ -357,9 +373,9 @@ def _add_at(total, part, B):
 
 
 def assemble_exact(terms) -> RatFun2:
-    """Sum factored terms over the max-multiplicity common denominator; the
-    order bounds every numerator times its cofactor, so nothing is cut."""
-    common, lo, W, n, items, bound = _over_common_den(terms, _exact_order(terms))
+    """Sum factored terms over the max-multiplicity common denominator, on
+    the band of the exact order read off the groups, so nothing is cut."""
+    common, lo, W, n, items, bound = _over_common_den(terms)
     B = _width(bound)
     return RatFun2(_poly(_unband(_band_sum(items, n, W, B), n, lo, W, B)), common)
 
@@ -402,12 +418,18 @@ def _exponent(x, D):
     return q
 
 
-def _levi_term(coef, m, nonab_exps, dim_u, walls, g, D=1):
+def _levi_term(parts, coef, m, nonab_exps, dim_u, walls, g, D=1):
     """coef * a(L) * w^{(g-1) dim_u + sum r n / D} / prod (1 - w^r), where L
     has dim Z(L) = m and non-abelian exponents nonab_exps, and walls lists
     the pairs (r, n) = (2 rho^I(alpha^vee), D <varpi_alpha(d)>), n an
-    integer."""
-    numf, den = _a_parts(m, nonab_exps, g)
+    integer.  The parts of a(L) are read from the table parts, keyed by
+    (m, nonab_exps), and put in it on a miss; the term gets its own copy of
+    the denominator."""
+    kind = m, nonab_exps
+    if kind not in parts:
+        parts[kind] = _a_parts(m, nonab_exps, g)
+    numf, den = parts[kind]
+    den = den.copy()
     for r, _ in walls:
         den[r] = den.get(r, 0) + 1
     return FTerm(coef, _exponent((g - 1) * dim_u * D + sum(r * n for r, n in walls), D),
@@ -417,7 +439,7 @@ def _levi_term(coef, m, nonab_exps, dim_u, walls, g, D=1):
 def a_series_term(spec: GroupSpec, g) -> FTerm:
     datum = build_root_system(spec)
     m = datum.dim_z
-    return _levi_term(1, m, datum.exponent_list()[m:], 0, (), g)
+    return _levi_term({}, 1, m, datum.exponent_list()[m:], 0, (), g)
 
 
 def a_series(spec: GroupSpec, g) -> RatFun2:
@@ -477,38 +499,38 @@ def _templates(datum: RootDatum, g, I=()):
     return cached
 
 
-def closed_terms(datum: RootDatum, fracs, g, coef=1, shift=0, I=()):
+def closed_terms(datum: RootDatum, residues, g, coef=1, shift=0, I=()):
     """Factored terms of coef * w^shift times the closed formula of the
     Levi L^I (I = () for the group) for the given <varpi_a(d)> data, one per
-    parabolic subset of L^I, from the datum's templates.  The fractions are
-    put over one denominator D, so each exponent is the integer quotient of
+    parabolic subset of L^I, from the datum's templates.  The data are the
+    integers (D, nums) of ``RootDatum.fund_residues``, <varpi_a(d)> =
+    n_a / D, so each exponent is the integer quotient of
     (g - 1) dim U * D + sum r n_a by D."""
-    D = lcm(*(f.denominator for f in fracs))
-    nums = [f.numerator * (D // f.denominator) for f in fracs]
+    D, nums = residues
     return [FTerm(sign * coef,
                   shift + _exponent(base * D + sum(r * nums[a] for a, r in walls), D),
                   numf, den)
             for sign, base, numf, den, walls in _templates(datum, g, I)]
 
 
-def closed_ratfun(datum: RootDatum, fracs, g) -> RatFun2:
-    return assemble_exact(closed_terms(datum, fracs, g))
+def closed_ratfun(datum: RootDatum, residues, g) -> RatFun2:
+    return assemble_exact(closed_terms(datum, residues, g))
 
 
-def closed_series_for(datum: RootDatum, fracs, g, order) -> TruncSeries2:
-    return assemble_series(closed_terms(datum, fracs, g), order)
+def closed_series_for(datum: RootDatum, residues, g, order) -> TruncSeries2:
+    return assemble_series(closed_terms(datum, residues, g), order)
 
 
-def _datum_fracs(spec, d):
-    """The root datum of spec and its <varpi_a(d)> data."""
+def _datum_residues(spec, d):
+    """The root datum of spec and its <varpi_a(d)> data (D, nums)."""
     datum = build_root_system(spec)
-    return datum, datum.fund_fracs(datum.lift_degree(d))
+    return datum, datum.fund_residues(datum.lift_degree(d))
 
 
 def hp_semistable_closed(spec: GroupSpec, d, g) -> RatFun2:
     """Closed formula for the series of the semistable stack of degree d."""
     _check_genus(g)
-    return closed_ratfun(*_datum_fracs(spec, d), g)
+    return closed_ratfun(*_datum_residues(spec, d), g)
 
 
 # ---------------------------------------------------------------------------
@@ -560,7 +582,7 @@ def _gl_terms(r, d, g, abelian_drop=0):
     """Type A composition sum; abelian_drop=1 gives the SL_r normalization
     and, with d kept, the fixed-determinant one (one less abelian factor per
     term).  The walls carry <-p d / r> as numerators over r."""
-    terms = []
+    parts, terms = {}, []
     for comp in _compositions(r):
         l = len(comp)
         walls = []
@@ -568,7 +590,7 @@ def _gl_terms(r, d, g, abelian_drop=0):
         for i in range(l - 1):
             p += comp[i]
             walls.append((comp[i] + comp[i + 1], -p * d % r or r))
-        terms.append(_levi_term((-1) ** (l - 1), l - abelian_drop, _gl_exps(comp),
+        terms.append(_levi_term(parts, (-1) ** (l - 1), l - abelian_drop, _gl_exps(comp),
                                 _e2(comp), walls, g, r))
     return terms
 
@@ -582,19 +604,19 @@ def _bc_terms(r, n, g, c):
     carry their <varpi> as numerators over 2.
     """
     u_full = r * (r + 1) // 2
-    terms = []
+    parts, terms = {}, []
     for comp in _compositions(r):
         l, m = len(comp), comp[-1]
         e2 = _e2(comp)
         # Levi GL_{r_1} x ... x GL_{r_l} (last simple root crossed)
         last = (m + 1, 2) if c else (2 * m, n)
-        terms.append(_levi_term((-1) ** l, l, _gl_exps(comp), e2 + u_full,
+        terms.append(_levi_term(parts, (-1) ** l, l, _gl_exps(comp), e2 + u_full,
                                 _chain_walls(comp) + [last], g, 2))
         # Levi GL_{r_1} x ... x GL_{r_{l-1}} x SO_{2m+1} (or Sp_m)
         walls = _chain_walls(comp[:-1])
         if l > 1:
             walls.append((comp[-2] + 2 * m + c, 2))
-        terms.append(_levi_term((-1) ** (l - 1), l - 1,
+        terms.append(_levi_term(parts, (-1) ** (l - 1), l - 1,
                                 _gl_exps(comp[:-1]) + _bc_exps(m),
                                 e2 + u_full - m * (m + 1) // 2, walls, g, 2))
     return terms
@@ -610,24 +632,24 @@ def _so_even_terms(r, d, g):
     """
     n = d % 2 or 2
     u_full = r * (r - 1) // 2
-    terms = []
+    parts, terms = {}, []
     for comp in _compositions(r):
         l, m = len(comp), comp[-1]
         e2 = _e2(comp)
         if m == 1 and l >= 2:
             walls = _chain_walls(comp[:-1]) + [(comp[-2] + 1, n)] * 2
-            terms.append(_levi_term((-1) ** l, l, _gl_exps(comp), e2 + u_full,
+            terms.append(_levi_term(parts, (-1) ** l, l, _gl_exps(comp), e2 + u_full,
                                     walls, g, 2))
         if m >= 2:
             # two conjugate all-GL Levis contribute identically
             walls = _chain_walls(comp) + [(2 * (m - 1), n)]
-            terms.append(_levi_term(2 * (-1) ** l, l, _gl_exps(comp),
+            terms.append(_levi_term(parts, 2 * (-1) ** l, l, _gl_exps(comp),
                                     e2 + u_full, walls, g, 2))
             # Levi GL_{r_1} x ... x GL_{r_{l-1}} x SO_{2m}
             walls = _chain_walls(comp[:-1])
             if l > 1:
                 walls.append((comp[-2] + 2 * m - 1, 2))
-            terms.append(_levi_term((-1) ** (l - 1), l - 1,
+            terms.append(_levi_term(parts, (-1) ** (l - 1), l - 1,
                                     _gl_exps(comp[:-1]) + _d_exps(m),
                                     e2 + u_full - m * (m - 1) // 2, walls, g, 2))
     return terms
@@ -660,8 +682,8 @@ def classical_difference_terms(family, rank, d: int, g):
     with coef negated: one list, whose exact sum (or truncated sum, to any
     order) is zero exactly when the two sides agree."""
     terms = _classical_terms(family, rank, d, g)
-    datum, fracs = _datum_fracs(GroupSpec(((family, rank),)), (d,))
-    return terms + closed_terms(datum, fracs, g, -1)
+    datum, residues = _datum_residues(GroupSpec(((family, rank),)), (d,))
+    return terms + closed_terms(datum, residues, g, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -680,12 +702,12 @@ def hp_moduli_space(spec: GroupSpec, d, g) -> RatFun2:
     d = validate_degree(d, spec)
     if not good_case(spec, d):
         raise NotGoodCase("degree %s admits strictly semistable bundles" % (d,))
-    datum, fracs = _datum_fracs(spec, d)
+    datum, residues = _datum_residues(spec, d)
     z = datum.dim_z
     return assemble_exact([
         replace(t, den={k: m - z if k == 1 else m for k, m in t.den.items()
                         if k != 1 or m > z})
-        for t in closed_terms(datum, fracs, g)])
+        for t in closed_terms(datum, residues, g)])
 
 
 def _jacobian_lift(t, g, coef=1):
@@ -728,12 +750,12 @@ def hp_moduli_fixed_det(r, d, g) -> BivarPoly:
     if gcd(r, d) != 1:
         raise NotCoprime("need gcd(r, d) = 1, got (%d, %d)" % (r, d))
     terms = _gl_terms(r, d, g, abelian_drop=1)
-    diff = closed_terms(*_datum_fracs(GroupSpec((("GL", r),)), (d,)), g) + [
+    diff = closed_terms(*_datum_residues(GroupSpec((("GL", r),)), (d,)), g) + [
         _jacobian_lift(t, g, -1) for t in terms]
     if not assemble_exact(diff).num.is_zero():
         raise FactorizationFailed(
             "the Jacobian times the fixed-determinant series is not the GL%d stack series" % r)
-    common, lo, W, n, items, bound = _over_common_den(terms, _exact_order(terms))
+    common, lo, W, n, items, bound = _over_common_den(terms)
     rows = n // W
     B = _width(bound * _series_growth(common, rows))
     top = 2 * (g - 1) * (r * r - 1)

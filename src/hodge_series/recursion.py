@@ -61,8 +61,9 @@ coefficients of 2 rho.
 
 A stratum's Levi terms are those of the closed formula of L^I, read off
 the group's own Levi records by the wall set I (``formulas.closed_terms``
-with I), with <varpi^{L^I}_beta(X)> from ``RootDatum.fund_fracs(X, I)``:
-the recursion builds no Levi root datum.
+with I), with <varpi^{L^I}_beta(X)> as integer numerators over the det of
+the Levi block, from ``RootDatum.fund_residues(X, I)``: the recursion
+builds no Levi root datum and no Fraction.
 
 The recursion passes maxCodim = order // 2: a stratum enters shifted by
 (uv)^{codim}, of total degree 2 codim, so strata with 2 codim > order
@@ -78,7 +79,7 @@ from fractions import Fraction
 from functools import cached_property
 from operator import mul
 
-from .formulas import (_datum_fracs, a_series_term, assemble_series,
+from .formulas import (_datum_residues, a_series_term, assemble_series,
                        closed_series_for, closed_terms)
 from .ratfun import TruncSeries2
 from .rootdata import (
@@ -379,7 +380,7 @@ def _rhs_terms(spec, g, strata, sign):
     a.coef *= sign
     terms = [a]
     for hn in strata:
-        terms += closed_terms(datum, datum.fund_fracs(hn.delta_lift, hn.I), g,
+        terms += closed_terms(datum, datum.fund_residues(hn.delta_lift, hn.I), g,
                               -sign, hn.codim, hn.I)
     return terms
 
@@ -401,13 +402,13 @@ def verify_recursion(spec: GroupSpec, d, g, order) -> RecursionReport:
     is not, its least nonzero coefficient (i, j) is the first mismatch: the
     closed series gives lhs there, and rhs is lhs minus the sum's
     coefficient."""
-    datum, fracs = _datum_fracs(spec, d)
+    datum, residues = _datum_residues(spec, d)
     strata = enumerate_hn_types(spec, d, g, order // 2)
     n = len(strata)
-    diff = assemble_series(closed_terms(datum, fracs, g)
+    diff = assemble_series(closed_terms(datum, residues, g)
                            + _rhs_terms(spec, g, strata, -1), order)
     if diff.is_zero():
         return RecursionReport(True, None, order, n)
     i, j = min(diff.coeffs)
-    lc = closed_series_for(datum, fracs, g, order).coeff(i, j)
+    lc = closed_series_for(datum, residues, g, order).coeff(i, j)
     return RecursionReport(False, (i, j, lc, lc - diff.coeff(i, j)), order, n)

@@ -21,7 +21,8 @@ the height / dual-partition computation of the cohomology exponents reads.
 The same ``RootDatum`` structure describes every Levi subgroup (restrict the
 simple roots, keep the lattice), so all formula-level computations -- center
 dimensions, exponents d_k, unipotent dimensions, the pairings 2 rho^I(alpha^v)
-and fundamental-weight evaluations mod Z -- are done uniformly here.
+and fundamental-weight evaluations mod Z, as integer numerators over one
+determinant -- are done uniformly here.
 
 A root datum keeps one cached table of its positive roots: per root, its
 support as a bitmask of the simple roots, its height and its pairings with
@@ -606,14 +607,15 @@ class RootDatum:
         d = validate_degree(d, self.spec)
         return tuple(di * x for di, lift in zip(d, self._lifts) for x in lift)
 
-    def fund_fracs(self, X, parabolic_indices=()):
-        """Tuple of <varpi_alpha(X)> in (0, 1]; the only way degrees enter.
-        Each is one Fraction of the numerators over det A > 0, reduced mod
-        det A.  Given I, the values <varpi^{L^I}_beta(X)> of the Levi L^I
-        at its simple roots beta in Delta - I, equal to
-        ``levi(I).datum.fund_fracs(X)``."""
+    def fund_residues(self, X, parabolic_indices=()):
+        """(D, nums) with <varpi_alpha(X)> = n_alpha / D, all integers: D =
+        det A > 0 and n_alpha in (0, D] the numerator det A * varpi_alpha(X)
+        reduced mod D; the only way degrees enter.  Given I, the values
+        <varpi^{L^I}_beta(X)> of the Levi L^I at its simple roots beta in
+        Delta - I, with D the det of the Levi block, equal to
+        ``levi(I).datum.fund_residues(X)``."""
         _, det, xs = self._fund_numerators(X, parabolic_indices)
-        return tuple(Fraction(x % det or det, det) for x in xs)
+        return det, tuple(x % det or det for x in xs)
 
     def project_to_center(self, parabolic_indices, X):
         """Project X onto the center of the Levi L^I along the Levi coroots.

@@ -22,7 +22,7 @@ from math import gcd
 
 from hodge_series.formulas import (
     _classical_terms,
-    _datum_fracs,
+    _datum_residues,
     a_series,
     assemble_series,
     chi_t_fixed_det_formula,
@@ -130,7 +130,7 @@ def test_criterion_3_rank5_type_a_series():
             for g in (2, 3):
                 s_cl = assemble_series(_classical_terms(family, 5, d, g), 24)
                 s_co = closed_series_for(
-                    *_datum_fracs(GroupSpec(((family, 5),)), (d,)), g, 24)
+                    *_datum_residues(GroupSpec(((family, 5),)), (d,)), g, 24)
                 assert s_cl == s_co, (family, d, g)
     print("ACCEPTANCE 3b classical composition sums == closed formula (rank-5 type A, order 24): PASS")
 
@@ -198,7 +198,7 @@ def test_criterion_8_nonnegative_integral_expansions():
         spec = parse_group(name)
         for d in degrees:
             for g in (2, 3):
-                series = closed_series_for(*_datum_fracs(spec, (d,)), g, 24)
+                series = closed_series_for(*_datum_residues(spec, (d,)), g, 24)
                 bad = [k for k, c in series.coeffs.items() if c < 0]
                 assert not bad, (name, d, g, bad[:3])
     print("ACCEPTANCE 8 nonnegative integral expansions (order 24): PASS")

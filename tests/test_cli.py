@@ -484,11 +484,11 @@ class TestCertificateFailure:
         from hodge_series.rootdata import GroupSpec
 
         real = formulas.closed_terms
-        _, target = formulas._datum_fracs(GroupSpec((("GL", 3),)), (2,))
+        _, target = formulas._datum_residues(GroupSpec((("GL", 3),)), (2,))
 
-        def closed(datum, fracs, *args, **kwargs):
-            terms = real(datum, fracs, *args, **kwargs)
-            if list(fracs) == list(target):
+        def closed(datum, residues, *args, **kwargs):
+            terms = real(datum, residues, *args, **kwargs)
+            if residues == target:
                 terms = terms + [FTerm(1, 0, (), Counter())]
             return terms
 

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import band_reference
-from hodge_series import formulas, ratfun
+from hodge_series import formulas, ratfun, rootdata
 from hodge_series.formulas import (
     FactorizationFailed,
     FTerm,
@@ -42,7 +42,6 @@ from hodge_series.formulas import (
     _band_sum,
     _gl_terms,
     _group_cofactor,
-    _num_degree,
     _over_common_den,
 )
 from hodge_series.ratfun import (
@@ -175,7 +174,7 @@ class TestClassicalVsClosed:
         g = 2
         s_cl = assemble_series(formulas._classical_terms(family, rank, d, g), 24)
         s_co = closed_series_for(
-            *formulas._datum_fracs(GroupSpec(((family, rank),)), (d,)), g, 24)
+            *formulas._datum_residues(GroupSpec(((family, rank),)), (d,)), g, 24)
         assert s_cl == s_co
 
 
@@ -201,19 +200,19 @@ class TestSeriesAssembly:
         for spec, d in [(GL(2), (1,)), (parse_group("SO5"), (1,)),
                         (parse_group("Sp2"), (0,))]:
             exact = hp_semistable_closed(spec, d, 2).expand(14)
-            trunc = closed_series_for(*formulas._datum_fracs(spec, d), 2, 14)
+            trunc = closed_series_for(*formulas._datum_residues(spec, d), 2, 14)
             assert exact == trunc
 
     def test_nonnegative_integer_coefficients(self):
         for spec, d in [(GL(2), (0,)), (GL(3), (2,)), (parse_group("SO7"), (1,))]:
-            s = closed_series_for(*formulas._datum_fracs(spec, d), 2, 20)
+            s = closed_series_for(*formulas._datum_residues(spec, d), 2, 20)
             assert all(c >= 0 for c in s.coeffs.values())
 
     def test_hodge_symmetry_and_connectedness(self):
         # h^{p,q} = h^{q,p}, and h^{0,0} = 1 for a connected stack
         for spec, d in [(GL(3), (1,)), (parse_group("SO7"), (0,)),
                         (parse_group("Sp3"), (0,)), (parse_group("SO8"), (1,))]:
-            s = closed_series_for(*formulas._datum_fracs(spec, d), 2, 16)
+            s = closed_series_for(*formulas._datum_residues(spec, d), 2, 16)
             assert s.coeff(0, 0) == 1
             for (i, j), c in s.coeffs.items():
                 assert s.coeff(j, i) == c, (spec, i, j)
@@ -313,7 +312,7 @@ def test_assemble_series_closed_terms(name):
     spec = parse_group(name)
     datum = build_root_system(spec)
     for d in degrees_of(spec):
-        terms = closed_terms(datum, datum.fund_fracs(datum.lift_degree(d)), 2)
+        terms = closed_terms(datum, datum.fund_residues(datum.lift_degree(d)), 2)
         _check_series(terms, 16)
 
 
@@ -338,10 +337,10 @@ def test_term_denominators_are_plain_dicts(monkeypatch, name):
     monkeypatch.setattr(formulas, "assemble_exact",
                         lambda terms: moduli.append(terms) or real(terms))
     for d in degrees_of(spec):
-        fracs = datum.fund_fracs(datum.lift_degree(d))
-        assert _plain_dens(closed_terms(datum, fracs, 2))
+        residues = datum.fund_residues(datum.lift_degree(d))
+        assert _plain_dens(closed_terms(datum, residues, 2))
         for L in datum.levis()[1:]:
-            assert _plain_dens(closed_terms(datum, datum.fund_fracs(
+            assert _plain_dens(closed_terms(datum, datum.fund_residues(
                 datum.lift_degree(d), L.I), 3, -1, 5, L.I))
         if good_case(spec, d):
             hp_moduli_space(spec, d, 2)
@@ -366,7 +365,7 @@ def test_assemble_exact_closed_terms(name):
     spec = parse_group(name)
     datum = build_root_system(spec)
     for d in degrees_of(spec):
-        terms = closed_terms(datum, datum.fund_fracs(datum.lift_degree(d)), 2)
+        terms = closed_terms(datum, datum.fund_residues(datum.lift_degree(d)), 2)
         got, expect = assemble_exact(terms), _product_sum(terms)
         assert got.num.terms == expect.num.terms, d
         assert got.wden == expect.wden, d
@@ -374,7 +373,7 @@ def test_assemble_exact_closed_terms(name):
 
 def _closed(name, d, g):
     datum = build_root_system(parse_group(name))
-    return closed_terms(datum, datum.fund_fracs(datum.lift_degree(d)), g)
+    return closed_terms(datum, datum.fund_residues(datum.lift_degree(d)), g)
 
 
 def test_assemble_exact_built_unchecked(monkeypatch):
@@ -431,7 +430,7 @@ def test_assemble_series_past_the_exact_degree():
     degree 12)."""
     datum = build_root_system(SL(2))
     for d in degrees_of(datum.spec):
-        terms = closed_terms(datum, datum.fund_fracs(datum.lift_degree(d)), 2)
+        terms = closed_terms(datum, datum.fund_residues(datum.lift_degree(d)), 2)
         assert assemble_exact(terms).num.total_degree() < 40
         _check_series(terms, 40)
     _check_series([WIDE], 40)
@@ -453,25 +452,60 @@ def _group_cofactor_reference(group, gden):
     return C
 
 
-def _over_common_den_reference(terms, order):
-    """The band of ``_over_common_den`` group by group, as it was built
-    before the Horner pass: each group's numerator expanded by shift-adds,
-    convolved with C(w) one pass per nonzero entry, multiplied by every
-    factor of common - gden and added into the band at its offset."""
-    terms = [t for t in terms if 2 * t.shift <= order]
-    common = _union_den(terms)
+def _reference_groups(terms, order=None):
+    """(common, {numfactors: (gden, C)}) of the terms with 2 * shift <= order
+    (all of them without an order), C by ``_group_cofactor_reference``;
+    groups whose C cancels are left out, their denominators kept in
+    common."""
+    if order is not None:
+        terms = [t for t in terms if 2 * t.shift <= order]
     groups = {}
     for t in terms:
         groups.setdefault(t.numfactors, []).append(t)
+    kept = {}
+    for numfactors, group in groups.items():
+        gden = _union_den(group)
+        C = _group_cofactor_reference(group, gden)
+        if C:
+            kept[numfactors] = gden, C
+    return _union_den(terms), kept
+
+
+def _num_degree(numfactors):
+    return sum(e * (a + b) for a, b, e in numfactors)
+
+
+def _tight_order(terms):
+    """The exact order read off the groups: the largest total degree of a
+    group's term over the common denominator."""
+    common, groups = _reference_groups(terms)
+    return max((_num_degree(nf) + 2 * (_w_degree(common) - _w_degree(gden) + len(C) - 1)
+                for nf, (gden, C) in groups.items()), default=0)
+
+
+def _old_exact_order(terms):
+    """The order at which ``assemble_exact`` assembled terms before the
+    order was read off the groups: twice the common denominator's w-degree
+    plus the largest term numerator degree, w^shift included."""
+    return (2 * _w_degree(_union_den(terms))
+            + max((2 * t.shift + _num_degree(t.numfactors) for t in terms), default=0))
+
+
+def _over_common_den_reference(terms, order=None):
+    """The band of ``_over_common_den`` group by group, as it was built
+    before the Horner pass: each group's numerator expanded by shift-adds,
+    convolved with C(w) one pass per nonzero entry, multiplied by every
+    factor of common - gden and added into the band at its offset.  The
+    groups that cancel take no part in the layout; without an order the
+    band is that of the exact order (``_tight_order``)."""
+    common, groups = _reference_groups(terms, order)
+    if order is None:
+        order = _tight_order(terms)
     lo = min((sum(e * min(a - b, 0) for a, b, e in nf) for nf in groups), default=0)
     W = max((sum(e * max(a - b, 0) for a, b, e in nf) for nf in groups),
             default=0) - lo + 1
     band = [0] * (((order - lo) // 2 + 1) * W)
-    for numfactors, group in groups.items():
-        gden = _union_den(group)
-        C = _group_cofactor_reference(group, gden)
-        if not C:
-            continue
+    for numfactors, (gden, C) in groups.items():
         t0 = next(x for x, c in enumerate(C) if c)
         off = t0 * W - lo
         cap = len(band) - off
@@ -489,15 +523,9 @@ def _over_common_den_reference(terms, order):
     return common, lo, W, band
 
 
-def _exact_order(terms):
-    """The order at which ``assemble_exact`` assembles terms."""
-    return (2 * _w_degree(_union_den(terms))
-            + max(map(_num_degree, terms), default=0))
-
-
-def _packed_band(terms, order):
+def _packed_band(terms, order=None):
     """(common, lo, W, band) of the packed Horner sum, at the slot width of
-    its bound, decoded to a list."""
+    its bound, decoded to a list; without an order, the exact sum's band."""
     common, lo, W, n, items, bound = _over_common_den(terms, order)
     B = _width(bound)
     band = [0] * n
@@ -507,7 +535,7 @@ def _packed_band(terms, order):
 
 
 def _check_band(terms, orders=(0, 1, 7, 30)):
-    for order in (_exact_order(terms),) + tuple(orders):
+    for order in (None, _old_exact_order(terms)) + tuple(orders):
         got = _packed_band(terms, order)
         assert got == _over_common_den_reference(terms, order), order
 
@@ -518,6 +546,73 @@ def _series_reference(terms, order):
     common, lo, W, band = _over_common_den_reference(terms, order)
     band_reference.over_den(band, common, W)
     return TruncSeries2(order, band_reference.unband(band, lo, W))
+
+
+class TestExactOrder:
+    """``assemble_exact`` reads its order off the groups: the band of the
+    benchmark's closed formulas and of the fixed-determinant sum F of GL4
+    d=1 g=8 ends at the numerator's top total degree, where the former
+    order, 2 wdeg(common) plus the largest term degree, ran past it, and a
+    band at that former order decodes the same numerator."""
+
+    @pytest.mark.parametrize("name,d,g,top,old,slots", [
+        ("GL8", (3,), 2, 308, 436, 5379), ("Sp6", (0,), 2, 398, 554, 5150),
+        ("SO12", (0,), 2, 338, 470, 4400), ("F GL4", (1,), 8, 248, 278, None)])
+    def test_band_ends_at_the_top_degree(self, name, d, g, top, old, slots):
+        if name.startswith("F "):
+            terms = _gl_terms(4, d[0], g, abelian_drop=1)
+        else:
+            terms = _closed(name, d, g)
+        num = assemble_exact(terms).num
+        assert num.total_degree() == top == _tight_order(terms)
+        _, lo, W, n, _, _ = _over_common_den(terms)
+        assert n == ((top - lo) // 2 + 1) * W
+        assert slots is None or n == slots
+        assert _old_exact_order(terms) == old
+        _, lo, W, n, items, bound = _over_common_den(terms, old)
+        B = _width(bound)
+        assert _unband(_band_sum(items, n, W, B), n, lo, W, B) == num.terms
+
+    def test_cancelled_sum_has_the_least_band(self):
+        """A sum whose groups all cancel forms a band of one slot, whatever
+        its terms' degrees."""
+        plus = FTerm(3, 9, WIDE.numfactors, {2: 4})
+        _, lo, W, n, items, _ = _over_common_den([plus, replace(plus, coef=-3)])
+        assert (lo, W, n, items) == (0, 1, 1, [])
+
+
+class TestNoFractionOnTermPath:
+    """No Fraction is built between a degree's lift and the band: with
+    Fraction raising in rootdata and formulas, on fresh root data, the
+    closed formula and the recursion check give what they give unpatched.
+    Only the slope HNType.mu, read lazily, is a Fraction."""
+
+    @staticmethod
+    def without_fractions(monkeypatch, call):
+        def refuse(*args):
+            raise AssertionError("a Fraction was built")
+
+        with monkeypatch.context() as m:
+            m.setattr(rootdata, "Fraction", refuse)
+            m.setattr(formulas, "Fraction", refuse, raising=False)
+            build_root_system.cache_clear()
+            got = call()
+        build_root_system.cache_clear()
+        return got, call()
+
+    @pytest.mark.parametrize("name,d", [("GL8", (3,)), ("Sp6", (0,)), ("GL3xSO5", (2, 1))])
+    def test_closed_formula(self, monkeypatch, name, d):
+        got, expect = self.without_fractions(
+            monkeypatch, lambda: hp_semistable_closed(parse_group(name), d, 2))
+        assert got.num == expect.num and got.wden == expect.wden
+
+    @pytest.mark.parametrize("name,d,order", [("GL5", (2,), 40), ("GL3xSO5", (2, 1), 30)])
+    def test_recursion_check(self, monkeypatch, name, d, order):
+        from hodge_series.recursion import verify_recursion
+
+        got, expect = self.without_fractions(
+            monkeypatch, lambda: verify_recursion(parse_group(name), d, 2, order))
+        assert got == expect and got.match
 
 
 class TestHornerBand:
@@ -665,21 +760,38 @@ class TestGroupCofactor:
         _check_exact(group)
 
 
+def test_composition_sums_build_a_parts_once_per_levi_type(monkeypatch):
+    """Each composition sum reads the parts of a(L) from its own table,
+    keyed by (dim Z, exponents): GL4 has 8 compositions but 5 Levi types,
+    the compositions with equal multisets of parts sharing one, and a second
+    call builds its own table."""
+    calls = []
+    real = formulas._a_parts
+    monkeypatch.setattr(formulas, "_a_parts", lambda *a: calls.append(a) or real(*a))
+    terms = formulas._classical_terms("GL", 4, 1, 2)
+    assert len(terms) == 8 and len(calls) == 5
+    assert formulas._classical_terms("GL", 4, 1, 2) == terms and len(calls) == 10
+    for family, rank in (("SL", 4), ("SOodd", 4), ("Sp", 4), ("SOeven", 4)):
+        calls.clear()
+        terms = formulas._classical_terms(family, rank, 0, 2)
+        assert len(calls) == len(set(calls)) == len({t.numfactors for t in terms})
+
+
 class TestNonIntegralExponent:
     def test_closed_terms(self):
         """SL2 with <varpi(d)> = 1/3: the term of I = {0} would have
         exponent (g - 1) dim U + 2 * 1/3 = 1 + 2/3."""
         datum = build_root_system(SL(2))
         with pytest.raises(NonIntegralExponent):
-            closed_terms(datum, (Fraction(1, 3),), 2)
-        assert [t.shift for t in closed_terms(datum, (Fraction(1, 2),), 2)] == [0, 2]
+            closed_terms(datum, (3, (1,)), 2)
+        assert [t.shift for t in closed_terms(datum, (2, (1,)), 2)] == [0, 2]
 
     def test_levi_term(self):
         """A wall numerator n = 1 over D = 3: 1 * 3 + 2 * 1 = 5 is not a
         multiple of 3; n = 3 gives the exponent 1 + 2 = 3."""
         with pytest.raises(NonIntegralExponent):
-            formulas._levi_term(1, 1, (), 1, [(2, 1)], 2, 3)
-        assert formulas._levi_term(1, 1, (), 1, [(2, 3)], 2, 3).shift == 3
+            formulas._levi_term({}, 1, 1, (), 1, [(2, 1)], 2, 3)
+        assert formulas._levi_term({}, 1, 1, (), 1, [(2, 3)], 2, 3).shift == 3
 
 
 @st.composite
@@ -790,7 +902,7 @@ class TestDifferenceSum:
         their sum is zero, and dropping either side's last term breaks it."""
         spec = GroupSpec(((family, rank),))
         classical = formulas._classical_terms(family, rank, d, g)
-        closed = closed_terms(*formulas._datum_fracs(spec, (d,)), g)
+        closed = closed_terms(*formulas._datum_residues(spec, (d,)), g)
         terms = formulas.classical_difference_terms(family, rank, d, g)
         assert terms == classical + _negated(closed)
         assert assemble_exact(terms).num.is_zero()
@@ -926,8 +1038,7 @@ class TestFixedDet:
         is the fixed-determinant sum's, the one divided."""
         formed = self.bands(monkeypatch)
         hp_moduli_fixed_det(r, d, g)
-        terms = _gl_terms(r, d, g, abelian_drop=1)
-        _, _, W, n, _, _ = _over_common_den(terms, formulas._exact_order(terms))
+        _, _, W, n, _, _ = _over_common_den(_gl_terms(r, d, g, abelian_drop=1))
         assert [(n_, W_) for n_, W_, _ in formed] == [(n, W)]
 
     def test_gl5_difference_reaches_the_band(self, monkeypatch):

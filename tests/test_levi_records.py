@@ -115,6 +115,12 @@ def _reference_term(coef, m, nonab_exps, dim_u, walls, g):
     return FTerm(coef, int(shift), tuple(numf), den)
 
 
+def _fractions(residues):
+    """The <varpi_a> of the pair (D, nums) as Fractions n_a / D."""
+    D, nums = residues
+    return tuple(Fraction(n, D) for n in nums)
+
+
 def _reference_closed_terms(datum, fracs, g):
     terms = []
     for I in _subsets(datum.num_simple):
@@ -150,19 +156,24 @@ def test_records_of_levis_match_reference(name):
 @pytest.mark.parametrize("name", GROUPS)
 def test_closed_terms_match_reference(name):
     """The closed formula's integer exponents from the cached templates
-    against the scan reference, whose exponents are summed in Fractions: on
-    the group and on each of its Levis, at every degree and three genera."""
+    against the scan reference, whose exponents are summed in Fractions
+    n_a / D built from the integer pair (D, nums), and which equal <x> of
+    the fundamental-weight values: on the group and on each of its Levis,
+    at every degree and three genera."""
     datum = build_root_system(parse_group(name))
     for d in degrees_of(datum.spec):
         X = datum.lift_degree(d)
+        residues = datum.fund_residues(X)
+        fracs = _fractions(residues)
+        assert fracs == tuple(map(frac_rep, datum.fund_weight_values(X)))
         for g in (2, 3, 8):
-            fracs = datum.fund_fracs(X)
-            assert closed_terms(datum, fracs, g) == _reference_closed_terms(datum, fracs, g)
+            assert closed_terms(datum, residues, g) == _reference_closed_terms(datum, fracs, g)
             # the Levis' terms, as the recursion's right-hand side builds them
             for L in datum.levis()[1:]:
-                fracs = L.datum.fund_fracs(X)
+                levi = L.datum.fund_residues(X)
                 ref = _reference_sub_datum(datum, datum.complement(L.I))
-                assert closed_terms(L.datum, fracs, g) == _reference_closed_terms(ref, fracs, g)
+                assert (closed_terms(L.datum, levi, g)
+                        == _reference_closed_terms(ref, _fractions(levi), g))
 
 
 def _reference_gl_terms(r, d, g, abelian_drop=0):
@@ -266,7 +277,7 @@ def test_levis_of_levis_are_built_once_per_group(monkeypatch):
     datum = build_root_system.__wrapped__(parse_group("GL6"))  # a fresh datum
     for I in _subsets(datum.num_simple):
         levi = datum.sub_datum(datum.complement(I))
-        closed_terms(levi, levi.fund_fracs(datum.lift_degree((1,))), 2)
+        closed_terms(levi, levi.fund_residues(datum.lift_degree((1,))), 2)
     assert len(built) == 2 ** 5
 
 
@@ -320,7 +331,7 @@ def test_closed_formula_builds_no_levi_datum(name, monkeypatch):
 
     monkeypatch.setattr(RootDatum, "__init__", counting)
     datum = build_root_system.__wrapped__(parse_group(name))  # a fresh datum
-    closed_terms(datum, datum.fund_fracs(datum.lift_degree(degrees_of(datum.spec)[-1])), 2)
+    closed_terms(datum, datum.fund_residues(datum.lift_degree(degrees_of(datum.spec)[-1])), 2)
     assert built == [datum]
 
 
@@ -383,11 +394,11 @@ def test_levi_terms_from_group_records_match_sub_datum(name):
         # with the Levi's simple coroots
         assert all(L.sums[b] == 0 for b in datum.complement(L.I))
         for X in _lifts(datum, X0, L.I):
-            fracs = datum.fund_fracs(X, L.I)
-            assert fracs == L.datum.fund_fracs(X)
+            residues = datum.fund_residues(X, L.I)
+            assert residues == L.datum.fund_residues(X)
             for g in (2, 3):
-                assert (closed_terms(datum, fracs, g, I=L.I)
-                        == closed_terms(L.datum, fracs, g))
+                assert (closed_terms(datum, residues, g, I=L.I)
+                        == closed_terms(L.datum, residues, g))
 
 
 def test_verify_recursion_builds_no_root_datum(monkeypatch):
@@ -416,11 +427,11 @@ def test_levi_keys_accept_any_iterable():
     tuple of I, so a list or an unsorted I reads the same cached entry."""
     datum = build_root_system(parse_group("SO7"))
     X = datum.lift_degree(1)
-    assert datum.fund_fracs(X, [0]) == datum.fund_fracs(X, (0,))
+    assert datum.fund_residues(X, [0]) == datum.fund_residues(X, (0,))
     assert datum._cartan_block([2, 0]) is datum._cartan_block((0, 2))
-    fracs = datum.fund_fracs(X, (0, 2))
-    assert (closed_terms(datum, fracs, 2, I=[2, 0])
-            == closed_terms(datum, fracs, 2, I=(0, 2)))
+    residues = datum.fund_residues(X, (0, 2))
+    assert (closed_terms(datum, residues, 2, I=[2, 0])
+            == closed_terms(datum, residues, 2, I=(0, 2)))
     assert datum.project_to_center([2, 0], X) == datum.project_to_center((0, 2), X)
 
 
@@ -472,13 +483,13 @@ def _cartan_reads(spec, d, mutate):
             row[:] = [7] * len(row)
         A.append([0])
     X = datum.lift_degree(d)
-    return (datum.fund_fracs(X), datum.fund_fracs(X, (1,)), datum._cartan_block((0, 2)),
+    return (datum.fund_residues(X), datum.fund_residues(X, (1,)), datum._cartan_block((0, 2)),
             enumerate_hn_types(spec, d, 2, 12), datum.cartan_matrix())
 
 
 def test_cartan_rows_are_not_shared_with_callers():
     """cartan_matrix() returns a new list of lists: overwriting it leaves
-    the cached rows, and so fund_fracs, the Levi blocks and the HN
+    the cached rows, and so fund_residues, the Levi blocks and the HN
     enumeration, as they are."""
     spec = parse_group("GL2xSO5")
     assert _cartan_reads(spec, (1, 1), True) == _cartan_reads(spec, (1, 1), False)

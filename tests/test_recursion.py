@@ -453,7 +453,7 @@ class TestRecursion:
             if 2 * hn.codim > N:
                 continue
             levi = datum.sub_datum(datum.complement(hn.I))
-            series = closed_series_for(levi, levi.fund_fracs(hn.delta_lift), g, N)
+            series = closed_series_for(levi, levi.fund_residues(hn.delta_lift), g, N)
             c = hn.codim
             total = total - TruncSeries2(
                 N, {(i + c, j + c): x for (i, j), x in series.coeffs.items()})
@@ -489,10 +489,10 @@ class TestRecursion:
 
     def test_diagonal_specialization_consistent(self):
         # t-specializations of closed formula and recursion output agree
-        from hodge_series.formulas import _datum_fracs
+        from hodge_series.formulas import _datum_residues
 
         for d in (0, 1):
-            lhs = closed_series_for(*_datum_fracs(GL(2), (d,)), 2, 12)
+            lhs = closed_series_for(*_datum_residues(GL(2), (d,)), 2, 12)
             rhs = recursion_rhs(GL(2), (d,), 2, 12)
             assert BivarPoly(lhs.coeffs).diagonal() == BivarPoly(rhs.coeffs).diagonal()
 
@@ -516,7 +516,7 @@ def test_broken_stratum_fails(monkeypatch, name, d, mismatch):
     assert not rep.match
     assert rep.first_mismatch == mismatch
     datum = build_root_system(spec)
-    lhs = closed_series_for(datum, datum.fund_fracs(datum.lift_degree(d)), g, N)
+    lhs = closed_series_for(datum, datum.fund_residues(datum.lift_degree(d)), g, N)
     rhs = recursion_rhs(spec, d, g, N)
     i, j = min(k for k in set(lhs.coeffs) | set(rhs.coeffs)
                if lhs.coeff(*k) != rhs.coeff(*k))

@@ -337,21 +337,29 @@ LIFT_SPECS = ([spec for spec in ALL_RANK_LE_6 if sum(r for _, r in spec.factors)
                                           "GL2xGL2", "Sp2xSO4", "GL1xGL1xSO3")])
 
 
+def _fracs(datum, d):
+    """<varpi_a(d)> as Fractions n_a / D from the integer pair (D, nums),
+    after checking that every n_a lies in (0, D]."""
+    D, nums = datum.fund_residues(datum.lift_degree(d))
+    assert all(0 < n <= D for n in nums)
+    return tuple(Fraction(n, D) for n in nums)
+
+
 class TestFundWeights:
     def test_gl2(self):
         d = build_root_system(GL(2))
-        assert d.fund_fracs(d.lift_degree((1,)))[0] == Fraction(1, 2)
-        assert d.fund_fracs(d.lift_degree((0,)))[0] == 1
+        assert _fracs(d, (1,))[0] == Fraction(1, 2)
+        assert _fracs(d, (0,))[0] == 1
 
     def test_gl3(self):
         d = build_root_system(GL(3))
-        assert d.fund_fracs(d.lift_degree((1,)))[0] == Fraction(2, 3)
-        assert d.fund_fracs(d.lift_degree((1,)))[1] == Fraction(1, 3)
+        assert _fracs(d, (1,))[0] == Fraction(2, 3)
+        assert _fracs(d, (1,))[1] == Fraction(1, 3)
 
     def test_so5(self):
         d = build_root_system(SOodd(2))
-        assert d.fund_fracs(d.lift_degree((1,)))[0] == 1
-        assert d.fund_fracs(d.lift_degree((1,)))[1] == Fraction(1, 2)
+        assert _fracs(d, (1,))[0] == 1
+        assert _fracs(d, (1,))[1] == Fraction(1, 2)
 
     def test_lift_independence(self):
         rng = random.Random(7)
@@ -376,13 +384,13 @@ class TestFundWeights:
         d = build_root_system(spec)
         for degree in degrees_of(spec):
             X = d.lift_degree(degree)
-            fracs = d.fund_fracs(X)
+            residues = d.fund_residues(X)
             for _ in range(10):
                 shifted = list(X)
                 for cv in d.simple_coroots:
                     c = rng.randrange(-5, 6)
                     shifted = [a + c * b for a, b in zip(shifted, cv)]
-                assert d.fund_fracs(tuple(shifted)) == fracs
+                assert d.fund_residues(tuple(shifted)) == residues
 
 
 class TestFracRep:

@@ -47,12 +47,26 @@ from .rootdata import (
     parse_degree,
     parse_group,
 )
-from .vhs import (
-    PeriodMatrix,
-    QC,
-    basis_change_consistent,
-    theta_coefficients,
-    validate_period_matrix,
-)
 
 __version__ = "0.1.0"
+
+#: names of ``vhs``, which no command runs: it and they load on first access
+_VHS_NAMES = ("PeriodMatrix", "QC", "basis_change_consistent",
+              "theta_coefficients", "validate_period_matrix")
+
+__all__ = sorted(
+    [name for name in globals() if not name.startswith("_")]
+    + list(_VHS_NAMES) + ["vhs"])
+
+
+def __getattr__(name):
+    if name == "vhs" or name in _VHS_NAMES:
+        from importlib import import_module
+
+        vhs = import_module(__name__ + ".vhs")
+        return vhs if name == "vhs" else getattr(vhs, name)
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

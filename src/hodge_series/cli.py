@@ -14,7 +14,6 @@ reader closing the pipe early changes neither.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from functools import lru_cache
@@ -98,6 +97,8 @@ def cmd_compute(args):
         r2 = obj if isinstance(obj, RatFun2) else RatFun2(obj)
         expansion = r2.expand(args.expand)
     if args.format == "json":
+        import json
+
         out = {"group": str(spec), "what": args.what}
         if d is not None:
             out["degree"] = list(d)
@@ -128,6 +129,8 @@ def cmd_specialize(args):
     kind = args.at.replace("-", "_")
     value = formulas.specialize(obj, kind)
     if args.format == "json":
+        import json
+
         out = {"group": str(spec), "what": args.what, "at": args.at}
         if d is not None:
             out["degree"] = list(d)
@@ -308,6 +311,8 @@ def _parse_genus_list(text):
                          % (text,))
     if not genus_list:
         raise UsageError("--genus-list must name at least one genus")
+    if len(set(genus_list)) != len(genus_list):
+        raise UsageError("--genus-list names a genus twice: %r" % (text,))
     _check_genera(genus_list, "--genus-list")
     return genus_list
 
@@ -337,6 +342,8 @@ def cmd_verify(args):
     results = [ok for ok, _ in outcomes]
     code = 0 if all(results) else 1
     if args.format == "json":
+        import json
+
         out = {"suite": args.suite,
                "checks": [{"name": n, "pass": ok, **extra}
                           for (n, _), (ok, extra) in zip(all_checks, outcomes)],

@@ -97,7 +97,7 @@ denominator on its own band and decoded once (``ratfun._exact_quotient``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from itertools import repeat
 from math import gcd
 from operator import add, itemgetter, sub
@@ -155,14 +155,13 @@ def _check_genus(g):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class FTerm:
-    """coef * w^shift * prod (1 + u^a v^b)^e / prod (1 - w^k)^mult."""
+class FTerm(namedtuple("FTerm", "coef shift numfactors den")):
+    """coef * w^shift * prod (1 + u^a v^b)^e / prod (1 - w^k)^mult, with
+    numfactors a tuple of (a, b, e) and den a dict w-exponent k ->
+    multiplicity m >= 1 of 1 - w^k.  A named tuple: ``_replace`` gives a
+    changed copy."""
 
-    coef: int
-    shift: int
-    numfactors: tuple   # of (a, b, e)
-    den: dict           # w-exponent k -> multiplicity m >= 1 of 1 - w^k
+    __slots__ = ()
 
 
 def _common_den(dens):
@@ -705,7 +704,7 @@ def hp_moduli_space(spec: GroupSpec, d, g) -> RatFun2:
     datum, residues = _datum_residues(spec, d)
     z = datum.dim_z
     return assemble_exact([
-        replace(t, den={k: m - z if k == 1 else m for k, m in t.den.items()
+        t._replace(den={k: m - z if k == 1 else m for k, m in t.den.items()
                         if k != 1 or m > z})
         for t in closed_terms(datum, residues, g)])
 

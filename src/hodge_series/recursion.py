@@ -72,9 +72,7 @@ contribute nothing to the truncated series and are never enumerated.
 
 from __future__ import annotations
 
-import csv
-import io
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 from operator import mul
@@ -94,16 +92,20 @@ class NonIntegralCodim(ArithmeticError):
     """The codimension formula returned a non-integer."""
 
 
-@dataclass(frozen=True)
-class HNType:
+class HNType(namedtuple("HNType", "I delta_lift codim")):
     """One nonsemistable stratum: walls I, a lift of delta and codim, on the
     root datum of its group.  The slope mu is projected from the lift on
-    its first read and kept; the datum takes no part in comparison."""
+    its first read and kept.  A named tuple of (I, delta_lift, codim); the
+    datum is an attribute beside it, so it takes no part in comparison,
+    hashing or the repr, and ``_replace`` carries it over."""
 
-    I: tuple
-    delta_lift: tuple
-    codim: int
-    datum: RootDatum = field(compare=False, repr=False)
+    def __new__(cls, I, delta_lift, codim, datum: RootDatum):
+        self = tuple.__new__(cls, (I, delta_lift, codim))
+        self.datum = datum
+        return self
+
+    def _replace(self, **fields):
+        return HNType(*super()._replace(**fields), self.datum)
 
     @cached_property
     def mu(self):
@@ -127,8 +129,7 @@ def codim(datum, mu, g):
     return int(total)
 
 
-@dataclass(frozen=True)
-class _HNSetup:
+class _HNSetup(namedtuple("_HNSetup", "keep det R H U weights")):
     """Degree- and genus-independent integer data of the strata with walls I.
 
     With K = keep = Delta - I, A the Cartan matrix and (det, adj) the
@@ -143,12 +144,7 @@ class _HNSetup:
     for a in I.
     """
 
-    keep: tuple
-    det: int
-    R: tuple
-    H: tuple
-    U: tuple
-    weights: tuple
+    __slots__ = ()
 
 
 def _hnf(rows):
@@ -339,6 +335,9 @@ def hn_blocks_of(datum, hn: HNType):
 
 def hn_types_to_csv(types):
     """CSV table of strata: I bitmask, delta lift, mu, codim."""
+    import csv
+    import io
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["I", "delta", "mu", "codim"])
@@ -377,20 +376,20 @@ def _rhs_terms(spec, g, strata, sign):
     by w^{codim}."""
     datum = build_root_system(spec)
     a = a_series_term(spec, g)
-    a.coef *= sign
-    terms = [a]
+    terms = [a._replace(coef=a.coef * sign)]
     for hn in strata:
         terms += closed_terms(datum, datum.fund_residues(hn.delta_lift, hn.I), g,
                               -sign, hn.codim, hn.I)
     return terms
 
 
-@dataclass(frozen=True)
-class RecursionReport:
-    match: bool
-    first_mismatch: tuple | None  # (i, j, lhs, rhs)
-    order: int
-    strata: int  # contributing strata: codim <= order // 2
+class RecursionReport(namedtuple("RecursionReport",
+                                  "match first_mismatch order strata")):
+    """Outcome of ``verify_recursion``: match, first_mismatch (i, j, lhs,
+    rhs) or None, the order, and strata, the number of contributing strata
+    (codim <= order // 2)."""
+
+    __slots__ = ()
 
 
 def verify_recursion(spec: GroupSpec, d, g, order) -> RecursionReport:

@@ -56,7 +56,7 @@ The symbol <x> always denotes the representative of x mod Z in (0, 1].
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -202,16 +202,16 @@ def smith_invariants(rows):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GroupSpec:
-    """An ordered product of classical factors, e.g. GL2 x SO5."""
+class GroupSpec(namedtuple("GroupSpec", "factors")):
+    """An ordered product of classical factors, e.g. GL2 x SO5: factors is
+    a tuple of (family, rank), checked on construction."""
 
-    factors: tuple  # of (family, rank)
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.factors:
+    def __new__(cls, factors):
+        if not factors:
             raise ValueError("a group needs at least one factor")
-        for fam, r in self.factors:
+        for fam, r in factors:
             if fam not in FAMILIES:
                 raise ValueError("unknown family %r" % (fam,))
             if r < 1:
@@ -220,6 +220,7 @@ class GroupSpec:
                 raise UnsupportedRank("SL needs rank >= 2")
             if fam == "SOeven" and r < 2:
                 raise UnsupportedRank("SO_even needs rank >= 2 (no SO_2)")
+        return tuple.__new__(cls, (factors,))
 
     def __str__(self):
         return "x".join(_factor_name(f, r) for f, r in self.factors)
@@ -327,8 +328,7 @@ def _exponents(heights, dim_z):
     return tuple([1] * dim_z + sorted(e + 1 for e in exps))
 
 
-@dataclass(frozen=True)
-class LeviDatum:
+class LeviDatum(namedtuple("LeviDatum", "I dim_z exponents dim_u sums")):
     """The Levi L^I of the standard parabolic P^I of a root datum, summed
     from the records of the connected components of Delta - I
     (``RootDatum._component``): dim Z(L^I), the exponents of L^I, dim U^I
@@ -337,14 +337,13 @@ class LeviDatum:
     (``rho_pairings``).  The nilradical's forms are scanned off the
     ambient table on each read of ``nilradical``, and the Levi's own root
     datum (simple roots Delta - I) is built on the first read of
-    ``datum``."""
+    ``datum``.  A named tuple of the first five; the ambient datum is an
+    attribute beside it, so it takes no part in comparison or the repr."""
 
-    I: tuple
-    dim_z: int
-    exponents: tuple
-    dim_u: int
-    sums: tuple
-    ambient: RootDatum = field(repr=False, compare=False)
+    def __new__(cls, I, dim_z, exponents, dim_u, sums, ambient: RootDatum):
+        self = tuple.__new__(cls, (I, dim_z, exponents, dim_u, sums))
+        self.ambient = ambient
+        return self
 
     datum = property(lambda self: self.ambient.sub_datum(self.ambient.complement(self.I)))
     rank = property(lambda self: self.ambient.n)
@@ -744,8 +743,10 @@ def good_case(spec: GroupSpec, d) -> bool:
     slope mu_G(d).  Writing X_d - mu_G(d) = sum q_alpha alpha^vee, that
     membership holds for I iff q_alpha is an integer for every alpha in I,
     so shrinking I to a singleton shows: the good case holds iff no single
-    q_alpha = varpi_alpha(X_d) is an integer.
+    q_alpha = varpi_alpha(X_d) is an integer.  With <q_alpha> = n_alpha / D
+    and n_alpha in (0, D] (``fund_residues``), q_alpha is an integer
+    exactly when n_alpha = D.
     """
     datum = build_root_system(spec)
-    values = datum.fund_weight_values(datum.lift_degree(d))
-    return all(v.denominator != 1 for v in values)
+    D, nums = datum.fund_residues(datum.lift_degree(d))
+    return all(n != D for n in nums)

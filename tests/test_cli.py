@@ -461,12 +461,31 @@ class TestVerify:
         ["--suite", "all", "--max-rank", "1", "--genus-list", "2,9"],
         ["--suite", "recursion", "--max-rank", "2", "--genus-list", ""],
         ["--suite", "recursion", "--max-rank", "2", "--genus-list", ","],
+        ["--suite", "all", "--max-rank", "2", "--genus-list", "2,2"],
+        ["--suite", "recursion", "--max-rank", "1", "--genus-list", "3,2,3"],
     ], ids=["genus-not-integer", "genus-below-2", "max-rank-0", "order-negative",
-            "genus-above-cap", "genus-above-cap-all", "genus-empty", "genus-comma"])
+            "genus-above-cap", "genus-above-cap-all", "genus-empty", "genus-comma",
+            "genus-repeated", "genus-repeated-apart"])
     def test_bad_parameter_exit_2(self, capsys, argv):
         code, out, _ = run(capsys, "verify", *argv)
         assert code == 2
         assert "PASS" not in out
+
+    def test_repeated_genus_one_usage_line(self, capsys):
+        code, out, err = run(capsys, "verify", "--suite", "good-case",
+                             "--genus-list", "2,2")
+        assert (code, out) == (2, "")
+        assert err == "usage error: --genus-list names a genus twice: '2,2'\n"
+
+    def test_distinct_genera_keep_their_order(self, capsys):
+        code, out, _ = run(capsys, "verify", "--suite", "recursion",
+                           "--max-rank", "1", "--genus-list", "3,2",
+                           "--order", "6")
+        assert code == 0
+        names = [ln.split(" ", 1)[1] for ln in out.splitlines()[:-1]]
+        assert names[:2] == ["recursion GL1 d=(0,) g=3 N=6",
+                             "recursion GL1 d=(0,) g=2 N=6"]
+        assert [name.split()[3] for name in names] == ["g=3", "g=2"] * 4
 
 
 class TestCertificateFailure:

@@ -8,7 +8,6 @@ under test.
 
 import sys
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 from itertools import repeat
 from math import gcd
@@ -577,7 +576,7 @@ class TestExactOrder:
         """A sum whose groups all cancel forms a band of one slot, whatever
         its terms' degrees."""
         plus = FTerm(3, 9, WIDE.numfactors, {2: 4})
-        _, lo, W, n, items, _ = _over_common_den([plus, replace(plus, coef=-3)])
+        _, lo, W, n, items, _ = _over_common_den([plus, plus._replace(coef=-3)])
         assert (lo, W, n, items) == (0, 1, 1, [])
 
 
@@ -727,7 +726,7 @@ def cancelling_groups(draw):
     group = [] if whole else draw(st.lists(fterms(nf), max_size=5))
     for t in pairs:
         den = +t.den if draw(st.booleans()) else Counter(t.den)
-        group += [t, replace(t, coef=-t.coef, den=den)]
+        group += [t, t._replace(coef=-t.coef, den=den)]
     return draw(st.permutations(group)), whole
 
 
@@ -845,7 +844,7 @@ class TestSlotWidth:
 
 
 def _negated(terms):
-    return [replace(t, coef=-t.coef) for t in terms]
+    return [t._replace(coef=-t.coef) for t in terms]
 
 
 @st.composite
@@ -855,16 +854,16 @@ def equal_rewrites(draw, terms):
     1 + w^k / (1 - w^k); then the list shuffled."""
     out = []
     for t in terms:
-        t = replace(t, numfactors=tuple(draw(st.permutations(t.numfactors))))
+        t = t._replace(numfactors=tuple(draw(st.permutations(t.numfactors))))
         if draw(st.booleans()):
             part = draw(st.sampled_from([-2, -1, 1, 2]))
-            out.append(replace(t, coef=part))
-            t = replace(t, coef=t.coef - part)
+            out.append(t._replace(coef=part))
+            t = t._replace(coef=t.coef - part)
         ks = sorted(k for k, m in t.den.items() if m > 0)
         if ks and draw(st.booleans()):
             k = draw(st.sampled_from(ks))
-            out.append(replace(t, den=t.den - Counter({k: 1})))
-            t = replace(t, shift=t.shift + k)
+            out.append(t._replace(den=t.den - Counter({k: 1})))
+            t = t._replace(shift=t.shift + k)
         out.append(t)
     return draw(st.permutations(out))
 
@@ -998,7 +997,7 @@ class TestFixedDet:
         one denominator factor 1 - w^7 too many fails the certificate."""
         real = formulas.closed_terms
         monkeypatch.setattr(formulas, "closed_terms", lambda *args, **kwargs: [
-            replace(t, den=Counter(t.den) + Counter({7: 1})) for t in real(*args, **kwargs)])
+            t._replace(den=Counter(t.den) + Counter({7: 1})) for t in real(*args, **kwargs)])
         with pytest.raises(FactorizationFailed):
             hp_moduli_fixed_det(3, 1, 2)
 

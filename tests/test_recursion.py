@@ -3,7 +3,6 @@ recursion identity between full-stack and semistable series."""
 
 import hashlib
 import itertools
-from dataclasses import replace
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -17,6 +16,7 @@ from hodge_series.ratfun import BivarPoly, TruncSeries2
 from hodge_series.recursion import (
     HNType,
     NonIntegralCodim,
+    RecursionReport,
     codim,
     enumerate_hn_types,
     hn_blocks_of,
@@ -388,6 +388,37 @@ def test_slope_is_projected_once_on_first_read(monkeypatch):
     assert calls == [(t.I, t.delta_lift) for t in strata]
 
 
+def test_hn_type_record(monkeypatch):
+    """An HNType is the tuple (I, delta_lift, codim): its datum sits beside
+    it, out of comparison, hashing and the repr, and ``_replace`` carries
+    it; mu is projected once, on the first read."""
+    spec = parse_group("GL3xSO5")
+    datum = build_root_system(spec)
+    t = enumerate_hn_types(spec, (2, 1), 2, 15)[0]
+    bare = HNType(t.I, t.delta_lift, t.codim, None)
+    assert t.datum is datum and bare.datum is None
+    assert t == bare and hash(t) == hash(bare) and len({t, bare}) == 1
+    assert repr(t) == repr(bare) == "HNType(I=%r, delta_lift=%r, codim=%r)" % t
+    calls = []
+    real = rootdata.RootDatum.project_to_center
+    monkeypatch.setattr(rootdata.RootDatum, "project_to_center",
+                        lambda self, I, X: calls.append(I) or real(self, I, X))
+    assert t.mu == t.mu == real(datum, t.I, t.delta_lift)
+    assert calls == [t.I]
+    moved = t._replace(codim=t.codim + 1)
+    assert (moved.I, moved.delta_lift, moved.codim) == (t.I, t.delta_lift, t.codim + 1)
+    assert moved.datum is datum and moved.mu == t.mu
+
+
+def test_recursion_report_fields_by_name():
+    rep = verify_recursion(parse_group("GL2"), (1,), 2, 10)
+    assert (rep.match, rep.first_mismatch, rep.order) == (True, None, 10)
+    assert rep.strata == len(enumerate_hn_types(parse_group("GL2"), (1,), 2, 5))
+    failed = RecursionReport(False, (3, 4, 10, 9), 8, 5)
+    assert failed._asdict() == {"match": False, "first_mismatch": (3, 4, 10, 9),
+                                "order": 8, "strata": 5}
+
+
 @st.composite
 def nonsingular_matrices(draw):
     k = draw(st.integers(1, 5))
@@ -508,7 +539,7 @@ def test_broken_stratum_fails(monkeypatch, name, d, mismatch):
 
     def broken(*args, **kwargs):
         strata = real(*args, **kwargs)
-        return [replace(strata[0], codim=strata[0].codim + 1)] + strata[1:]
+        return [strata[0]._replace(codim=strata[0].codim + 1)] + strata[1:]
 
     monkeypatch.setattr(recursion, "enumerate_hn_types", broken)
     spec, g, N = parse_group(name), 2, 30

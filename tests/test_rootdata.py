@@ -14,8 +14,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import hodge_series.rootdata as rootdata
+from hodge_series.cli import _classical_specs
 from hodge_series.rootdata import (
     GroupSpec,
+    LeviDatum,
     SingularSystem,
     UnsupportedRank,
     _adjugate,
@@ -69,6 +71,26 @@ class TestParsing:
     def test_round_trip_names(self):
         for s in ("GL3", "SL4", "SO5", "SO8", "Sp3", "GL2xSO7"):
             assert str(parse_group(s)) == s
+
+
+class TestGroupSpec:
+    def test_repr_str_and_fields(self):
+        spec = GroupSpec((("GL", 2),))
+        assert repr(spec) == "GroupSpec(factors=(('GL', 2),))"
+        assert str(spec) == "GL2"
+        assert spec.factors == (("GL", 2),)
+        assert GroupSpec(factors=(("GL", 2),)) == spec == parse_group("GL2")
+        assert hash(spec) == hash(parse_group("GL2"))
+
+    @pytest.mark.parametrize("factors,exc", [
+        ((), ValueError), ((("XX", 2),), ValueError),
+        ((("GL", 0),), UnsupportedRank), ((("SL", 1),), UnsupportedRank),
+        ((("SOeven", 1),), UnsupportedRank)],
+        ids=["empty", "family", "rank-0", "SL1", "SO2"])
+    def test_bad_factors_raise(self, factors, exc):
+        with pytest.raises(ValueError) as info:
+            GroupSpec(factors)
+        assert info.type is exc
 
 
 class TestRootSystems:
@@ -258,6 +280,17 @@ class TestLeviData:
         assert ld.dim_z == 2
         assert ld.exponents == (1, 1)
         assert ld.dim_u == 1
+
+    def test_equality_ignores_ambient(self):
+        """The ambient datum is an attribute beside the record's fields: it
+        takes no part in comparison, hashing or the repr."""
+        gl3 = build_root_system(GL(3))
+        ld = gl3.levi((0,))
+        other = LeviDatum(*ld, build_root_system(GL(4)))
+        assert ld.ambient is gl3
+        assert other == ld and hash(other) == hash(ld)
+        assert repr(other) == repr(ld) and "ambient" not in repr(ld)
+        assert ld.I == (0,) and ld.sums == other.sums
 
     def test_full_parabolic(self):
         for spec in ALL_RANK_LE_6:
@@ -485,6 +518,17 @@ class TestGoodCase:
         spec = parse_group("GL2xGL3")
         assert good_case(spec, (1, 1))
         assert not good_case(spec, (1, 0))
+
+    @pytest.mark.parametrize(
+        "spec", [GroupSpec((f,)) for f in _classical_specs(4)]
+        + [parse_group("GL3xSO5")], ids=str)
+    def test_integer_residues_match_fractions(self, spec):
+        """good_case reads n_alpha != D off fund_residues; the Fraction form
+        asks that no varpi_alpha(X_d) be an integer."""
+        datum = build_root_system(spec)
+        for d in degrees_of(spec):
+            values = datum.fund_weight_values(datum.lift_degree(d))
+            assert good_case(spec, d) == all(v.denominator != 1 for v in values)
 
 
 class TestDegrees:

@@ -35,7 +35,8 @@ pairings sums(I u J)[beta] - sums(I)[beta] for beta in J, keyed by beta's
 position in Delta - I, cached per genus and I; no Levi root datum is built.
 The parts of a(L) depend only on dim Z(L) and the exponents of L, so every
 template reads them from one table per datum and genus, built once per Levi
-type.  Every denominator in sight
+type, in one canonical layout (``_a_parts``): equal Levi types have equal
+numerator tuples.  Every denominator in sight
 is a product of factors (1 - (uv)^k), so terms are carried in factored form
 (a numerator product plus a multiset of w-exponents).  One pass serves the
 exact and the truncated sum.  A term's numerator is that of a(L^I), which
@@ -72,18 +73,19 @@ their walls carry <varpi> as integer numerators over r (type A) or over 2
 (types B, C and D).  They build every factored term through ``_levi_term``,
 which turns (sign, Levi, dim U, walls, D) into an ``FTerm`` from the same
 parts as a template (``_a_parts``, ``_exponent``); each sum reads the parts
-of a(L) from its own table, keyed by (dim Z, exponents), so ``_a_parts``
-runs once per Levi type in a call.
+of a(L) from its own table, keyed by (dim Z, sorted exponents), so
+``_a_parts`` runs once per Levi type in a call, whatever order a
+composition gives its blocks' exponents in.
 
 Both sums are linear in their terms, so two sums are compared as one: the
 terms of one side and those of the other with coef negated
 (``classical_difference_terms``; the recursion check of
 :mod:`hodge_series.recursion` likewise).  The sum is zero exactly when the
 two sides are equal, exactly and to every order, since both sides skip the
-same terms (2 shift > order).  Equal terms of the two sides fall in one
-group and cancel in its C(w), in integers, before the band; equal terms
-whose factor tuples are ordered differently meet on the band and cancel
-there.
+same terms (2 shift > order).  Equal terms of the two sides have equal
+canonical numerators, so they fall in one group and cancel in its C(w), in
+integers, before the band: a classical difference sum that holds forms no
+band at all.
 
 The fixed-determinant polynomial is certified the same way
 (``hp_moduli_fixed_det``).  The type A composition sum with one abelian
@@ -224,8 +226,10 @@ def _over_common_den(terms, order=None):
     nonzero power.  What multiplies the leaf is a multiset of letters, band
     shifts with their sign: b * W + a - b with multiplicity e for each
     numerator factor (1 + u^a v^b)^e, and k * W with multiplicity m for
-    each factor (1 - w^k)^m of common - gden.  A group whose C cancels adds
-    nothing and is dropped; so is one whose leaf starts at or past the
+    each factor (1 - w^k)^m of common - gden.  The package's canonical
+    numerators (``_a_parts``) never repeat an (a, b); a general term list
+    may, and its repeats add their multiplicities.  A group whose C cancels
+    adds nothing and is dropped; so is one whose leaf starts at or past the
     band's end.
 
     [lo, lo + W) covers p - q over the numerators of the groups kept, read
@@ -396,16 +400,22 @@ def assemble_series(terms, order) -> TruncSeries2:
 
 def _a_parts(m, nonab_exps, g):
     """Numerator factors and denominator multiset of a(L), from dim Z(L) = m
-    and the exponents of L after its m leading ones."""
+    and the exponents of L after its m leading ones, in the canonical
+    layout: the abelian pair (1, 0, g m), (0, 1, g m) first when m > 0,
+    then one pair (d, d - 1, g c), (d - 1, d, g c) per distinct exponent d,
+    in increasing order, c the multiplicity of d.  Equal Levi types get
+    equal numerators, whatever order their exponents come in, and no two
+    factors have the same (a, b)."""
     numf = []
     den = {}
     if m:
         numf += [(1, 0, g * m), (0, 1, g * m)]
         den[1] = m
-    for d in nonab_exps:
-        numf += [(d, d - 1, g), (d - 1, d, g)]
-        den[d - 1] = den.get(d - 1, 0) + 1
-        den[d] = den.get(d, 0) + 1
+    for d in sorted(set(nonab_exps)):
+        c = nonab_exps.count(d)
+        numf += [(d, d - 1, g * c), (d - 1, d, g * c)]
+        den[d - 1] = den.get(d - 1, 0) + c
+        den[d] = den.get(d, 0) + c
     return tuple(numf), den
 
 
@@ -422,11 +432,11 @@ def _levi_term(parts, coef, m, nonab_exps, dim_u, walls, g, D=1):
     has dim Z(L) = m and non-abelian exponents nonab_exps, and walls lists
     the pairs (r, n) = (2 rho^I(alpha^vee), D <varpi_alpha(d)>), n an
     integer.  The parts of a(L) are read from the table parts, keyed by
-    (m, nonab_exps), and put in it on a miss; the term gets its own copy of
-    the denominator."""
-    kind = m, nonab_exps
+    (m, sorted nonab_exps), and put in it on a miss; the term gets its own
+    copy of the denominator."""
+    kind = m, tuple(sorted(nonab_exps))
     if kind not in parts:
-        parts[kind] = _a_parts(m, nonab_exps, g)
+        parts[kind] = _a_parts(*kind, g)
     numf, den = parts[kind]
     den = den.copy()
     for r, _ in walls:
@@ -712,11 +722,11 @@ def hp_moduli_space(spec: GroupSpec, d, g) -> RatFun2:
 def _jacobian_lift(t, g, coef=1):
     """coef times the term t times (1 + u)^g (1 + v)^g / (1 - uv), the
     series of the Jacobian: a term of a(L) with dim Z(L) = m becomes the
-    term of a(L) with one abelian factor more, written as ``_a_parts``
-    writes it.  Its pair (1 + u)^{g m} (1 + v)^{g m} leads the numerator
-    factors (a non-abelian factor has u-degree at least 2) and becomes the
-    pair of exponent g (m + 1), prepended when m = 0; the denominator gains
-    one 1 - uv."""
+    term of a(L) with one abelian factor more, in the canonical layout of
+    ``_a_parts``.  There the pair (1 + u)^{g m} (1 + v)^{g m} leads the
+    numerator factors (a non-abelian pair has exponent d >= 2) and becomes
+    the pair of exponent g (m + 1), prepended when m = 0; the denominator
+    gains one 1 - uv."""
     nf = t.numfactors
     e = g
     if nf and nf[0][:2] == (1, 0):
@@ -739,12 +749,13 @@ def hp_moduli_fixed_det(r, d, g) -> BivarPoly:
     (``_jacobian_lift``).  The sum is linear, so its exact sum
     (``assemble_exact``) is zero exactly when the identity holds, else
     FactorizationFailed.  A lifted term of F is the term of the GL_r
-    composition sum, and equal terms of the two sides cancel in integers in
-    their group's cofactor, so up to GL4 no band is formed at all.  The
-    second: F, summed on its own band, divides exactly by its denominator
-    (``ratfun._exact_quotient``, the one decode) into a polynomial of total
-    degree at most twice the dimension (g - 1)(r^2 - 1), else
-    NotPolynomialWithinBound."""
+    composition sum, with the same canonical numerator as the closed
+    formula's term of its Levi type, so equal terms of the two sides cancel
+    in integers in their group's cofactor and no band is formed at all, at
+    any rank.  The second: F, summed on its own band, divides exactly by
+    its denominator (``ratfun._exact_quotient``, the one decode) into a
+    polynomial of total degree at most twice the dimension
+    (g - 1)(r^2 - 1), else NotPolynomialWithinBound."""
     _check_genus(g)
     if gcd(r, d) != 1:
         raise NotCoprime("need gcd(r, d) = 1, got (%d, %d)" % (r, d))

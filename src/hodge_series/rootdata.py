@@ -271,7 +271,13 @@ def parse_degree(text, spec: GroupSpec):
     if len(parts) != len(spec.factors):
         raise ValueError("degree needs %d components, got %d"
                          % (len(spec.factors), len(parts)))
-    return validate_degree(tuple(int(p) for p in parts), spec)
+    d = []
+    for p in parts:
+        try:
+            d.append(int(p))
+        except ValueError:
+            raise ValueError("degree entries must be integers, got %r" % (p,)) from None
+    return validate_degree(tuple(d), spec)
 
 
 def validate_degree(d, spec: GroupSpec):

@@ -109,6 +109,16 @@ class TestCompute:
         assert out == ""
         assert err.startswith("usage error:")
 
+    @pytest.mark.parametrize("degree", ["x", "1.0", "", "1,x"])
+    def test_non_integer_degree_exit_2(self, capsys, degree):
+        """A degree entry that is no integer is named in the usage error."""
+        group = "GL2xSO5" if "," in degree else "GL2"
+        code, out, err = run(capsys, "compute", "--group", group, "--degree", degree,
+                             "--what", "semistable")
+        assert (code, out) == (2, "")
+        assert err == "usage error: degree entries must be integers, got %r\n" % (
+            degree.split(",")[-1],)
+
     def test_classifying_valid_degree(self, capsys):
         code, out, _ = run(capsys, "compute", "--group", "SL2", "--degree", "0",
                            "--what", "classifying", "--format", "json")
@@ -379,34 +389,36 @@ class TestVerify:
             == "FAIL classical SO5 d=(0,) g=2"
 
     def test_classical_series_branch(self, capsys):
-        """Above rank 4 the classical checks compare truncated series."""
-        code, out, _ = run(capsys, "verify", "--suite", "classical",
-                           "--max-rank", "5", "--genus-list", "2", "--order", "10")
-        lines = out.splitlines()
-        assert code == 0
+        """The rank-5 classical checks are exact sums, as at every rank:
+        their names carry no order, and --order, which sets only the
+        recursion checks, leaves the output unchanged."""
+        outs = []
+        for order in ("10", "18"):
+            code, out, _ = run(capsys, "verify", "--suite", "classical",
+                               "--max-rank", "5", "--genus-list", "2", "--order", order)
+            assert code == 0
+            outs.append(out)
+        lines = outs[0].splitlines()
         assert lines[-1] == "42/42 checks passed"
-        assert sum(ln.endswith(" series N=10") for ln in lines) == 11
+        assert outs[1] == outs[0]
+        assert not any("N=" in ln for ln in lines)
 
-    @pytest.mark.parametrize("order,passed,series_fails", [
-        (10, 33, []),
-        (18, 30, ["FAIL classical SO11 d=(0,) g=2 series N=18",
-                  "FAIL classical SO11 d=(1,) g=2 series N=18",
-                  "FAIL classical Sp5 d=(0,) g=2 series N=18"])])
-    def test_classical_series_branch_break(self, capsys, monkeypatch, order,
-                                           passed, series_fails):
-        """Under the same break the rank <= 4 checks of SO_{2m+1} and Sp_m
-        fail at any order; at rank 5 the raised exponent 10 -> 11 first
-        shows at total degree 18, so the series checks pass at order 10
-        and fail at order 18."""
+    @pytest.mark.parametrize("order", [10, 18])
+    def test_classical_series_branch_break(self, capsys, monkeypatch, order):
+        """Under the same break the checks of SO_{2m+1} and Sp_m fail at
+        every rank and every order: the raised exponent 10 -> 11 of rank 5
+        shows in the exact sum, though not below total degree 18."""
         self.break_bc_exps(monkeypatch)
         code, out, _ = run(capsys, "verify", "--suite", "classical",
                            "--max-rank", "5", "--genus-list", "2",
                            "--order", str(order))
         lines = out.splitlines()
         assert code == 1
-        assert lines[-1] == "%d/42 checks passed" % passed
-        assert [ln for ln in lines if ln.startswith("FAIL") and "series" in ln] \
-            == series_fails
+        assert lines[-1] == "30/42 checks passed"
+        assert [ln for ln in lines if ln.startswith("FAIL") and (
+            "SO11" in ln or "Sp5" in ln)] == ["FAIL classical SO11 d=(0,) g=2",
+                                              "FAIL classical SO11 d=(1,) g=2",
+                                              "FAIL classical Sp5 d=(0,) g=2"]
 
     def test_json_recursion_mismatch(self, capsys, monkeypatch):
         from hodge_series import recursion

@@ -19,6 +19,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import band_reference
 from hodge_series import formulas, ratfun, rootdata
+from hodge_series.cli import _classical_specs
 from hodge_series.formulas import (
     FactorizationFailed,
     FTerm,
@@ -352,6 +353,48 @@ def test_term_denominators_are_plain_dicts(monkeypatch, name):
             assert _plain_dens([formulas._jacobian_lift(t, 2) for t in terms])
     assert _plain_dens([formulas.a_series_term(spec, 2)])
 
+
+def _canonical(numfactors, g):
+    """True when the numerator factors are in ``_a_parts``'s layout: pairs
+    (d, d - 1, e), (d - 1, d, e), e a positive multiple of g, one pair per
+    d and d increasing, from the abelian pair d = 1 on."""
+    ds = []
+    for (a, b, e), second in zip(numfactors[::2], numfactors[1::2]):
+        if second != (b, a, e) or a != b + 1 or e <= 0 or e % g:
+            return False
+        ds.append(a)
+    return len(numfactors) == 2 * len(ds) and ds == sorted(set(ds))
+
+
+@pytest.mark.parametrize("family,rank", _classical_specs(6) + [("GL3xSO5", None)])
+def test_numerators_are_canonical(family, rank):
+    """Every term of the closed formula (of the group, and of each Levi for
+    GL3 x SO5), of the composition sums and of the Jacobian lift carries
+    its numerator in the canonical layout, at g = 2 and 3."""
+    spec = parse_group(family) if rank is None else GroupSpec(((family, rank),))
+    datum = build_root_system(spec)
+    for d in degrees_of(spec):
+        X = datum.lift_degree(d)
+        for g in (2, 3):
+            terms = closed_terms(datum, datum.fund_residues(X), g)
+            if rank is None:
+                for L in datum.levis()[1:]:
+                    terms += closed_terms(datum, datum.fund_residues(X, L.I), g, I=L.I)
+            else:
+                classical = formulas._classical_terms(family, rank, d[0], g)
+                terms += classical + [formulas._jacobian_lift(t, g) for t in classical]
+            assert all(_canonical(t.numfactors, g) for t in terms), (d, g)
+
+
+@pytest.mark.parametrize("family,rank", _classical_specs(6))
+def test_classical_difference_sums_form_no_band(family, rank):
+    """The composition sum minus the closed formula: with canonical
+    numerators on both sides, every group cancels in its cofactor, at every
+    degree and g = 2, 3, so no item reaches the band."""
+    for (d,) in degrees_of(GroupSpec(((family, rank),))):
+        for g in (2, 3):
+            terms = formulas.classical_difference_terms(family, rank, d, g)
+            assert _over_common_den(terms)[4] == [], (d, g)
 
 @settings(max_examples=60, deadline=None)
 @given(fterm_lists)
@@ -761,16 +804,20 @@ class TestGroupCofactor:
 
 def test_composition_sums_build_a_parts_once_per_levi_type(monkeypatch):
     """Each composition sum reads the parts of a(L) from its own table,
-    keyed by (dim Z, exponents): GL4 has 8 compositions but 5 Levi types,
-    the compositions with equal multisets of parts sharing one, and a second
-    call builds its own table."""
+    keyed by the Levi type (dim Z, sorted exponents): GL5 has 16
+    compositions but 7 Levi types, the compositions with equal multisets of
+    parts sharing one, (2, 3) and (3, 2) included, whose exponents come
+    block by block as (2, 2, 3) and (2, 3, 2); a second call builds its own
+    table."""
     calls = []
     real = formulas._a_parts
     monkeypatch.setattr(formulas, "_a_parts", lambda *a: calls.append(a) or real(*a))
-    terms = formulas._classical_terms("GL", 4, 1, 2)
-    assert len(terms) == 8 and len(calls) == 5
-    assert formulas._classical_terms("GL", 4, 1, 2) == terms and len(calls) == 10
-    for family, rank in (("SL", 4), ("SOodd", 4), ("Sp", 4), ("SOeven", 4)):
+    terms = formulas._classical_terms("GL", 5, 1, 2)
+    assert len(terms) == 16 and len(calls) == 7
+    comps = formulas._compositions(5)
+    assert terms[comps.index((2, 3))].numfactors is terms[comps.index((3, 2))].numfactors
+    assert formulas._classical_terms("GL", 5, 1, 2) == terms and len(calls) == 14
+    for family, rank in (("SL", 5), ("SOodd", 5), ("Sp", 5), ("SOeven", 5)):
         calls.clear()
         terms = formulas._classical_terms(family, rank, 0, 2)
         assert len(calls) == len(set(calls)) == len({t.numfactors for t in terms})
@@ -1029,25 +1076,17 @@ class TestFixedDet:
         return formed
 
     @pytest.mark.parametrize("r,d,g", [
-        (r, d, g) for r in (2, 3, 4) for d in range(-1, r + 2) if gcd(r, d) == 1
-        for g in (2, 3, 8)])
+        (r, d, g) for r in range(2, 9) for d in range(-1, r + 2) if gcd(r, d) == 1
+        for g in ((2, 3, 8) if r <= 6 else (2, 3))])
     def test_one_band_per_call(self, monkeypatch, r, d, g):
-        """Up to GL4 every lifted term of the difference sum cancels a
-        closed-formula term in its group's cofactor, so the one band formed
-        is the fixed-determinant sum's, the one divided."""
+        """Through GL8 every lifted term of the difference sum cancels a
+        closed-formula term in its group's cofactor, the two sides carrying
+        the same canonical numerators, so the one band formed is the
+        fixed-determinant sum's, the one divided."""
         formed = self.bands(monkeypatch)
         hp_moduli_fixed_det(r, d, g)
         _, _, W, n, _, _ = _over_common_den(_gl_terms(r, d, g, abelian_drop=1))
         assert [(n_, W_) for n_, W_, _ in formed] == [(n, W)]
-
-    def test_gl5_difference_reaches_the_band(self, monkeypatch):
-        """GL5 d=2 g=3: the compositions whose exponents _gl_terms writes
-        unsorted meet their closed-formula terms only on the band, where
-        the difference sum is zero; the result is the old route's."""
-        formed = self.bands(monkeypatch)
-        p = hp_moduli_fixed_det(5, 2, 3)
-        assert len(formed) == 2 and formed[0][2] == 0
-        assert p.terms == self.old_route(5, 2, 3)
 
     def test_quotient_decodes_only_rows_within_the_bound(self, monkeypatch):
         """GL4 d=1 g=8: of the quotient's rows, only those that can hold a

@@ -5,8 +5,11 @@ precondition failure.  A certificate that fails while a result is built,
 or an exponent or codimension that comes out non-integral
 (``CERTIFICATE_FAILURES``), is a verification failure: ``compute`` and
 ``specialize`` exit 1 with one line on stderr, and ``verify`` marks the
-check FAIL and runs the rest.  All numeric output is exact; big integers
-are printed as decimal strings in JSON.  Identical invocations print identical bytes.
+check FAIL and runs the rest.  ``verify`` chooses its own parameters, so a
+precondition that fails inside one of its checks (``PRECONDITION_FAILURES``)
+means the library disagrees with itself: that check fails too.  All
+numeric output is exact; big integers are printed as decimal strings in
+JSON.  Identical invocations print identical bytes.
 Each command returns its exit code with its text, which main prints, so a
 reader closing the pipe early changes neither.
 """
@@ -37,6 +40,10 @@ class UsageError(ValueError):
 #: stratum codimension that must be an integer and is not
 CERTIFICATE_FAILURES = (FactorizationFailed, NotPolynomialWithinBound,
                         NonIntegralExponent, NonIntegralCodim)
+
+#: a formula asked for outside its scope: the good case, coprime rank and
+#: degree, or a point where the denominator does not vanish
+PRECONDITION_FAILURES = (NotGoodCase, NotCoprime, ZeroDenominatorAfterSubstitution)
 
 
 def _parse_spec_degree(args, need_degree=True):
@@ -274,13 +281,14 @@ def _run_checks(checks):
     wall seconds of the check's own call.  Work cached by an earlier check
     (root data, Levi tables, the corollaries' shared fixed-det
     polynomial) is charged to the check that first did it.  A check whose
-    certificate fails on the way fails, with the reason as its error."""
+    certificate or precondition fails on the way fails, with the reason as
+    its error."""
     outcomes = []
     for _, fn in checks:
         start = perf_counter()
         try:
             ok, extra = _outcome(fn())
-        except CERTIFICATE_FAILURES as exc:
+        except CERTIFICATE_FAILURES + PRECONDITION_FAILURES as exc:
             ok, extra = False, {"error": str(exc)}
         extra["wall_s"] = perf_counter() - start
         outcomes.append((ok, extra))
@@ -421,8 +429,7 @@ def main(argv=None) -> int:
     except CERTIFICATE_FAILURES as exc:
         print("verification failed: %s" % exc, file=sys.stderr)
         return 1
-    except (NotGoodCase, NotCoprime, ValueError,
-            ZeroDenominatorAfterSubstitution) as exc:
+    except PRECONDITION_FAILURES + (ValueError,) as exc:
         print("precondition failed: %s" % exc, file=sys.stderr)
         return 3
     try:

@@ -1,9 +1,13 @@
 """Exact arithmetic for bivariate integer polynomials, rational functions and
 truncated formal power series in two variables u, v.
 
-All coefficients are arbitrary-precision Python ints (Fractions only appear
-after substituting non-integral values for the variables), so every identity
-checked with these types is exact.  The module holds only what the
+All coefficients are arbitrary-precision Python ints, so every identity
+checked with these types is exact.  Fractions appear only after
+substituting a non-integral value for a variable and as the quotient of
+``RatFun2.subs_uv``, and ``fractions`` is imported only there: a
+substitution at integral points stays in ints, and the scalar checks test
+for an int or a value with a ``denominator``.  A float is never rounded
+into a coefficient or an exponent.  The module holds only what the
 package computes with: the containers and their printing, the band and its
 running sums, and substitution for the specializations.
 
@@ -68,7 +72,6 @@ from __future__ import annotations
 
 import sys
 from collections import Counter
-from fractions import Fraction
 from itertools import compress, repeat
 from operator import add, and_, lshift, or_, sub
 
@@ -86,11 +89,20 @@ class NotPolynomialWithinBound(ArithmeticError):
 
 
 def _as_int(c):
+    """c as an int: an int, or a rational (a value with a denominator) whose
+    denominator is 1.  A float or a non-integral rational raises TypeError,
+    so a coefficient or exponent is never rounded."""
     if type(c) is int:
         return c
-    if isinstance(c, Fraction) and c.denominator != 1:
-        raise TypeError("BivarPoly coefficients must be integers, got %r" % (c,))
+    if getattr(c, "denominator", None) != 1:
+        raise TypeError("%r is not an integer" % (c,))
     return int(c)
+
+
+def _rational(x):
+    """Whether x is a rational scalar: an int, or a value with a
+    denominator (a Fraction)."""
+    return hasattr(x, "denominator")
 
 
 class BivarPoly:
@@ -104,6 +116,7 @@ class BivarPoly:
             for (i, j), c in terms.items():
                 c = _as_int(c)
                 if c:
+                    i, j = _as_int(i), _as_int(j)
                     if i < 0 or j < 0:
                         raise ValueError("negative exponent (%d, %d)" % (i, j))
                     clean[(i, j)] = c
@@ -245,7 +258,8 @@ class BivarPoly:
     # -- substitution ------------------------------------------------------
 
     def subs_u(self, val):
-        """Substitute u := val (a Fraction or int); returns UniPoly in v."""
+        """Substitute u := val (an int or a Fraction); returns UniPoly in v,
+        with int coefficients when val is integral."""
         pu = _powers(val, (i for i, _ in self.terms))
         res = {}
         for (i, j), c in self.terms.items():
@@ -253,10 +267,12 @@ class BivarPoly:
         return UniPoly(res)
 
     def subs_uv(self, uval, vval):
-        """Substitute u := uval, v := vval; returns a Fraction."""
+        """Substitute u := uval, v := vval; returns the exact value, an int
+        when both values are integral: only a non-integral value makes it a
+        Fraction."""
         pu = _powers(uval, (i for i, _ in self.terms))
         pv = _powers(vval, (j for _, j in self.terms))
-        return Fraction(sum(c * pu[i] * pv[j] for (i, j), c in self.terms.items()))
+        return sum(c * pu[i] * pv[j] for (i, j), c in self.terms.items())
 
     def diagonal(self):
         """Substitute u = v = t; returns UniPoly in t."""
@@ -541,8 +557,9 @@ class TruncSeries2:
         clean = {}
         if coeffs:
             for (i, j), c in coeffs.items():
-                if i + j <= order and c:
-                    clean[(i, j)] = _as_int(c)
+                c = _as_int(c)
+                if c and i + j <= order:
+                    clean[(i, j)] = c
         self.coeffs = clean
 
     def coeff(self, i, j):
@@ -669,11 +686,15 @@ class RatFun2:
         return RatFun1(self.num.subs_u(val), self.den.subs_u(val))
 
     def subs_uv(self, uval, vval):
+        """Substitute u := uval, v := vval; returns the exact quotient, a
+        Fraction."""
+        from fractions import Fraction
+
         den = self.den.subs_uv(uval, vval)
         if den == 0:
             raise ZeroDenominatorAfterSubstitution(
                 "(u, v) := (%s, %s) kills denominator" % (uval, vval))
-        return self.num.subs_uv(uval, vval) / den
+        return Fraction(self.num.subs_uv(uval, vval), den)
 
     def diagonal(self):
         """Substitute u = v = t."""
@@ -726,10 +747,13 @@ def to_polynomial(r, degree_bound):
 
 def _powers(val, exponents):
     """[val^0, ..., val^top], top the largest of exponents, in ints when val
-    is integral and in Fractions otherwise."""
-    val = Fraction(val)
+    is integral and in Fractions otherwise; an int val is kept as it is."""
+    if not _rational(val) or val.denominator != 1:
+        from fractions import Fraction
+
+        val = Fraction(val)
     if val.denominator == 1:
-        val = val.numerator
+        val = int(val)
     out = [1]
     for _ in range(max(exponents, default=0)):
         out.append(out[-1] * val)
@@ -737,9 +761,11 @@ def _powers(val, exponents):
 
 
 def _norm_scalar(c):
-    if isinstance(c, Fraction) and c.denominator == 1:
-        return int(c)
-    return c
+    """c as an int when integral, else the rational c itself; a value that
+    is not rational, such as a float, raises TypeError."""
+    if not _rational(c):
+        raise TypeError("%r is not rational" % (c,))
+    return int(c) if c.denominator == 1 else c
 
 
 class UniPoly:
@@ -753,7 +779,7 @@ class UniPoly:
             for d, c in terms.items():
                 c = _norm_scalar(c)
                 if c:
-                    clean[int(d)] = c
+                    clean[_as_int(d)] = c
         self.terms = clean
 
     @staticmethod
@@ -764,7 +790,7 @@ class UniPoly:
         return not self.terms
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if _rational(other):
             other = UniPoly.constant(other)
         if not isinstance(other, UniPoly):
             return NotImplemented
@@ -774,7 +800,7 @@ class UniPoly:
         return hash(frozenset(self.terms.items()))
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if _rational(other):
             return UniPoly({d: c * other for d, c in self.terms.items()})
         res = {}
         for d, c in self.terms.items():
@@ -829,11 +855,11 @@ class RatFun1:
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=None):
-        if isinstance(num, (int, Fraction)):
+        if _rational(num):
             num = UniPoly.constant(num)
         if den is None:
             den = UniPoly.constant(1)
-        elif isinstance(den, (int, Fraction)):
+        elif _rational(den):
             den = UniPoly.constant(den)
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
@@ -841,12 +867,12 @@ class RatFun1:
         self.den = den
 
     def rat_eq(self, other):
-        if isinstance(other, (UniPoly, int, Fraction)):
+        if isinstance(other, UniPoly) or _rational(other):
             other = RatFun1(other)
         return self.num * other.den == other.num * self.den
 
     def __eq__(self, other):
-        if isinstance(other, (RatFun1, UniPoly, int, Fraction)):
+        if isinstance(other, (RatFun1, UniPoly)) or _rational(other):
             return self.rat_eq(other)
         return NotImplemented
 

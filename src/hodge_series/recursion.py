@@ -73,7 +73,6 @@ contribute nothing to the truncated series and are never enumerated.
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 from functools import cached_property
 from operator import mul
 
@@ -115,6 +114,8 @@ class HNType(namedtuple("HNType", "I delta_lift codim")):
 
 def codim(datum, mu, g):
     """sum of (beta(mu) + g - 1) over positive roots with beta(mu) > 0."""
+    from fractions import Fraction
+
     mu = tuple(Fraction(m) for m in mu)
     total = Fraction(0)
     count = 0

@@ -57,7 +57,6 @@ from __future__ import annotations
 
 import re
 from collections import namedtuple
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 from operator import add, mul
@@ -77,8 +76,11 @@ class NonIntegralExponent(ArithmeticError):
     """An exponent of (uv) that must be an integer is not."""
 
 
-def frac_rep(x) -> Fraction:
-    """The unique representative of x mod Z lying in (0, 1]; <0> = 1."""
+def frac_rep(x):
+    """The unique representative of x mod Z lying in (0, 1], as a Fraction;
+    <0> = 1."""
+    from fractions import Fraction
+
     x = Fraction(x)
     r = x - (x.numerator // x.denominator)  # in [0, 1)
     return r if r else Fraction(1)
@@ -124,6 +126,8 @@ def _adjugate(rows):
 def _scaled_rows(rows):
     """(scales, integer rows): each rational row times the lcm of its
     denominators."""
+    from fractions import Fraction
+
     scales, out = [], []
     for row in rows:
         row = [Fraction(x) for x in row]
@@ -138,6 +142,8 @@ def invert_matrix(matrix):
 
     Row i scaled by s_i gives an integer S A, and A^{-1} = adj(S A) S / det.
     """
+    from fractions import Fraction
+
     scales, rows = _scaled_rows(matrix)
     det, adj = _adjugate(rows)
     if not det:
@@ -596,6 +602,8 @@ class RootDatum:
         coroots, so the values are the coroot-basis coordinates c of X after
         removing its central component (``_fund_numerators``).
         """
+        from fractions import Fraction
+
         _, det, xs = self._fund_numerators(X)
         return tuple(Fraction(x, det) for x in xs)
 
@@ -628,8 +636,11 @@ class RootDatum:
         Returns the unique mu with X - mu in Q-span{beta^vee : beta not in I}
         and beta(mu) = 0 for those beta: mu = X - sum_b c_b beta_b^vee with
         det A * c from ``_fund_numerators``, A the Levi's Cartan matrix, so
-        det A * mu is an integer vector; det A > 0 for finite type.
+        det A * mu is an integer vector; det A > 0 for finite type.  The
+        entries are Fractions.
         """
+        from fractions import Fraction
+
         keep, det, cs = self._fund_numerators(X, parabolic_indices)
         mu = [det * x for x in X]
         for c, b in zip(cs, keep):

@@ -565,6 +565,45 @@ class TestCertificateFailure:
         assert all("error" not in c for c in obj["checks"] if c["pass"])
 
 
+class TestPreconditionInsideVerify:
+    """``verify`` chooses its own parameters, so a formula precondition
+    that fails inside one of its checks is the library disagreeing with
+    itself: the check fails with the reason as its error, the rest run,
+    and the exit code is 1, not 3."""
+
+    @staticmethod
+    def refuse_gl3_moduli(monkeypatch, exc):
+        from hodge_series import formulas
+        from hodge_series.rootdata import GroupSpec
+
+        real = formulas.hp_moduli_space
+
+        def hp_moduli_space(spec, d, g):
+            if spec == GroupSpec((("GL", 3),)):
+                raise exc("refused GL3 d=%s" % (d,))
+            return real(spec, d, g)
+
+        monkeypatch.setattr(formulas, "hp_moduli_space", hp_moduli_space)
+
+    @pytest.mark.parametrize("exc", ["NotGoodCase", "NotCoprime",
+                                     "ZeroDenominatorAfterSubstitution"])
+    def test_check_fails_and_the_rest_run(self, capsys, monkeypatch, exc):
+        from hodge_series import cli
+
+        self.refuse_gl3_moduli(monkeypatch, getattr(cli, exc))
+        code, out, err = run(capsys, "verify", "--suite", "corollaries",
+                             "--max-rank", "3", "--genus-list", "2")
+        assert code == 1 and err == ""
+        assert [ln for ln in out.splitlines() if not ln.startswith("PASS ")] == [
+            "FAIL chi_t moduli GL3 d=1 g=2 == 0", "7/8 checks passed"]
+        code, out, _ = run(capsys, "verify", "--suite", "corollaries",
+                           "--max-rank", "3", "--genus-list", "2", "--format", "json")
+        assert code == 1
+        failed = [c for c in json.loads(out)["checks"] if not c["pass"]]
+        assert [(c["name"], c["error"]) for c in failed] == [
+            ("chi_t moduli GL3 d=1 g=2 == 0", "refused GL3 d=(1,)")]
+
+
 class TestNonIntegral:
     """A w-exponent or a stratum codimension that comes out non-integral is
     a verification failure too (exit 1), never a traceback: ``verify`` marks

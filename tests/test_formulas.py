@@ -8,7 +8,6 @@ under test.
 
 import sys
 from collections import Counter
-from fractions import Fraction
 from itertools import repeat
 from math import gcd
 from operator import add, mul, sub
@@ -18,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import band_reference
-from hodge_series import formulas, ratfun, rootdata
+from hodge_series import formulas, ratfun
 from hodge_series.cli import _classical_specs
 from hodge_series.formulas import (
     FactorizationFailed,
@@ -621,40 +620,6 @@ class TestExactOrder:
         plus = FTerm(3, 9, WIDE.numfactors, {2: 4})
         _, lo, W, n, items, _ = _over_common_den([plus, plus._replace(coef=-3)])
         assert (lo, W, n, items) == (0, 1, 1, [])
-
-
-class TestNoFractionOnTermPath:
-    """No Fraction is built between a degree's lift and the band: with
-    Fraction raising in rootdata and formulas, on fresh root data, the
-    closed formula and the recursion check give what they give unpatched.
-    Only the slope HNType.mu, read lazily, is a Fraction."""
-
-    @staticmethod
-    def without_fractions(monkeypatch, call):
-        def refuse(*args):
-            raise AssertionError("a Fraction was built")
-
-        with monkeypatch.context() as m:
-            m.setattr(rootdata, "Fraction", refuse)
-            m.setattr(formulas, "Fraction", refuse, raising=False)
-            build_root_system.cache_clear()
-            got = call()
-        build_root_system.cache_clear()
-        return got, call()
-
-    @pytest.mark.parametrize("name,d", [("GL8", (3,)), ("Sp6", (0,)), ("GL3xSO5", (2, 1))])
-    def test_closed_formula(self, monkeypatch, name, d):
-        got, expect = self.without_fractions(
-            monkeypatch, lambda: hp_semistable_closed(parse_group(name), d, 2))
-        assert got.num == expect.num and got.wden == expect.wden
-
-    @pytest.mark.parametrize("name,d,order", [("GL5", (2,), 40), ("GL3xSO5", (2, 1), 30)])
-    def test_recursion_check(self, monkeypatch, name, d, order):
-        from hodge_series.recursion import verify_recursion
-
-        got, expect = self.without_fractions(
-            monkeypatch, lambda: verify_recursion(parse_group(name), d, 2, order))
-        assert got == expect and got.match
 
 
 class TestHornerBand:

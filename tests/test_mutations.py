@@ -12,9 +12,10 @@ the routes that build afresh), and records:
   space and the Sp3 semistable stack, and whether the printed series
   changed.
 
-A row is defined by what it does to a(L), to a wall or to an exponent,
-never by the layout of the factor tuples, so one catalogue holds for any
-layout of the numerators.  A row under which the default ``verify`` passes
+A row is defined by what it does to a(L), to a wall, an exponent, a
+residue, a codimension, a sign or a band letter, never by the layout of
+the factor tuples, so one catalogue holds for any layout of the
+numerators.  A row under which the default ``verify`` passes
 and ``compute`` prints a changed series with exit 0 is an escape; the
 escapes are named in ``ESCAPES``.
 """
@@ -22,10 +23,11 @@ escapes are named in ``ESCAPES``.
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
+from operator import add, sub
 
 import pytest
 
-from hodge_series import cli, formulas
+from hodge_series import cli, formulas, recursion
 from hodge_series.rootdata import RootDatum, build_root_system
 
 VERIFY = ["verify", "--suite", "all", "--max-rank", "4", "--genus-list", "2,3",
@@ -116,17 +118,27 @@ def wall(monkeypatch):
     monkeypatch.setattr(formulas, "_templates", templates)
 
 
-def res(monkeypatch):
-    """The numerator n_0 of <varpi_0(d)> = n_0 / D one too low.  (One too
-    high turns the good case GL2 d=1 into a bad one, and ``verify`` stops
-    at the first moduli check with exit 3.)"""
+def _shift_n0(monkeypatch, step):
     real = RootDatum.fund_residues
 
     def fund_residues(self, X, parabolic_indices=()):
         D, nums = real(self, X, parabolic_indices)
-        return D, nums[:1] and (nums[0] - 1,) + nums[1:]
+        return D, nums[:1] and (nums[0] + step,) + nums[1:]
 
     monkeypatch.setattr(RootDatum, "fund_residues", fund_residues)
+
+
+def res(monkeypatch):
+    """The numerator n_0 of <varpi_0(d)> = n_0 / D one too low."""
+    _shift_n0(monkeypatch, -1)
+
+
+def res_up(monkeypatch):
+    """The numerator n_0 of <varpi_0(d)> = n_0 / D one too high.  The good
+    case GL2 d=1 turns bad, so the moduli checks that ``verify`` chose for
+    a good case fail with ``NotGoodCase`` as their error, and the GL3 d=1
+    moduli space exits 3."""
+    _shift_n0(monkeypatch, 1)
 
 
 def bc_exps(monkeypatch):
@@ -135,6 +147,49 @@ def bc_exps(monkeypatch):
     real = formulas._bc_exps
     monkeypatch.setattr(formulas, "_bc_exps", lambda m: (
         real(m)[:-1] + (real(m)[-1] + 1,) if m > 1 else real(m)))
+
+
+def codim(monkeypatch):
+    """Every nonsemistable stratum's codimension one too high."""
+    real = recursion.enumerate_hn_types
+    monkeypatch.setattr(recursion, "enumerate_hn_types", lambda *args: [
+        t._replace(codim=t.codim + 1) for t in real(*args)])
+
+
+def sign(monkeypatch):
+    """The sign of the last template (J = Delta - I, every wall) of each
+    closed formula with a wall negated."""
+    real = formulas._templates
+
+    def templates(datum, g, I=()):
+        out = real(datum, g, I)
+        if len(out) > 1:
+            s, base, numf, den, walls = out[-1]
+            out = out[:-1] + ((-s, base, numf, den, walls),)
+        return out
+
+    monkeypatch.setattr(formulas, "_templates", templates)
+
+
+def letter(monkeypatch):
+    """The band letter of 1 + u, the only one with shift 1 and a plus sign,
+    applied as 1 - u."""
+    real = formulas._times_binomial
+    monkeypatch.setattr(formulas, "_times_binomial", lambda X, shift, e, op, cap, B: real(
+        X, shift, e, sub if shift == 1 and op is add else op, cap, B))
+
+
+def jacobian(monkeypatch):
+    """The Jacobian factor (1 + u)^g (1 + v)^g of the fixed-det certificate
+    to the power g + 1: the lifted abelian pair's exponent one too high."""
+    real = formulas._jacobian_lift
+
+    def lift(t, g, coef=1):
+        out = real(t, g, coef)
+        (a, b, e), (c, d, f), *rest = out.numfactors
+        return out._replace(numfactors=((a, b, e + 1), (c, d, f + 1), *rest))
+
+    monkeypatch.setattr(formulas, "_jacobian_lift", lift)
 
 
 def _suite(name):
@@ -181,7 +236,12 @@ MATRIX = {
     exp: ((0, 0, 0, 4), 0, ((0, False), (0, False), (0, True))),
     wall: ((31, 60, 0, 20), 1, ((0, True), (1, True), (0, True))),
     res: ((60, 60, 2, 24), 1, ((1, True), (1, True), (1, True))),
+    res_up: ((60, 60, 5, 26), 1, ((1, True), (3, True), (1, True))),
     bc_exps: ((0, 18, 0, 0), 1, ((0, False), (0, False), (0, False))),
+    codim: ((48, 0, 0, 0), 1, ((0, False), (0, False), (0, False))),
+    sign: ((22, 60, 0, 20), 1, ((0, True), (1, True), (0, True))),
+    letter: ((0, 0, 0, 26), 1, ((0, True), (1, True), (0, True))),
+    jacobian: ((0, 0, 0, 20), 1, ((0, False), (0, False), (0, False))),
 }
 
 #: rows under which the default verify passes and a ``compute`` case prints

@@ -1,5 +1,6 @@
 """Unit and property tests for the exact bivariate arithmetic layer."""
 
+import re
 from collections import Counter
 from fractions import Fraction
 from operator import add
@@ -76,6 +77,41 @@ class TestCoefficientValidation:
     def test_proper_fraction_rejected(self, build, stored):
         with pytest.raises(TypeError):
             build({(1, 0): Fraction(1, 2)})
+
+
+class TestExactConstructors:
+    """A coefficient or exponent that is not an integer is refused, never
+    rounded: a float (even an integral one) or a non-integral rational
+    raises TypeError naming it.  UniPoly keeps non-integral rational
+    coefficients, the values of a substitution, and refuses floats."""
+
+    @pytest.mark.parametrize("terms,bad", [
+        ({(1, 0): 2.7}, "2.7"), ({(0, 0): 0.5}, "0.5"), ({(0, 0): 3.0}, "3.0"),
+        ({(0, 0): Fraction(1, 2)}, "Fraction(1, 2)"), ({(1.7, 0): 3}, "1.7"),
+        ({(0, Fraction(3, 2)): 1}, "Fraction(3, 2)")])
+    def test_bivar_poly(self, terms, bad):
+        with pytest.raises(TypeError, match=re.escape(bad)):
+            BivarPoly(terms)
+
+    @pytest.mark.parametrize("coeffs,bad", [
+        ({(0, 1): 1.9}, "1.9"), ({(0, 0): 0.0}, "0.0"), ({(5, 0): 0.5}, "0.5"),
+        ({(1, 1): Fraction(-7, 3)}, "Fraction(-7, 3)")])
+    def test_trunc_series(self, coeffs, bad):
+        with pytest.raises(TypeError, match=re.escape(bad)):
+            TruncSeries2(3, coeffs)
+
+    @pytest.mark.parametrize("terms,bad", [
+        ({1.7: 3}, "1.7"), ({2.0: 1}, "2.0"), ({Fraction(1, 2): 1}, "Fraction(1, 2)"),
+        ({1: 0.5}, "0.5"), ({0: 2.0}, "2.0")])
+    def test_uni_poly(self, terms, bad):
+        with pytest.raises(TypeError, match=re.escape(bad)):
+            UniPoly(terms)
+
+    def test_integral_values_kept_exactly(self):
+        assert BivarPoly({(Fraction(2), 1): Fraction(6, 3)}).terms == {(2, 1): 2}
+        p = UniPoly({Fraction(2): Fraction(4, 2), 1: Fraction(1, 2)})
+        assert p.terms == {2: 2, 1: Fraction(1, 2)}
+        assert [type(k) for k in p.terms] == [int, int] and type(p.terms[2]) is int
 
 
 class TestDivision:
@@ -256,7 +292,16 @@ class TestSubstitute:
         self.forbid_fraction_arithmetic(monkeypatch)
         got = self.SAMPLE.subs_uv(uval, vval)
         monkeypatch.undo()
-        assert type(got) is Fraction and got == ref
+        assert type(got) is int and got == ref
+
+    @pytest.mark.parametrize("uval,vval,expect", [
+        (2, 2, Fraction(-5, 3)), (-1, 2, Fraction(2, 3)), (3, -1, Fraction(3, 4)),
+        (Fraction(1, 2), 3, Fraction(-9))])
+    def test_ratfun_quotient_is_exact(self, uval, vval, expect):
+        """RatFun2.subs_uv divides two ints (or Fractions) exactly: the
+        quotient is a Fraction, never a float."""
+        got = RatFun2((1 + U) * (1 + V) - W, {1: 1}).subs_uv(uval, vval)
+        assert type(got) is Fraction and got == expect
 
     def test_non_integral_value_in_fractions(self):
         half = Fraction(1, 2)

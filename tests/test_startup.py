@@ -12,8 +12,12 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
+#: modules that only a rational result loads: a substitution at a
+#: non-integral point, a slope or a rational matrix
+RATIONAL = ("fractions", "decimal", "_decimal", "numbers")
+
 #: modules no plain-format command and no pool operation uses
-NOT_AT_IMPORT = ("dataclasses", "inspect", "json", "csv", "hodge_series.vhs")
+NOT_AT_IMPORT = ("dataclasses", "inspect", "json", "csv", "hodge_series.vhs") + RATIONAL
 
 VHS_NAMES = ("PeriodMatrix", "QC", "basis_change_consistent",
              "theta_coefficients", "validate_period_matrix")
@@ -34,6 +38,48 @@ def test_cli_import_loads_no_unused_module():
                             % (NOT_AT_IMPORT,))
     assert code == 0, err
     assert out.strip() == ""
+
+
+def test_integer_paths_load_no_rational_arithmetic():
+    """The closed formula, a fixed-det specialization, every verify suite
+    and the recursion check compute in ints from the degree's lift to the
+    printed series: after the operations below and every operation of the
+    benchmark pools (``perfbench/workloads.py``, only read), all run in one
+    interpreter and all passing, no module of rational arithmetic is
+    loaded."""
+    code, out, err = python("-c", """
+import importlib.util
+import io
+import sys
+from contextlib import redirect_stdout
+from hodge_series import cli, parse_group
+from hodge_series.recursion import verify_recursion
+spec = importlib.util.spec_from_file_location("workloads", %r)
+workloads = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(workloads)
+ops = [{"kind": "cli", "argv": argv} for argv in [
+    ["compute", "--group", "GL8", "--degree", "3", "--what", "semistable"],
+    ["compute", "--group", "Sp6", "--what", "semistable"],
+    ["specialize", "--group", "GL4", "--degree", "1", "--genus", "8",
+     "--what", "fixed-det", "--at", "chi-t"],
+    ["verify", "--suite", "all", "--max-rank", "2"],
+]] + [{"kind": "recursion", "group": name, "degree": d, "genus": 2, "order": order}
+      for name, d, order in [("GL5", (2,), 40), ("GL3xSO5", (2, 1), 30)]]
+ops += [op for pools in workloads.POOLS.values() for pool in pools for op in pool]
+failed = []
+for op in ops:
+    if op["kind"] == "cli":
+        with redirect_stdout(io.StringIO()):
+            ok = cli.main(op["argv"]) == 0
+    else:
+        ok = verify_recursion(parse_group(op["group"]), tuple(op["degree"]),
+                              op["genus"], op["order"]).match
+    if not ok:
+        failed.append(op)
+print(len(ops), failed, [m for m in %r if m in sys.modules])
+""" % (str(SRC.parent / "perfbench" / "workloads.py"), RATIONAL))
+    assert code == 0, err
+    assert out.strip() == "36 [] []"
 
 
 def test_vhs_names_load_on_first_access():

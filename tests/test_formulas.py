@@ -622,6 +622,42 @@ class TestExactOrder:
         assert (lo, W, n, items) == (0, 1, 1, [])
 
 
+class TestNoFractionOnTermPath:
+    """No Fraction is built between a degree's lift and the band: with
+    ``fractions.Fraction`` raising (the modules that build one import it
+    at call time), on fresh root data, the closed formula and the
+    recursion check give what they give unpatched. Only the slope
+    HNType.mu, read lazily, is a Fraction."""
+
+    @staticmethod
+    def without_fractions(monkeypatch, call):
+        import fractions
+
+        def refuse(*args):
+            raise AssertionError("a Fraction was built")
+
+        with monkeypatch.context() as m:
+            m.setattr(fractions, "Fraction", refuse)
+            build_root_system.cache_clear()
+            got = call()
+        build_root_system.cache_clear()
+        return got, call()
+
+    @pytest.mark.parametrize("name,d", [("GL8", (3,)), ("Sp6", (0,)), ("GL3xSO5", (2, 1))])
+    def test_closed_formula(self, monkeypatch, name, d):
+        got, expect = self.without_fractions(
+            monkeypatch, lambda: hp_semistable_closed(parse_group(name), d, 2))
+        assert got.num == expect.num and got.wden == expect.wden
+
+    @pytest.mark.parametrize("name,d,order", [("GL5", (2,), 40), ("GL3xSO5", (2, 1), 30)])
+    def test_recursion_check(self, monkeypatch, name, d, order):
+        from hodge_series.recursion import verify_recursion
+
+        got, expect = self.without_fractions(
+            monkeypatch, lambda: verify_recursion(parse_group(name), d, 2, order))
+        assert got == expect and got.match
+
+
 class TestHornerBand:
     """The Horner pass of ``_band_sum`` over the groups of
     ``_over_common_den`` against the group-by-group reference: the same

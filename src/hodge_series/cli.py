@@ -29,7 +29,8 @@ from .ratfun import (BivarPoly, NotPolynomialWithinBound, RatFun1, RatFun2,
                      UniPoly, ZeroDenominatorAfterSubstitution)
 from .recursion import NonIntegralCodim
 from .rootdata import (GroupSpec, NonIntegralExponent, build_root_system,
-                       degrees_of, good_case, parse_degree, parse_group)
+                       classical_factors, degrees_of, good_case, parse_degree,
+                       parse_group)
 
 
 class UsageError(ValueError):
@@ -158,31 +159,21 @@ def cmd_specialize(args):
 # ---------------------------------------------------------------------------
 
 
-def _classical_specs(max_rank):
-    out = []
-    for r in range(1, max_rank + 1):
-        out.append(("GL", r))
-    for r in range(2, max_rank + 1):
-        out.append(("SL", r))
-    for r in range(1, max_rank + 1):
-        out.append(("SOodd", r))
-    for r in range(1, max_rank + 1):
-        out.append(("Sp", r))
-    for r in range(2, max_rank + 1):
-        out.append(("SOeven", r))
-    return out
+def _classical_grid(max_rank, genus_list):
+    """(factor, spec, degree, genus) for every classical factor up to
+    max_rank (``rootdata.classical_factors``), each of its degrees and each
+    genus, in that nesting: the grid both classical suites walk."""
+    for factor in classical_factors(max_rank):
+        spec = GroupSpec((factor,))
+        for d in degrees_of(spec):
+            for g in genus_list:
+                yield factor, spec, d, g
 
 
 def _recursion_checks(max_rank, genus_list, order):
-    checks = []
-    for fam, r in _classical_specs(max_rank):
-        spec = GroupSpec(((fam, r),))
-        for d in degrees_of(spec):
-            for g in genus_list:
-                name = "recursion %s d=%s g=%d N=%d" % (spec, d, g, order)
-                checks.append((name, lambda spec=spec, d=d, g=g:
-                               recursion.verify_recursion(spec, d, g, order)))
-    return checks
+    return [("recursion %s d=%s g=%d N=%d" % (spec, d, g, order),
+             lambda spec=spec, d=d, g=g: recursion.verify_recursion(spec, d, g, order))
+            for _, spec, d, g in _classical_grid(max_rank, genus_list)]
 
 
 def _classical_check(fam, r, d, g):
@@ -198,15 +189,9 @@ def _classical_check(fam, r, d, g):
 def _classical_checks(max_rank, genus_list):
     """Composition sum against closed formula, per classical factor, degree
     and genus (``_classical_check``)."""
-    checks = []
-    for fam, r in _classical_specs(max_rank):
-        spec = GroupSpec(((fam, r),))
-        for d in degrees_of(spec):
-            for g in genus_list:
-                name = "classical %s d=%s g=%d" % (spec, d, g)
-                checks.append((name, lambda fam=fam, r=r, d=d, g=g:
-                               _classical_check(fam, r, d[0], g)))
-    return checks
+    return [("classical %s d=%s g=%d" % (spec, d, g),
+             lambda fam=fam, r=r, d=d, g=g: _classical_check(fam, r, d[0], g))
+            for (fam, r), spec, d, g in _classical_grid(max_rank, genus_list)]
 
 
 def _good_case_checks(max_rank):

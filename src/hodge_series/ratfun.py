@@ -558,8 +558,12 @@ class TruncSeries2:
         if coeffs:
             for (i, j), c in coeffs.items():
                 c = _as_int(c)
-                if c and i + j <= order:
-                    clean[(i, j)] = c
+                if c:
+                    i, j = _as_int(i), _as_int(j)
+                    if i < 0 or j < 0:
+                        raise ValueError("negative exponent (%d, %d)" % (i, j))
+                    if i + j <= order:
+                        clean[(i, j)] = c
         self.coeffs = clean
 
     def coeff(self, i, j):
@@ -747,13 +751,10 @@ def to_polynomial(r, degree_bound):
 
 def _powers(val, exponents):
     """[val^0, ..., val^top], top the largest of exponents, in ints when val
-    is integral and in Fractions otherwise; an int val is kept as it is."""
-    if not _rational(val) or val.denominator != 1:
-        from fractions import Fraction
-
-        val = Fraction(val)
-    if val.denominator == 1:
-        val = int(val)
+    is integral and in Fractions otherwise; an int val is kept as it is.  A
+    value that is not rational, such as a float, raises TypeError, so it is
+    never rounded through binary."""
+    val = _norm_scalar(val)
     out = [1]
     for _ in range(max(exponents, default=0)):
         out.append(out[-1] * val)

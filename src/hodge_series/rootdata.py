@@ -1,11 +1,15 @@
 """Root data for the classical groups and their Levi subgroups.
 
 The five supported families are GL_r, SL_r, SO_{2r+1}, Sp_r and SO_{2r}
-(types A, A, B, C, D).  A group is described by a ``GroupSpec`` (an ordered
-product of such factors); ``build_root_system`` turns it into the group's
-own ``RootDatum``, explicit integer data on the coweight lattice
-pi_1(H) = Z^n together with the per-factor lifts of degree 1
-(``RootDatum.lift_degree``):
+(types A, A, B, C, D).  One table, ``_FAMILY``, holds each family's
+printed name, least rank, pi_1 (which sets the valid degrees and their
+representatives) and number of positive roots: parsing, printing, the
+degree checks and the builder's sanity checks all read it, and ``_block``
+alone adds the simple roots and coroots.  A group is described by a
+``GroupSpec`` (an ordered product of such factors); ``build_root_system``
+turns it into the group's own ``RootDatum``, explicit integer data on the
+coweight lattice pi_1(H) = Z^n together with the per-factor lifts of
+degree 1 (``RootDatum.lift_degree``):
 
 * simple roots and positive roots are stored as linear forms (integer row
   vectors paired against lattice points),
@@ -58,10 +62,8 @@ from __future__ import annotations
 import re
 from collections import namedtuple
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from operator import add, mul
-
-FAMILIES = ("GL", "SL", "SOodd", "Sp", "SOeven")
 
 
 class UnsupportedRank(ValueError):
@@ -208,6 +210,27 @@ def smith_invariants(rows):
 # ---------------------------------------------------------------------------
 
 
+#: one row per family, every fact of it but its simple roots and coroots
+#: (``_block``): a factor of rank r prints as prefix followed by the number
+#: scale * r + offset, the ranks start at least, pi1 is pi_1 as (free rank,
+#: torsion invariants) and pos_count(r) is |Phi+|
+_Family = namedtuple("_Family", "prefix scale offset least pi1 pos_count")
+_FAMILY = {
+    "GL": _Family("GL", 1, 0, 1, (1, ()), lambda r: r * (r - 1) // 2),
+    "SL": _Family("SL", 1, 0, 2, (0, ()), lambda r: r * (r - 1) // 2),
+    "SOodd": _Family("SO", 2, 1, 1, (0, (2,)), lambda r: r * r),
+    "Sp": _Family("Sp", 1, 0, 1, (0, ()), lambda r: r * r),
+    "SOeven": _Family("SO", 2, 0, 2, (0, (2,)), lambda r: r * (r - 1)),
+}
+
+
+def classical_factors(max_rank):
+    """Every (family, rank) from the family's least rank to max_rank, in
+    the order of the family table."""
+    return [(fam, r) for fam, row in _FAMILY.items()
+            for r in range(row.least, max_rank + 1)]
+
+
 class GroupSpec(namedtuple("GroupSpec", "factors")):
     """An ordered product of classical factors, e.g. GL2 x SO5: factors is
     a tuple of (family, rank), checked on construction."""
@@ -218,14 +241,12 @@ class GroupSpec(namedtuple("GroupSpec", "factors")):
         if not factors:
             raise ValueError("a group needs at least one factor")
         for fam, r in factors:
-            if fam not in FAMILIES:
+            row = _FAMILY.get(fam)
+            if row is None:
                 raise ValueError("unknown family %r" % (fam,))
-            if r < 1:
-                raise UnsupportedRank("rank must be positive")
-            if fam == "SL" and r < 2:
-                raise UnsupportedRank("SL needs rank >= 2")
-            if fam == "SOeven" and r < 2:
-                raise UnsupportedRank("SO_even needs rank >= 2 (no SO_2)")
+            if r < row.least:
+                raise UnsupportedRank("%s is not supported: its family starts at %s" % (
+                    _factor_name(fam, r), _factor_name(fam, row.least)))
         return tuple.__new__(cls, (factors,))
 
     def __str__(self):
@@ -233,41 +254,28 @@ class GroupSpec(namedtuple("GroupSpec", "factors")):
 
 
 def _factor_name(fam, r):
-    if fam == "GL":
-        return "GL%d" % r
-    if fam == "SL":
-        return "SL%d" % r
-    if fam == "Sp":
-        return "Sp%d" % r
-    if fam == "SOodd":
-        return "SO%d" % (2 * r + 1)
-    return "SO%d" % (2 * r)
+    row = _FAMILY[fam]
+    return "%s%d" % (row.prefix, row.scale * r + row.offset)
 
 
-_FACTOR_RE = re.compile(r"^(GL|SL|SO|Sp)(\d+)$")
+_FACTOR_RE = re.compile(
+    r"^(%s)(\d+)$" % "|".join(dict.fromkeys(f.prefix for f in _FAMILY.values())))
 
 
 def parse_group(text) -> GroupSpec:
-    """Parse "GL3", "SO8", "Sp2", or products like "GL2xGL3xSO5"."""
+    """Parse "GL3", "SO8", "Sp2", or products like "GL2xGL3xSO5": a factor
+    belongs to the family whose prefix it carries and whose scale * r +
+    offset its number has, for some r (SO5 is SOodd of rank 2)."""
     factors = []
     for part in text.strip().split("x"):
         m = _FACTOR_RE.match(part.strip())
         if not m:
             raise ValueError("cannot parse group factor %r" % (part,))
-        name, num = m.group(1), int(m.group(2))
-        if name == "GL":
-            factors.append(("GL", num))
-        elif name == "SL":
-            factors.append(("SL", num))
-        elif name == "Sp":
-            factors.append(("Sp", num))
-        else:  # SO_n
-            if num < 3:
-                raise UnsupportedRank("SO%d not supported" % num)
-            if num % 2:
-                factors.append(("SOodd", (num - 1) // 2))
-            else:
-                factors.append(("SOeven", num // 2))
+        prefix, num = m.group(1), int(m.group(2))
+        # the rows of one prefix share out every number between them
+        fam, row = next((fam, row) for fam, row in _FAMILY.items()
+                        if row.prefix == prefix and (num - row.offset) % row.scale == 0)
+        factors.append((fam, (num - row.offset) // row.scale))
     return GroupSpec(tuple(factors))
 
 
@@ -287,32 +295,35 @@ def parse_degree(text, spec: GroupSpec):
 
 
 def validate_degree(d, spec: GroupSpec):
+    """d as a tuple of ints, one per factor, each in the factor's pi_1: any
+    integer when pi_1 = Z, and 0 <= d < n when pi_1 = Z/n (n = 1 when
+    pi_1 is trivial)."""
     if isinstance(d, int):
         d = (d,)
     d = tuple(int(x) for x in d)
     if len(d) != len(spec.factors):
         raise ValueError("degree needs %d components" % len(spec.factors))
-    for (fam, _), di in zip(spec.factors, d):
-        if fam in ("SL", "Sp") and di != 0:
-            raise ValueError("%s has trivial pi_1; degree must be 0" % fam)
-        if fam in ("SOodd", "SOeven") and di not in (0, 1):
-            raise ValueError("SO degrees live in Z/2; use 0 or 1")
+    for (fam, r), di in zip(spec.factors, d):
+        free, torsion = _FAMILY[fam].pi1
+        n = prod(torsion)
+        if free or 0 <= di < n:
+            continue
+        name = _factor_name(fam, r)
+        if n == 1:
+            raise ValueError("%s has trivial pi_1; degree must be 0" % name)
+        raise ValueError("%s degrees live in Z/%d; use %s"
+                         % (name, n, " or ".join(map(str, range(n)))))
     return d
 
 
 def degrees_of(spec: GroupSpec):
-    """All degree tuples, one representative per pi_1 class (GL uses 0..r-1)."""
-    pools = []
-    for fam, r in spec.factors:
-        if fam == "GL":
-            pools.append(tuple(range(r)))
-        elif fam in ("SOodd", "SOeven"):
-            pools.append((0, 1))
-        else:
-            pools.append((0,))
+    """All degree tuples, one representative per class: all of pi_1 = Z/n,
+    and 0..r-1 when pi_1 = Z, since a line bundle moves the degree of a
+    rank r factor by r."""
     out = [()]
-    for pool in pools:
-        out = [t + (x,) for t in out for x in pool]
+    for fam, r in spec.factors:
+        free, torsion = _FAMILY[fam].pi1
+        out = [t + (x,) for t in out for x in range(r if free else prod(torsion))]
     return out
 
 
@@ -706,16 +717,6 @@ def _positive_roots(simple_roots, simple_coroots):
     return tuple(roots.values()), tuple(roots)
 
 
-_EXPECTED_PI1 = {"GL": (1, ()), "SL": (0, ()), "SOodd": (0, (2,)),
-                 "Sp": (0, ()), "SOeven": (0, (2,))}
-
-_POS_COUNT = {"GL": lambda r: r * (r - 1) // 2,
-              "SL": lambda r: r * (r - 1) // 2,
-              "SOodd": lambda r: r * r,
-              "Sp": lambda r: r * r,
-              "SOeven": lambda r: r * (r - 1)}
-
-
 @lru_cache(maxsize=None)
 def build_root_system(spec: GroupSpec) -> RootDatum:
     """The root datum of a product of factors, with its degree lifts.
@@ -725,7 +726,7 @@ def build_root_system(spec: GroupSpec) -> RootDatum:
     closure of the concatenated simple roots (``_positive_roots``).  Checks
     that the closure has (dim G - rank)/2 roots and that, per factor,
     pi_1 = pi_1 H / (coroot lattice) computed by Smith reduction matches the
-    expected Z / 0 / Z2 answer.
+    family table's (``_FAMILY``).
     """
     blocks = [_block(fam, r) for fam, r in spec.factors]
     width = sum(b[0] for b in blocks)
@@ -737,11 +738,11 @@ def build_root_system(spec: GroupSpec) -> RootDatum:
         coroots.extend(map(pad, bc))
         divs = smith_invariants(bc)
         pi1 = (bn - len(divs), tuple(d for d in divs if d > 1))
-        if pi1 != _EXPECTED_PI1[fam]:
+        if pi1 != _FAMILY[fam].pi1:
             raise AssertionError("pi_1 mismatch for %s%d: %s" % (fam, r, pi1))
         n += bn
     pos, coeffs = _positive_roots(simples, coroots)
-    if len(pos) != sum(_POS_COUNT[fam](r) for fam, r in spec.factors):
+    if len(pos) != sum(_FAMILY[fam].pos_count(r) for fam, r in spec.factors):
         raise AssertionError("positive root count wrong for %s" % (spec,))
     return RootDatum(width, simples, coroots, pos, coeffs, spec,
                      tuple(b[3] for b in blocks))

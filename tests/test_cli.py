@@ -119,6 +119,25 @@ class TestCompute:
         assert err == "usage error: degree entries must be integers, got %r\n" % (
             degree.split(",")[-1],)
 
+    @pytest.mark.parametrize("group,degree,named", [
+        ("SO0", None, "SO0"), ("SO1", None, "SO1"), ("SO2", None, "SO2"),
+        ("GL0", None, "GL0"), ("SL1", None, "SL1"), ("Sp0", None, "Sp0"),
+        ("XX3", None, "XX3"), ("SO5", "2", "SO5"), ("SL2", "1", "SL2"),
+        ("Sp2", "-1", "Sp2"), ("GL2xSO4", "0,2", "SO4"),
+        ("SO3", None, None), ("SO4", None, None), ("GL2", "-3", None)])
+    def test_group_and_degree_exit_codes(self, capsys, group, degree, named):
+        """A group or degree outside the family table exits 2 with one usage
+        line naming the factor as typed; the least ranks and any GL degree
+        run."""
+        argv = ["compute", "--group", group, "--what", "semistable"]
+        code, out, err = run(capsys, *argv + (["--degree", degree] if degree else []))
+        if named is None:
+            assert (code, err) == (0, "") and out
+            return
+        assert (code, out) == (2, "")
+        assert err.startswith("usage error: ") and err.count("\n") == 1
+        assert named in err and "SOeven" not in err and "SOodd" not in err
+
     def test_classifying_valid_degree(self, capsys):
         code, out, _ = run(capsys, "compute", "--group", "SL2", "--degree", "0",
                            "--what", "classifying", "--format", "json")

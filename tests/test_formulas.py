@@ -18,7 +18,6 @@ from hypothesis import example, given, settings, strategies as st
 
 import band_reference
 from hodge_series import formulas, ratfun
-from hodge_series.cli import _classical_specs
 from hodge_series.formulas import (
     FactorizationFailed,
     FTerm,
@@ -61,6 +60,7 @@ from hodge_series.rootdata import (
     GroupSpec,
     NonIntegralExponent,
     build_root_system,
+    classical_factors,
     degrees_of,
     good_case,
     parse_group,
@@ -365,7 +365,7 @@ def _canonical(numfactors, g):
     return len(numfactors) == 2 * len(ds) and ds == sorted(set(ds))
 
 
-@pytest.mark.parametrize("family,rank", _classical_specs(6) + [("GL3xSO5", None)])
+@pytest.mark.parametrize("family,rank", classical_factors(6) + [("GL3xSO5", None)])
 def test_numerators_are_canonical(family, rank):
     """Every term of the closed formula (of the group, and of each Levi for
     GL3 x SO5), of the composition sums and of the Jacobian lift carries
@@ -385,7 +385,7 @@ def test_numerators_are_canonical(family, rank):
             assert all(_canonical(t.numfactors, g) for t in terms), (d, g)
 
 
-@pytest.mark.parametrize("family,rank", _classical_specs(6))
+@pytest.mark.parametrize("family,rank", classical_factors(6))
 def test_classical_difference_sums_form_no_band(family, rank):
     """The composition sum minus the closed formula: with canonical
     numerators on both sides, every group cancels in its cofactor, at every

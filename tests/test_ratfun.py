@@ -78,6 +78,18 @@ class TestCoefficientValidation:
         with pytest.raises(TypeError):
             build({(1, 0): Fraction(1, 2)})
 
+    @pytest.mark.parametrize("key,exc", [
+        ((0.5, 1), TypeError), ((1, 2.0), TypeError), ((Fraction(1, 2), 0), TypeError),
+        ((-1, 1), ValueError), ((0, -3), ValueError)])
+    def test_bad_exponent_rejected(self, build, stored, key, exc):
+        """An exponent is an integer >= 0: a float or a proper fraction
+        raises TypeError and a negative one ValueError; an integral
+        Fraction is stored as an int."""
+        with pytest.raises(exc):
+            build({key: 1})
+        (kept,) = stored(build({(Fraction(2), 1): 1}))
+        assert kept == (2, 1) and all(type(x) is int for x in kept)
+
 
 class TestExactConstructors:
     """A coefficient or exponent that is not an integer is refused, never
@@ -263,6 +275,20 @@ class TestSubstitute:
 
     def test_rational_value(self):
         assert (1 + U).subs_u(Fraction(1, 2)) == UniPoly.constant(Fraction(3, 2))
+
+    def test_float_value_refused_by_subs_u(self):
+        """A float is refused by name, not rounded through binary; the
+        rational 1/10 substitutes exactly."""
+        with pytest.raises(TypeError, match=re.escape("0.1")):
+            (1 + U).subs_u(0.1)
+        assert (1 + U).subs_u(Fraction(1, 10)) == UniPoly.constant(Fraction(11, 10))
+
+    @pytest.mark.parametrize("uval,vval", [(0.1, 1), (1, 0.1), (1.0, 1)])
+    def test_float_value_refused_by_subs_uv(self, uval, vval):
+        p = BivarPoly({(1, 0): 1, (0, 1): 1})
+        with pytest.raises(TypeError, match="is not rational"):
+            p.subs_uv(uval, vval)
+        assert BivarPoly({(1, 0): 1}).subs_uv(Fraction(1, 10), 1) == Fraction(1, 10)
 
     SAMPLE = (1 + U) ** 3 * (1 - V) ** 2 * (1 + W) - 5 * U ** 4 * V
 

@@ -14,7 +14,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import hodge_series.rootdata as rootdata
-from hodge_series.cli import _classical_specs
 from hodge_series.rootdata import (
     GroupSpec,
     LeviDatum,
@@ -23,6 +22,7 @@ from hodge_series.rootdata import (
     _adjugate,
     _dot,
     build_root_system,
+    classical_factors,
     degrees_of,
     frac_rep,
     good_case,
@@ -30,6 +30,7 @@ from hodge_series.rootdata import (
     parse_group,
     invert_matrix,
     smith_invariants,
+    validate_degree,
 )
 
 GL = lambda r: GroupSpec((("GL", r),))
@@ -91,6 +92,41 @@ class TestGroupSpec:
         with pytest.raises(ValueError) as info:
             GroupSpec(factors)
         assert info.type is exc
+
+
+class TestFamilyTable:
+    """Every row of the family table, at every rank from its least to 6:
+    names, least ranks and degree classes agree with parsing and the
+    degree checks."""
+
+    @pytest.mark.parametrize("fam", list(rootdata._FAMILY))
+    def test_row(self, fam):
+        row = rootdata._FAMILY[fam]
+        below = rootdata._factor_name(fam, row.least - 1)
+        with pytest.raises(UnsupportedRank, match=below):
+            parse_group(below)
+        with pytest.raises(UnsupportedRank):
+            GroupSpec(((fam, row.least - 1),))
+        free, torsion = row.pi1
+        for r in range(row.least, 7):
+            name = rootdata._factor_name(fam, r)
+            spec = parse_group(name)
+            assert spec.factors == ((fam, r),) and str(spec) == name
+            for d in degrees_of(spec):
+                assert validate_degree(d, spec) == d
+            if not free:
+                n = len(degrees_of(spec))
+                assert n == max(torsion, default=1)
+                for bad in (n, -1):
+                    with pytest.raises(ValueError, match=name):
+                        validate_degree((bad,), spec)
+
+    def test_classical_factors(self):
+        assert classical_factors(4) == [
+            ("GL", 1), ("GL", 2), ("GL", 3), ("GL", 4), ("SL", 2), ("SL", 3), ("SL", 4),
+            ("SOodd", 1), ("SOodd", 2), ("SOodd", 3), ("SOodd", 4),
+            ("Sp", 1), ("Sp", 2), ("Sp", 3), ("Sp", 4), ("SOeven", 2), ("SOeven", 3),
+            ("SOeven", 4)]
 
 
 class TestRootSystems:
@@ -226,12 +262,14 @@ def fresh_root_systems():
 
 class TestBuilderChecks:
     def test_positive_root_count_check_fires(self, monkeypatch, fresh_root_systems):
-        monkeypatch.setitem(rootdata._POS_COUNT, "SOodd", lambda r: r * r + 1)
+        monkeypatch.setitem(rootdata._FAMILY, "SOodd", rootdata._FAMILY["SOodd"]._replace(
+            pos_count=lambda r: r * r + 1))
         with pytest.raises(AssertionError, match="positive root count"):
             build_root_system(parse_group("GL2xSO5"))
 
     def test_pi1_check_fires(self, monkeypatch, fresh_root_systems):
-        monkeypatch.setitem(rootdata._EXPECTED_PI1, "Sp", (0, (2,)))
+        monkeypatch.setitem(rootdata._FAMILY, "Sp",
+                            rootdata._FAMILY["Sp"]._replace(pi1=(0, (2,))))
         with pytest.raises(AssertionError, match="pi_1 mismatch"):
             build_root_system(Sp(3))
 
@@ -520,7 +558,7 @@ class TestGoodCase:
         assert not good_case(spec, (1, 0))
 
     @pytest.mark.parametrize(
-        "spec", [GroupSpec((f,)) for f in _classical_specs(4)]
+        "spec", [GroupSpec((f,)) for f in classical_factors(4)]
         + [parse_group("GL3xSO5")], ids=str)
     def test_integer_residues_match_fractions(self, spec):
         """good_case reads n_alpha != D off fund_residues; the Fraction form

@@ -30,7 +30,7 @@ print("agree exactly:", f.rat_eq(h))
 
 print()
 print("=== Harder-Narasimhan strata of codimension <= 8 ===")
-print(hn_types_to_csv(enumerate_hn_types(spec, (1,), g, 8)))
+print(hn_types_to_csv(spec, enumerate_hn_types(spec, (1,), g, 8)))
 
 print("=== recursion identity, order 16, several groups ===")
 for name, d in [("GL2", (1,)), ("GL3", (2,)), ("SO5", (1,)), ("Sp2", (0,))]:

@@ -30,7 +30,7 @@ from .ratfun import (BivarPoly, NotPolynomialWithinBound, RatFun1, RatFun2,
 from .recursion import NonIntegralCodim
 from .rootdata import (GroupSpec, NonIntegralExponent, build_root_system,
                        classical_factors, degrees_of, good_case, parse_degree,
-                       parse_group)
+                       parse_group, parse_int)
 
 
 class UsageError(ValueError):
@@ -295,12 +295,10 @@ def _check_genera(genera, flag):
 
 def _parse_genus_list(text):
     try:
-        genus_list = [int(x) for x in text.split(",") if x]
+        genus_list = [parse_int(x) for x in text.split(",")]
     except ValueError:
         raise UsageError("--genus-list must be comma-separated integers, got %r"
                          % (text,))
-    if not genus_list:
-        raise UsageError("--genus-list must name at least one genus")
     if len(set(genus_list)) != len(genus_list):
         raise UsageError("--genus-list names a genus twice: %r" % (text,))
     _check_genera(genus_list, "--genus-list")
@@ -350,6 +348,16 @@ def cmd_verify(args):
 # ---------------------------------------------------------------------------
 
 
+def _int_option(text):
+    """The type of the numeric options: an ASCII decimal integer
+    (``parse_int``), where ``int`` would also read 1_0 or other scripts'
+    digits."""
+    try:
+        return parse_int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 @lru_cache(maxsize=None)
 def build_parser():
     """The argument parser, built on the first call and shared by every
@@ -366,7 +374,7 @@ def build_parser():
                        help="e.g. GL3, SL2, SO5, SO8, Sp2, GL2xSO5")
         p.add_argument("--degree", default=None,
                        help="comma-separated, one entry per factor")
-        p.add_argument("--genus", type=int, default=2)
+        p.add_argument("--genus", type=_int_option, default=2)
         p.add_argument("--format", choices=formats, default="plain")
 
     pc = sub.add_parser("compute", help="print a series as a rational function")
@@ -374,7 +382,7 @@ def build_parser():
     pc.add_argument("--what", required=True,
                     choices=("stack", "semistable", "moduli", "fixed-det",
                              "classifying"))
-    pc.add_argument("--expand", type=int, default=None, metavar="N",
+    pc.add_argument("--expand", type=_int_option, default=None, metavar="N",
                     help="also print the truncated expansion")
     pc.set_defaults(func=cmd_compute)
 
@@ -382,9 +390,9 @@ def build_parser():
     pv.add_argument("--suite", required=True,
                     choices=("recursion", "classical", "good-case",
                              "corollaries", "all"))
-    pv.add_argument("--max-rank", type=int, default=3)
+    pv.add_argument("--max-rank", type=_int_option, default=3)
     pv.add_argument("--genus-list", default="2,3")
-    pv.add_argument("--order", type=int, default=20,
+    pv.add_argument("--order", type=_int_option, default=20,
                     help="total degree of the recursion checks; the classical "
                          "checks are exact at every rank")
     pv.add_argument("--format", choices=("plain", "json"), default="plain")

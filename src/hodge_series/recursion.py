@@ -47,13 +47,14 @@ stratum, with codim * det = (g - 1) dim U^I * det + sum_a w_a det s_a: every
 nilradical root, a non-negative combination of simple roots holding some
 alpha_a with a in I, is positive once the walls are.  So the walk visits
 the strata and the partial points above them, not the box around the
-simplex.  A stratum found is kept as (I, lift, codim): its slope mu is
-projected to the center of its Levi (``RootDatum.project_to_center``, from
-the same cached Levi block) only when it is read, and mu's entries are the
-only Fractions.  The recursion check reads I, the lift and codim alone, so
-it projects nothing.  What does not depend on the degree
-or the genus (the Levi block's det and adjugate, A_IK adj, H, U and w_a)
-is computed once per subset I and cached on the root datum.  Since every
+simplex.  A stratum found is kept as (I, lift, codim); its slope mu is
+the projection of the lift to the center of its Levi,
+``RootDatum.project_to_center(I, lift)`` from the same cached Levi block,
+whose entries are the only Fractions.  The strata CSV alone projects it:
+the recursion check reads I, the lift and codim, so it projects nothing.
+What does not depend on the degree or the genus (the Levi block's det and
+adjugate, A_IK adj, H, U and w_a) is computed once per subset I and
+cached on the root datum.  Since every
 det s_a >= 1, a stratum with walls I needs det * budget >= sum_a w_a; a
 wall set without that room is skipped before its set-up (``_hn_setup``),
 with det read off the cached Levi block and w_a off the datum's cached
@@ -73,18 +74,12 @@ contribute nothing to the truncated series and are never enumerated.
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import cached_property
 from operator import mul
 
 from .formulas import (_datum_residues, a_series_term, assemble_series,
                        closed_series_for, closed_terms)
 from .ratfun import TruncSeries2
-from .rootdata import (
-    GroupSpec,
-    RootDatum,
-    _dot,
-    build_root_system,
-)
+from .rootdata import GroupSpec, _dot, build_root_system
 
 
 class NonIntegralCodim(ArithmeticError):
@@ -92,24 +87,11 @@ class NonIntegralCodim(ArithmeticError):
 
 
 class HNType(namedtuple("HNType", "I delta_lift codim")):
-    """One nonsemistable stratum: walls I, a lift of delta and codim, on the
-    root datum of its group.  The slope mu is projected from the lift on
-    its first read and kept.  A named tuple of (I, delta_lift, codim); the
-    datum is an attribute beside it, so it takes no part in comparison,
-    hashing or the repr, and ``_replace`` carries it over."""
+    """One nonsemistable stratum: walls I, a lift of delta and codim.  Its
+    slope mu is ``RootDatum.project_to_center(I, delta_lift)`` on the
+    group's datum."""
 
-    def __new__(cls, I, delta_lift, codim, datum: RootDatum):
-        self = tuple.__new__(cls, (I, delta_lift, codim))
-        self.datum = datum
-        return self
-
-    def _replace(self, **fields):
-        return HNType(*super()._replace(**fields), self.datum)
-
-    @cached_property
-    def mu(self):
-        """The projection of delta_lift to the center of L^I, as Fractions."""
-        return self.datum.project_to_center(self.I, self.delta_lift)
+    __slots__ = ()
 
 
 def codim(datum, mu, g):
@@ -259,7 +241,7 @@ def enumerate_hn_types(spec: GroupSpec, d, g, max_codim):
             for row, a in zip(hn.U, I):
                 na = _dot(row, m)
                 X = [x + na * c for x, c in zip(X, datum.simple_coroots[a])]
-            found.append(HNType(I, tuple(X), total // det, datum))
+            found.append(HNType(I, tuple(X), total // det))
     found.sort(key=lambda t: (t.codim, t.I, t.delta_lift))
     return found
 
@@ -334,11 +316,12 @@ def hn_blocks_of(datum, hn: HNType):
     return tuple(blocks)
 
 
-def hn_types_to_csv(types):
-    """CSV table of strata: I bitmask, delta lift, mu, codim."""
+def hn_types_to_csv(spec: GroupSpec, types):
+    """CSV table of the strata of spec: I bitmask, delta lift, mu, codim."""
     import csv
     import io
 
+    datum = build_root_system(spec)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["I", "delta", "mu", "codim"])
@@ -347,7 +330,7 @@ def hn_types_to_csv(types):
         writer.writerow([
             mask,
             " ".join(str(x) for x in t.delta_lift),
-            " ".join(str(m) for m in t.mu),
+            " ".join(str(m) for m in datum.project_to_center(t.I, t.delta_lift)),
             t.codim,
         ])
     return buf.getvalue()

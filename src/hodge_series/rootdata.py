@@ -39,9 +39,10 @@ summed from the records of its components (``RootDatum.levis``), and a
 path of r nodes has r (r + 1) / 2 components against 2^r subsets.  The
 closed formula of G and of each Levi L^I, the Levi
 projections and the HN enumeration read these records, keyed by I, so no
-Levi root datum is built for them.  The Levi's own root datum is built
-only when a record's ``datum`` is read; a Levi of a Levi is one of the
-group's own Levis, built once per group.
+Levi root datum is built for them.  A record is its five fields and holds
+no link to its datum: what else is derived from it is a ``RootDatum``
+call that takes I.  ``sub_datum`` builds a Levi's own root datum, fresh
+and unlinked, for a caller that wants one.
 
 Linear algebra is fraction-free over Z: one Bareiss elimination gives the
 determinant and the adjugate of an integer matrix, so a solve is an integer
@@ -259,7 +260,19 @@ def _factor_name(fam, r):
 
 
 _FACTOR_RE = re.compile(
-    r"^(%s)(\d+)$" % "|".join(dict.fromkeys(f.prefix for f in _FAMILY.values())))
+    r"^(%s)([0-9]+)$" % "|".join(dict.fromkeys(f.prefix for f in _FAMILY.values())))
+
+_DECIMAL_RE = re.compile(r"[+-]?[0-9]+")
+
+
+def parse_int(text):
+    """The integer an ASCII decimal numeral writes, with an optional sign and
+    surrounding whitespace; ValueError for the rest of what ``int`` takes,
+    such as an underscore (1_0) or another script's digits."""
+    text = str(text).strip()
+    if not _DECIMAL_RE.fullmatch(text):
+        raise ValueError("expected a decimal integer, got %r" % (text,))
+    return int(text)
 
 
 def parse_group(text) -> GroupSpec:
@@ -288,7 +301,7 @@ def parse_degree(text, spec: GroupSpec):
     d = []
     for p in parts:
         try:
-            d.append(int(p))
+            d.append(parse_int(p))
         except ValueError:
             raise ValueError("degree entries must be integers, got %r" % (p,)) from None
     return validate_degree(tuple(d), spec)
@@ -357,28 +370,9 @@ class LeviDatum(namedtuple("LeviDatum", "I dim_z exponents dim_u sums")):
     (``RootDatum._component``): dim Z(L^I), the exponents of L^I, dim U^I
     and sums, the nilradical roots' pairings summed against every simple
     coroot, zero off I, so sums[alpha] = 2 rho^I(alpha^vee) for alpha in I
-    (``rho_pairings``).  The nilradical's forms are scanned off the
-    ambient table on each read of ``nilradical``, and the Levi's own root
-    datum (simple roots Delta - I) is built on the first read of
-    ``datum``.  A named tuple of the first five; the ambient datum is an
-    attribute beside it, so it takes no part in comparison or the repr."""
+    (``RootDatum.two_rho_pairings``)."""
 
-    def __new__(cls, I, dim_z, exponents, dim_u, sums, ambient: RootDatum):
-        self = tuple.__new__(cls, (I, dim_z, exponents, dim_u, sums))
-        self.ambient = ambient
-        return self
-
-    datum = property(lambda self: self.ambient.sub_datum(self.ambient.complement(self.I)))
-    rank = property(lambda self: self.ambient.n)
-    rho_pairings = property(lambda self: {a: self.sums[a] for a in self.I})
-
-    @property
-    def nilradical(self):
-        """The forms of the positive roots whose support meets I, in the
-        order of pos_roots."""
-        mask = self.ambient._mask(self.I)
-        return tuple(form for form, (support, _, _) in
-                     zip(self.ambient.pos_roots, self.ambient._roots()) if support & mask)
+    __slots__ = ()
 
 
 class RootDatum:
@@ -390,7 +384,7 @@ class RootDatum:
     on a Levi sub-datum both are None."""
 
     __slots__ = ("n", "simple_roots", "simple_coroots", "pos_roots",
-                 "pos_coeffs", "spec", "_lifts", "_parent", "_index", "_cache")
+                 "pos_coeffs", "spec", "_lifts", "_cache")
 
     def __init__(self, n, simple_roots, simple_coroots, pos_roots, pos_coeffs,
                  spec=None, lifts=None):
@@ -400,7 +394,6 @@ class RootDatum:
         self.pos_roots = tuple(tuple(f) for f in pos_roots)
         self.pos_coeffs = tuple(tuple(c) for c in pos_coeffs)
         self.spec, self._lifts = spec, lifts
-        self._parent = self._index = None
         self._cache = {}
 
     # -- basics --------------------------------------------------------------
@@ -455,31 +448,21 @@ class RootDatum:
     # -- Levi restriction ------------------------------------------------------
 
     def sub_datum(self, levi_indices):
-        """Root datum of the Levi with the given simple-root indices; a
-        sub-datum maps them to its parent's and returns the parent's own,
-        and the full index set gives the datum itself."""
+        """A fresh root datum of the Levi with the given simple-root indices:
+        the positive roots whose support lies among them, scanned off the
+        table, on the same lattice."""
         levi_indices = tuple(sorted(levi_indices))
         mask = self._mask(levi_indices)
-        if self._parent is not None:
-            return self._parent.sub_datum(tuple(self._index[i] for i in levi_indices))
-        if len(levi_indices) == self.num_simple:
-            return self
-        cached = self._cache.get(("sub", levi_indices))
-        if cached is not None:
-            return cached
         roots, coeffs = [], []
         for form, cf, (support, _, _) in zip(self.pos_roots, self.pos_coeffs, self._roots()):
             if not support & ~mask:
                 roots.append(form)
                 coeffs.append(tuple(cf[i] for i in levi_indices))
-        sub = RootDatum(
+        return RootDatum(
             self.n,
             [self.simple_roots[i] for i in levi_indices],
             [self.simple_coroots[i] for i in levi_indices],
             roots, coeffs)
-        sub._parent, sub._index = self, levi_indices
-        self._cache[("sub", levi_indices)] = sub
-        return sub
 
     def complement(self, parabolic_indices):
         keep = set(parabolic_indices)
@@ -560,7 +543,7 @@ class RootDatum:
                 if any(sums[a] <= 0 for a in I):
                     raise AssertionError("2 rho^I(alpha^vee) must be positive")
                 dim_z = self.dim_z + len(I)
-                out.append(LeviDatum(I, dim_z, (1,) * dim_z + exps, npos - count, sums, self))
+                out.append(LeviDatum(I, dim_z, (1,) * dim_z + exps, npos - count, sums))
             cached = self._cache["levis"] = tuple(out)
         return cached
 
@@ -579,7 +562,8 @@ class RootDatum:
         so the nilradical value is what this method returns (read from
         levi(I)).
         """
-        return self.levi(parabolic_indices).rho_pairings
+        levi = self.levi(parabolic_indices)
+        return {a: levi.sums[a] for a in levi.I}
 
     # -- fundamental weights and projections -------------------------------------
 
@@ -637,7 +621,7 @@ class RootDatum:
         reduced mod D; the only way degrees enter.  Given I, the values
         <varpi^{L^I}_beta(X)> of the Levi L^I at its simple roots beta in
         Delta - I, with D the det of the Levi block, equal to
-        ``levi(I).datum.fund_residues(X)``."""
+        ``sub_datum(complement(I)).fund_residues(X)``."""
         _, det, xs = self._fund_numerators(X, parabolic_indices)
         return det, tuple(x % det or det for x in xs)
 

@@ -152,6 +152,51 @@ class TestCompute:
         assert err.startswith("usage error:")
 
 
+# inputs that int() reads but that are no ASCII decimal integer, or that
+# hold an empty list entry: each is a usage error (exit 2, empty stdout)
+# whose one line names the input
+NOT_DECIMAL = {
+    "degree-underscore": ["compute", "--group", "GL2", "--what", "semistable",
+                          "--degree", "1_0"],
+    "degree-arabic-indic": ["compute", "--group", "GL2", "--what", "semistable",
+                            "--degree", "\u0661"],
+    "group-arabic-indic": ["compute", "--what", "semistable", "--group", "GL\u0662"],
+    "genus-underscore": ["compute", "--group", "GL2", "--degree", "1", "--what",
+                         "semistable", "--genus", "0_3"],
+    "genus-arabic-indic": ["specialize", "--group", "GL2", "--degree", "1", "--what",
+                           "stack", "--at", "poincare", "--genus", "\u0662"],
+    "expand-underscore": ["compute", "--group", "GL2", "--degree", "1",
+                          "--what", "semistable", "--expand", "1_0"],
+    "order-underscore": ["verify", "--suite", "recursion", "--max-rank", "1",
+                         "--order", "2_0"],
+    "max-rank-underscore": ["verify", "--suite", "good-case", "--max-rank", "1_0"],
+    "genus-list-empty-entry": ["verify", "--suite", "recursion", "--max-rank", "1",
+                               "--genus-list", "2,,3"],
+    "genus-list-trailing-comma": ["verify", "--suite", "recursion", "--max-rank", "1",
+                                  "--genus-list", "2,"],
+    "genus-list-underscore": ["verify", "--suite", "recursion", "--max-rank", "1",
+                              "--genus-list", "0_2"],
+}
+
+
+@pytest.mark.parametrize("argv", NOT_DECIMAL.values(), ids=NOT_DECIMAL.keys())
+def test_numbers_are_ascii_decimal_integers(capsys, argv):
+    """The bad input is the value of the last option given."""
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    last = err.splitlines()[-1]
+    assert "error" in last and repr(argv[-1]) in last and "Traceback" not in err
+
+
+@pytest.mark.parametrize("degree", ["-1", "+1", " 1"])
+def test_signed_degree_runs(capsys, degree):
+    code, out, err = run(capsys, "compute", "--group", "GL2", "--degree", degree,
+                         "--what", "semistable")
+    assert (code, err) == (0, "") and out
+    assert out == run(capsys, "compute", "--group", "GL2", "--degree",
+                      degree.strip().lstrip("+"), "--what", "semistable")[1]
+
+
 # sha256 of the plain stdout and the exit code; any change to the printed
 # bytes shows here
 PINNED_OUTPUT = [

@@ -626,8 +626,8 @@ class TestNoFractionOnTermPath:
     """No Fraction is built between a degree's lift and the band: with
     ``fractions.Fraction`` raising (the modules that build one import it
     at call time), on fresh root data, the closed formula and the
-    recursion check give what they give unpatched. Only the slope
-    HNType.mu, read lazily, is a Fraction."""
+    recursion check give what they give unpatched. Only a stratum's slope,
+    projected for the strata CSV, is a Fraction."""
 
     @staticmethod
     def without_fractions(monkeypatch, call):

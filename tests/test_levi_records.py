@@ -33,6 +33,7 @@ from hodge_series.formulas import (
 )
 from hodge_series.recursion import enumerate_hn_types, verify_recursion
 from hodge_series.rootdata import (
+    LeviDatum,
     RootDatum,
     build_root_system,
     degrees_of,
@@ -89,10 +90,9 @@ def _check_records(datum, reference):
     for I, L in zip(subsets, datum.levis()):
         levi, nil, rho = _reference_skeleton(reference, I)
         assert datum.levi(I) is L
-        assert _same_datum(L.datum, levi)
-        assert L.nilradical == nil
-        assert (L.rank, L.dim_z, L.exponents, L.dim_u, L.rho_pairings) == (
-            datum.n, levi.dim_z, levi.exponent_list(), len(nil), rho)
+        assert _same_datum(datum.sub_datum(datum.complement(L.I)), levi)
+        assert (datum.n, L.dim_z, L.exponents, L.dim_u, datum.two_rho_pairings(L.I)) == (
+            levi.n, levi.dim_z, levi.exponent_list(), len(nil), rho)
 
 
 def _reference_term(coef, m, nonab_exps, dim_u, walls, g):
@@ -151,20 +151,22 @@ def test_records_match_reference(name):
     _check_records(datum, datum)
     for L in datum.levis():
         assert datum.levi(L.I) is L
-        assert datum.two_rho_pairings(L.I) == L.rho_pairings
+        assert datum.two_rho_pairings(L.I) == {a: L.sums[a] for a in L.I}
 
 
 @pytest.mark.parametrize("name", GROUPS)
 def test_records_of_levis_match_reference(name):
     """A Levi's own records (parabolic subsets of L^I) agree with a fresh,
-    unlinked copy of the Levi, and its Levis are the group's."""
+    unlinked copy of the Levi, and its Levis have the data of the group's."""
     datum = build_root_system(parse_group(name))
     for L in datum.levis():
         index = datum.complement(L.I)
-        _check_records(L.datum, _reference_sub_datum(datum, index))
-        for sub in L.datum.levis():
-            kept = tuple(index[j] for j in L.datum.complement(sub.I))
-            assert sub.datum is datum.sub_datum(kept)
+        levi = datum.sub_datum(index)
+        _check_records(levi, _reference_sub_datum(datum, index))
+        for sub in levi.levis():
+            kept = levi.complement(sub.I)
+            assert _same_datum(levi.sub_datum(kept),
+                               datum.sub_datum(tuple(index[j] for j in kept)))
 
 
 @pytest.mark.parametrize("name", GROUPS)
@@ -185,9 +187,10 @@ def test_closed_terms_match_reference(name):
                     == _merged(_reference_closed_terms(datum, fracs, g)))
             # the Levis' terms, as the recursion's right-hand side builds them
             for L in datum.levis()[1:]:
-                levi = L.datum.fund_residues(X)
+                sub = datum.sub_datum(datum.complement(L.I))
+                levi = sub.fund_residues(X)
                 ref = _reference_sub_datum(datum, datum.complement(L.I))
-                assert (_merged(closed_terms(L.datum, levi, g))
+                assert (_merged(closed_terms(sub, levi, g))
                         == _merged(_reference_closed_terms(ref, _fractions(levi), g)))
 
 
@@ -278,35 +281,16 @@ def test_levi_record_is_cached():
     assert datum.levis() is datum.levis()
 
 
-def test_levis_of_levis_are_built_once_per_group(monkeypatch):
-    """The closed formula over every Levi of GL6 builds the group's Levi
-    data once: 2^5 root data, the group itself serving as the Levi of
-    I = (), and not one more per Levi of a Levi."""
-    built = []
-    init = RootDatum.__init__
-
-    def counting(self, *args):
-        built.append(self)
-        init(self, *args)
-
-    monkeypatch.setattr(RootDatum, "__init__", counting)
-    datum = build_root_system.__wrapped__(parse_group("GL6"))  # a fresh datum
-    for I in _subsets(datum.num_simple):
-        levi = datum.sub_datum(datum.complement(I))
-        closed_terms(levi, levi.fund_residues(datum.lift_degree((1,))), 2)
-    assert len(built) == 2 ** 5
-
-
 @pytest.mark.parametrize("name", GROUPS)
 def test_full_levi_is_the_datum_itself(name):
-    """The Levi of I = () is the group: its datum is the group's own object,
-    for the group and for each of its Levis."""
+    """The Levi of I = () is the group: its sub-datum has the group's data
+    and its record the group's center, exponents and no nilradical, for
+    the group and for each of its Levis."""
     datum = build_root_system(parse_group(name))
-    assert datum.levi(()).datum is datum
-    assert datum.sub_datum(range(datum.num_simple)) is datum
-    for L in datum.levis():
-        assert L.datum.levi(()).datum is L.datum
-        assert L.datum.sub_datum(range(L.datum.num_simple)) is L.datum
+    for d in [datum] + [datum.sub_datum(datum.complement(L.I)) for L in datum.levis()]:
+        assert _same_datum(d.sub_datum(range(d.num_simple)), d)
+        assert d.levi(()) == LeviDatum((), d.dim_z, d.exponent_list(), 0,
+                                       (0,) * d.num_simple)
 
 
 @pytest.mark.parametrize("name", ["GL8", "Sp6", "SO12", "GL10"])
@@ -351,41 +335,35 @@ def test_closed_formula_builds_no_levi_datum(name, monkeypatch):
     assert built == [datum]
 
 
-def test_levi_datum_is_built_on_first_read():
-    """A record's datum is the Levi sub-datum, built when first read and the
-    same object on every later read."""
-    datum = build_root_system.__wrapped__(parse_group("GL4"))
-    L = datum.levi((1,))
-    assert ("sub", (0, 2)) not in datum._cache
-    assert L.datum is datum.sub_datum((0, 2)) is L.datum
-    assert L.rank == L.datum.n and L.dim_z == L.datum.dim_z == 2
-    assert L.exponents == L.datum.exponent_list()
-
-
 @pytest.mark.parametrize("bad", [(0, 0), (-1,), (2,), (5,), (1, 1, 0)])
 def test_malformed_index_sets_are_rejected(bad):
     """Parabolic and Levi index sets must be distinct simple-root indices:
     on GL3, (0, 0) would alias (0,), -1 would read alpha_1 and 5 would fail
-    with an IndexError."""
-    datum = build_root_system(parse_group("GL3"))
+    with an IndexError.  A rejected call caches nothing."""
+    datum = build_root_system.__wrapped__(parse_group("GL3"))  # a fresh datum
+    datum.levis()
+    keys = set(datum._cache)
     for method in (datum.levi, datum.sub_datum, datum.two_rho_pairings):
         with pytest.raises(ValueError):
             method(bad)
     with pytest.raises(ValueError):
         datum.project_to_center(bad, (1, 0, 0))
-    assert ("levi", tuple(sorted(bad))) not in datum._cache
+    assert set(datum._cache) == keys
 
 
 def test_malformed_index_sets_are_rejected_by_a_levi():
-    """A Levi sub-datum checks indices against its own simple roots before
-    mapping them to the group's."""
+    """A Levi sub-datum checks indices against its own simple roots, and its
+    own Levis have the data of the group's."""
     datum = build_root_system(parse_group("GL4"))
     levi = datum.sub_datum((0, 2))
     for bad in [(2,), (-1,), (0, 0)]:
         for method in (levi.levi, levi.sub_datum):
             with pytest.raises(ValueError):
                 method(bad)
-    assert levi.sub_datum((1,)) is datum.sub_datum((2,))
+    assert _same_datum(levi.sub_datum((1,)), datum.sub_datum((2,)))
+    L = datum.levi((1,))
+    assert datum.n == levi.n and L.dim_z == levi.dim_z == 2
+    assert L.exponents == levi.exponent_list()
 
 
 def _lifts(datum, X0, I, reach=2):
@@ -409,12 +387,13 @@ def test_levi_terms_from_group_records_match_sub_datum(name):
         # 2 rho of the nilradical is a character of L^I: it pairs to zero
         # with the Levi's simple coroots
         assert all(L.sums[b] == 0 for b in datum.complement(L.I))
+        levi = datum.sub_datum(datum.complement(L.I))
         for X in _lifts(datum, X0, L.I):
             residues = datum.fund_residues(X, L.I)
-            assert residues == L.datum.fund_residues(X)
+            assert residues == levi.fund_residues(X)
             for g in (2, 3):
                 assert (closed_terms(datum, residues, g, I=L.I)
-                        == closed_terms(L.datum, residues, g))
+                        == closed_terms(levi, residues, g))
 
 
 def test_verify_recursion_builds_no_root_datum(monkeypatch):

@@ -81,17 +81,19 @@ class TestEnumeration:
         datum = build_root_system(GL(3))
         for t in enumerate_hn_types(GL(3), (1,), 2, 12):
             assert sum(t.delta_lift) == 1
+            mu = datum.project_to_center(t.I, t.delta_lift)
             for a in t.I:
                 val = sum(f * m for f, m in
-                          zip(datum.simple_roots[a], t.mu))
+                          zip(datum.simple_roots[a], mu))
                 assert val > 0
-            assert t.mu == datum.project_to_center(t.I, t.delta_lift)
 
     def test_distinct_mu_within_parabolic(self):
-        types = enumerate_hn_types(parse_group("SO7"), (1,), 2, 22)
+        spec = parse_group("SO7")
+        datum = build_root_system(spec)
+        types = enumerate_hn_types(spec, (1,), 2, 22)
         seen = {}
         for t in types:
-            key = (t.I, t.mu)
+            key = (t.I, datum.project_to_center(t.I, t.delta_lift))
             assert key not in seen, "duplicate stratum"
             seen[key] = t
 
@@ -119,7 +121,7 @@ class TestEnumeration:
         assert hn_gl_oracle(3, 0, 0, 2) == []
 
 
-# sha256 of hn_types_to_csv(enumerate_hn_types(group, d, g, max_codim)) and
+# sha256 of hn_types_to_csv(spec, enumerate_hn_types(spec, d, g, max_codim)) and
 # the stratum count, recorded with the former Fraction enumeration; mu is part
 # of the digest, so exact slopes are pinned as well as the strata
 HN_DIGESTS = [
@@ -155,9 +157,10 @@ HN_DIGESTS = [
 @pytest.mark.parametrize("group,d,g,max_codim,count,digest", HN_DIGESTS,
                          ids=[c[0] for c in HN_DIGESTS])
 def test_pinned_strata(group, d, g, max_codim, count, digest):
-    types = enumerate_hn_types(parse_group(group), d, g, max_codim)
+    spec = parse_group(group)
+    types = enumerate_hn_types(spec, d, g, max_codim)
     assert len(types) == count
-    text = hn_types_to_csv(types)
+    text = hn_types_to_csv(spec, types)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
@@ -216,7 +219,8 @@ def _reference_hn_setup(datum, I):
     matrix of every nilradical root's value D beta(mu) in n, its wall rows
     M, and det M and adj M."""
     D, P = _reference_projector(datum, I)
-    nil_roots = datum.levi(I).nilradical
+    nil_roots = tuple(form for form, cf in zip(datum.pos_roots, datum.pos_coeffs)
+                      if any(cf[a] for a in I))
     weights = tuple(sum(cf[a] for cf in datum.pos_coeffs) for a in I)
     pcs = tuple(tuple(_dot(row, datum.simple_coroots[a]) for row in P) for a in I)
     step = tuple(tuple(_dot(form, pc) for pc in pcs) for form in nil_roots)
@@ -298,8 +302,9 @@ def test_enumeration_matches_projector_reference(spec, g, max_codim):
     """The s-space scan finds exactly the strata of the projector-based
     scan, with the same lifts, slopes and codimensions, in the same order,
     at every degree."""
+    datum = build_root_system(spec)
     for d in degrees_of(spec):
-        assert [(t.I, t.delta_lift, t.mu, t.codim)
+        assert [(t.I, t.delta_lift, datum.project_to_center(t.I, t.delta_lift), t.codim)
                 for t in enumerate_hn_types(spec, d, g, max_codim)] == \
             _reference_enumerate(spec, d, g, max_codim)
 
@@ -365,9 +370,9 @@ def test_recursion_check_projects_no_slope(monkeypatch, name, d, order):
     assert verify_recursion(spec, d, 2, order) == expect
 
 
-def test_slope_is_projected_once_on_first_read(monkeypatch):
-    """HNType.mu is project_to_center of its walls and lift, computed on
-    the first read, not by the enumeration, and kept for later reads."""
+def test_enumeration_projects_no_slope(monkeypatch):
+    """The enumeration calls project_to_center for no stratum; the strata
+    CSV projects each slope once."""
     real = rootdata.RootDatum.project_to_center
     calls = []
 
@@ -377,37 +382,22 @@ def test_slope_is_projected_once_on_first_read(monkeypatch):
 
     monkeypatch.setattr(rootdata.RootDatum, "project_to_center", project)
     spec = parse_group("GL3xSO5")
-    datum = build_root_system(spec)
     strata = enumerate_hn_types(spec, (2, 1), 2, 15)
     assert strata and calls == []
-    first = strata[0]
-    assert first == HNType(first.I, first.delta_lift, first.codim, None)
-    for t in strata:
-        assert t.mu == real(datum, t.I, t.delta_lift)
-        assert t.mu is t.mu
+    hn_types_to_csv(spec, strata)
     assert calls == [(t.I, t.delta_lift) for t in strata]
 
 
-def test_hn_type_record(monkeypatch):
-    """An HNType is the tuple (I, delta_lift, codim): its datum sits beside
-    it, out of comparison, hashing and the repr, and ``_replace`` carries
-    it; mu is projected once, on the first read."""
-    spec = parse_group("GL3xSO5")
-    datum = build_root_system(spec)
-    t = enumerate_hn_types(spec, (2, 1), 2, 15)[0]
-    bare = HNType(t.I, t.delta_lift, t.codim, None)
-    assert t.datum is datum and bare.datum is None
+def test_hn_type_record():
+    """A stratum is the plain tuple (I, delta_lift, codim): it equals, hashes
+    and prints as HNType(I, lift, codim), and ``_replace`` gives a changed
+    copy."""
+    t = enumerate_hn_types(parse_group("GL3xSO5"), (2, 1), 2, 15)[0]
+    bare = HNType(t.I, t.delta_lift, t.codim)
     assert t == bare and hash(t) == hash(bare) and len({t, bare}) == 1
     assert repr(t) == repr(bare) == "HNType(I=%r, delta_lift=%r, codim=%r)" % t
-    calls = []
-    real = rootdata.RootDatum.project_to_center
-    monkeypatch.setattr(rootdata.RootDatum, "project_to_center",
-                        lambda self, I, X: calls.append(I) or real(self, I, X))
-    assert t.mu == t.mu == real(datum, t.I, t.delta_lift)
-    assert calls == [t.I]
     moved = t._replace(codim=t.codim + 1)
-    assert (moved.I, moved.delta_lift, moved.codim) == (t.I, t.delta_lift, t.codim + 1)
-    assert moved.datum is datum and moved.mu == t.mu
+    assert moved == HNType(t.I, t.delta_lift, t.codim + 1)
 
 
 def test_recursion_report_fields_by_name():
@@ -587,7 +577,7 @@ def test_random_group_cross_check(case):
 class TestCsv:
     def test_export(self):
         types = enumerate_hn_types(GL(2), (0,), 2, 5)
-        text = hn_types_to_csv(types)
+        text = hn_types_to_csv(GL(2), types)
         lines = text.strip().split("\n")
         assert lines[0] == "I,delta,mu,codim"
         assert lines[1] == "1,1 -1,1 -1,3"
